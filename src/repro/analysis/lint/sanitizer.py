@@ -114,7 +114,7 @@ class TraceSanitizer:
                 ))
                 continue
             entry = trace.tiles.get(tile)
-            expected = len(entry.quads) if entry is not None else 0
+            expected = len(entry.columns) if entry is not None else 0
             if sum(row) != expected:
                 violations.append(Violation(
                     "quad-conservation",

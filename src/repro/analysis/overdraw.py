@@ -87,7 +87,7 @@ def per_tile_overdraw(
     """Mean shaded fragments per pixel for each tile."""
     area = config.tile_size * config.tile_size
     return {
-        tile: sum(q.covered_pixels for q in entry.quads) / area
+        tile: entry.columns.covered_pixels / area
         for tile, entry in trace.tiles.items()
     }
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.config import GPUConfig
 from repro.core.quad_grouping import QuadGrouping
 from repro.core.subtile_assignment import Permutation, SubtileAssignment
@@ -54,12 +56,12 @@ class QuadScheduler:
         side = config.quads_per_tile_side
         self._slot_map: List[List[int]] = grouping.slot_map(side)
         #: Row-major flattening of the slot map, for the replay hot path.
-        self._slot_flat: Tuple[int, ...] = tuple(
-            slot for row in self._slot_map for slot in row
+        self._slot_flat = np.array(
+            [slot for row in self._slot_map for slot in row], dtype=np.int64
         )
         # core_lut results keyed by (permutation, n_cores): the traversal
         # revisits a handful of distinct permutations, so the per-step
-        # quad -> core tables collapse to a few shared tuples.
+        # quad -> core tables collapse to a few shared arrays.
         self._lut_cache: dict = {}
 
     # -- queries -------------------------------------------------------------
@@ -80,21 +82,21 @@ class QuadScheduler:
         """slot -> SC binding at traversal position ``step``."""
         return self._perms[step]
 
-    def core_lut(self, step: int, n_cores: int) -> Tuple[int, ...]:
+    def core_lut(self, step: int, n_cores: int) -> np.ndarray:
         """Flat quad -> SC table for one traversal step.
 
         ``lut[qy * side + qx]`` is the shader core (modulo ``n_cores``,
         for the single-SC upper-bound configuration) executing in-tile
         quad ``(qx, qy)`` — the whole per-quad schedule of the step as
-        one precomputed tuple, replacing a ``perm[slot_of(qx, qy)]``
-        call per quad.
+        one precomputed read-only array, so a tile's quad -> core map
+        is a single gather ``lut[slots]``.
         """
         perm = self._perms[step]
         key = (perm, n_cores)
         lut = self._lut_cache.get(key)
         if lut is None:
-            cores = [core % n_cores for core in perm]
-            lut = tuple(cores[slot] for slot in self._slot_flat)
+            lut = np.array(perm, dtype=np.int64)[self._slot_flat] % n_cores
+            lut.flags.writeable = False
             self._lut_cache[key] = lut
         return lut
 

@@ -17,8 +17,6 @@ lanes outside the triangle — exactly as real GPU quads compute mip LOD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -27,34 +25,23 @@ from repro.config import GPUConfig
 from repro.core.tile_order import TileCoord
 from repro.raster.blending import BlendingUnit
 from repro.raster.color_buffer import ColorBuffer
-from repro.raster.fragment import Quad
+from repro.raster.fragment import Quad, TileQuads
 from repro.raster.interpolation import barycentric_grid, interpolate_uv_grid
 from repro.raster.setup import ScreenBatch, ScreenPrimitive
 from repro.raster.zbuffer import ZBuffer
 from repro.texture.sampler import FilterMode, Sampler, compute_lod
 from repro.texture.texture import Texture
 
-#: Coverage tuple for each 4-bit lane code (lane 0 is the high bit), so
-#: the quad emission loop looks coverage up instead of building tuples.
-COVERAGE_TUPLES = tuple(
-    tuple(bool((code >> shift) & 1) for shift in (3, 2, 1, 0))
-    for code in range(16)
-)
-
 _COVERAGE_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.int64)
-
-#: What ``Quad._make`` does, without its Python-level wrapper frame —
-#: the emission loop builds hundreds of thousands of quads per frame.
-_NEW_QUAD = partial(tuple.__new__, Quad)
 
 
 @dataclass
 class PendingTileQuads:
     """One tile's rasterized quads awaiting batched footprint assembly.
 
-    Everything the final :class:`Quad` records need except the texture
-    footprints, which are computed frame-wide per (texture, samples)
-    group by :meth:`Rasterizer.finalize_quads_fast`.
+    Everything the final :class:`TileQuads` columns need except the
+    texture footprints, which are computed frame-wide per (texture,
+    samples) group by :meth:`Rasterizer.finalize_quads_fast`.
     """
 
     tile: TileCoord
@@ -270,16 +257,17 @@ class Rasterizer:
 
     def finalize_quads_fast(
         self, batch: ScreenBatch, pending: List[PendingTileQuads]
-    ) -> Dict[TileCoord, List[Quad]]:
-        """Frame-level footprint batching + quad emission.
+    ) -> Dict[TileCoord, TileQuads]:
+        """Frame-level footprint batching + columnar quad emission.
 
         Quads from every tile are grouped by (texture, samples) so the
         mip-LOD and cache-line math runs in a handful of vectorized
-        calls per frame; the per-quad cache-line rows are then deduped
-        in first-visit order and wrapped into :class:`Quad` records in
-        each tile's emission order.
+        calls per frame; the per-quad cache-line rows are deduped in
+        first-visit order and scattered into one frame-wide CSR line
+        array.  Each tile's :class:`TileQuads` is then a set of slices
+        of the frame-wide columns, in the tile's emission order.
         """
-        out: Dict[TileCoord, List[Quad]] = {}
+        out: Dict[TileCoord, TileQuads] = {}
         if not pending:
             return out
         rows_all = np.concatenate([p.prim_row for p in pending])
@@ -289,7 +277,9 @@ class Rasterizer:
         samples = batch.texture_samples[rows_all]
         total = len(rows_all)
         lods = np.zeros(total, dtype=np.float64)
-        lines: List[Tuple[int, ...]] = [()] * total
+        counts = np.zeros(total, dtype=np.int64)
+        owners: List[np.ndarray] = []
+        survivors: List[np.ndarray] = []
         # One flat loop over (texture, samples) groups: the pairing key
         # is unique because samples lies in [0, stride).
         stride = int(samples.max(initial=0)) + 1
@@ -306,37 +296,53 @@ class Rasterizer:
                 texture, lane_u[idx], lane_v[idx], count
             )
             lods[idx] = group_lods
-            # First-visit dedup, vectorized: a column survives when
-            # it differs from every earlier column in its row —
-            # the order ``dict.fromkeys`` preserves.
-            first = np.ones(group_lines.shape, dtype=bool)
-            for j in range(1, group_lines.shape[1]):
-                first[:, j] = (
-                    group_lines[:, :j] != group_lines[:, j:j + 1]
-                ).all(axis=1)
-            flat = group_lines[first].tolist()
-            bounds = np.cumsum(first.sum(axis=1)).tolist()
-            start = 0
-            for i, end in zip(idx.tolist(), bounds):
-                lines[i] = tuple(flat[start:end])
-                start = end
+            # First-visit dedup, vectorized: a column survives when it
+            # differs from every earlier column in its row — the order
+            # ``dict.fromkeys`` preserves.  A stable row sort puts each
+            # value's first visit at the head of its run of equals.
+            by_value = np.argsort(group_lines, axis=1, kind="stable")
+            ordered = np.take_along_axis(group_lines, by_value, axis=1)
+            head = np.empty(group_lines.shape, dtype=bool)
+            head[:, 0] = True
+            np.not_equal(ordered[:, 1:], ordered[:, :-1], out=head[:, 1:])
+            first = np.empty_like(head)
+            np.put_along_axis(first, by_value, head, axis=1)
+            group_counts = first.sum(axis=1)
+            counts[idx] = group_counts
+            owners.append(np.repeat(idx, group_counts))
+            survivors.append(group_lines[first])
 
-        lods_list = lods.tolist()
+        # CSR over the frame.  Each group's survivors are row-major with
+        # rows in quad order, and groups partition the quads, so a
+        # stable sort by owning quad yields frame stream order.
+        offsets = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        if survivors:
+            order = np.argsort(np.concatenate(owners), kind="stable")
+            flat = np.concatenate(survivors)[order]
+        else:
+            flat = np.zeros(0, dtype=np.int64)
+
+        qx = np.concatenate([p.qx for p in pending])
+        qy = np.concatenate([p.qy for p in pending])
+        codes = np.concatenate([p.coverage_code for p in pending])
+        pids = batch.pid[rows_all]
+        alu = batch.alu_cycles[rows_all]
+        blend = batch.blend[rows_all]
+        bounds = offsets.tolist()
         cursor = 0
         for p in pending:
-            count = len(p.prim_row)
-            stop = cursor + count
-            tile = p.tile
-            out[tile] = list(map(_NEW_QUAD, zip(
-                repeat(tile), p.qx.tolist(), p.qy.tolist(),
-                batch.pid[p.prim_row].tolist(),
-                batch.texture_id[p.prim_row].tolist(),
-                map(COVERAGE_TUPLES.__getitem__, p.coverage_code.tolist()),
-                batch.alu_cycles[p.prim_row].tolist(),
-                lines[cursor:stop], lods_list[cursor:stop],
-                batch.blend[p.prim_row].tolist(),
-            )))
-            self.quads_emitted += count
+            stop = cursor + len(p.prim_row)
+            first_line = bounds[cursor]
+            out[p.tile] = TileQuads(
+                p.tile, qx[cursor:stop], qy[cursor:stop],
+                pids[cursor:stop], tex_ids[cursor:stop],
+                codes[cursor:stop], alu[cursor:stop],
+                lods[cursor:stop], blend[cursor:stop],
+                flat[first_line:bounds[stop]],
+                offsets[cursor:stop + 1] - first_line,
+            )
+            self.quads_emitted += stop - cursor
             self.pixels_shaded += p.covered
             cursor = stop
         return out

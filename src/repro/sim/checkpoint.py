@@ -26,7 +26,7 @@ This module makes pass-1 results durable:
   chunk set reassembles (and cross-checks) to exactly the trace the
   batch path would have checkpointed.
 
-Checkpoint file layout (version 1): one ASCII JSON header line holding
+Checkpoint file layout (version 2): one ASCII JSON header line holding
 the key, payload SHA-256 and summary counts, a newline, then the raw
 pickle payload.  Writes are atomic (temp file + ``os.replace``) so a
 crash mid-save never leaves a half-written checkpoint that a later
@@ -48,6 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.config import GPUConfig
 from repro.core.tile_order import TileCoord
 from repro.errors import TraceIntegrityError
+from repro.raster.fragment import COVERAGE_TUPLES
 from repro.sim.driver import FrameTrace, TileTraceEntry
 from repro.sim.faults import (
     InjectedKill,
@@ -64,7 +65,9 @@ from repro.sim.faults import (
 )
 from repro.workloads.recipe import SceneRecipe
 
-CHECKPOINT_VERSION = 1
+#: Version 2: tile entries pickle as quad columns (:class:`TileQuads`)
+#: rather than ``Quad`` lists; version-1 files load as cache misses.
+CHECKPOINT_VERSION = 2
 _HEADER_LIMIT = 4096  # sane upper bound on the header line
 
 
@@ -149,21 +152,19 @@ def verify_trace(trace: FrameTrace) -> None:
             f"{config.tiles_y} grid ({missing} missing, {extra} extra)"
         )
     for tile, entry in trace.tiles.items():
-        for quad in entry.quads:
-            if quad.tile != tile:
-                raise TraceIntegrityError(
-                    f"quad recorded under tile {tile} claims tile "
-                    f"{quad.tile}"
-                )
+        columns = entry.columns
+        if len(columns) and columns.tile != tile:
+            raise TraceIntegrityError(
+                f"quads recorded under tile {tile} claim tile "
+                f"{columns.tile}"
+            )
     if trace.total_quads != trace.stats.num_quads:
         raise TraceIntegrityError(
             f"trace holds {trace.total_quads} quads but RenderStats "
             f"counted {trace.stats.num_quads}"
         )
     covered = sum(
-        quad.covered_pixels
-        for entry in trace.tiles.values()
-        for quad in entry.quads
+        entry.columns.covered_pixels for entry in trace.tiles.values()
     )
     if covered != trace.stats.pixels_shaded:
         raise TraceIntegrityError(
@@ -178,20 +179,31 @@ def tile_digest(tile: TileCoord, entry: TileTraceEntry) -> str:
     Covers every replay-relevant field in canonical form (quads in
     stream order, LODs by ``repr`` so float identity is exact), so two
     structurally equal entries hash equally regardless of how — or in
-    which process — they were produced.
+    which process — they were produced.  Read straight off the quad
+    columns; the payload is the one the ``Quad`` view would give.
     """
+    columns = entry.columns
+    flat = columns.lines.tolist()
+    bounds = columns.line_offsets.tolist()
     payload = {
         "tile": list(tile),
         "fetch_lines": list(entry.fetch_lines),
         "fetch_cycles": entry.fetch_cycles,
         "quads": [
             [
-                quad.qx, quad.qy, quad.primitive_id,
-                quad.texture_id, list(quad.coverage),
-                quad.alu_cycles, list(quad.texture_lines),
-                repr(quad.lod), quad.blend,
+                qx, qy, primitive_id, texture_id, COVERAGE_TUPLES[code],
+                alu_cycles, flat[start:stop], repr(lod), blend,
             ]
-            for quad in entry.quads
+            for (
+                qx, qy, primitive_id, texture_id, code, alu_cycles,
+                start, stop, lod, blend,
+            ) in zip(
+                columns.qx.tolist(), columns.qy.tolist(),
+                columns.primitive_id.tolist(), columns.texture_id.tolist(),
+                columns.coverage_code.tolist(), columns.alu_cycles.tolist(),
+                bounds, bounds[1:], columns.lod.tolist(),
+                columns.blend.tolist(),
+            )
         ],
     }
     text = _canonical_json(payload)
@@ -408,10 +420,8 @@ class ChunkedFrameDigest:
             self._builder.add(tile, entry)
         else:
             self._builder.add_digest(tile, digest)
-        self._num_quads += len(entry.quads)
-        self._pixels_shaded += sum(
-            quad.covered_pixels for quad in entry.quads
-        )
+        self._num_quads += len(entry.columns)
+        self._pixels_shaded += entry.columns.covered_pixels
 
     def seal(self) -> str:
         """Finish the chain; persist or cross-check the frame meta."""
@@ -479,7 +489,7 @@ class TileChunkStore:
             "tile": list(tile),
             "sha256": hashlib.sha256(payload).hexdigest(),
             "tile_digest": digest,
-            "num_quads": len(entry.quads),
+            "num_quads": len(entry.columns),
         })
         path = self.chunk_path(tile)
         fd, tmp_name = tempfile.mkstemp(

@@ -39,7 +39,7 @@ from repro.geometry.primitive_assembly import PrimitiveAssembler
 from repro.geometry.vertex_stage import VertexStage
 from repro.raster.blending import BlendingUnit
 from repro.raster.color_buffer import ColorBuffer, FrameBuffer
-from repro.raster.fragment import Quad
+from repro.raster.fragment import Quad, QuadStream, TileQuads
 from repro.raster.rasterizer import PendingTileQuads, Rasterizer
 from repro.raster.setup import ScreenBatch, setup_draw_batch, setup_primitive
 from repro.raster.zbuffer import ZBuffer
@@ -64,49 +64,25 @@ DEFAULT_GROUP_TILES = 16
 
 @dataclass
 class TileTraceEntry:
-    """One tile's replayable work."""
+    """One tile's replayable work: fetch traffic plus the quad columns."""
 
     fetch_lines: List[int] = field(default_factory=list)
     fetch_cycles: int = 1
-    quads: List[Quad] = field(default_factory=list)
-    #: Lazy cache for :meth:`quad_stream`; derived data, never pickled
-    #: or compared.
-    _stream: Optional[List[Tuple[int, Tuple[int, ...], int, int]]] = field(
-        default=None, repr=False, compare=False
-    )
-    _stream_side: int = field(default=0, repr=False, compare=False)
+    columns: TileQuads = field(default_factory=TileQuads.empty)
 
-    def quad_stream(
-        self, side: int
-    ) -> List[Tuple[int, Tuple[int, ...], int, int]]:
-        """Per quad: ``(qy * side + qx, texture_lines, num_lines,
-        compute_cycles)``.
+    @property
+    def quads(self) -> Tuple[Quad, ...]:
+        """Read-only :class:`Quad` view of :attr:`columns`, built per call."""
+        return self.columns.to_quads()
 
-        The flattened form the replay hot loop consumes — quad identity
-        reduced to the scheduler-LUT slot, plus the per-quad cost
-        inputs.  Computed once per entry and reused across every design
-        point and engine replaying the trace (the derivation is pure,
-        so sharing cannot couple replays).
+    def quad_stream(self, side: int) -> QuadStream:
+        """The replay's per-quad slot/issue and per-line owner columns.
+
+        Computed once per entry and reused across every design point
+        and engine replaying the trace (the derivation is pure, so
+        sharing cannot couple replays).
         """
-        stream = self._stream
-        if stream is None or self._stream_side != side:
-            stream = [
-                (
-                    q.qy * side + q.qx,
-                    q.texture_lines,
-                    len(q.texture_lines),
-                    q.alu_cycles + len(q.texture_lines),
-                )
-                for q in self.quads
-            ]
-            self._stream = stream
-            self._stream_side = side
-        return stream
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_stream"] = None  # derived; keep checkpoints lean
-        return state
+        return self.columns.stream(side)
 
 
 @dataclass
@@ -138,14 +114,11 @@ class FrameTrace:
 
     @property
     def total_quads(self) -> int:
-        return sum(len(t.quads) for t in self.tiles.values())
+        return sum(len(t.columns) for t in self.tiles.values())
 
     @property
     def total_texture_lines(self) -> int:
-        return sum(
-            len(q.texture_lines)
-            for t in self.tiles.values() for q in t.quads
-        )
+        return sum(t.columns.num_lines for t in self.tiles.values())
 
 
 class _FastTilePass:
@@ -239,9 +212,9 @@ class _FastTilePass:
             )
             stats = self.stats
             for tile, entry in group:
-                quads = quads_by_tile.get(tile)
-                if quads:
-                    entry.quads = quads
+                columns = quads_by_tile.get(tile)
+                if columns:
+                    entry.columns = columns
                     stats.nonempty_tiles += 1
         return group
 
@@ -353,12 +326,13 @@ class _ReferenceTilePass:
             self._zbuffer.clear()
             if color_buffer is not None:
                 color_buffer.clear()
-            entry.quads = self._rasterizer.rasterize_tile(
+            quads = self._rasterizer.rasterize_tile(
                 tile, primitives, self._zbuffer, color_buffer, self._blender
             )
             if self.framebuffer is not None and color_buffer is not None:
                 color_buffer.flush_tile(self.framebuffer, tile)
-            if entry.quads:
+            if quads:
+                entry.columns = TileQuads.from_quads(quads)
                 self.stats.nonempty_tiles += 1
         return entry
 

@@ -8,11 +8,11 @@ model and the energy model.
 
 Two engines produce bit-identical :class:`RunResult` records:
 
-* ``"fast"`` (default) — batched: each quad's whole texture footprint
-  goes through :meth:`~repro.memory.hierarchy.MemoryHierarchy.
-  texture_access_lines` in one call, the per-tile quad -> core schedule
-  is a precomputed :meth:`~repro.core.scheduler.QuadScheduler.core_lut`
-  table, and per-subtile cycles accumulate in flat per-core arrays.
+* ``"fast"`` (default) — columnar: the per-tile quad -> core schedule
+  is one gather through a precomputed
+  :meth:`~repro.core.scheduler.QuadScheduler.core_lut` table, per-core
+  quad counts and issue cycles are ``np.bincount`` aggregates, and the
+  inlined L1/L2/DRAM loop runs per core over its own line stream.
 * ``"reference"`` — the original per-line loop over scalar
   ``texture_access`` calls on the ``OrderedDict`` cache backend, kept
   as the executable specification for differential tests.
@@ -23,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from repro.config import GPUConfig
 from repro.core.dtexl import DTexLConfig
 from repro.errors import ConfigError
 from repro.memory.hierarchy import MemoryHierarchy
-
-#: Replay engine names accepted by :class:`TraceReplayer`.
-ENGINES = ("fast", "reference")
 from repro.power.energy_model import EnergyBreakdown, EnergyModel, EnergyParams
 from repro.raster.pipeline import (
     FrameTiming,
@@ -40,6 +39,9 @@ from repro.raster.pipeline import (
 from repro.sim.driver import FrameTrace
 from repro.sim.resilience import ReplayBudget
 from repro.sim.stream import BatchTileStream, TileWorkUnit  # noqa: F401 — re-exported for replay callers
+
+#: Replay engine names accepted by :class:`TraceReplayer`.
+ENGINES = ("fast", "reference")
 
 
 @dataclass
@@ -194,7 +196,7 @@ class TraceReplayer:
                 subtiles, counts = process(
                     entry, scheduler, step, hierarchy, gpu, n_cores
                 )
-                total_quads += len(entry.quads)
+                total_quads += len(entry.columns)
                 tile_works.append(
                     TileWork(
                         tile=unit.tile,
@@ -252,68 +254,75 @@ class TraceReplayer:
 
     @staticmethod
     def _tile_quads_fast(entry, scheduler, step, hierarchy, gpu, n_cores):
-        """Batched quad stream of one tile: returns (subtiles, counts).
+        """Columnar quad stream of one tile: returns (subtiles, counts).
 
-        One ``texture_access_lines`` call per quad, a precomputed
-        quad -> core table, and flat per-core accumulators instead of
-        per-quad ``SubtileWork`` attribute updates.  Arithmetic is
-        line-for-line the reference path's.
+        The quad -> core map is one LUT gather and the per-core quad
+        counts and issue cycles are ``np.bincount`` aggregates — no
+        per-quad Python.  Each private L1 only ever sees its own core's
+        lines, so every core's L1 runs over that core's line stream in
+        stream order; the L1 misses, merged back into stream order, then
+        drive the shared L2 and DRAM exactly as interleaved per-quad
+        processing would.  Arithmetic is line-for-line the reference
+        path's.
         """
-        lut = scheduler.core_lut(step, n_cores)
-        side = scheduler.config.quads_per_tile_side
+        stream = entry.quad_stream(scheduler.config.quads_per_tile_side)
+        core = scheduler.core_lut(step, n_cores)[stream.slot]
+        num_quads = np.bincount(core, minlength=n_cores).tolist()
+        # Float64 weights sum integers exactly far beyond any tile's
+        # issue-cycle total (2**53).
+        compute = np.bincount(
+            core, weights=stream.issue, minlength=n_cores
+        ).astype(np.int64).tolist()
+        stalls = [0] * n_cores
+        lines = entry.columns.lines
+        if len(lines):
+            TraceReplayer._simulate_lines(
+                lines, core[stream.line_quad], hierarchy, gpu, n_cores, stalls
+            )
+        subtiles = [
+            SubtileWork(num_quads[b], compute[b], stalls[b])
+            for b in range(n_cores)
+        ]
+        return subtiles, num_quads
+
+    @staticmethod
+    def _simulate_lines(lines, line_core, hierarchy, gpu, n_cores, stalls):
+        """Drive one tile's texture lines through L1s, L2 and DRAM.
+
+        ``line_core`` names the core issuing each line; per-core stall
+        cycles accumulate into ``stalls``.  The LRU bodies are
+        ``Cache.access_lines`` inlined over exported per-L1 (and shared
+        L2) state — one Python call per line is too expensive at trace
+        scale — pinned bit-for-bit by the differential tests; the
+        statistics flush once per tile.
+        """
         # Every L1 miss costs the L2 hit latency plus the NoC/replay
         # overhead; an L2 miss adds the DRAM fill on top.
         miss_cost = gpu.l2_cache.hit_latency + gpu.shader.miss_overhead_cycles
-
-        # Inlined Cache.access_lines over exported per-L1 (and shared
-        # L2) state: one Python call per quad is too expensive at trace
-        # scale, so the LRU body is replicated here (pinned bit-for-bit
-        # by the differential tests) and the statistics flush once per
-        # tile.
         l1s = hierarchy.texture_l1s
-        state = [l1.acquire_state() for l1 in l1s]
-        l1_index = [s[0] for s in state]
-        l1_ages = [s[1] for s in state]
-        l1_tags = [s[2] for s in state]
-        num_sets = state[0][3]
-        ways = state[0][4]
-        l1_tick = [s[5] for s in state]
-        l1_hits = [0] * n_cores
-        l1_misses = [0] * n_cores
-        l1_evictions = [0] * n_cores
-
-        l2 = hierarchy.l2
-        l2_index, l2_ages, l2_tags, l2_sets, l2_ways, l2_tick = (
-            l2.acquire_state()
-        )
-        l2_hits = l2_miss = l2_evictions = 0
-        dram = hierarchy.dram
-        dram_min = dram.config.min_latency
-        dram_band = dram.config.max_latency - dram_min + 1
-        dram_n = dram_latency = 0
-
-        num_quads = [0] * n_cores
-        compute = [0] * n_cores
-        stalls = [0] * n_cores
-        for slot, lines, n_lines, issue in entry.quad_stream(side):
-            core = lut[slot]
-            num_quads[core] += 1
-            compute[core] += issue
-            if not lines:
+        # Group the lines by core, each group in stream order.
+        order = np.argsort(line_core, kind="stable")
+        by_core = lines[order].tolist()
+        core_lines = np.bincount(line_core, minlength=n_cores).tolist()
+        missed: List[int] = []  # positions in ``by_core``
+        start = 0
+        for b in range(n_cores):
+            stop = start + core_lines[b]
+            if stop == start:
                 continue
-            index = l1_index[core]
-            ages = l1_ages[core]
-            tick = l1_tick[core]
-            n_miss = 0
-            stall = 0
-            for line in lines:
+            l1 = l1s[b]
+            index, ages, tags, num_sets, ways, tick = l1.acquire_state()
+            first_miss = len(missed)
+            evictions = 0
+            # ``tick + origin`` is the current line's position in by_core.
+            origin = start - tick - 1
+            for line in by_core[start:stop]:
                 tick += 1
                 slot = index.get(line)
                 if slot is not None:
                     ages[slot] = tick
                     continue
-                n_miss += 1
-                tags = l1_tags[core]
+                missed.append(tick + origin)
                 base = (line % num_sets) * ways
                 victim = base
                 victim_age = None
@@ -328,66 +337,65 @@ class TraceReplayer:
                         victim_age = age
                         victim = i
                 if victim_age is not None:
-                    l1_evictions[core] += 1
+                    evictions += 1
                     del index[tags[victim]]
                 tags[victim] = line
                 ages[victim] = tick
                 index[line] = victim
-                # Below the L1: the shared L2 (same inlined LRU body),
-                # then DRAM's deterministic banded latency — the Knuth
-                # multiplicative hash from DRAM.latency_for_line, same
-                # arithmetic as texture_access_lines.
-                l2_tick += 1
-                slot2 = l2_index.get(line)
-                if slot2 is not None:
-                    l2_ages[slot2] = l2_tick
-                    l2_hits += 1
-                    stall += miss_cost
-                    continue
-                l2_miss += 1
-                base = (line % l2_sets) * l2_ways
-                victim = base
-                victim_age = None
-                for i in range(base, base + l2_ways):
-                    tag = l2_tags[i]
-                    if tag == -1:
-                        victim = i
-                        victim_age = None
-                        break
-                    age = l2_ages[i]
-                    if victim_age is None or age < victim_age:
-                        victim_age = age
-                        victim = i
-                if victim_age is not None:
-                    l2_evictions += 1
-                    del l2_index[l2_tags[victim]]
-                l2_tags[victim] = line
-                l2_ages[victim] = l2_tick
-                l2_index[line] = victim
-                dram_n += 1
-                fill = dram_min + ((line * 2654435761) >> 7) % dram_band
-                dram_latency += fill
-                stall += miss_cost + fill
-            l1_tick[core] = tick
-            if n_miss:
-                l1_hits[core] += n_lines - n_miss
-                l1_misses[core] += n_miss
-                stalls[core] += stall
-            else:
-                l1_hits[core] += n_lines
+            n_miss = len(missed) - first_miss
+            l1.release_state(tick, stop - start - n_miss, n_miss, evictions)
+            stalls[b] += n_miss * miss_cost
+            start = stop
+        if not missed:
+            return
 
-        for b in range(n_cores):
-            l1s[b].release_state(
-                l1_tick[b], l1_hits[b], l1_misses[b], l1_evictions[b]
-            )
-        l2.release_state(l2_tick, l2_hits, l2_miss, l2_evictions)
-        dram.stats.accesses += dram_n
+        # Below the L1s: the shared L2 (same inlined LRU body) in stream
+        # order, then DRAM's deterministic banded latency — the Knuth
+        # multiplicative hash from DRAM.latency_for_line, same
+        # arithmetic as texture_access_lines.
+        positions = np.sort(order[missed])
+        l2 = hierarchy.l2
+        index, ages, tags, num_sets, ways, tick = l2.acquire_state()
+        hits = misses = evictions = 0
+        dram = hierarchy.dram
+        dram_min = dram.config.min_latency
+        dram_band = dram.config.max_latency - dram_min + 1
+        dram_latency = 0
+        for line, b in zip(
+            lines[positions].tolist(), line_core[positions].tolist()
+        ):
+            tick += 1
+            slot = index.get(line)
+            if slot is not None:
+                ages[slot] = tick
+                hits += 1
+                continue
+            misses += 1
+            base = (line % num_sets) * ways
+            victim = base
+            victim_age = None
+            for i in range(base, base + ways):
+                tag = tags[i]
+                if tag == -1:
+                    victim = i
+                    victim_age = None
+                    break
+                age = ages[i]
+                if victim_age is None or age < victim_age:
+                    victim_age = age
+                    victim = i
+            if victim_age is not None:
+                evictions += 1
+                del index[tags[victim]]
+            tags[victim] = line
+            ages[victim] = tick
+            index[line] = victim
+            fill = dram_min + ((line * 2654435761) >> 7) % dram_band
+            dram_latency += fill
+            stalls[b] += fill
+        l2.release_state(tick, hits, misses, evictions)
+        dram.stats.accesses += misses
         dram.stats.total_latency += dram_latency
-        subtiles = [
-            SubtileWork(num_quads[b], compute[b], stalls[b])
-            for b in range(n_cores)
-        ]
-        return subtiles, num_quads
 
     @staticmethod
     def _tile_quads_reference(entry, scheduler, step, hierarchy, gpu, n_cores):

@@ -1,20 +1,26 @@
 """Tests for trace checkpointing: round trips, tampering, resume."""
 
 import dataclasses
+import hashlib
 import json
+import pickle
 
 import pytest
 
+from repro.analysis.lint import TraceSanitizer
 from repro.core.dtexl import BASELINE, DTEXL_BEST
 from repro.errors import TraceIntegrityError
+from repro.raster.fragment import TileQuads
 from repro.sim.checkpoint import (
     SweepProgress,
+    TileChunkStore,
     TraceCheckpointStore,
     campaign_key,
     config_hash,
     trace_key,
     verify_trace,
 )
+from repro.sim.driver import TileTraceEntry
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.multiframe import AnimationSimulator
 from repro.sim.replay import TraceReplayer
@@ -153,6 +159,34 @@ class TestStructuralInvariants:
             verify_trace(dataclasses.replace(game_trace, stats=stats))
 
 
+class TestCountersReadColumns:
+    """Quad and pixel counters use column aggregates, never ``Quad`` views."""
+
+    @pytest.fixture()
+    def no_views(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a counter built Quad views")
+
+        monkeypatch.setattr(TileQuads, "to_quads", refuse)
+
+    def test_counters(self, tmp_path, tiny_config, game_trace, no_views):
+        assert game_trace.total_quads == game_trace.stats.num_quads
+        assert game_trace.total_texture_lines > 0
+        verify_trace(game_trace)
+        result = TraceReplayer(tiny_config).run(game_trace, BASELINE)
+        assert TraceSanitizer(tiny_config).check(
+            game_trace, result, BASELINE
+        ) == []
+        store = TileChunkStore(tmp_path / "chunks", "k")
+        frame = store.begin_frame(tiny_config, game_trace.vertex_lines)
+        for tile, entry in game_trace.tiles.items():
+            frame.add(tile, entry, store.save_tile(tile, entry))
+        frame.seal()
+        meta = store.frame_meta()
+        assert meta["num_quads"] == game_trace.stats.num_quads
+        assert meta["pixels_shaded"] == game_trace.stats.pixels_shaded
+
+
 class TestRunnerIntegration:
     def test_second_runner_renders_nothing(self, tmp_path, tiny_config):
         store = TraceCheckpointStore(tmp_path / "traces")
@@ -190,6 +224,76 @@ class TestRunnerIntegration:
         )
         third.trace_for("SWa")
         assert third.renders_performed == 0
+
+
+def version1_entry(entry):
+    """``entry`` in the version-1 pickled layout: a list of ``Quad``s."""
+    legacy = TileTraceEntry.__new__(TileTraceEntry)
+    legacy.__dict__.update(
+        fetch_lines=entry.fetch_lines, fetch_cycles=entry.fetch_cycles,
+        quads=list(entry.quads), _stream=None, _stream_side=0,
+    )
+    return legacy
+
+
+def write_version1(path, header, obj):
+    """A well-formed version-1 file: valid header, matching payload hash."""
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    header = dict(
+        header, version=1, sha256=hashlib.sha256(payload).hexdigest()
+    )
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    path.write_bytes(text.encode("ascii") + b"\n" + payload)
+
+
+class TestVersionOneCheckpoints:
+    """Pre-columnar checkpoints are cache misses that re-render."""
+
+    def test_version1_frame_checkpoint_is_rerendered(
+        self, tmp_path, tiny_config, game_trace
+    ):
+        store = TraceCheckpointStore(tmp_path / "traces")
+        key = trace_key(tiny_config, GAMES["SWa"].recipe)
+        legacy = dataclasses.replace(game_trace, tiles={
+            tile: version1_entry(entry)
+            for tile, entry in game_trace.tiles.items()
+        })
+        write_version1(store.path_for(key), {
+            "key": key,
+            "num_quads": game_trace.stats.num_quads,
+            "num_tiles": len(game_trace.tiles),
+        }, legacy)
+        with pytest.raises(TraceIntegrityError, match="version 1"):
+            store.load(key)
+        runner = ExperimentRunner(
+            tiny_config, games=["SWa"], checkpoint_store=store
+        )
+        assert runner.trace_for("SWa") == game_trace
+        assert runner.renders_performed == 1
+        # The re-render replaced the stale file with a loadable one.
+        assert store.load(key) == game_trace
+
+    def test_version1_tile_chunk_is_rerendered(
+        self, tmp_path, tiny_config, game_trace
+    ):
+        runner = ExperimentRunner(
+            tiny_config, games=["SWa"], stream="streaming",
+            checkpoint_store=TraceCheckpointStore(tmp_path / "traces"),
+        )
+        want = runner.run("SWa", DTEXL_BEST)
+        store = runner.chunk_store_for("SWa")
+        tile = next(
+            t for t, e in sorted(game_trace.tiles.items()) if len(e.columns)
+        )
+        path = store.chunk_path(tile)
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        write_version1(path, header, version1_entry(game_trace.tiles[tile]))
+        assert store.load_tile(tile) is None
+        stream = runner.stream_for("SWa")
+        assert runner.replayer.run_stream(stream, DTEXL_BEST) == want
+        assert stream.tiles_rendered == 1
+        entry, _ = store.load_tile(tile)
+        assert entry == game_trace.tiles[tile]
 
 
 class TestMultiFrameCheckpoints:

@@ -31,7 +31,6 @@ from repro.core.dtexl import (
 from repro.errors import ConfigError
 from repro.memory.cache import Cache, ReferenceCache
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim.driver import TileTraceEntry
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.replay import ENGINES, TraceReplayer
 from repro.sim.sweep import DesignSweep
@@ -166,32 +165,46 @@ class TestReplayEngineEquivalence:
 
 
 class TestQuadStream:
+    """The cached per-entry columns the fast replay reads."""
+
+    @staticmethod
+    def nonempty_entry(trace):
+        return next(e for e in trace.tiles.values() if len(e.columns))
+
     def test_stream_matches_quads(self, tiny_trace, tiny_config):
         side = tiny_config.tile_size // 2
-        entry = next(
-            e for e in tiny_trace.tiles.values() if e.quads
-        )
+        entry = self.nonempty_entry(tiny_trace)
         stream = entry.quad_stream(side)
-        assert len(stream) == len(entry.quads)
-        for (slot, lines, n_lines, issue), quad in zip(stream, entry.quads):
-            assert slot == quad.qy * side + quad.qx
-            assert lines == quad.texture_lines
-            assert n_lines == len(quad.texture_lines)
-            assert issue == quad.compute_cycles
+        quads = entry.quads
+        assert stream.slot.tolist() == [q.qy * side + q.qx for q in quads]
+        assert stream.issue.tolist() == [q.compute_cycles for q in quads]
+        assert stream.line_quad.tolist() == [
+            i for i, q in enumerate(quads) for _ in q.texture_lines
+        ]
+        assert entry.columns.lines.tolist() == [
+            line for q in quads for line in q.texture_lines
+        ]
 
-    def test_stream_is_cached_per_side(self):
-        entry = TileTraceEntry()
+    def test_stream_is_cached_per_side(self, tiny_trace):
+        entry = self.nonempty_entry(tiny_trace)
         assert entry.quad_stream(16) is entry.quad_stream(16)
         first = entry.quad_stream(16)
         entry.quad_stream(8)  # side change invalidates
         assert entry.quad_stream(8) is not first
 
-    def test_pickle_drops_derived_stream(self):
-        entry = TileTraceEntry()
+    def test_pickle_drops_derived_stream(self, tiny_trace):
+        entry = self.nonempty_entry(tiny_trace)
         entry.quad_stream(16)
         clone = pickle.loads(pickle.dumps(entry))
-        assert clone._stream is None
+        assert clone.columns._stream is None
         assert clone == entry
+
+    def test_columns_are_frozen(self, tiny_trace):
+        """Shared derived streams stay valid: the columns cannot change."""
+        columns = self.nonempty_entry(tiny_trace).columns
+        for name in columns.FIELDS:
+            with pytest.raises(ValueError):
+                getattr(columns, name)[:1] = 0
 
 
 class TestExecuteTotals:

@@ -16,6 +16,9 @@ deliberately regenerated.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +35,8 @@ from repro.geometry.mesh import (
 )
 from repro.geometry.transform import perspective
 from repro.geometry.vec import Vec2, Vec3
+from repro.raster.fragment import TileQuads
+from repro.sim.checkpoint import tile_digest
 from repro.sim.driver import ENGINES, FrameRenderer
 from repro.texture.sampler import FilterMode, Sampler
 from repro.texture.texture import TextureAllocator
@@ -64,10 +69,37 @@ def render_both(workload, config=TINY):
     return fast, ref
 
 
+def view_digest(tile, entry):
+    """``tile_digest``'s payload built from the ``Quad`` view instead."""
+    payload = {
+        "tile": list(tile),
+        "fetch_lines": list(entry.fetch_lines),
+        "fetch_cycles": entry.fetch_cycles,
+        "quads": [
+            [
+                q.qx, q.qy, q.primitive_id, q.texture_id, list(q.coverage),
+                q.alu_cycles, list(q.texture_lines), repr(q.lod), q.blend,
+            ]
+            for q in entry.quads
+        ],
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def assert_columns_match_view(trace):
+    """The stored columns and the on-demand ``Quad`` view agree."""
+    for tile, entry in trace.tiles.items():
+        assert TileQuads.from_quads(entry.quads) == entry.columns
+        assert tile_digest(tile, entry) == view_digest(tile, entry)
+
+
 def assert_traces_identical(fast, ref):
     """Digest AND dataclass equality — stats counters included."""
     assert trace_digest(fast) == trace_digest(ref)
     assert fast == ref
+    assert_columns_match_view(fast)
+    assert_columns_match_view(ref)
 
 
 # -- the game suite ---------------------------------------------------------
@@ -85,6 +117,14 @@ class TestGameSuiteDifferential:
         """2D, 3D and atlas-heavy games, full trace equality."""
         fast, ref = render_both(build_game(alias, TINY))
         assert_traces_identical(fast, ref)
+
+    @pytest.mark.parametrize("alias", game_aliases())
+    def test_columns_match_quad_view(self, alias):
+        """Both engines' columns round-trip through the ``Quad`` view."""
+        fast, ref = render_both(build_game(alias, TINY))
+        assert_columns_match_view(fast)
+        assert_columns_match_view(ref)
+        assert trace_digest(ref) == GOLDEN_DIGESTS[alias]
 
     def test_goldens_cover_every_game(self):
         assert sorted(GOLDEN_DIGESTS) == sorted(game_aliases())

@@ -19,6 +19,7 @@ from repro.analysis.lint import TraceSanitizer, Violation, trace_digest
 from repro.cli import main
 from repro.core.dtexl import BASELINE, DTEXL_BEST, PAPER_CONFIGURATIONS
 from repro.errors import InvariantViolationError
+from repro.raster.fragment import TileQuads
 from repro.sim.replay import TraceReplayer
 
 UPPER_BOUND = PAPER_CONFIGURATIONS["upper-bound"]
@@ -74,9 +75,11 @@ class TestMutations:
     ):
         mutated = copy.deepcopy(tiny_trace)
         tile = next(
-            t for t, entry in sorted(mutated.tiles.items()) if entry.quads
+            t for t, entry in sorted(mutated.tiles.items())
+            if len(entry.columns)
         )
-        mutated.tiles[tile].quads.pop()
+        entry = mutated.tiles[tile]
+        entry.columns = TileQuads.from_quads(entry.quads[:-1])
         violations = TraceSanitizer(tiny_config).check(
             mutated, baseline_result, BASELINE
         )

@@ -6,7 +6,7 @@ layer contract (``archcontract.toml``), import cycles, the call graph
 from timing-critical entry points down to shared-state mutations, and
 the export surface (dead and undeclared API).  Pre-existing violations
 live in a justified baseline that only ratchets downward.  Run it with
-``python -m repro archcheck``.
+``python -m repro check --only archcheck``.
 """
 
 from repro.analysis.arch.baseline import Baseline, TODO_JUSTIFICATION
@@ -24,12 +24,10 @@ from repro.analysis.arch.deadcode import (
     check_dead_exports,
     check_undeclared_exports,
 )
-from repro.analysis.arch.engine import ArchCheck, ArchReport
 from repro.analysis.arch.export import graph_to_dict, graph_to_json, to_dot
 from repro.analysis.arch.modgraph import ImportEdge, ModuleGraph, ModuleInfo
 
 __all__ = [
-    "ArchCheck", "ArchReport",
     "Baseline", "TODO_JUSTIFICATION",
     "CallGraph", "Mutation", "check_timing_critical_mutations",
     "LayerContract", "check_cycles", "check_layers",

@@ -1,18 +1,17 @@
 """Machinery shared by the repository's static checkers.
 
-Two checkers gate the tree: ``replint`` (:mod:`repro.analysis.lint`),
-a per-file AST pass, and ``archcheck`` (:mod:`repro.analysis.arch`), a
-whole-program pass over the import and call graphs.  Both report the
-same :class:`Finding` rows, format them with the same ``path:line:col``
-text / JSON conventions, and agree on which packages are
-timing-critical — so that a CI consumer, an editor integration, or a
-human reading two reports side by side never has to translate between
-two dialects.
+Four gates check the tree under ``repro check``
+(:mod:`repro.analysis.gates`): ``replint``, a per-file AST pass, and
+the whole-program ``archcheck``, ``faultcheck`` and ``perfcheck``.
+All of them report the same :class:`Finding` rows, format them with
+the same ``path:line:col`` text / JSON conventions, and agree on which
+packages are timing-critical — so that a CI consumer, an editor
+integration, or a human reading two reports side by side never has to
+translate between dialects.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Sequence
@@ -34,11 +33,10 @@ def is_timing_critical(path: Path) -> bool:
 class Finding:
     """One rule violation at one source location.
 
-    ``fingerprint`` is a location-independent identity used by
-    archcheck's baseline ratchet (e.g. the pair of modules on a
-    forbidden edge).  replint findings leave it empty; empty
-    fingerprints are omitted from the JSON report so replint's output
-    shape is unchanged.
+    ``fingerprint`` is a location-independent identity used by the
+    baseline ratchet (e.g. the pair of modules on a forbidden edge).
+    replint findings leave it empty; empty fingerprints are omitted
+    from the JSON report so replint's output shape is unchanged.
     """
 
     path: str
@@ -83,13 +81,13 @@ def format_text(findings: Sequence[Finding], tool: str = "replint") -> str:
     return "\n".join(lines)
 
 
-def format_json(findings: Sequence[Finding], tool: str = "replint",
-                **extra: Any) -> str:
-    """Machine-readable report: ``{"findings": [...], "count": N}``.
+def findings_payload(findings: Sequence[Finding], tool: str = "replint",
+                     **extra: Any) -> Dict[str, Any]:
+    """Machine-readable report: ``{"tool", "findings": [...], "count": N}``.
 
     ``extra`` keys are merged into the top-level object so a checker
-    can attach its own summary data (archcheck adds baseline and graph
-    statistics) without changing the shared shape CI gates on.
+    can attach its own summary data (baseline and graph statistics)
+    without changing the shared shape CI gates on.
     """
     ordered = sort_findings(findings)
     payload: Dict[str, Any] = {
@@ -98,4 +96,4 @@ def format_json(findings: Sequence[Finding], tool: str = "replint",
         "count": len(ordered),
     }
     payload.update(extra)
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return payload

@@ -6,11 +6,10 @@ archcheck's call graph, and enforces the six flow contracts the
 simulator's resilience story depends on (no swallowed kills, preserved
 cause chains, transient-only retries, one-to-one fault-site wiring,
 total CLI exit-code mapping, picklable worker submissions).  Run it as
-``repro faultcheck``.
+``repro check --only faultcheck``.
 """
 
 from repro.analysis.flow.checks import FlowConfig
-from repro.analysis.flow.engine import FaultCheck, FaultReport
 from repro.analysis.flow.model import (
     FunctionFlow,
     HandlerSite,
@@ -23,8 +22,6 @@ from repro.analysis.flow.taxonomy import ExceptionTaxonomy
 __all__ = [
     "EscapeAnalysis",
     "ExceptionTaxonomy",
-    "FaultCheck",
-    "FaultReport",
     "FlowConfig",
     "FunctionFlow",
     "HandlerSite",

@@ -210,7 +210,6 @@ class LintEngine:
         return sort_findings(findings)
 
 
-def lint_paths(paths: Iterable[Path],
-               select: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Convenience wrapper: lint ``paths`` with the full (or named) rule set."""
-    return LintEngine(select=select).lint_paths(paths)
+def lint_paths(paths: Iterable[Path]) -> List[Finding]:
+    """Convenience wrapper: lint ``paths`` with the full rule set."""
+    return LintEngine().lint_paths(paths)

@@ -24,7 +24,7 @@ rule id                   hazard
 
 Rules are pure functions of one parsed module: no I/O, no project
 imports, stdlib :mod:`ast` only.  Each returns
-:class:`~repro.analysis.lint.report.Finding` rows; scoping (which
+:class:`~repro.analysis.checks_common.Finding` rows; scoping (which
 packages a rule patrols) and suppression comments are the engine's job.
 """
 

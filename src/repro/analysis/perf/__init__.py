@@ -8,7 +8,7 @@ engine fast — no allocation in hot loops, attribute chains hoisted to
 locals, no exception machinery in the per-quad path, fast/reference
 engine disjointness, declared loop-depth bounds, and a contract-drift
 check so the declared hot set can't silently rot.  Run it as
-``repro perfcheck``.
+``repro check --only perfcheck``.
 """
 
 from repro.analysis.perf.checks import (
@@ -21,7 +21,6 @@ from repro.analysis.perf.checks import (
     scan_function,
 )
 from repro.analysis.perf.contract import PerfContract, PerfEntry
-from repro.analysis.perf.engine import PerfCheck, PerfReport
 from repro.analysis.perf.export import hot_region_to_dot
 from repro.analysis.perf.hotpath import (
     HotRegion,
@@ -32,10 +31,8 @@ from repro.analysis.perf.hotpath import (
 __all__ = [
     "HotRegion",
     "HotScan",
-    "PerfCheck",
     "PerfContract",
     "PerfEntry",
-    "PerfReport",
     "check_contract_drift",
     "check_engine_purity",
     "check_hot_loops",

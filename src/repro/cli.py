@@ -9,11 +9,8 @@ Subcommands::
     python -m repro sweep [--grouping ...]    # design-space grid, table or CSV
     python -m repro animate GAME [--frames N] # multi-frame warm-cache run
     python -m repro schedule [--grouping ...] # visualize a schedule as ASCII
-    python -m repro lint [PATHS ...]          # replint static checks
-    python -m repro archcheck [--dot out.dot] # whole-program arch checks
-    python -m repro faultcheck [--json ...]   # exception-flow analysis
-    python -m repro perfcheck [--dot out.dot] # hot-path performance checks
-    python -m repro check                     # all four analyzers, concurrently
+    python -m repro check [--only GATE]       # static gates: lint, archcheck,
+                                              # faultcheck and perfcheck
     python -m repro sanitize GAME [-d NAME]   # runtime invariant sanitizer
     python -m repro chaos [--trials N]        # fault-injection campaign
 
@@ -21,7 +18,7 @@ Common options: ``--screen WxH`` picks the simulated resolution
 (default 512x256; ``--screen paper`` = the Table II 1960x768), and
 ``--json`` switches tabular output to JSON for scripting.
 
-Exit codes: 0 for clean success, 1 for lint findings or invariant
+Exit codes: 0 for clean success, 1 for gate findings or invariant
 violations, 3 for a partial sweep (some design points failed but the
 campaign completed), 2 for a fatal error (also what argparse uses for
 invalid arguments).
@@ -388,267 +385,70 @@ def cmd_animate(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from pathlib import Path
-
-    from repro.analysis.lint import (
-        LintEngine,
-        format_json,
-        format_text,
-        rule_ids,
-    )
-
-    if args.select:
-        unknown = set(args.select) - rule_ids()
-        if unknown:
-            raise ConfigError(
-                f"unknown lint rule(s) {', '.join(sorted(map(repr, unknown)))}; "
-                f"choose from {', '.join(sorted(rule_ids()))}"
-            )
-    engine = LintEngine(select=args.select or None)
-    findings = engine.lint_paths([Path(p) for p in args.paths])
-    if args.format == "json":
-        print(format_json(findings))
-    else:
-        print(format_text(findings))
-    return EXIT_FINDINGS if findings else EXIT_OK
-
-
-def cmd_archcheck(args) -> int:
-    from pathlib import Path
-
-    from repro.analysis.arch import (
-        ArchCheck,
-        Baseline,
-        LayerContract,
-        graph_to_json,
-        to_dot,
-    )
-    from repro.analysis.checks_common import format_json, format_text
-
-    contract = LayerContract.load(Path(args.contract))
-    baseline = Baseline.load(Path(args.baseline))
-    check = ArchCheck(contract, Path(args.src), baseline=baseline)
-    report = check.run(update_baseline=args.update_baseline)
-    if args.dot:
-        dot = to_dot(report.graph, contract)
-        if args.dot == "-":
-            print(dot, end="")
-        else:
-            Path(args.dot).write_text(dot, encoding="utf-8")
-    if args.graph_json:
-        graph = graph_to_json(report.graph, contract)
-        if args.graph_json == "-":
-            print(graph)
-        else:
-            Path(args.graph_json).write_text(graph + "\n", encoding="utf-8")
-    summary = {
-        "modules": len(report.graph.modules),
-        "edges": len(report.graph.edges),
-        "baselined": [f.as_dict() for f in report.baselined],
-        "stale_baseline": report.stale,
-    }
-    if args.format == "json":
-        print(format_json(report.findings, tool="archcheck", **summary))
-    else:
-        print(format_text(report.findings, tool="archcheck"))
-        print(f"graph: {summary['modules']} modules, "
-              f"{summary['edges']} internal edges")
-        if report.baselined:
-            print(f"baselined: {len(report.baselined)} pre-existing "
-                  f"finding(s) waived by {args.baseline}")
-        for fingerprint in report.stale:
-            print(f"stale baseline entry (violation fixed? delete it): "
-                  f"{fingerprint}")
-        if args.update_baseline:
-            print(f"baseline rewritten: {args.baseline}")
-    return EXIT_FINDINGS if report.findings else EXIT_OK
-
-
-def cmd_faultcheck(args) -> int:
-    from pathlib import Path
-
-    from repro.analysis.arch import Baseline
-    from repro.analysis.checks_common import format_json, format_text
-    from repro.analysis.flow import FaultCheck
-
-    baseline = Baseline.load(Path(args.baseline))
-    check = FaultCheck(
-        Path(args.src), package=args.package, baseline=baseline
-    )
-    report = check.run(update_baseline=args.update_baseline)
-    stats = report.stats()
-    summary = {
-        "stats": stats,
-        "baselined": [f.as_dict() for f in report.baselined],
-        "stale_baseline": report.stale,
-    }
-    rendered_json = format_json(
-        report.findings, tool="faultcheck", **summary
-    )
-    if args.report:
-        # Machine-readable copy for CI artifacts, independent of the
-        # console format.
-        Path(args.report).write_text(rendered_json + "\n", encoding="utf-8")
-    if args.format == "json":
-        print(rendered_json)
-    else:
-        print(format_text(report.findings, tool="faultcheck"))
-        print(f"flow: {stats['modules']} modules, "
-              f"{stats['exception_classes']} exception classes, "
-              f"{stats['functions']} functions analyzed")
-        if report.baselined:
-            print(f"baselined: {len(report.baselined)} pre-existing "
-                  f"finding(s) waived by {args.baseline}")
-        for fingerprint in report.stale:
-            print(f"stale baseline entry (violation fixed? delete it): "
-                  f"{fingerprint}")
-        if args.update_baseline:
-            print(f"baseline rewritten: {args.baseline}")
-    return EXIT_FINDINGS if report.findings else EXIT_OK
-
-
-def cmd_perfcheck(args) -> int:
-    from pathlib import Path
-
-    from repro.analysis.arch import Baseline
-    from repro.analysis.checks_common import format_json, format_text
-    from repro.analysis.perf import (
-        PerfCheck,
-        PerfContract,
-        hot_region_to_dot,
-    )
-
-    contract = PerfContract.load(Path(args.contract))
-    baseline = Baseline.load(Path(args.baseline))
-    check = PerfCheck(
-        contract, Path(args.src), baseline=baseline,
-        profile_path=Path(args.profile_json) if args.profile_json else None,
-    )
-    report = check.run(update_baseline=args.update_baseline)
-    if args.dot:
-        dot = hot_region_to_dot(
-            report.callgraph, report.region, package=contract.package
-        )
-        if args.dot == "-":
-            print(dot, end="")
-        else:
-            Path(args.dot).write_text(dot, encoding="utf-8")
-    stats = report.stats()
-    summary = {
-        "stats": stats,
-        "hot_region": report.region.members(),
-        "baselined": [f.as_dict() for f in report.baselined],
-        "stale_baseline": report.stale,
-    }
-    rendered_json = format_json(
-        report.findings, tool="perfcheck", **summary
-    )
-    if args.report:
-        # Machine-readable copy for CI artifacts, independent of the
-        # console format.
-        Path(args.report).write_text(rendered_json + "\n", encoding="utf-8")
-    if args.format == "json":
-        print(rendered_json)
-    else:
-        print(format_text(report.findings, tool="perfcheck"))
-        print(f"hot region: {stats['hot_functions']} functions reachable "
-              f"from {stats['entrypoints']} entry points")
-        if report.baselined:
-            print(f"baselined: {len(report.baselined)} pre-existing "
-                  f"finding(s) waived by {args.baseline}")
-        for fingerprint in report.stale:
-            print(f"stale baseline entry (violation fixed? delete it): "
-                  f"{fingerprint}")
-        if args.update_baseline:
-            print(f"baseline rewritten: {args.baseline}")
-    return EXIT_FINDINGS if report.findings else EXIT_OK
-
-
-def _run_check_gate(name: str, options: dict) -> tuple:
-    """Run one analyzer gate, capturing its console output.
-
-    Module-level with picklable arguments so ``repro check`` can fan
-    the gates out to a process pool (faultcheck's worker-pickling rule
-    holds the umbrella to the same standard as the sweeps).
-    """
-    import contextlib
-    import io
-
-    handlers = {
-        "lint": cmd_lint,
-        "archcheck": cmd_archcheck,
-        "faultcheck": cmd_faultcheck,
-        "perfcheck": cmd_perfcheck,
-    }
-    buffer = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(buffer):
-            code = handlers[name](argparse.Namespace(**options))
-    except ReproError as error:
-        # A broken contract or baseline fails its own gate, not the
-        # whole umbrella run.
-        buffer.write(f"error: {error}\n")
-        code = EXIT_FATAL
-    return name, code, buffer.getvalue()
-
-
 def cmd_check(args) -> int:
-    """Umbrella gate: all four analyzers, one exit code.
+    """Static-analysis gates: lint, archcheck, faultcheck and perfcheck.
 
-    The gates run concurrently in worker processes — wall clock is the
-    slowest analyzer, not the sum — and their captured output is
-    printed serially, in declared order, with a per-gate exit status.
+    The gates run concurrently, one worker process each, and return
+    plain data; this parent applies the baseline ratchet, writes the
+    report and graph files, and prints one section per gate (or one
+    JSON document) with one combined exit code.
     """
-    gates = [
-        ("lint", {
-            "paths": [args.src], "format": args.format, "select": None,
-        }),
-        ("archcheck", {
-            "src": args.src, "contract": args.contract,
-            "baseline": args.arch_baseline, "format": args.format,
-            "dot": None, "graph_json": None, "update_baseline": False,
-        }),
-        ("faultcheck", {
-            "src": args.src, "package": args.package,
-            "baseline": args.fault_baseline, "format": args.format,
-            "update_baseline": False, "report": args.report,
-        }),
-        ("perfcheck", {
-            "src": args.src, "contract": args.perf_contract,
-            "baseline": args.perf_baseline, "format": args.format,
-            "dot": None, "report": args.perf_report, "profile_json": None,
-            "update_baseline": False,
-        }),
-    ]
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import json
+    from pathlib import Path
 
-    try:
-        with ProcessPoolExecutor(max_workers=len(gates)) as pool:
-            futures = [
-                pool.submit(_run_check_gate, name, options)
-                for name, options in gates
-            ]
-            results = [future.result() for future in futures]
-    except (OSError, BrokenProcessPool):
-        # No usable process pool (restricted sandbox, dead worker):
-        # same gates, same output, serially.
-        results = [_run_check_gate(name, options) for name, options in gates]
-    statuses = {
-        EXIT_OK: "clean", EXIT_FINDINGS: "findings", EXIT_FATAL: "fatal",
+    from repro.analysis.arch.baseline import Baseline
+    from repro.analysis.gates import GATES, GateOptions, run_gates
+
+    baseline = Baseline.load(Path(args.baseline))
+    # A misspelt baseline namespace would waive nothing and never go stale.
+    unknown = sorted((set(args.only or ()) | set(baseline.gates)) - set(GATES))
+    if unknown:
+        raise ConfigError(f"unknown gate(s) {', '.join(unknown)}; "
+                          f"choose from {', '.join(GATES)}")
+    names = [name for name in GATES if not args.only or name in args.only]
+    options = GateOptions(
+        src=args.src, package=args.package, contract=args.contract,
+        perf_contract=args.perf_contract, profile_json=args.profile_json,
+    )
+    reports = run_gates(
+        names, options, baseline, update_baseline=args.update_baseline,
+    )
+    exits = {
+        report.name: EXIT_OK if report.ok
+        else EXIT_FATAL if report.run.error is not None
+        else EXIT_FINDINGS
+        for report in reports
     }
-    for index, (name, code, text) in enumerate(results):
-        if index:
-            print()
-        print(f"== {name} ==")
-        print(text, end="" if text.endswith("\n") else "\n")
-        print(f"{name}: exit {code} "
-              f"({statuses.get(code, 'unknown')})")
-    failed = [code for _, code, _ in results if code != EXIT_OK]
-    print(f"\ncheck: {len(results) - len(failed)}/{len(results)} "
-          "gates clean")
-    return EXIT_FINDINGS if failed else EXIT_OK
+    clean = sum(code == EXIT_OK for code in exits.values())
+    document = json.dumps({
+        "gates": {
+            report.name: {**report.as_dict(), "exit": exits[report.name]}
+            for report in reports
+        },
+        "clean": clean,
+        "total": len(reports),
+    }, indent=2, sort_keys=True)
+    if args.report:
+        Path(args.report).write_text(document + "\n", encoding="utf-8")
+    if args.graphs:
+        graphs_dir = Path(args.graphs)
+        graphs_dir.mkdir(parents=True, exist_ok=True)
+        for report in reports:
+            for name, text in report.run.graphs.items():
+                (graphs_dir / name).write_text(text, encoding="utf-8")
+    if args.format == "json":
+        print(document)
+    else:
+        statuses = {EXIT_OK: "clean", EXIT_FINDINGS: "findings",
+                    EXIT_FATAL: "fatal"}
+        for report in reports:
+            code = exits[report.name]
+            print(f"== {report.name} ==\n{report.as_text(args.baseline)}")
+            print(f"{report.name}: exit {code} ({statuses[code]})\n")
+        if args.update_baseline:
+            print(f"baseline rewritten: {args.baseline}")
+        print(f"check: {clean}/{len(reports)} gates clean")
+    return EXIT_OK if clean == len(reports) else EXIT_FINDINGS
 
 
 def cmd_sanitize(args) -> int:
@@ -819,131 +619,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_anim)
 
-    p_lint = sub.add_parser(
-        "lint", help="run the replint static checks over source paths"
-    )
-    p_lint.add_argument(
-        "paths", nargs="*", default=["src"], metavar="PATH",
-        help="files or directories to lint (default: src)",
-    )
-    p_lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (json is what CI gates on)",
-    )
-    p_lint.add_argument(
-        "--select", nargs="+", metavar="RULE",
-        help="run only the named rules (default: all)",
-    )
-
-    p_arch = sub.add_parser(
-        "archcheck",
-        help="whole-program layer-contract / call-graph / API checks",
-    )
-    p_arch.add_argument(
-        "--src", default="src", metavar="DIR",
-        help="source root to analyze (default: src)",
-    )
-    p_arch.add_argument(
-        "--contract", default="archcontract.toml", metavar="FILE",
-        help="layer contract file (default: archcontract.toml)",
-    )
-    p_arch.add_argument(
-        "--baseline", default="archcheck-baseline.json", metavar="FILE",
-        help="justified-waiver baseline (default: archcheck-baseline.json)",
-    )
-    p_arch.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (json is what CI gates on)",
-    )
-    p_arch.add_argument(
-        "--dot", metavar="FILE",
-        help="write the layer graph as Graphviz DOT ('-' for stdout)",
-    )
-    p_arch.add_argument(
-        "--graph-json", metavar="FILE",
-        help="write the full module graph as JSON ('-' for stdout)",
-    )
-    p_arch.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to current findings (new entries get "
-             "a TODO justification that still fails the gate)",
-    )
-
-    p_fault = sub.add_parser(
-        "faultcheck",
-        help="whole-program exception-flow and fault-path checks",
-    )
-    p_fault.add_argument(
-        "--src", default="src", metavar="DIR",
-        help="source root to analyze (default: src)",
-    )
-    p_fault.add_argument(
-        "--package", default="repro", metavar="NAME",
-        help="top-level package under --src (default: repro)",
-    )
-    p_fault.add_argument(
-        "--baseline", default="faultcheck-baseline.json", metavar="FILE",
-        help="justified-waiver baseline "
-             "(default: faultcheck-baseline.json)",
-    )
-    p_fault.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (json is what CI gates on)",
-    )
-    p_fault.add_argument(
-        "--report", metavar="FILE",
-        help="also write the JSON report here (for CI artifacts)",
-    )
-    p_fault.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to current findings (new entries get "
-             "a TODO justification that still fails the gate)",
-    )
-
-    p_perf = sub.add_parser(
-        "perfcheck",
-        help="whole-program hot-path performance checks",
-    )
-    p_perf.add_argument(
-        "--src", default="src", metavar="DIR",
-        help="source root to analyze (default: src)",
-    )
-    p_perf.add_argument(
-        "--contract", default="perfcontract.toml", metavar="FILE",
-        help="hot-path contract file (default: perfcontract.toml)",
-    )
-    p_perf.add_argument(
-        "--baseline", default="perfcheck-baseline.json", metavar="FILE",
-        help="justified-waiver baseline "
-             "(default: perfcheck-baseline.json)",
-    )
-    p_perf.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (json is what CI gates on)",
-    )
-    p_perf.add_argument(
-        "--report", metavar="FILE",
-        help="also write the JSON report here (for CI artifacts)",
-    )
-    p_perf.add_argument(
-        "--dot", metavar="FILE",
-        help="write the hot-region graph as Graphviz DOT ('-' for stdout)",
-    )
-    p_perf.add_argument(
-        "--profile-json", metavar="FILE",
-        help="cross-check the contract against a benchmark profile "
-             "(e.g. BENCH_replay.json)",
-    )
-    p_perf.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to current findings (new entries get "
-             "a TODO justification that still fails the gate)",
-    )
-
     p_check = sub.add_parser(
         "check",
-        help="umbrella gate: lint + archcheck + faultcheck + perfcheck, "
-             "run concurrently",
+        help="static-analysis gates: lint, archcheck, faultcheck and "
+             "perfcheck, run concurrently",
+    )
+    p_check.add_argument(
+        "--only", action="append", metavar="GATE",
+        help="run only this gate: lint, archcheck, faultcheck or "
+             "perfcheck (repeatable; default: all four)",
     )
     p_check.add_argument(
         "--src", default="src", metavar="DIR",
@@ -951,44 +635,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--package", default="repro", metavar="NAME",
-        help="top-level package under --src (default: repro)",
+        help="top-level package faultcheck analyzes under --src "
+             "(default: repro)",
     )
     p_check.add_argument(
         "--contract", default="archcontract.toml", metavar="FILE",
         help="layer contract file (default: archcontract.toml)",
-    )
-    p_check.add_argument(
-        "--arch-baseline", default="archcheck-baseline.json",
-        metavar="FILE",
-        help="archcheck waiver baseline (default: archcheck-baseline.json)",
-    )
-    p_check.add_argument(
-        "--fault-baseline", default="faultcheck-baseline.json",
-        metavar="FILE",
-        help="faultcheck waiver baseline "
-             "(default: faultcheck-baseline.json)",
     )
     p_check.add_argument(
         "--perf-contract", default="perfcontract.toml", metavar="FILE",
         help="hot-path contract file (default: perfcontract.toml)",
     )
     p_check.add_argument(
-        "--perf-baseline", default="perfcheck-baseline.json",
-        metavar="FILE",
-        help="perfcheck waiver baseline "
-             "(default: perfcheck-baseline.json)",
+        "--baseline", default="check-baseline.json", metavar="FILE",
+        help="justified-waiver baseline, one namespace per gate "
+             "(default: check-baseline.json)",
     )
     p_check.add_argument(
         "--format", choices=("text", "json"), default="text",
-        help="report format for every gate",
+        help="report format; json prints one document for all gates",
     )
     p_check.add_argument(
         "--report", metavar="FILE",
-        help="also write the faultcheck JSON report here",
+        help="also write the JSON document here (for CI artifacts)",
     )
     p_check.add_argument(
-        "--perf-report", metavar="FILE",
-        help="also write the perfcheck JSON report here",
+        "--graphs", metavar="DIR",
+        help="write the layer graph (layers.dot, modules.json) and the "
+             "hot-region graph (hotregion.dot) into DIR",
+    )
+    p_check.add_argument(
+        "--profile-json", metavar="FILE",
+        help="cross-check perfcheck's contract against a benchmark "
+             "profile (e.g. BENCH_replay.json)",
+    )
+    p_check.add_argument(
+        "--update-baseline", action="store_true",
+        help="rewrite the baseline namespaces of the gates run to their "
+             "current findings (new entries get a TODO justification "
+             "that still fails the gate)",
     )
 
     p_sanitize = sub.add_parser(
@@ -1068,10 +753,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep": cmd_sweep,
         "animate": cmd_animate,
         "schedule": cmd_schedule,
-        "lint": cmd_lint,
-        "archcheck": cmd_archcheck,
-        "faultcheck": cmd_faultcheck,
-        "perfcheck": cmd_perfcheck,
         "check": cmd_check,
         "sanitize": cmd_sanitize,
         "chaos": cmd_chaos,

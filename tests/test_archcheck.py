@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.arch import (
-    ArchCheck,
     Baseline,
     CallGraph,
     LayerContract,
@@ -20,7 +19,8 @@ from repro.analysis.arch import (
     graph_to_dict,
     to_dot,
 )
-from repro.analysis.checks_common import Finding, format_json
+from repro.analysis.checks_common import Finding
+from repro.analysis.gates import GateOptions, run_gates
 from repro.cli import main
 from repro.errors import ConfigError
 
@@ -55,21 +55,43 @@ def make_graph(tmp_path: Path, files: dict) -> ModuleGraph:
     return ModuleGraph.build(src, packages=["pkg"])
 
 
-def contract(**overrides) -> LayerContract:
+def contract_dict(**overrides) -> dict:
     raw = {key: dict(value) for key, value in CONTRACT_DICT.items()}
     raw.update(overrides)
-    return LayerContract.from_dict(raw)
+    return raw
+
+
+def contract(**overrides) -> LayerContract:
+    return LayerContract.from_dict(contract_dict(**overrides))
+
+
+def write_contract(path: Path, raw: dict) -> Path:
+    """``raw`` as TOML: JSON strings and string lists are TOML values."""
+    path.write_text("".join(
+        f"[{table}]\n" + "".join(
+            f"{json.dumps(key)} = {json.dumps(value)}\n"
+            for key, value in values.items()
+        )
+        for table, values in raw.items()
+    ), encoding="utf-8")
+    return path
 
 
 def run_check(tmp_path: Path, files: dict, the_contract=None,
               baseline=None, update_baseline=False):
     src = write_tree(tmp_path / "src", files)
-    check = ArchCheck(
-        the_contract if the_contract is not None else contract(),
-        src,
-        baseline=baseline,
+    contract_path = write_contract(
+        tmp_path / "archcontract.toml",
+        the_contract if the_contract is not None else contract_dict(),
     )
-    return check.run(update_baseline=update_baseline)
+    if baseline is None:
+        baseline = Baseline(path=tmp_path / "baseline.json")
+    (report,) = run_gates(
+        ["archcheck"],
+        GateOptions(src=str(src), contract=str(contract_path)),
+        baseline, update_baseline=update_baseline,
+    )
+    return report
 
 
 #: A minimal clean three-layer tree.
@@ -208,7 +230,7 @@ class TestLayerContract:
     def test_module_override_maps_top_level_files(self, tmp_path):
         files = dict(CLEAN_TREE)
         files["pkg/util.py"] = "U = 1\n"
-        mapped = contract(modules={"pkg.util": "low", "pkg": "high"})
+        mapped = contract_dict(modules={"pkg.util": "low", "pkg": "high"})
         report = run_check(tmp_path, files, the_contract=mapped)
         assert report.findings == []
 
@@ -250,7 +272,7 @@ MUTATION_TREE = {
 
 class TestMutationPass:
     def entry_contract(self, *entrypoints):
-        return contract(callgraph={"entrypoints": list(entrypoints)})
+        return contract_dict(callgraph={"entrypoints": list(entrypoints)})
 
     def test_transitive_module_state_mutation_found(self, tmp_path):
         report = run_check(
@@ -483,7 +505,7 @@ class TestBaselineRatchet:
     def _baseline(self, tmp_path, entries):
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(
-            {"version": 1, "entries": entries}
+            {"version": 2, "gates": {"archcheck": entries}}
         ))
         return Baseline.load(path)
 
@@ -534,7 +556,8 @@ class TestBaselineRatchet:
             tmp_path, self._tree(), baseline=baseline, update_baseline=True,
         )
         written = json.loads((tmp_path / "baseline.json").read_text())
-        assert written["entries"][0]["justification"] == TODO_JUSTIFICATION
+        (entry,) = written["gates"]["archcheck"]
+        assert entry["justification"] == TODO_JUSTIFICATION
         # the violation is recorded, but the TODO stub keeps failing
         assert [f.rule for f in report.findings] == ["unjustified-baseline"]
 
@@ -549,7 +572,7 @@ class TestBaselineRatchet:
             tmp_path, self._tree(), baseline=baseline, update_baseline=True,
         )
         written = json.loads((tmp_path / "baseline.json").read_text())
-        assert written["entries"][0]["justification"] == (
+        assert written["gates"]["archcheck"][0]["justification"] == (
             "historical helper, tracked in #42"
         )
 
@@ -599,16 +622,17 @@ class TestGraphExport:
 class TestRepositoryGate:
     def test_repo_tip_is_clean_under_its_own_contract(self):
         """The acceptance gate: the shipped tree passes archcheck."""
-        the_contract = LayerContract.load(REPO_ROOT / "archcontract.toml")
-        baseline = Baseline.load(REPO_ROOT / "archcheck-baseline.json")
-        check = ArchCheck(the_contract, REPO_ROOT / "src", baseline=baseline)
-        report = check.run()
+        baseline = Baseline.load(REPO_ROOT / "check-baseline.json")
+        (report,) = run_gates(["archcheck"], GateOptions(
+            src=str(REPO_ROOT / "src"),
+            contract=str(REPO_ROOT / "archcontract.toml"),
+        ), baseline)
         assert report.findings == [], [f.message for f in report.findings]
         assert report.stale == []
         # every waiver carries a real justification
         assert all(
             j.strip() and j != TODO_JUSTIFICATION
-            for j in baseline.entries.values()
+            for j in baseline.gates["archcheck"].values()
         )
 
     def test_repo_callgraph_reaches_the_memory_model(self):
@@ -648,13 +672,13 @@ class TestCli:
         baseline_path = tmp_path / "baseline.json"
         if baseline_entries is not None:
             baseline_path.write_text(json.dumps(
-                {"version": 1, "entries": baseline_entries}
+                {"version": 2, "gates": {"archcheck": baseline_entries}}
             ))
         return src, contract_path, baseline_path
 
     def _argv(self, src, contract_path, baseline_path, *extra):
         return [
-            "archcheck", "--src", str(src),
+            "check", "--only", "archcheck", "--src", str(src),
             "--contract", str(contract_path),
             "--baseline", str(baseline_path),
             *extra,
@@ -672,7 +696,7 @@ class TestCli:
         files["pkg/low/sneak.py"] = "from pkg.mid.work import work\n"
         src, ct, bl = self._write_fixture(tmp_path, files)
         assert main(self._argv(src, ct, bl, "--format", "json")) == 1
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["gates"]["archcheck"]
         assert payload["tool"] == "archcheck"
         assert payload["count"] == 1
         assert payload["findings"][0]["rule"] == "forbidden-import"
@@ -682,30 +706,30 @@ class TestCli:
 
     def test_dot_and_graph_json_written(self, tmp_path, capsys):
         src, ct, bl = self._write_fixture(tmp_path, CLEAN_TREE)
-        dot_path = tmp_path / "layers.dot"
-        gj_path = tmp_path / "graph.json"
-        assert main(self._argv(
-            src, ct, bl, "--dot", str(dot_path),
-            "--graph-json", str(gj_path),
-        )) == 0
+        graphs = tmp_path / "graphs"
+        assert main(self._argv(src, ct, bl, "--graphs", str(graphs))) == 0
         capsys.readouterr()
-        assert dot_path.read_text().startswith("digraph layers {")
-        graph = json.loads(gj_path.read_text())
+        assert (graphs / "layers.dot").read_text().startswith(
+            "digraph layers {"
+        )
+        graph = json.loads((graphs / "modules.json").read_text())
         assert graph["modules"]["pkg.high.top"]["layer"] == "high"
 
     def test_missing_contract_is_fatal(self, tmp_path, capsys):
         src = write_tree(tmp_path / "src", CLEAN_TREE)
         code = main([
-            "archcheck", "--src", str(src),
+            "check", "--only", "archcheck", "--src", str(src),
             "--contract", str(tmp_path / "absent.toml"),
             "--baseline", str(tmp_path / "baseline.json"),
         ])
-        assert code == 2
-        assert "no architecture contract" in capsys.readouterr().err
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "archcheck: exit 2 (fatal)" in out
+        assert "no architecture contract" in out
 
     def test_repo_defaults_exit_zero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        assert main(["archcheck"]) == 0
+        assert main(["check", "--only", "archcheck"]) == 0
         out = capsys.readouterr().out
         assert "archcheck: no findings" in out
         assert "baselined: 1" in out

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from repro.analysis.checks_common import (
     Finding,
-    format_json,
+    findings_payload,
     format_text,
     is_timing_critical,
     sort_findings,
@@ -86,25 +86,25 @@ class TestFormatText:
 
 class TestFormatJson:
     def test_shape_round_trips(self):
-        payload = json.loads(format_json(
+        payload = json.loads(json.dumps(findings_payload(
             [finding(fingerprint="f:p")], tool="faultcheck"
-        ))
+        )))
         assert payload["tool"] == "faultcheck"
         assert payload["count"] == 1
         assert payload["findings"][0]["fingerprint"] == "f:p"
 
     def test_extra_keys_merge_into_the_top_level(self):
-        payload = json.loads(format_json(
+        payload = findings_payload(
             [], tool="faultcheck", stats={"modules": 3}, stale_baseline=[]
-        ))
+        )
         assert payload["stats"] == {"modules": 3}
         assert payload["stale_baseline"] == []
         assert payload["count"] == 0
 
     def test_findings_come_out_sorted(self):
-        payload = json.loads(format_json([
+        payload = findings_payload([
             finding(path="b.py"), finding(path="a.py"),
-        ]))
+        ])
         assert [row["path"] for row in payload["findings"]] == [
             "a.py", "b.py",
         ]

@@ -12,11 +12,11 @@ from repro.analysis.arch.baseline import TODO_JUSTIFICATION
 from repro.analysis.flow import (
     EscapeAnalysis,
     ExceptionTaxonomy,
-    FaultCheck,
     FlowConfig,
     extract_flows,
     extract_handlers,
 )
+from repro.analysis.gates import GateOptions, run_gates
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -111,10 +111,14 @@ def write_tree(root: Path, files: dict) -> Path:
 def run_flow(tmp_path: Path, files: dict, baseline=None,
              update_baseline: bool = False):
     src = write_tree(tmp_path / "src", files)
-    check = FaultCheck(
-        src, package="pkg", config=FLOW_CONFIG, baseline=baseline
+    if baseline is None:
+        baseline = Baseline(path=tmp_path / "baseline.json")
+    (report,) = run_gates(
+        ["faultcheck"],
+        GateOptions(src=str(src), package="pkg", flow=FLOW_CONFIG),
+        baseline, update_baseline=update_baseline,
     )
-    return check.run(update_baseline=update_baseline)
+    return report
 
 
 def mutate(extra: dict) -> dict:
@@ -646,9 +650,11 @@ class TestFaultcheckBaseline:
     }
 
     def test_justified_entry_waives_the_finding(self, tmp_path):
-        baseline = Baseline(path=tmp_path / "baseline.json", entries={
-            "swallowed-base-exception:pkg.boundary.shield:"
-            "pkg.faults.InjectedKill": "sanctioned kill boundary",
+        baseline = Baseline(path=tmp_path / "baseline.json", gates={
+            "faultcheck": {
+                "swallowed-base-exception:pkg.boundary.shield:"
+                "pkg.faults.InjectedKill": "sanctioned kill boundary",
+            },
         })
         report = run_flow(tmp_path, mutate(self.VIOLATION),
                           baseline=baseline)
@@ -660,16 +666,19 @@ class TestFaultcheckBaseline:
         report = run_flow(tmp_path, mutate(self.VIOLATION),
                           baseline=baseline, update_baseline=True)
         written = json.loads((tmp_path / "baseline.json").read_text())
-        assert written["entries"][0]["justification"] == TODO_JUSTIFICATION
+        (entry,) = written["gates"]["faultcheck"]
+        assert entry["justification"] == TODO_JUSTIFICATION
         # The TODO stub itself gates: the run is still not ok.
         assert not report.ok
         assert any(f.rule == "unjustified-baseline"
                    for f in report.findings)
 
     def test_fixed_violation_surfaces_a_stale_entry(self, tmp_path):
-        baseline = Baseline(path=tmp_path / "baseline.json", entries={
-            "swallowed-base-exception:pkg.gone.shield:"
-            "pkg.faults.InjectedKill": "was justified once",
+        baseline = Baseline(path=tmp_path / "baseline.json", gates={
+            "faultcheck": {
+                "swallowed-base-exception:pkg.gone.shield:"
+                "pkg.faults.InjectedKill": "was justified once",
+            },
         })
         report = run_flow(tmp_path, CLEAN_TREE, baseline=baseline)
         assert report.ok
@@ -684,16 +693,17 @@ class TestFaultcheckBaseline:
 
 class TestRepoTip:
     def test_repo_tip_is_clean_under_its_baseline(self):
-        baseline = Baseline.load(REPO_ROOT / "faultcheck-baseline.json")
-        check = FaultCheck(REPO_ROOT / "src", baseline=baseline)
-        report = check.run()
+        baseline = Baseline.load(REPO_ROOT / "check-baseline.json")
+        (report,) = run_gates(
+            ["faultcheck"], GateOptions(src=str(REPO_ROOT / "src")), baseline
+        )
         assert report.ok, [f.fingerprint for f in report.findings]
         assert not report.stale, report.stale
 
     def test_repo_baseline_entries_are_justified(self):
-        baseline = Baseline.load(REPO_ROOT / "faultcheck-baseline.json")
-        assert baseline.entries, "expected the known waived findings"
-        assert not baseline.unjustified()
+        baseline = Baseline.load(REPO_ROOT / "check-baseline.json")
+        assert baseline.gates["faultcheck"], "expected the known waivers"
+        assert not baseline.unjustified("faultcheck")
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -711,11 +721,12 @@ class TestFaultcheckCli:
             ),
         }))
         code = main([
-            "faultcheck", "--src", str(src), "--package", "pkg",
+            "check", "--only", "faultcheck", "--src", str(src),
+            "--package", "pkg",
             "--baseline", str(tmp_path / "baseline.json"),
             "--format", "json",
         ])
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["gates"]["faultcheck"]
         assert code == 1
         assert payload["tool"] == "faultcheck"
         assert payload["count"] == 1
@@ -723,16 +734,17 @@ class TestFaultcheckCli:
 
     def test_clean_tree_exits_0_and_writes_report(self, tmp_path, capsys):
         src = write_tree(tmp_path / "src", CLEAN_TREE)
-        report_path = tmp_path / "faultcheck-report.json"
+        report_path = tmp_path / "check-report.json"
         code = main([
-            "faultcheck", "--src", str(src), "--package", "pkg",
+            "check", "--only", "faultcheck", "--src", str(src),
+            "--package", "pkg",
             "--baseline", str(tmp_path / "baseline.json"),
             "--report", str(report_path),
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "faultcheck: no findings" in out
-        payload = json.loads(report_path.read_text())
+        payload = json.loads(report_path.read_text())["gates"]["faultcheck"]
         assert payload["count"] == 0
         assert payload["stats"]["modules"] == len(CLEAN_TREE)
 
@@ -748,12 +760,14 @@ class TestFaultcheckCli:
         }))
         baseline_path = tmp_path / "baseline.json"
         code = main([
-            "faultcheck", "--src", str(src), "--package", "pkg",
+            "check", "--only", "faultcheck", "--src", str(src),
+            "--package", "pkg",
             "--baseline", str(baseline_path), "--update-baseline",
         ])
         assert code == 1  # TODO stubs still gate
         written = json.loads(baseline_path.read_text())
-        assert written["entries"][0]["justification"] == TODO_JUSTIFICATION
+        (entry,) = written["gates"]["faultcheck"]
+        assert entry["justification"] == TODO_JUSTIFICATION
 
     def test_check_umbrella_passes_on_repo_tip(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
@@ -799,9 +813,7 @@ class TestFaultcheckCli:
         monkeypatch.chdir(tmp_path)
         code = main([
             "check", "--src", str(src), "--package", "pkg",
-            "--fault-baseline", str(tmp_path / "fault-baseline.json"),
-            "--arch-baseline", str(tmp_path / "arch-baseline.json"),
-            "--perf-baseline", str(tmp_path / "perf-baseline.json"),
+            "--baseline", str(tmp_path / "check-baseline.json"),
         ])
         out = capsys.readouterr().out
         assert code == 1
@@ -830,9 +842,7 @@ class TestFaultcheckCli:
         monkeypatch.chdir(tmp_path)
         code = main([
             "check", "--src", str(src), "--package", "pkg",
-            "--fault-baseline", str(tmp_path / "fault-baseline.json"),
-            "--arch-baseline", str(tmp_path / "arch-baseline.json"),
-            "--perf-baseline", str(tmp_path / "perf-baseline.json"),
+            "--baseline", str(tmp_path / "check-baseline.json"),
         ])
         out = capsys.readouterr().out
         assert code == 1

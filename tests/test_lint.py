@@ -10,7 +10,7 @@ from repro.analysis.lint import (
     LintEngine,
     RULES_BY_ID,
     TIMING_CRITICAL_PACKAGES,
-    format_json,
+    findings_payload,
     format_text,
     lint_paths,
     rule_ids,
@@ -276,7 +276,7 @@ class TestEngine:
         src = "assert a\nx = b == 1.5\n"
         findings = LintEngine().lint_source(src, SIM_PATH)
         assert [f.line for f in findings] == sorted(f.line for f in findings)
-        payload = json.loads(format_json(findings))
+        payload = json.loads(json.dumps(findings_payload(findings)))
         assert payload["count"] == len(findings) == 2
         assert {row["rule"] for row in payload["findings"]} == {
             "bare-assert", "float-equality",
@@ -329,27 +329,19 @@ class TestRealTree:
 
 class TestCli:
     def test_lint_clean_tree_exits_zero(self, capsys):
-        assert main(["lint", str(REPO_SRC)]) == 0
+        assert main(["check", "--only", "lint", "--src", str(REPO_SRC)]) == 0
         assert "replint: no findings" in capsys.readouterr().out
 
     def test_lint_bad_file_exits_one_with_json(self, tmp_path, capsys):
         bad = tmp_path / "sim" / "bad.py"
         bad.parent.mkdir()
         bad.write_text("import time\nx = time.time()\n")
-        exit_code = main(["lint", str(tmp_path), "--format=json"])
+        exit_code = main([
+            "check", "--only", "lint", "--src", str(tmp_path),
+            "--format=json",
+        ])
         assert exit_code == 1
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["gates"]["lint"]
         assert payload["count"] == 1
         assert payload["findings"][0]["rule"] == "wall-clock"
         assert payload["findings"][0]["line"] == 2
-
-    def test_lint_select_unknown_rule_is_fatal(self, capsys):
-        assert main(["lint", str(REPO_SRC), "--select", "no-such-rule"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown lint rule" in err and "wall-clock" in err
-
-    def test_lint_select_restricts_cli_run(self, tmp_path):
-        bad = tmp_path / "sim" / "bad.py"
-        bad.parent.mkdir()
-        bad.write_text("import time\nx = time.time()\n")
-        assert main(["lint", str(tmp_path), "--select", "bare-assert"]) == 0

@@ -10,8 +10,8 @@ import pytest
 
 from repro.analysis.arch import Baseline, CallGraph, ModuleGraph
 from repro.analysis.arch.baseline import TODO_JUSTIFICATION
+from repro.analysis.gates import GateOptions, run_gates
 from repro.analysis.perf import (
-    PerfCheck,
     PerfContract,
     check_profile,
     compute_hot_region,
@@ -24,20 +24,6 @@ from repro.errors import ConfigError
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Contract pointing the analyzer at the synthetic ``pkg`` package.
-PERF_CONTRACT = {
-    "project": {"package": "pkg"},
-    "entry": [{
-        "function": "pkg.fast.replay",
-        "signature": "stream, lut, cache",
-        "max_loop_depth": 2,
-    }],
-    "purity": {
-        "entrypoints": ["pkg.fast.replay"],
-        "forbidden": ["pkg.ref.ReferenceCache"],
-    },
-}
-
-#: The same contract as checked-in TOML, for CLI tests.
 CONTRACT_TOML = (
     '[project]\n'
     'package = "pkg"\n'
@@ -86,11 +72,16 @@ def write_tree(root: Path, files: dict) -> Path:
 
 
 def run_perf(tmp_path: Path, files: dict, baseline=None,
-             update_baseline: bool = False, contract: dict = None):
-    src = write_tree(tmp_path / "src", files)
-    parsed = PerfContract.from_dict(contract or PERF_CONTRACT)
-    check = PerfCheck(parsed, src, baseline=baseline)
-    return check.run(update_baseline=update_baseline)
+             update_baseline: bool = False):
+    src, contract = write_fixture(tmp_path, files)
+    if baseline is None:
+        baseline = Baseline(path=tmp_path / "baseline.json")
+    (report,) = run_gates(
+        ["perfcheck"],
+        GateOptions(src=str(src), perf_contract=str(contract)),
+        baseline, update_baseline=update_baseline,
+    )
+    return report
 
 
 def mutate(extra: dict) -> dict:
@@ -310,7 +301,7 @@ class TestMutations:
     def test_clean_tree_is_clean(self, tmp_path):
         report = run_perf(tmp_path, CLEAN_TREE)
         assert report.ok, [f.fingerprint for f in report.findings]
-        assert "pkg.fast.replay" in report.region
+        assert "pkg.fast.replay" in report.run.details["hot_region"]
 
     def test_hot_loop_allocation(self, tmp_path):
         report = run_perf(tmp_path, mutate({
@@ -519,8 +510,10 @@ class TestPerfcheckBaseline:
     FINGERPRINT = "hot-loop-allocation:pkg.fast.replay:list-literal"
 
     def test_justified_entry_waives_the_finding(self, tmp_path):
-        baseline = Baseline(path=tmp_path / "baseline.json", entries={
-            self.FINGERPRINT: "per-tile scratch, measured negligible",
+        baseline = Baseline(path=tmp_path / "baseline.json", gates={
+            "perfcheck": {
+                self.FINGERPRINT: "per-tile scratch, measured negligible",
+            },
         })
         report = run_perf(tmp_path, mutate(self.VIOLATION),
                           baseline=baseline)
@@ -532,15 +525,16 @@ class TestPerfcheckBaseline:
         report = run_perf(tmp_path, mutate(self.VIOLATION),
                           baseline=baseline, update_baseline=True)
         written = json.loads((tmp_path / "baseline.json").read_text())
-        assert written["entries"][0]["justification"] == TODO_JUSTIFICATION
+        (entry,) = written["gates"]["perfcheck"]
+        assert entry["justification"] == TODO_JUSTIFICATION
         # The TODO stub itself gates: the run is still not ok.
         assert not report.ok
         assert any(f.rule == "unjustified-baseline"
                    for f in report.findings)
 
     def test_fixed_violation_surfaces_a_stale_entry(self, tmp_path):
-        baseline = Baseline(path=tmp_path / "baseline.json", entries={
-            self.FINGERPRINT: "was justified once",
+        baseline = Baseline(path=tmp_path / "baseline.json", gates={
+            "perfcheck": {self.FINGERPRINT: "was justified once"},
         })
         report = run_perf(tmp_path, CLEAN_TREE, baseline=baseline)
         assert report.ok
@@ -552,29 +546,31 @@ class TestPerfcheckBaseline:
 
 class TestRepoTip:
     def test_repo_tip_is_clean_under_its_baseline(self):
-        contract = PerfContract.load(REPO_ROOT / "perfcontract.toml")
-        baseline = Baseline.load(REPO_ROOT / "perfcheck-baseline.json")
-        check = PerfCheck(
-            contract, REPO_ROOT / "src", baseline=baseline,
-            profile_path=REPO_ROOT / "BENCH_replay.json",
-        )
-        report = check.run()
+        contract = REPO_ROOT / "perfcontract.toml"
+        baseline = Baseline.load(REPO_ROOT / "check-baseline.json")
+        (report,) = run_gates(["perfcheck"], GateOptions(
+            src=str(REPO_ROOT / "src"), perf_contract=str(contract),
+            profile_json=str(REPO_ROOT / "BENCH_replay.json"),
+        ), baseline)
         assert report.ok, [f.fingerprint for f in report.findings]
         assert not report.stale, report.stale
-        assert report.region.entries, "expected declared hot entry points"
-        assert not report.region.missing, report.region.missing
+        # every declared hot entry point resolves (none missing)
+        entries = PerfContract.load(contract).entries
+        assert entries, "expected declared hot entry points"
+        assert report.stats()["entrypoints"] == len(entries)
 
     def test_repo_baseline_is_small_and_justified(self):
-        baseline = Baseline.load(REPO_ROOT / "perfcheck-baseline.json")
-        assert baseline.entries, "expected the known waived findings"
-        assert len(baseline.entries) <= 2, sorted(baseline.entries)
-        assert not baseline.unjustified()
+        baseline = Baseline.load(REPO_ROOT / "check-baseline.json")
+        entries = baseline.gates["perfcheck"]
+        assert entries, "expected the known waived findings"
+        assert len(entries) <= 2, sorted(entries)
+        assert not baseline.unjustified("perfcheck")
 
     def test_repo_waivers_cite_benchmark_evidence(self):
         # Perf waivers must point at a number, not an opinion (see
         # docs/WAIVERS.md): every entry names the benchmark file.
-        baseline = Baseline.load(REPO_ROOT / "perfcheck-baseline.json")
-        for fingerprint, justification in baseline.entries.items():
+        baseline = Baseline.load(REPO_ROOT / "check-baseline.json")
+        for fingerprint, justification in baseline.gates["perfcheck"].items():
             assert "BENCH_replay.json" in justification, fingerprint
 
 
@@ -594,11 +590,12 @@ class TestPerfcheckCli:
             TestPerfcheckBaseline.VIOLATION
         ))
         code = main([
-            "perfcheck", "--src", str(src), "--contract", str(contract),
+            "check", "--only", "perfcheck", "--src", str(src),
+            "--perf-contract", str(contract),
             "--baseline", str(tmp_path / "baseline.json"),
             "--format", "json",
         ])
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["gates"]["perfcheck"]
         assert code == 1
         assert payload["tool"] == "perfcheck"
         assert payload["count"] == 1
@@ -608,22 +605,23 @@ class TestPerfcheckCli:
     def test_clean_tree_exits_0_and_writes_artifacts(self, tmp_path,
                                                      capsys):
         src, contract = write_fixture(tmp_path, CLEAN_TREE)
-        report_path = tmp_path / "perfcheck-report.json"
-        dot_path = tmp_path / "hotregion.dot"
+        report_path = tmp_path / "check-report.json"
+        graphs = tmp_path / "graphs"
         code = main([
-            "perfcheck", "--src", str(src), "--contract", str(contract),
+            "check", "--only", "perfcheck", "--src", str(src),
+            "--perf-contract", str(contract),
             "--baseline", str(tmp_path / "baseline.json"),
-            "--report", str(report_path), "--dot", str(dot_path),
+            "--report", str(report_path), "--graphs", str(graphs),
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "perfcheck: no findings" in out
         assert "hot region: 1 functions reachable from 1 entry points" \
             in out
-        payload = json.loads(report_path.read_text())
+        payload = json.loads(report_path.read_text())["gates"]["perfcheck"]
         assert payload["count"] == 0
         assert payload["stats"]["hot_functions"] == 1
-        assert dot_path.read_text().startswith("digraph")
+        assert (graphs / "hotregion.dot").read_text().startswith("digraph")
 
     def test_profile_json_cross_check_gates(self, tmp_path, capsys):
         src, contract = write_fixture(tmp_path, CLEAN_TREE)
@@ -640,11 +638,12 @@ class TestPerfcheckCli:
             "fast_vs_reference_speedup": 1.2,
         }), encoding="utf-8")
         code = main([
-            "perfcheck", "--src", str(src), "--contract", str(contract),
+            "check", "--only", "perfcheck", "--src", str(src),
+            "--perf-contract", str(contract),
             "--baseline", str(tmp_path / "baseline.json"),
             "--profile-json", str(profile), "--format", "json",
         ])
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["gates"]["perfcheck"]
         assert code == 1
         assert {f["rule"] for f in payload["findings"]} == {
             "profile-drift", "profile-regression",
@@ -656,9 +655,11 @@ class TestPerfcheckCli:
         ))
         baseline_path = tmp_path / "baseline.json"
         code = main([
-            "perfcheck", "--src", str(src), "--contract", str(contract),
+            "check", "--only", "perfcheck", "--src", str(src),
+            "--perf-contract", str(contract),
             "--baseline", str(baseline_path), "--update-baseline",
         ])
         assert code == 1  # TODO stubs still gate
         written = json.loads(baseline_path.read_text())
-        assert written["entries"][0]["justification"] == TODO_JUSTIFICATION
+        (entry,) = written["gates"]["perfcheck"]
+        assert entry["justification"] == TODO_JUSTIFICATION

@@ -7,30 +7,30 @@ into latencies.
 
 Two implementations share one contract:
 
-* :class:`Cache` — the fast engine.  Set contents live in flat
-  ``tags``/``ages`` arrays (one slot per way) with a line -> slot index
-  for O(1) hit detection; true-LRU order is a monotone age stamp, so a
-  hit is two array writes and an eviction is a short scan of one set's
-  ways.  The batched :meth:`Cache.access_lines` entry point processes a
-  whole footprint (e.g. one quad's texture lines) per call — the hot
-  path of the replay engine.
+* :class:`Cache` — the fast engine.  Each set is a plain list of its
+  resident lines, least recently used first: a hit is ``line in lru``
+  plus a move to the end (skipped when the line is already last), and
+  a miss deletes the head of a full set before appending.  The batched
+  :meth:`Cache.access_lines` entry point processes a whole footprint
+  per call, and :meth:`Cache.acquire_state` hands the lists to the
+  replay engine's chunked loop.
 * :class:`ReferenceCache` — the original ``OrderedDict``-per-set model,
   kept as the executable specification.  Differential tests drive both
   on identical access streams and require bit-identical counters,
-  hit/miss sequences, eviction order and resident sets.
+  hit/miss sequences, eviction order and per-set recency order.
 
-Age stamps replicate ``OrderedDict`` recency order exactly: a hit
-re-stamps the line (``move_to_end``), a fill stamps it newest, and the
-victim is the minimum stamp of the set (``popitem(last=False)``).
-Stamps are unique (one global tick per access), so LRU choice is never
-ambiguous.
+A recency list is an ``OrderedDict`` set without the dict: the list
+order is the ``OrderedDict`` key order, ``remove`` + ``append`` is
+``move_to_end`` and ``del lru[0]`` is ``popitem(last=False)``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.config import CacheConfig
 from repro.errors import ConfigError
@@ -73,9 +73,8 @@ class Cache:
     """A set-associative cache with true-LRU replacement (fast engine).
 
     Parameters come from a :class:`~repro.config.CacheConfig`.  Backing
-    store: ``_tags[set * ways + way]`` holds the resident line number
-    (-1 = invalid) and ``_ages`` its last-touch stamp; ``_index`` maps
-    resident lines to their slot so the hit path never scans.
+    store: ``_sets[set]`` is the list of that set's resident lines,
+    least recently used first.
     """
 
     config: CacheConfig
@@ -87,11 +86,7 @@ class Cache:
             raise ConfigError("line size must be a power of two")
         self._num_sets = self.config.num_sets
         self._ways = self.config.associativity
-        slots = self._num_sets * self._ways
-        self._tags: List[int] = [-1] * slots
-        self._ages: List[int] = [0] * slots
-        self._index: Dict[int, int] = {}
-        self._tick = 0
+        self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
 
     # -- address helpers ------------------------------------------------------
 
@@ -125,82 +120,49 @@ class Cache:
         the hierarchy must see.  Counter updates are identical to calling
         :meth:`access_line` once per element.
         """
-        tags = self._tags
-        ages = self._ages
-        index = self._index
+        sets = self._sets
         num_sets = self._num_sets
         ways = self._ways
-        tick = self._tick
         hits = 0
         evictions = 0
         missed: List[int] = []
         for line in lines:
-            tick += 1
-            slot = index.get(line)
-            if slot is not None:
-                ages[slot] = tick
+            lru = sets[line % num_sets]
+            if line in lru:
                 hits += 1
+                if lru[-1] != line:
+                    lru.remove(line)
+                    lru.append(line)
                 continue
             missed.append(line)
-            base = (line % num_sets) * ways
-            victim = base
-            victim_age = None
-            for i in range(base, base + ways):
-                tag = tags[i]
-                if tag == -1:
-                    victim = i
-                    victim_age = None
-                    break
-                age = ages[i]
-                if victim_age is None or age < victim_age:
-                    victim_age = age
-                    victim = i
-            if victim_age is not None:
+            if len(lru) == ways:
+                del lru[0]
                 evictions += 1
-                del index[tags[victim]]
-            tags[victim] = line
-            ages[victim] = tick
-            index[line] = victim
-        self._tick = tick
-        stats = self.stats
-        stats.accesses += len(missed) + hits
-        stats.hits += hits
-        stats.misses += len(missed)
-        stats.evictions += evictions
+            lru.append(line)
+        self.release_state(hits, len(missed), evictions)
         return hits, missed
 
-    # -- inlined-loop support --------------------------------------------------
+    # -- replay-loop support ---------------------------------------------------
 
-    def acquire_state(self) -> Tuple[Dict[int, int], List[int], List[int], int, int, int]:
-        """Expose mutable internals for an inlined hot loop.
+    def acquire_state(self) -> Tuple[List[List[int]], int]:
+        """Expose the recency lists for a replay loop outside the class.
 
-        Returns ``(index, ages, tags, num_sets, ways, tick)``.  The
-        replay engine's per-quad loop replicates the
-        :meth:`access_lines` body over these directly (one Python call
-        per quad is too expensive at trace scale); the caller must
-        finish with :meth:`release_state` to write back the tick and
-        the statistics deltas.  The differential tests pin the inlined
-        copy to this class bit-for-bit.
+        Returns ``(sets, ways)``: ``sets[line % len(sets)]`` holds that
+        set's resident lines, least recently used first.  The replay
+        engine drives these lists directly over whole chunks of tiles
+        (one Python call per line is too expensive at trace scale) and
+        must finish with :meth:`release_state` to add the statistics.
+        The differential tests pin that loop to this class.
         """
-        return (
-            self._index,
-            self._ages,
-            self._tags,
-            self._num_sets,
-            self._ways,
-            self._tick,
-        )
+        return self._sets, self._ways
 
-    def release_state(
-        self, tick: int, hits: int, misses: int, evictions: int
-    ) -> None:
-        """Write back the tick and statistics after an inlined loop.
+    def release_state(self, hits: int, misses: int, evictions: int) -> None:
+        """Add the statistics of accesses made through :meth:`acquire_state`.
 
         The counter updates are plain sums, so deferring them to one
         bulk update per batch leaves the final statistics identical to
         per-access updates.
         """
-        self._tick = tick
         stats = self.stats
         stats.accesses += hits + misses
         stats.hits += hits
@@ -209,35 +171,83 @@ class Cache:
 
     def probe(self, address: int) -> bool:
         """Check residency without updating LRU state or statistics."""
-        return self.line_of(address) in self._index
+        line = self.line_of(address)
+        return line in self._sets[self._set_index(line)]
 
     def invalidate(self, address: Optional[int] = None) -> None:
         """Invalidate one line (or the whole cache when ``address`` is None)."""
         if address is None:
-            self._tags = [-1] * (self._num_sets * self._ways)
-            self._ages = [0] * (self._num_sets * self._ways)
-            self._index.clear()
-            self._tick = 0
+            for lru in self._sets:
+                lru.clear()
             return
         line = self.line_of(address)
-        slot = self._index.pop(line, None)
-        if slot is not None:
-            self._tags[slot] = -1
-            self._ages[slot] = 0
+        lru = self._sets[self._set_index(line)]
+        if line in lru:
+            lru.remove(line)
 
     @property
     def resident_lines(self) -> int:
         """Number of valid lines currently held."""
-        return len(self._index)
+        return sum(map(len, self._sets))
 
     def resident_line_set(self) -> set:
         """The set of all resident line numbers (for replication analysis)."""
-        return set(self._index)
+        return set().union(*self._sets)
 
     def reset(self) -> None:
         """Clear contents and statistics."""
         self.invalidate()
         self.stats.reset()
+
+
+def access_set_streams(
+    sets, ways, group, lines
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Drive a line stream through LRU recency lists, one set at a time.
+
+    ``lines`` is an int64 access stream and ``group[i]`` the index into
+    ``sets`` of access ``i`` — the set of one cache, or of one of
+    several caches whose :meth:`Cache.acquire_state` lists are
+    concatenated.  Sets are independent state machines, so replaying
+    every set's accesses together, in stream order, gives each access
+    the hit or miss, and each set the evictions and final recency
+    order, that the interleaved stream would.  One stable argsort
+    groups the accesses (a radix sort when ``group`` fits int16).  An
+    access equal to the previous access of its set hits the most
+    recently used line and changes no state: those are counted as hits
+    here and never reach the Python loop.
+
+    Returns the stream positions of the misses, ascending, and of the
+    misses that evicted a line.  The caller adds the statistics with
+    :meth:`Cache.release_state`.
+    """
+    if len(sets) <= np.iinfo(np.int16).max + 1:
+        order = np.argsort(group.astype(np.int16), kind="stable")
+    else:
+        order = np.argsort(group, kind="stable")
+    group = group[order]
+    lines = lines[order]
+    fresh = np.ones(len(lines), dtype=bool)
+    fresh[1:] = (group[1:] != group[:-1]) | (lines[1:] != lines[:-1])
+    live = np.flatnonzero(fresh)
+    missed: List[int] = []
+    evicted: List[int] = []
+    for i, key, line in zip(
+        live.tolist(), group[live].tolist(), lines[live].tolist()
+    ):
+        lru = sets[key]
+        if line in lru:
+            # Not the MRU line (a repeat would have been skipped) unless
+            # it opens its set's run; either way, move it to the end.
+            lru.remove(line)
+            lru.append(line)
+            continue
+        missed.append(i)
+        if len(lru) == ways:
+            del lru[0]
+            evicted.append(i)
+        lru.append(line)
+    return np.sort(order[missed]), order[evicted]
 
 
 @dataclass

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.config import DRAMConfig
 
 
@@ -56,6 +58,23 @@ class DRAM:
         self.stats.total_latency += latency
         return latency
 
+    def latencies(self, lines) -> np.ndarray:
+        """:meth:`latency_for_line` of every line, as an int64 array.
+
+        The int64 product ``line * 2654435761`` is exact up to line
+        ``(2**63 - 1) // 2654435761``; a batch with a line above that
+        falls back to exact Python ints.
+        """
+        lines = np.asarray(lines, dtype=np.int64)
+        knuth = 2654435761
+        if lines.size and int(lines.max()) > np.iinfo(np.int64).max // knuth:
+            return np.array(
+                [self.latency_for_line(line) for line in lines.tolist()],
+                dtype=np.int64,
+            )
+        band = self.config.max_latency - self.config.min_latency + 1
+        return self.config.min_latency + ((lines * knuth) >> 7) % band
+
     def access_lines(self, lines) -> int:
         """Record a batch of accesses; returns their total latency.
 
@@ -63,9 +82,7 @@ class DRAM:
         once per element (latency is a pure function of the line, so the
         batch total is order-independent).
         """
-        total = 0
-        for line in lines:
-            total += self.latency_for_line(line)
+        total = int(self.latencies(lines).sum())
         self.stats.accesses += len(lines)
         self.stats.total_latency += total
         return total

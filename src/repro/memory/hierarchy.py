@@ -15,10 +15,11 @@ The batched counterparts (:meth:`texture_access_lines`,
 :meth:`vertex_access_lines`, :meth:`tile_access_lines`) walk a whole
 footprint per call without allocating per-access result records; they
 update every counter in the same per-line order as the scalar entry
-points and are the replay engine's hot path.  ``backend`` selects the
-cache implementation: ``"fast"`` (array-backed, the default) or
-``"reference"`` (the OrderedDict specification the differential tests
-compare against).
+points.  The fast replay engine drives the caches' recency lists
+directly, one chunk of tiles at a time (see :mod:`repro.sim.replay`).
+``backend`` selects the cache implementation: ``"fast"`` (recency
+lists, the default) or ``"reference"`` (the OrderedDict specification
+the differential tests compare against).
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class MemoryHierarchy:
             self.tile_cache, self.config.tile_cache.hit_latency, line
         )
 
-    # -- batched traffic (the replay engine's hot path) -----------------------
+    # -- batched traffic ------------------------------------------------------
 
     def _access_lines(self, l1, lines: Sequence[int]) -> Tuple[int, int]:
         """Drive ``lines`` through ``l1`` and the shared L2/DRAM below it.

@@ -8,14 +8,18 @@ model and the energy model.
 
 Two engines produce bit-identical :class:`RunResult` records:
 
-* ``"fast"`` (default) — columnar: the per-tile quad -> core schedule
-  is one gather through a precomputed
-  :meth:`~repro.core.scheduler.QuadScheduler.core_lut` table, per-core
-  quad counts and issue cycles are ``np.bincount`` aggregates, and the
-  inlined L1/L2/DRAM loop runs per core over its own line stream.
+* ``"fast"`` (default) — columnar and chunked: the memory hierarchy is
+  replayed once per chunk of ``DEFAULT_GROUP_TILES`` consecutive tiles.
+  The quad -> core schedule of a chunk is one gather through the
+  stacked :meth:`~repro.core.scheduler.QuadScheduler.core_lut` rows,
+  quad counts and issue cycles per (tile, core) are ``np.bincount``
+  aggregates, and the L1s and the L2 each run as one set-grouped
+  stream over the caches' recency lists
+  (:func:`~repro.memory.cache.access_set_streams`).
 * ``"reference"`` — the original per-line loop over scalar
-  ``texture_access`` calls on the ``OrderedDict`` cache backend, kept
-  as the executable specification for differential tests.
+  ``texture_access`` calls on the ``OrderedDict`` cache backend, tile
+  by tile, kept as the executable specification for differential
+  tests.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 from repro.config import GPUConfig
 from repro.core.dtexl import DTexLConfig
 from repro.errors import ConfigError
+from repro.memory.cache import access_set_streams
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.power.energy_model import EnergyBreakdown, EnergyModel, EnergyParams
 from repro.raster.pipeline import (
@@ -36,12 +41,29 @@ from repro.raster.pipeline import (
     SubtileWork,
     TileWork,
 )
-from repro.sim.driver import FrameTrace
+from repro.sim.driver import DEFAULT_GROUP_TILES, FrameTrace
 from repro.sim.resilience import ReplayBudget
 from repro.sim.stream import BatchTileStream, TileWorkUnit  # noqa: F401 — re-exported for replay callers
 
 #: Replay engine names accepted by :class:`TraceReplayer`.
 ENGINES = ("fast", "reference")
+
+
+def _chunks(units, size):
+    """Group a tile stream into lists of ``size`` consecutive units.
+
+    One list is refilled for every chunk, so a consumer done with a
+    chunk holds none of its tiles while the stream produces the next:
+    a streaming driver still holds at most one group of tiles.
+    """
+    chunk = []
+    for unit in units:
+        chunk.append(unit)
+        if len(chunk) == size:
+            yield chunk
+            chunk.clear()
+    if chunk:
+        yield chunk
 
 
 @dataclass
@@ -157,9 +179,12 @@ class TraceReplayer:
         ``stream`` is any :mod:`repro.sim.stream` driver; it is opened
         with the design point's tile traversal, so producer and consumer
         walk the same order and the frame counters accumulate per tile
-        exactly as the batch walk accumulated them.  The vertex/PB
+        exactly as the batch walk accumulated them.  The vertex
         prologue rides the first unit, preserving the batch replayer's
-        access order bit for bit.
+        access order bit for bit.  Units are replayed in chunks of
+        ``DEFAULT_GROUP_TILES``; the fast engine simulates the memory
+        hierarchy once per chunk, with per-tile results identical to a
+        tile-by-tile walk.
         """
         gpu = design.effective_gpu_config(self.config)
         fast = self.engine == "fast"
@@ -176,36 +201,25 @@ class TraceReplayer:
         tile_works: List[TileWork] = []
         per_tile_counts: List[List[int]] = []
         total_quads = 0
-        process = self._tile_quads_fast if fast else self._tile_quads_reference
+        process = self._tile_quads_fast if fast else self._tiles_reference
         # Hot loop: resolve attribute chains once, not per tile.
         check_quads = self.budget.check_quads
-        for unit in stream.open(scheduler.tiles):
-            entry = unit.entry
-            vertex_lines = unit.vertex_lines
-            if fast:
-                if vertex_lines:
-                    hierarchy.vertex_access_lines(vertex_lines)
-                hierarchy.tile_access_lines(entry.fetch_lines)
-            else:
-                for line in vertex_lines:
-                    hierarchy.vertex_access(line)
-                for line in entry.fetch_lines:
-                    hierarchy.tile_access(line)
-            step = unit.step
-            subtiles, counts = process(
-                entry, scheduler, step, hierarchy, gpu, n_cores
-            )
-            total_quads += len(entry.columns)
-            tile_works.append(
-                TileWork(
-                    tile=unit.tile,
-                    step=step,
-                    fetch_cycles=entry.fetch_cycles,
-                    subtiles=subtiles,
+        units = stream.open(scheduler.tiles)
+        for chunk in _chunks(units, DEFAULT_GROUP_TILES):
+            done = process(chunk, scheduler, hierarchy, gpu, n_cores)
+            for unit, (subtiles, counts) in zip(chunk, done):
+                entry = unit.entry
+                total_quads += len(entry.columns)
+                tile_works.append(
+                    TileWork(
+                        tile=unit.tile,
+                        step=unit.step,
+                        fetch_cycles=entry.fetch_cycles,
+                        subtiles=subtiles,
+                    )
                 )
-            )
-            per_tile_counts.append(counts)
-            check_quads(total_quads, design.name)
+                per_tile_counts.append(counts)
+                check_quads(total_quads, design.name)
 
         replication = hierarchy.replication_factor()
         pipeline = RasterPipelineModel(gpu, design.decoupled)
@@ -249,152 +263,166 @@ class TraceReplayer:
             framebuffer_write_lines=fb_lines,
         )
 
-    # -- per-tile quad processing ---------------------------------------------
+    # -- per-chunk quad processing --------------------------------------------
 
     @staticmethod
-    def _tile_quads_fast(entry, scheduler, step, hierarchy, gpu, n_cores):
-        """Columnar quad stream of one tile: returns (subtiles, counts).
+    def _tile_quads_fast(units, scheduler, hierarchy, gpu, n_cores):
+        """Columnar replay of one chunk of tiles: (subtiles, counts) per tile.
 
-        The quad -> core map is one LUT gather and the per-core quad
-        counts and issue cycles are ``np.bincount`` aggregates — no
-        per-quad Python.  Each private L1 only ever sees its own core's
-        lines, so every core's L1 runs over that core's line stream in
-        stream order; the L1 misses, merged back into stream order, then
-        drive the shared L2 and DRAM exactly as interleaved per-quad
-        processing would.  Arithmetic is line-for-line the reference
-        path's.
+        The chunk's vertex prologue (first unit of a frame only) goes
+        through the vertex cache first.  Then, per tile, the tile cache
+        runs over the Parameter-Buffer fetch lines; its misses are
+        collected for the L2, not sent yet.  The quad -> core map of the
+        whole chunk is one gather through the stacked ``core_lut`` rows,
+        and quads and issue cycles per (tile, core) cell are
+        ``np.bincount`` aggregates — no per-quad Python.
+        :meth:`_simulate_lines` then drives the texture lines and the
+        fetch misses through the L1s, L2 and DRAM.
         """
-        stream = entry.quad_stream(scheduler.config.quads_per_tile_side)
-        core = scheduler.core_lut(step, n_cores)[stream.slot]
-        num_quads = np.bincount(core, minlength=n_cores).tolist()
+        vertex_lines = units[0].vertex_lines
+        if vertex_lines:
+            hierarchy.vertex_access_lines(vertex_lines)
+        side = scheduler.config.quads_per_tile_side
+        core_lut = scheduler.core_lut
+        fetch = hierarchy.tile_cache.access_lines
+        luts = []
+        streams = []
+        fetch_missed: List[int] = []
+        fetch_counts = []
+        for unit in units:
+            entry = unit.entry
+            _, missed = fetch(entry.fetch_lines)
+            fetch_missed += missed
+            fetch_counts.append(len(missed))
+            luts.append(core_lut(unit.step, n_cores))
+            streams.append(entry.quad_stream(side))
+        n_tiles = len(units)
+        tile_ids = np.arange(n_tiles)
+        quads = [len(stream.slot) for stream in streams]
+        quad_tile = np.repeat(tile_ids, quads)
+        slot = np.concatenate([stream.slot for stream in streams])
+        cell = quad_tile * n_cores + np.stack(luts)[quad_tile, slot]
+        n_cells = n_tiles * n_cores
+        num_quads = np.bincount(cell, minlength=n_cells).tolist()
         # Float64 weights sum integers exactly far beyond any tile's
         # issue-cycle total (2**53).
+        issue = np.concatenate([stream.issue for stream in streams])
         compute = np.bincount(
-            core, weights=stream.issue, minlength=n_cores
+            cell, weights=issue, minlength=n_cells
         ).astype(np.int64).tolist()
-        stalls = [0] * n_cores
-        lines = entry.columns.lines
-        if len(lines):
-            TraceReplayer._simulate_lines(
-                lines, core[stream.line_quad], hierarchy, gpu, n_cores, stalls
-            )
-        subtiles = [
-            SubtileWork(num_quads[b], compute[b], stalls[b])
-            for b in range(n_cores)
+        tile_lines = [unit.entry.columns.lines for unit in units]
+        # Each tile's line -> quad column, offset to chunk quad indices.
+        line_quad = np.concatenate([s.line_quad for s in streams])
+        line_quad += np.repeat(
+            np.cumsum(quads) - quads, [len(lines) for lines in tile_lines]
+        )
+        stalls = TraceReplayer._simulate_lines(
+            np.concatenate(tile_lines),
+            cell[line_quad],
+            np.array(fetch_missed, dtype=np.int64),
+            np.repeat(tile_ids, fetch_counts),
+            hierarchy,
+            gpu,
+            n_cores,
+            n_cells,
+        ).tolist()
+        works = list(map(SubtileWork, num_quads, compute, stalls))
+        return [
+            (works[i:i + n_cores], num_quads[i:i + n_cores])
+            for i in range(0, n_cells, n_cores)
         ]
-        return subtiles, num_quads
 
     @staticmethod
-    def _simulate_lines(lines, line_core, hierarchy, gpu, n_cores, stalls):
-        """Drive one tile's texture lines through L1s, L2 and DRAM.
+    def _simulate_lines(
+        lines, line_cell, fetch_lines, fetch_tile, hierarchy, gpu, n_cores,
+        n_cells,
+    ):
+        """Drive one chunk's traffic through L1s, L2 and DRAM.
 
-        ``line_core`` names the core issuing each line; per-core stall
-        cycles accumulate into ``stalls``.  The LRU bodies are
-        ``Cache.access_lines`` inlined over exported per-L1 (and shared
-        L2) state — one Python call per line is too expensive at trace
-        scale — pinned bit-for-bit by the differential tests; the
-        statistics flush once per tile.
+        ``lines`` is the chunk's texture line stream, tile after tile,
+        and ``line_cell`` the (tile, core) cell issuing each line as
+        ``tile * n_cores + core``; ``fetch_lines`` are the tile cache's
+        misses with their tiles in ``fetch_tile``.  Returns the stall
+        cycles of every cell.
+
+        LRU sets are independent state machines, so
+        :func:`~repro.memory.cache.access_set_streams` replays each
+        set's accesses together, in stream order, with the same hits,
+        misses, evictions and final recency order as the interleaved
+        stream.  Each private L1 only sees its own core's lines, so the
+        L1 sets of all cores run as one grouped stream.  The L2 sees,
+        tile by tile, that tile's fetch misses and then its texture L1
+        misses in stream order — the order of the per-tile hierarchy
+        walk.  DRAM fills are vectorized; fetch misses count in the
+        DRAM statistics but stall no core.
         """
         # Every L1 miss costs the L2 hit latency plus the NoC/replay
         # overhead; an L2 miss adds the DRAM fill on top.
         miss_cost = gpu.l2_cache.hit_latency + gpu.shader.miss_overhead_cycles
         l1s = hierarchy.texture_l1s
-        # Group the lines by core, each group in stream order.
-        order = np.argsort(line_core, kind="stable")
-        by_core = lines[order].tolist()
-        core_lines = np.bincount(line_core, minlength=n_cores).tolist()
-        missed: List[int] = []  # positions in ``by_core``
-        start = 0
-        for b in range(n_cores):
-            stop = start + core_lines[b]
-            if stop == start:
-                continue
-            l1 = l1s[b]
-            index, ages, tags, num_sets, ways, tick = l1.acquire_state()
-            first_miss = len(missed)
-            evictions = 0
-            # ``tick + origin`` is the current line's position in by_core.
-            origin = start - tick - 1
-            for line in by_core[start:stop]:
-                tick += 1
-                slot = index.get(line)
-                if slot is not None:
-                    ages[slot] = tick
-                    continue
-                missed.append(tick + origin)
-                base = (line % num_sets) * ways
-                victim = base
-                victim_age = None
-                for i in range(base, base + ways):
-                    tag = tags[i]
-                    if tag == -1:
-                        victim = i
-                        victim_age = None
-                        break
-                    age = ages[i]
-                    if victim_age is None or age < victim_age:
-                        victim_age = age
-                        victim = i
-                if victim_age is not None:
-                    evictions += 1
-                    del index[tags[victim]]
-                tags[victim] = line
-                ages[victim] = tick
-                index[line] = victim
-            n_miss = len(missed) - first_miss
-            l1.release_state(tick, stop - start - n_miss, n_miss, evictions)
-            stalls[b] += n_miss * miss_cost
-            start = stop
-        if not missed:
-            return
+        l1_sets = []
+        for l1 in l1s:
+            sets, ways = l1.acquire_state()
+            l1_sets += sets
+        num_sets = len(sets)
+        line_core = line_cell % n_cores
+        missed, evicted = access_set_streams(
+            l1_sets, ways, line_core * num_sets + lines % num_sets, lines
+        )
+        core_misses = np.bincount(line_core[missed], minlength=n_cores)
+        stats = zip(
+            l1s,
+            (np.bincount(line_core, minlength=n_cores) - core_misses).tolist(),
+            core_misses.tolist(),
+            np.bincount(line_core[evicted], minlength=n_cores).tolist(),
+        )
+        for l1, hits, misses, evictions in stats:
+            l1.release_state(hits, misses, evictions)
+        miss_cell = line_cell[missed]
+        stalls = np.bincount(miss_cell, minlength=n_cells) * miss_cost
 
-        # Below the L1s: the shared L2 (same inlined LRU body) in stream
-        # order, then DRAM's deterministic banded latency — the Knuth
-        # multiplicative hash from DRAM.latency_for_line, same
-        # arithmetic as texture_access_lines.
-        positions = np.sort(order[missed])
+        # The L2 stream, tile by tile: fetch misses, then texture misses
+        # (stable sort over the tile; -1 marks a fetch miss's owner).
+        order = np.argsort(
+            np.concatenate((fetch_tile, miss_cell // n_cores)), kind="stable"
+        )
+        l2_lines = np.concatenate((fetch_lines, lines[missed]))[order]
+        owner = np.concatenate(
+            (np.full(len(fetch_lines), -1), miss_cell)
+        )[order]
         l2 = hierarchy.l2
-        index, ages, tags, num_sets, ways, tick = l2.acquire_state()
-        hits = misses = evictions = 0
-        dram = hierarchy.dram
-        dram_min = dram.config.min_latency
-        dram_band = dram.config.max_latency - dram_min + 1
-        dram_latency = 0
-        for line, b in zip(
-            lines[positions].tolist(), line_core[positions].tolist()
-        ):
-            tick += 1
-            slot = index.get(line)
-            if slot is not None:
-                ages[slot] = tick
-                hits += 1
-                continue
-            misses += 1
-            base = (line % num_sets) * ways
-            victim = base
-            victim_age = None
-            for i in range(base, base + ways):
-                tag = tags[i]
-                if tag == -1:
-                    victim = i
-                    victim_age = None
-                    break
-                age = ages[i]
-                if victim_age is None or age < victim_age:
-                    victim_age = age
-                    victim = i
-            if victim_age is not None:
-                evictions += 1
-                del index[tags[victim]]
-            tags[victim] = line
-            ages[victim] = tick
-            index[line] = victim
-            fill = dram_min + ((line * 2654435761) >> 7) % dram_band
-            dram_latency += fill
-            stalls[b] += fill
-        l2.release_state(tick, hits, misses, evictions)
-        dram.stats.accesses += misses
-        dram.stats.total_latency += dram_latency
+        sets, ways = l2.acquire_state()
+        missed, evicted = access_set_streams(
+            sets, ways, l2_lines % len(sets), l2_lines
+        )
+        l2.release_state(
+            len(l2_lines) - len(missed), len(missed), len(evicted)
+        )
+        fills = hierarchy.dram.latencies(l2_lines[missed])
+        dram_stats = hierarchy.dram.stats
+        dram_stats.accesses += len(fills)
+        dram_stats.total_latency += int(fills.sum())
+        owner = owner[missed]
+        texture = owner >= 0
+        stalls += np.bincount(
+            owner[texture], weights=fills[texture], minlength=n_cells
+        ).astype(np.int64)
+        return stalls
+
+    @staticmethod
+    def _tiles_reference(units, scheduler, hierarchy, gpu, n_cores):
+        """The reference engine over a chunk, one tile after another."""
+        done = []
+        for unit in units:
+            for line in unit.vertex_lines:
+                hierarchy.vertex_access(line)
+            entry = unit.entry
+            for line in entry.fetch_lines:
+                hierarchy.tile_access(line)
+            done.append(TraceReplayer._tile_quads_reference(
+                entry, scheduler, unit.step, hierarchy, gpu, n_cores
+            ))
+        return done
 
     @staticmethod
     def _tile_quads_reference(entry, scheduler, step, hierarchy, gpu, n_cores):

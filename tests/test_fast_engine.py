@@ -2,23 +2,31 @@
 
 Three layers, three equivalences, all required to be exact:
 
-* ``Cache`` (flat arrays) vs ``ReferenceCache`` (``OrderedDict`` spec):
-  identical hit/miss sequences, counters, and resident sets on
-  randomized access streams.
+* ``Cache`` (recency lists) and ``access_set_streams`` (the grouped
+  replay over exported lists) vs ``ReferenceCache`` (``OrderedDict``
+  spec): identical hit/miss sequences, counters, and per-set recency
+  order on randomized access streams.
 * ``TraceReplayer(engine="fast")`` vs ``engine="reference"``: bit-
-  identical :class:`RunResult` records per (trace, design) pair.
+  identical :class:`RunResult` records per (trace, design) pair, at
+  any replay chunk size, and on a hand-built trace whose L2 hits
+  depend on the order of a tile's fetch and texture misses.
 * ``DesignSweep.run(jobs=N)`` vs serial: identical rows, failures,
   resumed lists and manifest (minus wall time), under both stream
   drivers.
 
-These pin the inlined LRU body in ``_tile_quads_fast`` — any drift in
-the fast path from the executable specification fails here.
+These pin the LRU loops of ``Cache.access_lines`` and
+``access_set_streams`` and the chunked L2 stream order of
+``_simulate_lines`` — any drift in the fast path from the executable
+specification fails here.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,13 +35,29 @@ from repro.config import CacheConfig, GPUConfig
 from repro.core.dtexl import (
     BASELINE,
     DTEXL_BEST,
+    PAPER_CONFIGURATIONS,
     DTexLConfig,
 )
 from repro.errors import ConfigError
-from repro.memory.cache import Cache, ReferenceCache
+from repro.memory.cache import (
+    Cache,
+    CacheStats,
+    ReferenceCache,
+    access_set_streams,
+)
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.raster.fragment import Quad, TileQuads
+from repro.sim import replay
+from repro.sim.checkpoint import TileChunkStore
+from repro.sim.driver import (
+    FrameRenderer,
+    FrameTrace,
+    RenderStats,
+    TileTraceEntry,
+)
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.replay import ENGINES, TraceReplayer
+from repro.sim.stream import BatchTileStream, StreamingTileStream
 from repro.sim.sweep import DesignSweep
 from repro.shader.shader_core import ShaderCore
 
@@ -56,16 +80,19 @@ class TestCacheDifferential:
     @given(lines=line_streams, ways=way_counts)
     @settings(max_examples=60, deadline=None)
     def test_hit_sequence_and_residency_identical(self, lines, ways):
-        """Per-access hit/miss AND per-step resident set must agree.
+        """Per-access hit/miss AND every set's recency order must agree.
 
-        Comparing residency after every access pins the eviction order,
-        not just the final tally: a wrong victim shows up as a resident-
-        set difference on the very next step.
+        Comparing each set's full LRU order after every access pins the
+        eviction order and the move-to-end on a hit, not just the final
+        tally: a wrong victim or a hit left in place shows up as an
+        order difference on the very next step.
         """
         fast = Cache(small_cache_config(ways=ways))
         ref = ReferenceCache(small_cache_config(ways=ways))
+        sets, _ = fast.acquire_state()
         for line in lines:
             assert fast.access_line(line) == ref.access_line(line)
+            assert sets == [list(lru) for lru in ref._sets]
             assert fast.resident_line_set() == ref.resident_line_set()
 
     @given(lines=line_streams, ways=way_counts)
@@ -93,25 +120,83 @@ class TestCacheDifferential:
         assert batched.stats == scalar.stats
         assert batched.resident_line_set() == scalar.resident_line_set()
 
+    @given(
+        accesses=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 63)), max_size=300
+        ),
+        ways=way_counts,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_set_streams_match_reference(self, accesses, ways):
+        """Grouped replay over three caches' sets == the interleaved spec.
+
+        ``access_set_streams`` reorders the stream by set and skips
+        repeats of a set's MRU line; the misses, evictions, statistics
+        and every set's final recency order must still be those of the
+        reference caches fed the stream one access at a time.
+        """
+        config = small_cache_config(ways=ways)
+        fast = [Cache(config) for _ in range(3)]
+        ref = [ReferenceCache(config) for _ in range(3)]
+        want_missed, want_evicted = [], []
+        for i, (cache, line) in enumerate(accesses):
+            evictions = ref[cache].stats.evictions
+            if not ref[cache].access_line(line):
+                want_missed.append(i)
+            if ref[cache].stats.evictions > evictions:
+                want_evicted.append(i)
+        num_sets = config.num_sets
+        sets = [lru for cache in fast for lru in cache.acquire_state()[0]]
+        owner = np.array([c for c, _ in accesses], dtype=np.int64)
+        lines = np.array([line for _, line in accesses], dtype=np.int64)
+        missed, evicted = access_set_streams(
+            sets, ways, owner * num_sets + lines % num_sets, lines
+        )
+        assert missed.tolist() == want_missed
+        assert sorted(evicted.tolist()) == want_evicted
+        assert sets == [list(lru) for cache in ref for lru in cache._sets]
+        for k, cache in enumerate(fast):
+            mine = owner == k
+            misses = int(mine[missed].sum())
+            cache.release_state(
+                int(mine.sum()) - misses, misses, int(mine[evicted].sum())
+            )
+            assert cache.stats == ref[k].stats
+
     def test_missed_lines_preserve_stream_order(self):
         cache = Cache(small_cache_config())
         _, missed = cache.access_lines([5, 3, 5, 9, 3, 11])
         assert missed == [5, 3, 9, 11]
 
     def test_acquire_release_roundtrip(self):
-        """State handed to an inlined loop writes back exactly."""
+        """The exported lists are the live state; release adds stats."""
+        config = small_cache_config()  # 4 sets of 2 ways
+        cache = Cache(config)
+        cache.access_lines([1, 5, 1])
+        sets, ways = cache.acquire_state()
+        assert (len(sets), ways) == (config.num_sets, config.associativity)
+        assert sets[1] == [5, 1]  # least recently used first
+        assert sets[0] == sets[2] == sets[3] == []
+        # A loop outside the class mutates the lists in place ...
+        del sets[1][0]
+        sets[1].append(9)
+        assert cache.probe(9 << 6) and not cache.probe(5 << 6)
+        assert cache.acquire_state()[0] is sets
+        # ... and release_state adds its counters to the prior ones.
+        cache.release_state(hits=3, misses=1, evictions=1)
+        assert cache.stats == CacheStats(
+            accesses=7, hits=4, misses=3, evictions=1
+        )
+
+    def test_reset_keeps_exported_lists(self):
+        """Clearing empties the same lists a replay loop holds."""
         cache = Cache(small_cache_config())
-        cache.access_lines([1, 2, 1])
-        index, ages, tags, num_sets, ways, tick = cache.acquire_state()
-        assert index is cache._index and ages is cache._ages
-        assert tags is cache._tags
-        assert (num_sets, ways) == (cache._num_sets, cache._ways)
-        assert tick == 3
-        cache.release_state(tick + 4, hits=3, misses=1, evictions=1)
-        assert cache._tick == 7
-        assert cache.stats.accesses == 7  # 3 prior + 4 released
-        assert cache.stats.hits == 4 and cache.stats.misses == 3
-        assert cache.stats.evictions == 1
+        sets, _ = cache.acquire_state()
+        cache.access_lines([1, 2, 3])
+        cache.reset()
+        assert cache.acquire_state()[0] is sets
+        assert all(lru == [] for lru in sets)
+        assert cache.resident_lines == 0
 
 
 # -- fast vs reference replay ---------------------------------------------
@@ -163,6 +248,154 @@ class TestReplayEngineEquivalence:
     def test_unknown_backend_rejected(self, tiny_config):
         with pytest.raises(ConfigError, match="unknown cache backend"):
             MemoryHierarchy(tiny_config, backend="turbo")
+
+
+CHUNK_DESIGNS = [
+    PAPER_CONFIGURATIONS[name]
+    for name in ("baseline", "HLB-flp2", "upper-bound")
+]
+
+
+class TestChunkedReplay:
+    """The fast engine replays DEFAULT_GROUP_TILES tiles per chunk.
+
+    Chunk boundaries must be invisible: 1-tile chunks, chunks that
+    split the frame unevenly (3 of 8 tiles) and one chunk larger than
+    the frame all give the reference engine's results.  ``upper-bound``
+    runs one SC with a 256-set L1, so its L1 stream key differs.
+    """
+
+    @pytest.fixture(params=[1, 3, 9], ids=lambda n: f"chunk{n}")
+    def chunk_size(self, request, monkeypatch, tiny_config):
+        assert 9 > tiny_config.num_tiles
+        monkeypatch.setattr(replay, "DEFAULT_GROUP_TILES", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("design", CHUNK_DESIGNS, ids=lambda d: d.name)
+    def test_chunk_size_never_changes_results(
+        self, chunk_size, tiny_config, tiny_trace, design
+    ):
+        fast = TraceReplayer(tiny_config, engine="fast")
+        ref = TraceReplayer(tiny_config, engine="reference")
+        assert fast.run(tiny_trace, design) == ref.run(tiny_trace, design)
+
+    @pytest.mark.parametrize("design", CHUNK_DESIGNS, ids=lambda d: d.name)
+    def test_warm_hierarchy_over_two_frames(
+        self, chunk_size, tiny_config, tiny_trace, design
+    ):
+        gpu = design.effective_gpu_config(tiny_config)
+        warm_fast = MemoryHierarchy(gpu, backend="fast")
+        warm_ref = MemoryHierarchy(gpu, backend="reference")
+        fast = TraceReplayer(tiny_config, engine="fast")
+        ref = TraceReplayer(tiny_config, engine="reference")
+        for _ in range(2):
+            got = fast.run(tiny_trace, design, hierarchy=warm_fast)
+            want = ref.run(tiny_trace, design, hierarchy=warm_ref)
+            assert got == want
+
+    @pytest.mark.parametrize("design", CHUNK_DESIGNS, ids=lambda d: d.name)
+    def test_streaming_with_chunk_store(
+        self, chunk_size, tmp_path, tiny_config, tiny_workload, tiny_trace,
+        design,
+    ):
+        """Rendered-and-saved, then loaded-back tiles replay identically."""
+        want = TraceReplayer(tiny_config, engine="reference").run(
+            tiny_trace, design
+        )
+        fast = TraceReplayer(tiny_config, engine="fast")
+        for rendered in (tiny_config.num_tiles, 0):
+            stream = StreamingTileStream(
+                FrameRenderer(tiny_config), tiny_workload,
+                chunk_store=TileChunkStore(tmp_path / "chunks", "k"),
+            )
+            assert fast.run_stream(stream, design) == want
+            assert stream.tiles_rendered == rendered
+
+    def test_holds_at_most_one_chunk_of_tiles(
+        self, monkeypatch, tiny_config, tiny_trace
+    ):
+        """A consumed chunk's tiles die before the stream makes the next.
+
+        The stream hands out fresh entries and counts, before every
+        unit, how many it handed out earlier are still alive.  The
+        chunk being filled holds up to ``size - 1`` of them and the
+        replay loop's variables the last tile of the previous chunk.
+        """
+        size = 3
+        order = BASELINE.build_scheduler(tiny_config).tiles
+
+        class CountingStream:
+            def __init__(self):
+                self.alive = []
+
+            def open(self, _order):
+                return self
+
+            def __iter__(self):
+                refs = []
+                for unit in BatchTileStream(tiny_trace).open(order):
+                    self.alive.append(sum(r() is not None for r in refs))
+                    entry = dataclasses.replace(unit.entry)
+                    refs.append(weakref.ref(entry))
+                    yield unit._replace(entry=entry)
+
+        monkeypatch.setattr(replay, "DEFAULT_GROUP_TILES", size)
+        stream = CountingStream()
+        TraceReplayer(tiny_config).run_stream(stream, BASELINE)
+        assert len(stream.alive) == tiny_config.num_tiles
+        assert max(stream.alive) == size
+
+
+def l2_order_trace(config: GPUConfig) -> FrameTrace:
+    """Two tiles whose L2 hits depend on the order of the L2 stream.
+
+    The first tile in the baseline traversal fetches the Parameter
+    Buffer's base line P (line 2**28, L2 set 0) and shades one quad
+    touching texture lines T1..T8, which share P's L2 set and fill
+    its 8 ways.  The second tile's quad touches T1 again.
+
+    In hierarchy order (the tile's fetch misses, then its texture
+    misses) T8 evicts P and the second tile's T1 hits in the L2.  Fed
+    the other way round, P evicts T1 and that access misses.
+    """
+    l2_sets = config.l2_cache.num_sets
+    fetch = 2 ** 28
+    assert fetch % l2_sets == 0
+    texture = tuple(
+        k * l2_sets for k in range(1, config.l2_cache.associativity + 1)
+    )
+    first, second = BASELINE.build_scheduler(config).tiles[:2]
+    tiles = {
+        (x, y): TileTraceEntry()
+        for x in range(config.tiles_x) for y in range(config.tiles_y)
+    }
+    for tile, fetch_lines, lines in (
+        (first, [fetch], texture), (second, [], texture[:1]),
+    ):
+        quad = Quad(tile, 0, 0, 0, 0, (True,) * 4, 4, lines)
+        tiles[tile] = TileTraceEntry(
+            fetch_lines=fetch_lines, columns=TileQuads.from_quads([quad])
+        )
+    stats = RenderStats(num_quads=2, pixels_shaded=8, nonempty_tiles=2)
+    return FrameTrace(config, [], tiles, stats)
+
+
+class TestL2StreamOrder:
+    """The chunk's L2 stream keeps each tile's fetch misses first."""
+
+    @pytest.mark.parametrize("chunk", [1, 2], ids=lambda n: f"chunk{n}")
+    def test_fetch_and_texture_share_an_l2_set(
+        self, monkeypatch, tiny_config, chunk
+    ):
+        monkeypatch.setattr(replay, "DEFAULT_GROUP_TILES", chunk)
+        trace = l2_order_trace(tiny_config)
+        want = TraceReplayer(tiny_config, engine="reference").run(
+            trace, BASELINE
+        )
+        # P, T1..T8 and T1 again reach the L2; only the last one hits.
+        assert (want.l2_accesses, want.l2_misses) == (10, 9)
+        got = TraceReplayer(tiny_config, engine="fast").run(trace, BASELINE)
+        assert got == want
 
 
 class TestQuadStream:

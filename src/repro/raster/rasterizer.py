@@ -4,11 +4,15 @@
 which pixels of the current tile are overlapped by the primitive...  The
 fragments of every four adjacent pixels are grouped to form a quad."
 
-The implementation is vectorized per (primitive, tile): barycentric
-weights, coverage, depth and perspective-correct UVs are evaluated with
-numpy over the primitive's quad-aligned bounding box inside the tile,
-then surviving 2x2 blocks are emitted as :class:`~repro.raster.fragment.Quad`
-records carrying their texture cache-line footprints.
+The reference implementation is vectorized per (primitive, tile):
+barycentric weights, coverage, depth and perspective-correct UVs are
+evaluated with numpy over the primitive's quad-aligned bounding box
+inside the tile, then surviving 2x2 blocks are emitted as
+:class:`~repro.raster.fragment.Quad` records carrying their texture
+cache-line footprints.  The fast path (:meth:`Rasterizer.rasterize_tile_fast`
+and :meth:`Rasterizer.finalize_quads_fast`) does the same for a chunk
+of tiles at once and emits :class:`~repro.raster.fragment.TileQuads`
+columns.
 
 UV derivatives are taken across each quad's 2x2 lanes — including helper
 lanes outside the triangle — exactly as real GPU quads compute mip LOD.
@@ -17,7 +21,7 @@ lanes outside the triangle — exactly as real GPU quads compute mip LOD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,14 +41,19 @@ _COVERAGE_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.int64)
 
 @dataclass
 class PendingTileQuads:
-    """One tile's rasterized quads awaiting batched footprint assembly.
+    """One chunk's rasterized quads awaiting batched footprint assembly.
 
     Everything the final :class:`TileQuads` columns need except the
-    texture footprints, which are computed frame-wide per (texture,
-    samples) group by :meth:`Rasterizer.finalize_quads_fast`.
+    texture footprints, which are computed per (texture, samples) group
+    by :meth:`Rasterizer.finalize_quads_fast`.  Quads are in chunk
+    stream order (tile, then primitive, then 2x2 block row-major), and
+    ``tiles[i]`` owns the next ``quad_counts[i]`` of them.  The lane
+    UVs are lane-major ``(4, Q)``: row ``k`` is lane ``k`` of every
+    quad, in footprint order ``(0,0), (1,0), (0,1), (1,1)``.
     """
 
-    tile: TileCoord
+    tiles: Sequence[TileCoord]
+    quad_counts: np.ndarray
     qx: np.ndarray
     qy: np.ndarray
     prim_row: np.ndarray
@@ -52,6 +61,20 @@ class PendingTileQuads:
     covered: int
     lane_u: np.ndarray
     lane_v: np.ndarray
+
+
+def first_visit_mask(lines: np.ndarray) -> np.ndarray:
+    """Column-wise first-visit mask of an ``(N, Q)`` cache-line matrix.
+
+    Entry ``(j, q)`` survives when no earlier row holds the same line
+    for quad ``q``: per column, exactly the entries ``dict.fromkeys``
+    keeps, and a column's survivors read top to bottom are in its
+    order.
+    """
+    first = np.ones(lines.shape, dtype=bool)
+    for j in range(1, len(lines)):
+        np.all(lines[:j] != lines[j], axis=0, out=first[j])
+    return first
 
 
 class Rasterizer:
@@ -96,51 +119,71 @@ class Rasterizer:
 
     def rasterize_tile_fast(
         self,
-        tile: TileCoord,
+        tiles: Sequence[TileCoord],
         batch: ScreenBatch,
-        rows: np.ndarray,
+        rows: Sequence[np.ndarray],
         zbuffer: ZBuffer,
     ) -> Optional[PendingTileQuads]:
-        """Whole-tile rasterization of all of a tile's primitives at once.
+        """Whole-tile rasterization of a chunk of tiles at once.
 
-        Evaluates the three edge functions, depth and perspective UVs of
-        every primitive over the full tile pixel grid in one shot, runs
-        Early-Z as an exclusive running minimum over the primitive axis
-        (depth updates are order-independent ``min`` folds, so the
-        sequential per-primitive test collapses exactly), and extracts
-        covered 2x2 quads vectorized.  Bit-identical to running
-        :meth:`rasterize_tile` over the same primitive list: every
-        arithmetic expression reproduces the scalar path's association
-        order, the full-grid evaluation only adds pixels the per-region
-        masks switch off, and the quad emission order (primitive, then
-        block row-major) is ``np.nonzero``'s C order.
+        ``rows[i]`` is tile ``tiles[i]``'s binned primitive rows.  Every
+        (tile, primitive) pair lies on one axis and is evaluated over
+        its own tile's full pixel grid: the three edge functions, depth
+        and perspective UVs in one shot.  Early-Z is a per-tile
+        exclusive running minimum over the pair axis (depth updates are
+        order-independent ``min`` folds, so the sequential
+        per-primitive test collapses exactly), taken one primitive rank
+        at a time, and covered 2x2 quads are extracted vectorized.
+        Bit-identical to running :meth:`rasterize_tile` over each
+        tile's primitive list: every arithmetic expression reproduces
+        the scalar path's association order, the full-grid evaluation
+        only adds pixels the per-region masks switch off, and the quad
+        emission order (tile, primitive, then block row-major) is
+        ``np.nonzero``'s C order.
 
         ``zbuffer`` only accumulates the ``tests``/``passes`` counters
-        (the depth state lives in the running minimum here).
+        (the depth state lives in the running minimum here).  Returns
+        ``None`` when the chunk shades no quad.
         """
         config = self.config
         ts = config.tile_size
-        tile_x0, tile_y0 = tile[0] * ts, tile[1] * ts
-        tile_x1 = min(tile_x0 + ts, config.screen_width)
-        tile_y1 = min(tile_y0 + ts, config.screen_height)
+        n_tiles = len(tiles)
+        # (tile, primitive) pairs, tile-major, each tile's primitives in
+        # binned stream order.
+        pair_tile = np.repeat(np.arange(n_tiles), [len(r) for r in rows])
+        if not len(pair_tile):
+            return None
+        pair_row = np.concatenate(rows)
+        origin = np.array(tiles, dtype=np.int64).reshape(n_tiles, 2) * ts
+        tile_x0 = origin[pair_tile, 0]
+        tile_y0 = origin[pair_tile, 1]
 
-        # Quad-aligned clip region per primitive (the scalar
+        # Quad-aligned clip region per pair (the scalar
         # _tile_clip_region, vectorized; floats first so huge
         # coordinates cannot overflow the int cast — any such row is
         # empty or clamped to the tile bound before casting).
-        vx = batch.x[rows]
-        vy = batch.y[rows]
-        fx0 = np.maximum(float(tile_x0), np.floor(np.min(vx, axis=1)))
-        fy0 = np.maximum(float(tile_y0), np.floor(np.min(vy, axis=1)))
-        fx1 = np.minimum(float(tile_x1), np.ceil(np.max(vx, axis=1)) + 1.0)
-        fy1 = np.minimum(float(tile_y1), np.ceil(np.max(vy, axis=1)) + 1.0)
-        valid = (fx0 < fx1) & (fy0 < fy1) & (batch.area2[rows] != 0.0)
+        vx = batch.x[pair_row]
+        vy = batch.y[pair_row]
+        fx0 = np.maximum(tile_x0, np.floor(np.min(vx, axis=1)))
+        fy0 = np.maximum(tile_y0, np.floor(np.min(vy, axis=1)))
+        fx1 = np.minimum(
+            np.minimum(tile_x0 + ts, config.screen_width),
+            np.ceil(np.max(vx, axis=1)) + 1.0,
+        )
+        fy1 = np.minimum(
+            np.minimum(tile_y0 + ts, config.screen_height),
+            np.ceil(np.max(vy, axis=1)) + 1.0,
+        )
+        valid = (fx0 < fx1) & (fy0 < fy1) & (batch.area2[pair_row] != 0.0)
         if not valid.all():
-            rows = rows[valid]
-            if not len(rows):
+            pair_row = pair_row[valid]
+            if not len(pair_row):
                 return None
+            pair_tile = pair_tile[valid]
+            tile_x0, tile_y0 = tile_x0[valid], tile_y0[valid]
             fx0, fy0 = fx0[valid], fy0[valid]
             fx1, fy1 = fx1[valid], fy1[valid]
+            vx, vy = vx[valid], vy[valid]
         x0 = fx0.astype(np.int64)
         y0 = fy0.astype(np.int64)
         x1 = fx1.astype(np.int64)
@@ -152,20 +195,16 @@ class Rasterizer:
         x1 = np.minimum(x1, tile_x0 + ts)
         y1 = np.minimum(y1, tile_y0 + ts)
 
-        # Pixel-centre grids over the whole tile; the scalar path's
-        # region grid is the same values restricted to the region.
-        px = (np.arange(tile_x0, tile_x0 + ts, dtype=np.float64) + 0.5)[
-            None, None, :
-        ]
-        py = (np.arange(tile_y0, tile_y0 + ts, dtype=np.float64) + 0.5)[
-            None, :, None
-        ]
-        col = np.arange(tile_x0, tile_x0 + ts, dtype=np.int64)
-        row_pix = np.arange(tile_y0, tile_y0 + ts, dtype=np.int64)
+        # Pixel-centre grids over each pair's whole tile; the scalar
+        # path's region grid is the same values restricted to the
+        # region.
+        offset = np.arange(ts, dtype=np.int64)
+        col = tile_x0[:, None] + offset
+        row_pix = tile_y0[:, None] + offset
+        px = (col + 0.5)[:, None, :]
+        py = (row_pix + 0.5)[:, :, None]
 
-        area2 = batch.area2[rows][:, None, None]
-        vx = batch.x[rows]
-        vy = batch.y[rows]
+        area2 = batch.area2[pair_row][:, None, None]
         ax, bx, cx = (
             vx[:, 0][:, None, None], vx[:, 1][:, None, None],
             vx[:, 2][:, None, None],
@@ -186,7 +225,7 @@ class Rasterizer:
         inside &= rowm[:, :, None]
         inside &= colm[:, None, :]
 
-        vz = batch.z[rows]
+        vz = batch.z[pair_row]
         z = (
             w0 * vz[:, 0][:, None, None]
             + w1 * vz[:, 1][:, None, None]
@@ -195,57 +234,77 @@ class Rasterizer:
         inside &= (z >= 0.0) & (z <= 1.0)
 
         # Early-Z.  The scalar depth update is an elementwise min fold
-        # over primitives, so "depth before primitive k" is an
+        # over a tile's primitives, so "depth before primitive k" is an
         # exclusive running minimum of the depth-write contributions.
-        contrib = np.where(
-            inside & batch.depth_write[rows][:, None, None], z, np.inf
-        )
-        running = np.minimum.accumulate(contrib, axis=0)
-        before = np.empty_like(running)
-        before[0] = np.inf
-        before[1:] = running[:-1]
-        tested = inside & (z < before)
+        # Each step takes the pairs of one rank within their tile (at
+        # most one per tile) against one running depth buffer per tile;
+        # working per step keeps the chunk's live float grids to the
+        # three weights and z, since a chunk's grids scale with its
+        # pairs.
+        writes = inside & batch.depth_write[pair_row][:, None, None]
+        per_tile = np.bincount(pair_tile, minlength=n_tiles)
+        rank = np.arange(len(pair_tile)) - (
+            np.cumsum(per_tile) - per_tile
+        )[pair_tile]
+        running = np.full((n_tiles, ts, ts), np.inf)
+        tested = np.empty_like(inside)
+        for step in range(int(per_tile.max())):
+            at = np.flatnonzero(rank == step)
+            owner = pair_tile[at]
+            depth = running[owner]
+            step_z = z[at]
+            tested[at] = inside[at] & (step_z < depth)
+            running[owner] = np.minimum(
+                depth, np.where(writes[at], step_z, np.inf)
+            )
+        del z, writes
         zbuffer.tests += int(inside.sum())
         zbuffer.passes += int(tested.sum())
-        passed = np.where(batch.late_z[rows][:, None, None], inside, tested)
-        if not passed.any():
-            return None
+        passed = np.where(
+            batch.late_z[pair_row][:, None, None], inside, tested
+        )
 
-        # 2x2 block reduction over every primitive at once; nonzero's
-        # C order is the scalar (primitive, by, bx) emission order.
+        # 2x2 block reduction over every pair at once (a block is
+        # covered when any of its four lanes is); nonzero's C order is
+        # the scalar (tile, primitive, by, bx) emission order.
         half = ts // 2
-        blocks = passed.reshape(-1, half, 2, half, 2).transpose(0, 1, 3, 2, 4)
-        kidx, qy, qx = np.nonzero(blocks.any(axis=(3, 4)))
+        block = passed.reshape(-1, half, 2, half, 2)
+        kidx, qy, qx = np.nonzero(
+            block[:, :, 0, :, 0] | block[:, :, 0, :, 1]
+            | block[:, :, 1, :, 0] | block[:, :, 1, :, 1]
+        )
         if not len(kidx):
             return None
-        lanes = blocks[kidx, qy, qx].reshape(-1, 4)
-        codes = (lanes * _COVERAGE_WEIGHTS).sum(axis=1)
+        # Each quad's four lanes by flat pixel index, lane-major, in
+        # footprint order (0,0),(1,0),(0,1),(1,1).  Region clamps never
+        # bind (regions are even-sized), so the lanes are exactly the
+        # block.
+        corner = kidx * (ts * ts) + qy * (2 * ts) + qx * 2
+        lane_index = corner + np.array([0, 1, ts, ts + 1])[:, None]
+        lanes = passed.ravel()[lane_index]
+        codes = _COVERAGE_WEIGHTS @ lanes
 
-        # Perspective UVs only at the emitted quads' lanes, in footprint
-        # order (0,0),(1,0),(0,1),(1,1): gather the barycentric weights
-        # at the 2x2 block (region clamps never bind — regions are
-        # even-sized — so the lanes are exactly the block) and apply the
-        # scalar interpolation expressions there.  Same inputs, same
-        # operations — bit-identical to interpolating the whole grid.
-        def block_lanes(grid: np.ndarray) -> np.ndarray:
-            view = grid.reshape(-1, half, 2, half, 2)
-            return view.transpose(0, 1, 3, 2, 4)[kidx, qy, qx].reshape(-1, 4)
-
-        lw0 = block_lanes(w0)
-        lw1 = block_lanes(w1)
-        lw2 = block_lanes(w2)
-        prim = rows[kidx]
+        # Perspective UVs only at the emitted quads' lanes: gather the
+        # barycentric weights there and apply the scalar interpolation
+        # expressions.  Same inputs, same operations — bit-identical to
+        # interpolating the whole grid.
+        lw0 = w0.ravel()[lane_index]
+        lw1 = w1.ravel()[lane_index]
+        lw2 = w2.ravel()[lane_index]
+        del w0, w1, w2
+        prim = pair_row[kidx]
         vw = batch.inv_w[prim]
         uw = batch.u_over_w[prim]
         vvw = batch.v_over_w[prim]
         lane_u, lane_v = interpolate_uv_grid(
             lw0, lw1, lw2,
-            vw[:, :1], vw[:, 1:2], vw[:, 2:],
-            uw[:, :1], uw[:, 1:2], uw[:, 2:],
-            vvw[:, :1], vvw[:, 1:2], vvw[:, 2:],
+            vw[:, 0], vw[:, 1], vw[:, 2],
+            uw[:, 0], uw[:, 1], uw[:, 2],
+            vvw[:, 0], vvw[:, 1], vvw[:, 2],
         )
         return PendingTileQuads(
-            tile=tile,
+            tiles=tiles,
+            quad_counts=np.bincount(pair_tile[kidx], minlength=n_tiles),
             qx=qx,
             qy=qy,
             prim_row=prim,
@@ -258,21 +317,22 @@ class Rasterizer:
     def finalize_quads_fast(
         self, batch: ScreenBatch, pending: List[PendingTileQuads]
     ) -> Dict[TileCoord, TileQuads]:
-        """Frame-level footprint batching + columnar quad emission.
+        """Footprint batching + columnar quad emission for many chunks.
 
-        Quads from every tile are grouped by (texture, samples) so the
+        Quads from every chunk are grouped by (texture, samples) so the
         mip-LOD and cache-line math runs in a handful of vectorized
-        calls per frame; the per-quad cache-line rows are deduped in
-        first-visit order and scattered into one frame-wide CSR line
-        array.  Each tile's :class:`TileQuads` is then a set of slices
-        of the frame-wide columns, in the tile's emission order.
+        calls; each group's ``(N, Q)`` cache-line matrix is deduped
+        column by column in first-visit order (:func:`first_visit_mask`)
+        and scattered into one CSR line array.  Each tile's
+        :class:`TileQuads` is then a set of slices of the shared
+        columns, in the tile's emission order.
         """
         out: Dict[TileCoord, TileQuads] = {}
         if not pending:
             return out
         rows_all = np.concatenate([p.prim_row for p in pending])
-        lane_u = np.concatenate([p.lane_u for p in pending])
-        lane_v = np.concatenate([p.lane_v for p in pending])
+        lane_u = np.concatenate([p.lane_u for p in pending], axis=1)
+        lane_v = np.concatenate([p.lane_v for p in pending], axis=1)
         tex_ids = batch.texture_id[rows_all]
         samples = batch.texture_samples[rows_all]
         total = len(rows_all)
@@ -291,33 +351,27 @@ class Rasterizer:
             texture = textures_get(key // stride)
             if texture is None or count == 0:
                 continue
-            idx = np.nonzero(group_key == key)[0]
+            idx = np.flatnonzero(group_key == key)
             group_lods, group_lines = footprints_batch(
-                texture, lane_u[idx], lane_v[idx], count
+                texture, lane_u[:, idx], lane_v[:, idx], count
             )
             lods[idx] = group_lods
-            # First-visit dedup, vectorized: a column survives when it
-            # differs from every earlier column in its row — the order
-            # ``dict.fromkeys`` preserves.  A stable row sort puts each
-            # value's first visit at the head of its run of equals.
-            by_value = np.argsort(group_lines, axis=1, kind="stable")
-            ordered = np.take_along_axis(group_lines, by_value, axis=1)
-            head = np.empty(group_lines.shape, dtype=bool)
-            head[:, 0] = True
-            np.not_equal(ordered[:, 1:], ordered[:, :-1], out=head[:, 1:])
-            first = np.empty_like(head)
-            np.put_along_axis(first, by_value, head, axis=1)
-            group_counts = first.sum(axis=1)
+            first = first_visit_mask(group_lines)
+            group_counts = first.sum(axis=0)
             counts[idx] = group_counts
             owners.append(np.repeat(idx, group_counts))
-            survivors.append(group_lines[first])
+            # Column-major read-out: quad by quad, each in visit order.
+            survivors.append(group_lines.T[first.T])
 
-        # CSR over the frame.  Each group's survivors are row-major with
-        # rows in quad order, and groups partition the quads, so a
-        # stable sort by owning quad yields frame stream order.
+        # CSR over the chunks.  Each group's survivors are quad-major
+        # with quads in stream order, and groups partition the quads,
+        # so a stable sort by owning quad yields stream order; a single
+        # group is in stream order already.
         offsets = np.zeros(total + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        if survivors:
+        if len(survivors) == 1:
+            flat = survivors[0]
+        elif survivors:
             order = np.argsort(np.concatenate(owners), kind="stable")
             flat = np.concatenate(survivors)[order]
         else:
@@ -329,22 +383,29 @@ class Rasterizer:
         pids = batch.pid[rows_all]
         alu = batch.alu_cycles[rows_all]
         blend = batch.blend[rows_all]
-        bounds = offsets.tolist()
-        cursor = 0
-        for p in pending:
-            stop = cursor + len(p.prim_row)
-            first_line = bounds[cursor]
-            out[p.tile] = TileQuads(
-                p.tile, qx[cursor:stop], qy[cursor:stop],
-                pids[cursor:stop], tex_ids[cursor:stop],
-                codes[cursor:stop], alu[cursor:stop],
-                lods[cursor:stop], blend[cursor:stop],
-                flat[first_line:bounds[stop]],
-                offsets[cursor:stop + 1] - first_line,
+        tiles = [tile for p in pending for tile in p.tiles]
+        quad_bounds = np.zeros(len(tiles) + 1, dtype=np.int64)
+        np.cumsum(
+            np.concatenate([p.quad_counts for p in pending]),
+            out=quad_bounds[1:],
+        )
+        starts = quad_bounds.tolist()
+        line_starts = offsets[quad_bounds].tolist()
+        for i, tile in enumerate(tiles):
+            start, stop = starts[i], starts[i + 1]
+            if start == stop:
+                continue
+            first_line = line_starts[i]
+            out[tile] = TileQuads(
+                tile, qx[start:stop], qy[start:stop],
+                pids[start:stop], tex_ids[start:stop],
+                codes[start:stop], alu[start:stop],
+                lods[start:stop], blend[start:stop],
+                flat[first_line:line_starts[i + 1]],
+                offsets[start:stop + 1] - first_line,
             )
-            self.quads_emitted += stop - cursor
-            self.pixels_shaded += p.covered
-            cursor = stop
+        self.quads_emitted += total
+        self.pixels_shaded += sum(p.covered for p in pending)
         return out
 
     # -- internals --------------------------------------------------------------

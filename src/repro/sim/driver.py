@@ -54,11 +54,11 @@ LINE_BYTES = 64
 ENGINES = ("fast", "reference")
 
 #: Tiles buffered per footprint-batching flush of the incremental fast
-#: pass.  Large enough that the vectorized LOD/cache-line math in
-#: ``finalize_quads_fast`` keeps its batching win, small enough that a
-#: streaming consumer holds O(group) tiles rather than the frame.
-#: ``group_size=0`` means "one flush for the whole frame", which is the
-#: exact allocation pattern (and arithmetic) of the monolithic render.
+#: pass, and the fast rasterizer's chunk size.  Large enough that the
+#: vectorized raster and LOD/cache-line math keep their batching win,
+#: small enough that a streaming consumer holds O(group) tiles rather
+#: than the frame.  ``group_size=0`` means "one flush for the whole
+#: frame", which is the exact arithmetic of the monolithic render.
 DEFAULT_GROUP_TILES = 16
 
 
@@ -126,13 +126,15 @@ class _FastTilePass:
 
     The constructor runs everything that is *frame*-scoped — the batched
     Geometry Pipeline, clipping, and Polygon List binning.  Tiles are
-    then rasterized one at a time by :meth:`tile_entry`, with the
-    footprint batching of ``finalize_quads_fast`` amortized over groups
-    of buffered tiles (:meth:`iter_tiles`) or collapsed to a single tile
-    (:meth:`render_tile`, the checkpoint-resume path).  Grouping only
-    partitions the footprint math — every per-quad LOD and cache-line
-    row depends on that quad's own lanes alone — so any group size
-    yields bit-identical entries.
+    then rasterized a chunk of ``DEFAULT_GROUP_TILES`` consecutive
+    tiles at a time, with the footprint batching of
+    ``finalize_quads_fast`` amortized over groups of buffered tiles
+    (:meth:`iter_tiles`) or collapsed to a single tile
+    (:meth:`render_tile`, the checkpoint-resume path, a chunk of one).
+    Chunking and grouping only partition the work — a tile's quads
+    depend on its own primitives alone, and every per-quad LOD and
+    cache-line row on that quad's own lanes — so any chunk or group
+    size yields bit-identical entries.
     """
 
     framebuffer: Optional[FrameBuffer] = None
@@ -174,35 +176,28 @@ class _FastTilePass:
         builder = PolygonListBuilder(config)
         self._bins = builder.build_fast(batch)
         self._batch = batch
-        self._config = config
+        self._fetch_cycles = config.tile_fetcher_cycles_per_primitive
         self._rasterizer = Rasterizer(config, workload.textures, renderer.sampler)
         self._zbuffer = ZBuffer(config.tile_size)
         self.vertex_lines = vertex_lines
         self.stats = stats
 
-    def tile_entry(
-        self, tile: TileCoord
-    ) -> Tuple[TileTraceEntry, Optional[PendingTileQuads]]:
-        """Rasterize one tile; quads stay pending until a flush."""
-        bins = self._bins
-        batch = self._batch
-        config = self._config
-        rows = bins.rows_for_tile(tile)
-        count = len(rows)
-        entry = TileTraceEntry(
+    def _entry(self, tile: TileCoord, rows: np.ndarray) -> TileTraceEntry:
+        """A tile's fetch traffic; its quads arrive at the next flush."""
+        return TileTraceEntry(
             fetch_lines=TileFetcher.fetch_lines_fast(
-                bins, tile, batch.pid[rows]
+                self._bins, tile, self._batch.pid[rows]
             ),
-            fetch_cycles=max(
-                count * config.tile_fetcher_cycles_per_primitive, 1
-            ),
+            fetch_cycles=max(len(rows) * self._fetch_cycles, 1),
         )
-        pending = None
-        if count:
-            pending = self._rasterizer.rasterize_tile_fast(
-                tile, batch, rows, self._zbuffer
-            )
-        return entry, pending
+
+    def _rasterize(self, tiles, rows, pending) -> None:
+        """Rasterize one chunk; its quads stay pending until a flush."""
+        chunk = self._rasterizer.rasterize_tile_fast(
+            tiles, self._batch, rows, self._zbuffer
+        )
+        if chunk is not None:
+            pending.append(chunk)
 
     def _flush(self, group, pending):
         """Run the footprint batching for one buffered group of tiles."""
@@ -219,10 +214,12 @@ class _FastTilePass:
         return group
 
     def render_tile(self, tile: TileCoord) -> TileTraceEntry:
-        """One finished tile, finalized immediately (group of one)."""
-        entry, pending = self.tile_entry(tile)
-        if pending is not None:
-            self._flush(((tile, entry),), (pending,))
+        """One finished tile, finalized immediately (a chunk of one)."""
+        rows = self._bins.rows_for_tile(tile)
+        entry = self._entry(tile, rows)
+        pending: List[PendingTileQuads] = []
+        self._rasterize((tile,), (rows,), pending)
+        self._flush(((tile, entry),), pending)
         return entry
 
     def iter_tiles(
@@ -230,21 +227,33 @@ class _FastTilePass:
     ) -> Iterator[Tuple[TileCoord, TileTraceEntry]]:
         """Yield ``(tile, finished entry)`` in ``order``.
 
-        ``group_size`` bounds how many tiles are in flight between
-        footprint flushes; ``0`` defers to one whole-frame flush — the
-        monolithic render's exact behaviour.
+        Tiles are rasterized in chunks of ``DEFAULT_GROUP_TILES``
+        consecutive tiles.  ``group_size`` bounds how many tiles are in
+        flight between footprint flushes; a flush first rasterizes the
+        partial chunk it cuts.  ``0`` defers to one whole-frame flush —
+        the monolithic render's exact behaviour.
         """
+        rows_for_tile = self._bins.rows_for_tile
         group: List[Tuple[TileCoord, TileTraceEntry]] = []
         pending: List[PendingTileQuads] = []
+        chunk: List[TileCoord] = []
+        chunk_rows: List[np.ndarray] = []
         for tile in order:
-            entry, tile_pending = self.tile_entry(tile)
-            group.append((tile, entry))
-            if tile_pending is not None:
-                pending.append(tile_pending)
-            if group_size and len(group) >= group_size:
+            rows = rows_for_tile(tile)
+            group.append((tile, self._entry(tile, rows)))
+            chunk.append(tile)
+            chunk_rows.append(rows)
+            flush = group_size and len(group) >= group_size
+            if flush or len(chunk) == DEFAULT_GROUP_TILES:
+                self._rasterize(chunk, chunk_rows, pending)
+                chunk = []
+                chunk_rows = []
+            if flush:
                 yield from self._flush(group, pending)
                 group = []
                 pending = []
+        if chunk:
+            self._rasterize(chunk, chunk_rows, pending)
         yield from self._flush(group, pending)
 
     def finish(self) -> RenderStats:

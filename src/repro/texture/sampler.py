@@ -169,46 +169,74 @@ class Sampler:
                               texture_samples: int):
         """Batched per-quad mip LOD + cache-line rows for many quads.
 
-        ``lane_u``/``lane_v`` are ``(Q, 4)`` arrays of the four quad
-        lanes' perspective-correct UVs in footprint order
-        ``(0,0), (1,0), (0,1), (1,1)``.  Returns ``(lods, lines)``:
-        the raw (unclamped) per-quad LOD array and a ``(Q, N)`` int64
-        array of cache lines flattened in scalar visit order —
-        lane-major, then sample, then bilinear neighbour — still
-        containing duplicates, exactly as the scalar path visits them
-        before its first-visit dedup.  Only valid for BILINEAR mode.
+        ``lane_u``/``lane_v`` are lane-major ``(4, Q)`` arrays: row
+        ``k`` holds lane ``k`` of every quad, in footprint order
+        ``(0,0), (1,0), (0,1), (1,1)``.  Returns ``(lods, lines)``: the
+        raw (unclamped) per-quad LOD array and an ``(N, Q)`` int64
+        array whose column ``q`` is quad ``q``'s cache lines in scalar
+        visit order — lane, then sample, then bilinear neighbour —
+        still containing duplicates, exactly as the scalar path visits
+        them before its first-visit dedup.  Only valid for BILINEAR
+        mode.
+
+        Addresses are separable (:meth:`Texture.axis_terms`): each lane
+        looks up two x terms (``base`` folded in) and two y terms, and a
+        neighbour's line is one add and one shift.
         """
         import numpy as np
 
-        u00 = lane_u[:, 0]
-        v00 = lane_v[:, 0]
+        u00 = lane_u[0]
+        v00 = lane_v[0]
         sx = np.hypot(
-            (lane_u[:, 1] - u00) * texture.width,
-            (lane_v[:, 1] - v00) * texture.height,
+            (lane_u[1] - u00) * texture.width,
+            (lane_v[1] - v00) * texture.height,
         )
         sy = np.hypot(
-            (lane_u[:, 2] - u00) * texture.width,
-            (lane_v[:, 2] - v00) * texture.height,
+            (lane_u[2] - u00) * texture.width,
+            (lane_v[2] - v00) * texture.height,
         )
         rho = np.maximum(np.maximum(sx, sy), 1e-12)
         lods = np.maximum(0.0, np.log2(rho))
         # The *sampled* level clamps to the mip chain; the reported LOD
         # stays raw, matching the scalar path.
         levels = np.minimum(lods, float(texture.max_lod)).astype(np.int64)
-        lane_levels = levels[:, None]
 
-        per_sample = []
+        widths, heights, x_starts, y_starts, x_term, y_term = (
+            texture.axis_terms()
+        )
+        width = widths[levels]
+        height = heights[levels]
+        wmask = width - 1
+        hmask = height - 1
+        x_start = x_starts[levels]
+        y_start = y_starts[levels]
+
+        # Byte addresses as [lane, sample, neighbour, quad], shifted to
+        # cache lines once at the end.
+        count = len(lods)
+        lines = np.empty((4, texture_samples, 4, count), dtype=np.int64)
         for sample in range(texture_samples):
             scale = float(sample + 1)
-            per_sample.append(
-                self.bilinear_lines_batch(
-                    texture, lane_u * scale, lane_v * scale, lane_levels
-                )
-            )
-        # lines[quad, lane, sample, neighbour]; flattening row-major is
-        # exactly the scalar visit order.
-        lines = np.stack(per_sample, axis=2)
-        return lods, lines.reshape(len(lods), -1)
+            # Power-of-two wrap: two's-complement AND with (size - 1) is
+            # exactly the non-negative Python ``%``.
+            x0 = np.floor(lane_u * scale * width - 0.5).astype(np.int64)
+            x1 = (x0 + 1) & wmask
+            x0 &= wmask
+            y0 = np.floor(lane_v * scale * height - 0.5).astype(np.int64)
+            y1 = (y0 + 1) & hmask
+            y0 &= hmask
+            ax0 = x_term[x0 + x_start]
+            ax1 = x_term[x1 + x_start]
+            ay0 = y_term[y0 + y_start]
+            ay1 = y_term[y1 + y_start]
+            # Neighbour order matches the scalar path: (0,0),(1,0),(0,1),(1,1).
+            out = lines[:, sample]
+            np.add(ax0, ay0, out=out[:, 0])
+            np.add(ax1, ay0, out=out[:, 1])
+            np.add(ax0, ay1, out=out[:, 2])
+            np.add(ax1, ay1, out=out[:, 3])
+        lines >>= 6
+        return lods, lines.reshape(16 * texture_samples, count)
 
     # -- procedural filtering ----------------------------------------------------
 

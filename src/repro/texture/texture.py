@@ -184,6 +184,57 @@ class Texture:
         # all terms non-negative, so shifts are exact.
         return (tables["base_off"][level] + (index << 2)) >> 6
 
+    def axis_terms(self):
+        """Cached separable byte-address terms of every mip level's axes.
+
+        Morton x and y bits are disjoint, so texel (x, y) of level ``l``
+        (wrapped to the level) lies at byte
+        ``x_term[x_start[l] + x] + y_term[y_start[l] + y]``.  ``x_term``
+        holds ``base + mip offset + 4*X(x)`` with
+        ``X(x) = ((x >> sqbits) << sq2bits) + morton(x & sqmask)``,
+        ``y_term`` holds ``4*Y(y)``, ``Y`` the same with the Morton term
+        shifted left by one — the fold and interleave of
+        :meth:`texel_address`, one axis at a time.  Returns per-level
+        ``(width, height, x_start, y_start)`` arrays, then the two term
+        arrays.
+        """
+        terms = getattr(self, "_axis_terms_cache", None)
+        if terms is None:
+            import numpy as np
+
+            from repro.texture.addressing import morton_table
+
+            spread = morton_table().view(np.int64)  # codes < 2**32
+            x_parts = []
+            y_parts = []
+            for mip in self.mip_levels:
+                side = min(mip.width, mip.height)
+                bits = side.bit_length() - 1
+                xs = np.arange(mip.width, dtype=np.int64)
+                ys = np.arange(mip.height, dtype=np.int64)
+                x_parts.append(
+                    self.base_address + mip.byte_offset
+                    + ((((xs >> bits) << 2 * bits) + spread[xs & (side - 1)])
+                       << 2)
+                )
+                y_parts.append(
+                    (((ys >> bits) << 2 * bits)
+                     + (spread[ys & (side - 1)] << 1)) << 2
+                )
+            width = np.array(
+                [m.width for m in self.mip_levels], dtype=np.int64
+            )
+            height = np.array(
+                [m.height for m in self.mip_levels], dtype=np.int64
+            )
+            terms = (
+                width, height,
+                np.cumsum(width) - width, np.cumsum(height) - height,
+                np.concatenate(x_parts), np.concatenate(y_parts),
+            )
+            self._axis_terms_cache = terms
+        return terms
+
     # -- procedural values ----------------------------------------------------
 
     def texel_value(self, x: int, y: int, lod: int = 0) -> Tuple[int, int, int]:

@@ -33,17 +33,21 @@ from repro.geometry.mesh import (
     ShaderProgram,
     Vertex,
 )
-from repro.geometry.transform import perspective
+from repro.geometry.transform import orthographic, perspective
 from repro.geometry.vec import Vec2, Vec3
 from repro.raster.fragment import TileQuads
 from repro.sim.checkpoint import tile_digest
-from repro.sim.driver import ENGINES, FrameRenderer
+from repro.sim.driver import DEFAULT_GROUP_TILES, ENGINES, FrameRenderer
 from repro.texture.sampler import FilterMode, Sampler
 from repro.texture.texture import TextureAllocator
 from repro.workloads.games import build_game, game_aliases
 from repro.workloads.recipe import BuiltWorkload, SceneRecipe
 
 TINY = GPUConfig(screen_width=128, screen_height=64)
+
+#: 8x3 tiles: one full raster chunk of ``DEFAULT_GROUP_TILES`` and a
+#: partial one of 8, so chunk seams and a partial chunk are both hit.
+MULTI = GPUConfig(screen_width=256, screen_height=96)
 
 #: Golden fast-engine digests of every suite game at the tiny scale.
 #: Regenerate deliberately (render at 128x64 and print ``trace_digest``)
@@ -259,6 +263,100 @@ class TestRandomMeshes:
         workload = build_mesh_workload(triangles, flags, [1] * n)
         fast, ref = render_both(workload)
         assert_traces_identical(fast, ref)
+
+
+# -- screens of more than one raster chunk ----------------------------------
+
+
+def chunk_scene_workload():
+    """Hand-built scene that packs the chunk edge cases into chunk 0.
+
+    An orthographic camera maps world ``(x, y)`` to screen pixel
+    ``(x + 128, y + 48)`` on :data:`MULTI`, and world ``z`` to depth
+    ``(1 - z) / 2``.  In scanline order the first chunk holds tile rows
+    0 and 1:
+
+    - tile (1, 0) gets twelve overlapping triangles at mixed depths,
+      with ``depth_write=False``, late-Z and blended draws among them;
+    - tile (4, 1) gets only a triangle that is non-degenerate in NDC
+      but collapses to one screen point, so its single binned row
+      fails the clip-region test (zero screen area);
+    - tile (6, 0) is bare;
+    - one triangle spans tile rows 1 and 2, across the chunk seam.
+    """
+    allocator = TextureAllocator()
+    texture = allocator.create(32, 32, seed=3)
+    scene = Scene(
+        name="chunk-edges",
+        projection_matrix=orthographic(-128.0, 128.0, 48.0, -48.0),
+    )
+
+    def draw(points, **flags):
+        mesh = Mesh(
+            vertices=[
+                Vertex(position=Vec3(x, y, z), uv=Vec2(x / 40.0, y / 40.0))
+                for x, y, z in points
+            ],
+            indices=[0, 1, 2],
+        )
+        scene.add(DrawCommand(
+            mesh=mesh,
+            texture_id=texture.texture_id,
+            shader=ShaderProgram(alu_cycles=9, texture_samples=1),
+            **flags,
+        ))
+
+    for i in range(12):
+        z = 0.6 - 0.1 * (i % 5)
+        draw(
+            [(-95.0 + i, -47.5 + 1.5 * i, z),
+             (-64.5, -46.0 + i, z - 0.05),
+             (-93.0 + 2.0 * i, -16.5, z + 0.05)],
+            depth_write=i % 4 != 1,
+            late_z=i % 4 == 2,
+            blend=i % 4 == 3,
+        )
+    tiny = 1e-15
+    draw([(0.0, 0.0, 0.0), (tiny, 0.0, 0.0), (0.0, tiny, 0.0)])
+    draw([(40.0, -6.0, 0.2), (120.0, 44.0, 0.3), (45.0, 40.0, 0.1)])
+    return BuiltWorkload(scene=scene, allocator=allocator)
+
+
+class TestMultiChunk:
+    def test_screen_spans_a_partial_chunk(self):
+        tiles = MULTI.tiles_x * MULTI.tiles_y
+        assert tiles > DEFAULT_GROUP_TILES
+        assert tiles % DEFAULT_GROUP_TILES
+
+    @pytest.mark.parametrize("alias", ["CCS", "RoK", "GTr"])
+    def test_fast_matches_reference(self, alias):
+        fast, ref = render_both(build_game(alias, MULTI), MULTI)
+        assert_traces_identical(fast, ref)
+
+    @given(params=recipe_params)
+    @settings(max_examples=8, deadline=None)
+    def test_random_recipe_fast_matches_reference(self, params):
+        recipe = SceneRecipe(
+            name="prop", texture_budget_mib=0.25, **params
+        )
+        fast, ref = render_both(recipe.build(MULTI), MULTI)
+        assert_traces_identical(fast, ref)
+
+    def test_chunk_edge_cases_match_reference(self):
+        fast, ref = render_both(chunk_scene_workload(), MULTI)
+        assert_traces_identical(fast, ref)
+        tiles = fast.tiles
+        per_primitive = MULTI.tile_fetcher_cycles_per_primitive
+        # The scene exercises what it claims, all inside chunk 0.
+        for tile in ((1, 0), (4, 1), (6, 0)):
+            assert tile[1] * MULTI.tiles_x + tile[0] < DEFAULT_GROUP_TILES
+        assert tiles[(1, 0)].fetch_cycles >= 10 * per_primitive
+        assert len(tiles[(1, 0)].columns)
+        assert tiles[(4, 1)].fetch_cycles == per_primitive
+        assert not len(tiles[(4, 1)].columns)
+        assert not tiles[(6, 0)].fetch_lines
+        assert any(len(tiles[(x, 2)].columns) for x in range(MULTI.tiles_x))
+        assert fast.stats.z_cull_rate > 0.0
 
 
 # -- engine selection -------------------------------------------------------

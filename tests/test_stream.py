@@ -38,6 +38,9 @@ from repro.workloads.recipe import SceneRecipe
 
 TINY = GPUConfig(screen_width=128, screen_height=64)
 
+#: 8x3 tiles: more than one 16-tile raster chunk, the last one partial.
+MULTI = GPUConfig(screen_width=256, screen_height=96)
+
 #: Orders that traverse the 4x2 grid differently, so production order
 #: (scanline groups inside the render pass) never equals consumption
 #: order by accident.
@@ -98,6 +101,28 @@ class TestDriverEquivalence:
         _, stream = streaming_result("SWa", BASELINE, replayer)
         assert stream.stats == trace.stats
         assert stream.tiles_rendered == TINY.tiles_x * TINY.tiles_y
+
+
+class TestMultiChunkStreams:
+    """Group flushes that cut raster chunks, on a screen of two chunks.
+
+    The streaming traversal (DTexL's order) groups tiles differently
+    from the batch render's scanline chunks, and a group size that is
+    not a multiple of the chunk size flushes in mid-chunk.
+    """
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        trace, _ = FrameRenderer(MULTI).render(build_game("SWa", MULTI))
+        return TraceReplayer(MULTI).run(trace, DTEXL_BEST)
+
+    @pytest.mark.parametrize("group_size", [0, 1, 3, 20])
+    def test_group_size_never_changes_results(self, group_size, batch):
+        stream = StreamingTileStream(
+            FrameRenderer(MULTI), build_game("SWa", MULTI),
+            group_size=group_size,
+        )
+        assert TraceReplayer(MULTI).run_stream(stream, DTEXL_BEST) == batch
 
 
 # -- randomized recipes ------------------------------------------------------

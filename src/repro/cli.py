@@ -164,24 +164,20 @@ def cmd_replay(args) -> int:
     if profiling:
         import time
         t0 = time.perf_counter()
-    replayer = TraceReplayer(config)
+    runner = ExperimentRunner(config, games=[args.game], stream=stream)
     if stream == "batch":
-        workload = build_game(args.game, config)
-        trace, _ = FrameRenderer(config).render(workload)
+        # Render before the profiled phase.  Streamed dataflows render
+        # inside the replay loop instead, so there pass 1 is part of
+        # the profiled phase and each design point pays its own
+        # (bounded-memory) render.
+        runner.trace_for(args.game)
     if profiling:
         import cProfile
         render_s = time.perf_counter() - t0
         profiler = cProfile.Profile()
         t1 = time.perf_counter()
         profiler.enable()
-    if stream == "batch":
-        results = [replayer.run(trace, design) for design in designs]
-    else:
-        # Streamed dataflows render inside the replay loop, so pass 1
-        # is part of the profiled phase and each design point pays its
-        # own (bounded-memory) render.
-        runner = ExperimentRunner(config, games=[args.game], stream=stream)
-        results = [runner.run(args.game, design) for design in designs]
+    results = [runner.run(args.game, design) for design in designs]
     if profiling:
         profiler.disable()
         replay_s = time.perf_counter() - t1

@@ -48,9 +48,11 @@ __all__ = [
 #: One small, fast game keeps a 20-trial campaign in CI-smoke territory.
 DEFAULT_CHAOS_GAMES: Tuple[str, ...] = ("SWa",)
 
-#: Parent-process faults every trial may sample.  The chunk sites only
-#: fire when the trial draws the streaming dataflow (batch trials never
-#: reach them, which is harmless — the spec just never fires).
+#: Faults every trial may sample.  They fire wherever the replay path
+#: runs: in the parent on a serial trial, in the pool workers when the
+#: trial runs jobs > 1.  The chunk sites only fire when the trial draws
+#: the streaming dataflow (batch trials never reach them, which is
+#: harmless — the spec just never fires).
 _PARENT_FAULTS: Tuple[Tuple[str, str], ...] = (
     (faults.SITE_CHECKPOINT_SAVE, faults.KIND_TORN_WRITE),
     (faults.SITE_CHECKPOINT_LOAD, faults.KIND_TRUNCATE),

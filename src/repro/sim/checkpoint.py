@@ -16,10 +16,11 @@ This module makes pass-1 results durable:
 * :class:`SweepProgress` — an append-only journal of completed sweep
   rows, keyed by a campaign hash, so a re-run with ``--resume`` skips
   every design point that already finished.
-* :func:`trace_digest` / :class:`TraceDigestBuilder` — the canonical
+* :func:`trace_digest` / :func:`frame_digest` — the canonical
   *semantic* content hash of a frame trace, built as a hash chain over
-  per-tile digests (sorted tile order) so it can be accumulated one
-  tile at a time without ever materializing the frame.
+  per-tile digests (sorted tile order) so it can be computed from tile
+  digests collected one at a time without ever materializing the
+  frame.
 * :class:`TileChunkStore` — the tile-granular checkpoint the streaming
   dataflow uses: one verified chunk per tile coordinate plus a frame
   meta record whose hash chain terminates in the trace digest, so a
@@ -210,58 +211,37 @@ def tile_digest(tile: TileCoord, entry: TileTraceEntry) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-class TraceDigestBuilder:
-    """Accumulates a trace digest one tile at a time, in any order.
+def frame_digest(
+    config: GPUConfig,
+    vertex_lines: Sequence[int],
+    tile_digests: Dict[TileCoord, str],
+    num_quads: int,
+    pixels_shaded: int,
+) -> str:
+    """The trace digest of a frame, from its per-tile digests.
 
-    The digest is a hash chain: a frame prefix (config fingerprint +
-    vertex lines), then every tile's :func:`tile_digest` folded in
-    *sorted tile order*, then the replay-relevant stats totals.  Because
-    per-tile digests are collected unordered and only chained at
-    :meth:`finish`, a streaming producer can feed tiles in the replay's
-    traversal order while still arriving at the exact digest a
-    materialized trace hashes to.
+    A hash chain: a frame prefix (config fingerprint + vertex lines),
+    then every tile's :func:`tile_digest` folded in *sorted tile
+    order*, then the replay-relevant stats totals.  Because the chain
+    sorts the tiles itself and ``num_quads`` / ``pixels_shaded`` are
+    order-independent sums, a streaming producer can collect tile
+    digests in the replay's traversal order and still arrive at the
+    exact digest a materialized trace hashes to.
     """
-
-    def __init__(self, config: GPUConfig, vertex_lines: Sequence[int]):
-        prefix = _canonical_json({
-            "config": config_fingerprint(config),
-            "vertex_lines": list(vertex_lines),
-        })
-        self._prefix = hashlib.sha256(prefix.encode("ascii")).hexdigest()
-        self._tiles: Dict[TileCoord, str] = {}
-
-    def add(self, tile: TileCoord, entry: TileTraceEntry) -> str:
-        """Fold one tile in; returns (and records) its tile digest."""
-        digest = tile_digest(tile, entry)
-        self._tiles[tuple(tile)] = digest
-        return digest
-
-    def add_digest(self, tile: TileCoord, digest: str) -> None:
-        """Fold in a tile whose digest is already known (verified chunk)."""
-        self._tiles[tuple(tile)] = digest
-
-    @property
-    def tile_digests(self) -> Dict[TileCoord, str]:
-        return dict(self._tiles)
-
-    def finish(self, num_quads: int, pixels_shaded: int) -> str:
-        """The frame digest: chain over sorted tiles, stats sealed last.
-
-        ``num_quads`` / ``pixels_shaded`` are order-independent sums
-        over the per-tile quad streams, so a streaming producer can
-        accumulate them while tiles flow past and still seal the same
-        digest as :func:`trace_digest` over the materialized trace.
-        """
-        chain = self._prefix
-        for tile in sorted(self._tiles):
-            chain = hashlib.sha256(
-                (chain + self._tiles[tile]).encode("ascii")
-            ).hexdigest()
-        stats = _canonical_json({
-            "num_quads": num_quads,
-            "pixels_shaded": pixels_shaded,
-        })
-        return hashlib.sha256((chain + stats).encode("ascii")).hexdigest()
+    prefix = _canonical_json({
+        "config": config_fingerprint(config),
+        "vertex_lines": list(vertex_lines),
+    })
+    chain = hashlib.sha256(prefix.encode("ascii")).hexdigest()
+    for tile in sorted(tile_digests):
+        chain = hashlib.sha256(
+            (chain + tile_digests[tile]).encode("ascii")
+        ).hexdigest()
+    stats = _canonical_json({
+        "num_quads": num_quads,
+        "pixels_shaded": pixels_shaded,
+    })
+    return hashlib.sha256((chain + stats).encode("ascii")).hexdigest()
 
 
 def trace_digest(trace: FrameTrace) -> str:
@@ -271,14 +251,17 @@ def trace_digest(trace: FrameTrace) -> str:
     this digest is a function of the trace's *semantic* content (tiles
     sorted, quads in stream order, every replay-relevant field), so two
     structurally equal traces hash equally regardless of how they were
-    serialized.  Built with :class:`TraceDigestBuilder`, which is what
-    lets the streaming dataflow compute the same digest without ever
+    serialized.  Built with :func:`frame_digest`, which is what lets
+    the streaming dataflow compute the same digest without ever
     holding the whole frame.
     """
-    builder = TraceDigestBuilder(trace.config, trace.vertex_lines)
-    for tile, entry in trace.tiles.items():
-        builder.add(tile, entry)
-    return builder.finish(trace.stats.num_quads, trace.stats.pixels_shaded)
+    return frame_digest(
+        trace.config,
+        trace.vertex_lines,
+        {tile: tile_digest(tile, entry) for tile, entry in trace.tiles.items()},
+        trace.stats.num_quads,
+        trace.stats.pixels_shaded,
+    )
 
 
 class TraceCheckpointStore:
@@ -386,63 +369,6 @@ class TraceCheckpointStore:
             )
         verify_trace(trace)
         return trace
-
-
-class ChunkedFrameDigest:
-    """Running digest of one chunked frame, sealed after full traversal.
-
-    Created by :meth:`TileChunkStore.begin_frame`; the streaming driver
-    feeds every tile (rendered or chunk-loaded) through :meth:`add`,
-    and :meth:`seal` either writes the frame meta — vertex prologue,
-    per-tile hash chain, final trace digest — or cross-checks it against
-    a meta a previous run already sealed, raising
-    :class:`TraceIntegrityError` on divergence.
-    """
-
-    def __init__(
-        self,
-        store: "TileChunkStore",
-        config: GPUConfig,
-        vertex_lines: Sequence[int],
-    ):
-        self._store = store
-        self._builder = TraceDigestBuilder(config, vertex_lines)
-        self._vertex_lines = list(vertex_lines)
-        self._num_quads = 0
-        self._pixels_shaded = 0
-
-    def add(
-        self, tile: TileCoord, entry: TileTraceEntry,
-        digest: Optional[str] = None,
-    ) -> None:
-        """Fold one tile in; ``digest`` skips rehashing a verified chunk."""
-        if digest is None:
-            self._builder.add(tile, entry)
-        else:
-            self._builder.add_digest(tile, digest)
-        self._num_quads += len(entry.columns)
-        self._pixels_shaded += entry.columns.covered_pixels
-
-    def seal(self) -> str:
-        """Finish the chain; persist or cross-check the frame meta."""
-        digest = self._builder.finish(self._num_quads, self._pixels_shaded)
-        existing = self._store.frame_meta()
-        if existing is not None:
-            if existing.get("digest") != digest:
-                raise TraceIntegrityError(
-                    f"chunked frame under {self._store.directory} "
-                    f"reassembled to digest {digest}, but its sealed "
-                    f"meta records {existing.get('digest')!r}"
-                )
-            return digest
-        self._store.write_frame_meta(
-            digest=digest,
-            vertex_lines=self._vertex_lines,
-            tile_digests=self._builder.tile_digests,
-            num_quads=self._num_quads,
-            pixels_shaded=self._pixels_shaded,
-        )
-        return digest
 
 
 class TileChunkStore:
@@ -628,11 +554,40 @@ class TileChunkStore:
             raise
         return path
 
-    def begin_frame(
-        self, config: GPUConfig, vertex_lines: Sequence[int]
-    ) -> ChunkedFrameDigest:
-        """Start the running digest for one full tile traversal."""
-        return ChunkedFrameDigest(self, config, vertex_lines)
+    def seal(
+        self,
+        config: GPUConfig,
+        vertex_lines: Sequence[int],
+        tile_digests: Dict[TileCoord, str],
+        num_quads: int,
+        pixels_shaded: int,
+    ) -> str:
+        """Seal one full tile traversal; returns the frame's digest.
+
+        Writes the frame meta — vertex prologue, per-tile hash chain,
+        final trace digest — or, when a previous traversal already
+        sealed it, cross-checks the digest against it and raises
+        :class:`TraceIntegrityError` on divergence.
+        """
+        digest = frame_digest(
+            config, vertex_lines, tile_digests, num_quads, pixels_shaded
+        )
+        existing = self.frame_meta()
+        if existing is None:
+            self.write_frame_meta(
+                digest=digest,
+                vertex_lines=vertex_lines,
+                tile_digests=tile_digests,
+                num_quads=num_quads,
+                pixels_shaded=pixels_shaded,
+            )
+        elif existing.get("digest") != digest:
+            raise TraceIntegrityError(
+                f"chunked frame under {self.directory} reassembled to "
+                f"digest {digest}, but its sealed meta records "
+                f"{existing.get('digest')!r}"
+            )
+        return digest
 
 
 class SweepProgress:

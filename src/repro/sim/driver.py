@@ -11,10 +11,11 @@ disjoint (so tile order cannot change Z results), Early-Z depends only on
 within-tile primitive order (fixed by the program), and quad-to-SC
 mapping does not alter which fragments survive.  That is what makes the
 two-pass split exact rather than approximate — and what makes the
-*incremental* API below exact as well: :meth:`FrameRenderer.render_tiles`
-emits tiles one at a time, in **any** requested order, and every emitted
-:class:`TileTraceEntry` is bit-identical to the one a whole-frame
-:meth:`FrameRenderer.render` would have produced.
+*incremental* API below exact as well: the tile pass returned by
+:meth:`FrameRenderer.begin_tiles` emits tiles one at a time, in **any**
+requested order, and every emitted :class:`TileTraceEntry` is
+bit-identical to the one a whole-frame :meth:`FrameRenderer.render`
+would have produced.
 
 The incremental split is the producer half of the streaming tile
 dataflow (:mod:`repro.sim.stream`): geometry, clipping and binning run
@@ -380,9 +381,9 @@ class FrameRenderer:
 
     - :meth:`render` — the whole frame at once, returning a
       :class:`FrameTrace`;
-    - :meth:`begin_tiles` / :meth:`render_tiles` — the incremental form:
-      frame-scoped geometry first, then per-tile emission in any order,
-      which is what the streaming dataflow drivers consume.
+    - :meth:`begin_tiles` — the incremental form: frame-scoped
+      geometry first, then a tile pass that emits tiles in any order,
+      which is what the streaming dataflow driver consumes.
     """
 
     def __init__(
@@ -416,24 +417,6 @@ class FrameRenderer:
         ):
             return _FastTilePass(self, workload)
         return _ReferenceTilePass(self, workload, with_image)
-
-    def render_tiles(
-        self,
-        workload: BuiltWorkload,
-        order: Optional[Iterable[TileCoord]] = None,
-        group_size: int = DEFAULT_GROUP_TILES,
-    ) -> Iterator[Tuple[TileCoord, TileTraceEntry]]:
-        """Incremental pass 1: yield ``(tile, entry)`` pairs in ``order``.
-
-        ``order`` defaults to scanline; a streaming replay passes the
-        design point's traversal instead, so tiles are produced exactly
-        when consumed.  Entries are bit-identical to :meth:`render`'s
-        for any order and any ``group_size`` (tiles are disjoint; see
-        the module docstring).
-        """
-        if order is None:
-            order = scanline_order(self.config.tiles_x, self.config.tiles_y)
-        return self.begin_tiles(workload).iter_tiles(order, group_size)
 
     def render(
         self, workload: BuiltWorkload, with_image: bool = False

@@ -6,13 +6,20 @@ game — the same economy the paper gets from trace-driven simulation.
 Attaching a :class:`~repro.sim.checkpoint.TraceCheckpointStore` makes
 that cache durable: a re-run (or a crashed campaign's resume) loads
 verified traces from disk instead of rendering again.
+
+:meth:`ExperimentRunner.run` is the only place a replay runs.  Serial
+campaigns, every task of a parallel sweep (each pool worker keeps one
+runner over the campaign's store) and ``repro replay`` all call it, so
+one body fires the ``replay.run`` fault point and feeds
+:meth:`~repro.sim.replay.TraceReplayer.run_stream` the game's tile
+stream, whichever stream driver the runner was built with.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.stats import geometric_mean
 from repro.config import GPUConfig, TEST_CONFIG
@@ -22,7 +29,11 @@ from repro.sim.checkpoint import TileChunkStore, TraceCheckpointStore, trace_key
 from repro.sim.driver import FrameRenderer, FrameTrace
 from repro.sim.faults import SITE_REPLAY, fault_point
 from repro.sim.replay import RunResult, TraceReplayer
-from repro.sim.stream import StreamingTileStream, check_driver
+from repro.sim.stream import (
+    BatchTileStream,
+    StreamingTileStream,
+    check_driver,
+)
 from repro.sim.resilience import (
     FailureRecord,
     ReplayBudget,
@@ -153,7 +164,9 @@ class ExperimentRunner:
         :class:`CheckpointError` — truncated, corrupt, unreadable — is
         a cache miss: the checkpoint is discarded and re-rendered),
         then a fresh render whose result is checkpointed for the next
-        run.
+        reader.  A save that fails with :class:`OSError` is tolerated:
+        the trace in memory is still good, and the next reader of the
+        store heals the file by rendering again.
         """
         if alias in self._traces:
             return self._traces[alias]
@@ -173,36 +186,13 @@ class ExperimentRunner:
         self.renders_performed += 1
         self._traces[alias] = trace
         if key is not None:
-            self.checkpoint_store.save(key, trace)
+            try:
+                self.checkpoint_store.save(key, trace)
+            except OSError:
+                pass  # the trace in memory is still good; readers heal
         return trace
 
-    def prepare_traces(
-        self, store: Optional[TraceCheckpointStore] = None
-    ) -> Dict[str, str]:
-        """Materialise every game's pass-1 trace into a checkpoint store.
-
-        Returns ``{alias: trace_key}``.  The parallel sweep calls this
-        in the parent process so each trace is rendered exactly once;
-        workers then load them from ``store`` (or inherit them via
-        fork).  ``store`` defaults to the runner's own checkpoint store
-        and must be given when none is attached.
-        """
-        store = store if store is not None else self.checkpoint_store
-        if store is None:
-            raise ReplayError(
-                "prepare_traces needs a TraceCheckpointStore: the runner "
-                "has none attached and no store was passed"
-            )
-        keys: Dict[str, str] = {}
-        for alias in self.games:
-            trace = self.trace_for(alias)
-            key = trace_key(self.config, GAMES[alias].recipe)
-            if not store.contains(key):
-                store.save(key, trace)
-            keys[alias] = key
-        return keys
-
-    # -- streaming dataflow ------------------------------------------------------
+    # -- tile streams -----------------------------------------------------------
 
     def chunk_store_for(self, alias: str) -> Optional[TileChunkStore]:
         """The game's per-tile chunk store, when checkpointing is on.
@@ -219,8 +209,17 @@ class ExperimentRunner:
             self.checkpoint_store.directory / CHUNK_SUBDIR / key, key
         )
 
-    def stream_for(self, alias: str) -> StreamingTileStream:
-        """Build one game's streaming tile stream."""
+    def stream_for(
+        self, alias: str
+    ) -> Union[BatchTileStream, StreamingTileStream]:
+        """One game's tile stream under this runner's driver.
+
+        Batch walks the cached (or loaded, or freshly rendered) trace;
+        streaming renders tiles as the replay consumes them, through
+        the game's chunk store when checkpointing is on.
+        """
+        if self.stream == "batch":
+            return BatchTileStream(self.trace_for(alias))
         workload = build_game(alias, self.config)
         return StreamingTileStream(
             self.renderer, workload, chunk_store=self.chunk_store_for(alias)
@@ -231,25 +230,23 @@ class ExperimentRunner:
     def run(self, alias: str, design: DTexLConfig) -> RunResult:
         """Replay one game under one design point.
 
-        The fault point keys on ``design/game`` and matches the one the
-        sweep's parallel worker task evaluates, so serial and parallel
-        campaigns see the same injected failures whichever stream
-        driver executes the replay.
+        The one replay path: serial campaigns, every pool task of a
+        parallel sweep (on a per-worker runner over the campaign's
+        store) and ``repro replay`` all come through here, so the
+        ``design/game``-keyed fault point fires identically whichever
+        executor and stream driver runs the replay.
         """
-        if self.stream == "batch":
-            trace = self.trace_for(alias)
-            fault_point(SITE_REPLAY, key=f"{design.name}/{alias}")
-            return self.replayer.run(trace, design)
         start = time.monotonic()  # replint: disable=wall-clock -- dataflow phase attribution for the manifest, never a simulated quantity
         fault_point(SITE_REPLAY, key=f"{design.name}/{alias}")
         stream = self.stream_for(alias)
         result = self.replayer.run_stream(stream, design)
-        if stream.tiles_rendered:
-            self.renders_performed += 1
-        elapsed = time.monotonic() - start  # replint: disable=wall-clock -- dataflow phase attribution for the manifest, never a simulated quantity
-        self.phase_seconds["streamed"] = (
-            self.phase_seconds.get("streamed", 0.0) + elapsed
-        )
+        if self.stream == "streaming":
+            if stream.tiles_rendered:
+                self.renders_performed += 1
+            elapsed = time.monotonic() - start  # replint: disable=wall-clock -- dataflow phase attribution for the manifest, never a simulated quantity
+            self.phase_seconds["streamed"] = (
+                self.phase_seconds.get("streamed", 0.0) + elapsed
+            )
         return result
 
     def run_suite(

@@ -21,9 +21,9 @@ site                    instrumented in
                         — the process dies before the append (``kill``) or
                         mid-append, leaving a partial trailing line
 ``replay.run``          the (design point, game) replay boundary in
-                        :class:`~repro.sim.experiment.ExperimentRunner` and
-                        the sweep's worker task — a transient error or a
-                        budget blowout
+                        :meth:`~repro.sim.experiment.ExperimentRunner.run`,
+                        which serial runs and pool tasks share — a
+                        transient error or a budget blowout
 ``sweep.worker``        the worker-process task entry in
                         :mod:`repro.sim.sweep` — sudden process death
                         (``os._exit``) or a hang past the task deadline

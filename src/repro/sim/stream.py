@@ -200,13 +200,15 @@ class StreamingTileStream:
     def _chunked_units(self) -> Iterator[TileWorkUnit]:
         """Tile-granular checkpointing: load chunks, render the misses.
 
-        Every tile flows through the store's running digest, so after
-        the full traversal the store can seal (or re-verify) the frame
-        meta whose hash chain terminates in the trace digest.
+        Every tile's digest and quad and pixel counts are collected as
+        it flows past, so after the full traversal the store can seal
+        (or re-verify) the frame meta whose hash chain terminates in
+        the trace digest.
         """
         store = self.chunk_store
         vertex_lines = self._prologue()
-        frame = store.begin_frame(self.renderer.config, vertex_lines)
+        tile_digests = {}
+        num_quads = pixels_shaded = 0
         step = 0
         for tile in self._order:
             loaded = store.load_tile(tile)
@@ -216,10 +218,16 @@ class StreamingTileStream:
                 self.tiles_rendered += 1
             else:
                 entry, digest = loaded
-            frame.add(tile, entry, digest)
+            tile_digests[tile] = digest
+            columns = entry.columns
+            num_quads += len(columns)
+            pixels_shaded += columns.covered_pixels
             if step:
                 yield TileWorkUnit(tile, step, entry, _NO_LINES)
             else:
                 yield TileWorkUnit(tile, step, entry, vertex_lines)
             step += 1
-        frame.seal()
+        store.seal(
+            self.renderer.config, vertex_lines, tile_digests, num_quads,
+            pixels_shaded,
+        )

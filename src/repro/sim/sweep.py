@@ -16,12 +16,14 @@ is written alongside.
 
 With ``jobs > 1`` the (design point x game) replays fan out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  The parent renders
-pass-1 exactly once and ships traces to workers through a
-:class:`~repro.sim.checkpoint.TraceCheckpointStore` (plus a fork-
-inherited in-memory cache, so forked workers never reload from disk);
-results are reassembled in grid-and-games order, so a parallel campaign
-produces bit-identical rows, failures and manifest contents to a serial
-one — only ``wall_time_s`` differs.
+nothing: each worker replays through its own
+:class:`~repro.sim.experiment.ExperimentRunner` over the campaign's
+:class:`~repro.sim.checkpoint.TraceCheckpointStore` (a temporary one
+when no checkpoint directory is given), so the first worker that needs
+a game renders and saves it and later tasks load it.  Results are
+reassembled in grid-and-games order, so a parallel campaign produces
+bit-identical rows, failures and manifest contents to a serial one —
+only ``wall_time_s`` and ``phase_seconds`` differ.
 
 The parallel pool is self-healing (:class:`_TaskPool`): a worker that
 dies (``BrokenProcessPool``) or hangs past the per-task deadline is
@@ -49,24 +51,16 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.dtexl import DTexLConfig
-from repro.errors import (
-    CheckpointError,
-    ConfigError,
-    TaskTimeoutError,
-    WorkerCrashError,
-)
+from repro.errors import ConfigError, TaskTimeoutError, WorkerCrashError
 from repro.sim import faults
-from repro.sim.driver import FrameRenderer
 from repro.sim.export import write_run_manifest
 from repro.sim.checkpoint import (
     SweepProgress,
-    TileChunkStore,
     TraceCheckpointStore,
     campaign_key,
     config_hash,
-    trace_key,
 )
-from repro.sim.experiment import CHUNK_SUBDIR, ExperimentRunner, SuiteResult
+from repro.sim.experiment import ExperimentRunner, SuiteResult
 from repro.sim.replay import TraceReplayer
 from repro.sim.resilience import (
     FailureRecord,
@@ -77,9 +71,7 @@ from repro.sim.resilience import (
     RunManifest,
     run_guarded,
 )
-from repro.sim.stream import StreamingTileStream
 from repro.stats import per_tile_imbalance
-from repro.workloads.games import GAMES, build_game
 
 #: Column order of sweep rows.
 ROW_FIELDS = [
@@ -96,87 +88,37 @@ MANIFEST_FILENAME = "manifest.json"
 
 # -- parallel-executor plumbing (module level: must pickle to workers) --------
 
-#: Per-process trace cache keyed by ``(store_dir, trace_key)``.  The
-#: parent seeds it before creating the pool, so fork-started workers
-#: inherit every trace by memory sharing; spawn-started workers fall
-#: back to one integrity-checked store load per trace.
-_WORKER_TRACES: Dict[Tuple[str, str], object] = {}
-
-
-def _worker_trace(store_dir: str, key: str, config=None, alias=None):
-    """Load one trace inside a worker, self-healing a broken store.
-
-    A :class:`CheckpointError` (truncated/corrupt/unreadable ``.trace``
-    file) is treated as a cache miss: when the worker knows the game it
-    re-renders pass 1 locally and re-saves the checkpoint for its
-    siblings, instead of failing the task.
-    """
-    cache_key = (store_dir, key)
-    trace = _WORKER_TRACES.get(cache_key)
-    if trace is not None:
-        return trace
-    store = TraceCheckpointStore(store_dir)
-    try:
-        trace = store.load(key)
-    except CheckpointError:
-        if config is None or alias is None:
-            raise
-        workload = build_game(alias, config)
-        trace, _ = FrameRenderer(config).render(workload)
-        try:
-            store.save(key, trace)
-        except OSError:
-            pass  # the re-render is still good; siblings heal themselves
-    _WORKER_TRACES[cache_key] = trace
-    return trace
-
-
-def _worker_stream(store_dir: str, key: str, config, alias: str):
-    """Build one streamed replay's tile stream inside a worker.
-
-    Chunks live under the same ``chunks/<trace key>`` layout the serial
-    runner uses, so serial and parallel streaming campaigns share (and
-    resume from) the same tile-granular cache.  Concurrent workers
-    racing to chunk the same game are safe: saves are atomic per tile
-    and every writer produces the identical entry.
-    """
-    workload = build_game(alias, config)
-    chunk_store = TileChunkStore(
-        Path(store_dir) / CHUNK_SUBDIR / key, key
-    )
-    return StreamingTileStream(
-        FrameRenderer(config), workload, chunk_store=chunk_store
-    )
+#: This process's runners, keyed by ``(store_dir, config, driver,
+#: engine)``.  A pool worker builds one on its first task and keeps it,
+#: so a batch trace it rendered or loaded serves all its later tasks.
+_WORKER_RUNNERS: Dict[tuple, ExperimentRunner] = {}
 
 
 def _replay_task(
     store_dir: str,
-    key: str,
     config,
+    stream_driver: str,
+    replayer: TraceReplayer,
     design: DTexLConfig,
-    energy_params,
-    budget,
-    engine: str,
-    design_name: str,
     game: str,
     policy: Optional[RetryPolicy],
     guarded: bool,
-    stream_driver: str = "batch",
     plan: Optional[faults.FaultPlan] = None,
     attempt: int = 1,
 ):
     """One (design point, game) replay inside a worker process.
+
+    The replay goes through :meth:`ExperimentRunner.run` on this
+    worker's runner over the campaign's store, built on first use with
+    the parent's ``replayer`` (energy parameters, budget, engine).  The
+    first worker that needs a game renders it and saves it to the
+    store; later tasks on other workers load it.
 
     Unguarded tasks (the baseline) let exceptions propagate through the
     future — a baseline failure is fatal, exactly as in a serial run.
     Guarded tasks return the same ``(result, failure)`` pair
     :func:`run_guarded` produces serially, so retry accounting and
     failure records match bit-for-bit.
-
-    ``stream_driver`` is the runner's driver: ``"batch"`` (load the
-    whole trace, replay it) or ``"streaming"`` (render/load tiles one
-    chunk at a time).  Either way the result is bit-identical; only the
-    memory/time profile differs.
 
     ``plan`` re-arms the parent's fault plan inside the worker (fork
     inheritance is not guaranteed under spawn, and a respawned pool
@@ -186,34 +128,23 @@ def _replay_task(
     """
     with faults.armed(plan):
         faults.fault_point(
-            faults.SITE_WORKER, key=f"{design_name}/{game}", attempt=attempt
+            faults.SITE_WORKER, key=f"{design.name}/{game}", attempt=attempt
         )
-        replayer = TraceReplayer(
-            config, energy_params=energy_params, budget=budget, engine=engine
-        )
-        if stream_driver == "batch":
-            trace = _worker_trace(store_dir, key, config, game)
-
-            def replay():
-                faults.fault_point(
-                    faults.SITE_REPLAY, key=f"{design_name}/{game}"
-                )
-                return replayer.run(trace, design)
-        else:
-
-            def replay():
-                faults.fault_point(
-                    faults.SITE_REPLAY, key=f"{design_name}/{game}"
-                )
-                return replayer.run_stream(
-                    _worker_stream(store_dir, key, config, game), design
-                )
-
+        key = (store_dir, config, stream_driver, replayer.engine)
+        runner = _WORKER_RUNNERS.get(key)
+        if runner is None:
+            runner = ExperimentRunner(
+                config,
+                checkpoint_store=TraceCheckpointStore(store_dir),
+                stream=stream_driver,
+            )
+            runner.replayer = replayer
+            _WORKER_RUNNERS[key] = runner
         if not guarded:
-            return replay(), None
+            return runner.run(game, design), None
         return run_guarded(
-            replay,
-            design_point=design_name,
+            lambda: runner.run(game, design),
+            design_point=design.name,
             game=game,
             policy=policy,
         )
@@ -592,13 +523,16 @@ class DesignSweep:
     ) -> None:
         """Fan (design point x game) over a self-healing process pool.
 
-        The parent renders (or loads) every trace once, persists them
-        into a checkpoint store the workers read, and consumes results
-        strictly in grid-and-games order, so rows, failures, journal
-        entries and manifest lists come out exactly as the serial walk
-        produces them.  ``fail_fast`` is emulated at assembly: only the
-        first failing game of a design point (in games order) is kept,
-        matching the serial early exit.
+        The parent renders nothing: it picks the store directory (the
+        runner's, or a temporary one so workers still share frames),
+        submits every task, and consumes results strictly in
+        grid-and-games order, so rows, failures, journal entries and
+        manifest lists come out exactly as the serial walk produces
+        them.  Each task replays through its worker's own
+        :class:`ExperimentRunner`; the first worker that needs a game
+        renders and saves it, later tasks load it.  ``fail_fast`` is
+        emulated at assembly: only the first failing game of a design
+        point (in games order) is kept, matching the serial early exit.
 
         Each design point is assembled — and its row journaled — as
         soon as its own tasks finish, while later tasks are still
@@ -609,10 +543,9 @@ class DesignSweep:
         like an in-process crash would.
 
         The manifest's ``phase_seconds`` records where the wall time
-        went — ``render`` (pass-1 trace preparation and worker-cache
-        seeding), ``pool_startup`` (executor creation and task
-        submission) and ``replay`` (everything after, dominated by the
-        worker replays) — so a parallel campaign slower than its serial
+        went — ``pool_startup`` (executor creation and task submission)
+        and ``replay`` (everything after: the workers' renders, loads
+        and replays) — so a parallel campaign slower than its serial
         twin can be diagnosed from the archived manifest alone.  On a
         single-CPU host the replay phase is expected to show little or
         no scaling: the workers contend for the one core and the
@@ -625,7 +558,6 @@ class DesignSweep:
         base: Optional[SuiteResult] = None
         pool: Optional[_TaskPool] = None
         temp_dir: Optional[str] = None
-        seeded: List[Tuple[str, str]] = []
         phase_start = time.monotonic()  # replint: disable=wall-clock -- campaign phase attribution for the manifest, never a simulated quantity
 
         def stamp(phase: str) -> None:
@@ -636,31 +568,13 @@ class DesignSweep:
 
         try:
             if pending:
-                store = runner.checkpoint_store
-                if store is None:
-                    temp_dir = tempfile.mkdtemp(prefix="repro-sweep-traces-")
-                    store = TraceCheckpointStore(temp_dir)
-                store_dir = str(store.directory)
-                if runner.stream == "batch":
-                    keys = runner.prepare_traces(store)
-                    for alias, key in keys.items():
-                        cache_key = (store_dir, key)
-                        _WORKER_TRACES[cache_key] = runner.trace_for(alias)
-                        seeded.append(cache_key)
+                if runner.checkpoint_store is not None:
+                    store_dir = str(runner.checkpoint_store.directory)
                 else:
-                    # Streaming: the parent never materializes a trace;
-                    # workers render (or chunk-load) their own tiles,
-                    # keyed so they share one tile-granular cache.
-                    keys = {
-                        alias: trace_key(runner.config, GAMES[alias].recipe)
-                        for alias in runner.games
-                    }
-                stamp("render")
-                replayer = runner.replayer
-                config = runner.config
-                params = replayer.energy_model.params
-                budget = replayer.budget
-                engine = replayer.engine
+                    temp_dir = tempfile.mkdtemp(prefix="repro-sweep-traces-")
+                    store_dir = temp_dir
+                shared = (store_dir, runner.config, runner.stream,
+                          runner.replayer)
                 pool = _TaskPool(
                     jobs, task_timeout_s, max_task_attempts,
                     faults.active_plan(),
@@ -668,17 +582,13 @@ class DesignSweep:
                 for alias in runner.games:
                     pool.submit(
                         (_BASELINE_TASK, alias),
-                        (store_dir, keys[alias], config, self.baseline,
-                         params, budget, engine, self.baseline.name, alias,
-                         retry_policy, False, runner.stream),
+                        shared + (self.baseline, alias, retry_policy, False),
                     )
                 for design in pending:
                     for alias in runner.games:
                         pool.submit(
                             (design.name, alias),
-                            (store_dir, keys[alias], config, design,
-                             params, budget, engine, design.name, alias,
-                             retry_policy, True, runner.stream),
+                            shared + (design, alias, retry_policy, True),
                         )
                 stamp("pool_startup")
                 # Baseline first, in games order: the first failing
@@ -719,8 +629,6 @@ class DesignSweep:
         finally:
             if pool is not None:
                 pool.close()
-            for cache_key in seeded:
-                _WORKER_TRACES.pop(cache_key, None)
             if temp_dir is not None:
                 shutil.rmtree(temp_dir, ignore_errors=True)
 

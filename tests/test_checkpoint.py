@@ -13,7 +13,6 @@ from repro.errors import TraceIntegrityError
 from repro.raster.fragment import TileQuads
 from repro.sim.checkpoint import (
     SweepProgress,
-    TileChunkStore,
     TraceCheckpointStore,
     campaign_key,
     config_hash,
@@ -175,12 +174,14 @@ class TestCountersReadColumns:
         assert TraceSanitizer(tiny_config).check(
             game_trace, result, BASELINE
         ) == []
-        store = TileChunkStore(tmp_path / "chunks", "k")
-        frame = store.begin_frame(tiny_config, game_trace.vertex_lines)
-        for tile, entry in game_trace.tiles.items():
-            frame.add(tile, entry, store.save_tile(tile, entry))
-        frame.seal()
-        meta = store.frame_meta()
+        # A chunked streaming replay counts while tiles flow past and
+        # seals the totals into the frame meta.
+        runner = ExperimentRunner(
+            tiny_config, games=["SWa"], stream="streaming",
+            checkpoint_store=TraceCheckpointStore(tmp_path / "traces"),
+        )
+        assert runner.run("SWa", BASELINE) == result
+        meta = runner.chunk_store_for("SWa").frame_meta()
         assert meta["num_quads"] == game_trace.stats.num_quads
         assert meta["pixels_shaded"] == game_trace.stats.pixels_shaded
 

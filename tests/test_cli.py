@@ -214,14 +214,14 @@ class TestResilientSweepCli:
         from repro.sim.replay import TraceReplayer
         from repro.errors import ReplayError
 
-        real_run = TraceReplayer.run
+        real_run_stream = TraceReplayer.run_stream
 
-        def sabotaged(self, trace, design, hierarchy=None):
+        def sabotaged(self, stream, design, hierarchy=None):
             if design.grouping == "CG-square":
                 raise ReplayError("injected")
-            return real_run(self, trace, design, hierarchy=hierarchy)
+            return real_run_stream(self, stream, design, hierarchy=hierarchy)
 
-        monkeypatch.setattr(TraceReplayer, "run", sabotaged)
+        monkeypatch.setattr(TraceReplayer, "run_stream", sabotaged)
         assert main(
             ["sweep", "--screen", "128x64", "--games", "SWa",
              "--grouping", "FG-xshift2", "CG-square"]

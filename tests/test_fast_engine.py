@@ -48,18 +48,19 @@ from repro.memory.cache import (
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.raster.fragment import Quad, TileQuads
 from repro.sim import replay
-from repro.sim.checkpoint import TileChunkStore
+from repro.sim.checkpoint import TileChunkStore, trace_key
 from repro.sim.driver import (
     FrameRenderer,
     FrameTrace,
     RenderStats,
     TileTraceEntry,
 )
-from repro.sim.experiment import ExperimentRunner
+from repro.sim.experiment import CHUNK_SUBDIR, ExperimentRunner
 from repro.sim.replay import ENGINES, TraceReplayer
 from repro.sim.stream import BatchTileStream, StreamingTileStream
-from repro.sim.sweep import DesignSweep
+from repro.sim.sweep import TRACE_SUBDIR, DesignSweep
 from repro.shader.shader_core import ShaderCore
+from repro.workloads.games import GAMES
 
 
 def small_cache_config(size=512, line=64, ways=2) -> CacheConfig:
@@ -533,12 +534,35 @@ class TestParallelSweep:
     def test_parallel_manifest_stamps_phase_timings(
         self, serial_and_parallel
     ):
-        """Parallel campaigns attribute wall time to render / pool / replay."""
+        """Parallel campaigns attribute wall time to pool / replay; the
+        parent renders nothing, so there is no render phase."""
         _, parallel = serial_and_parallel
         phases = parallel.manifest.phase_seconds
-        assert set(phases) == {"render", "pool_startup", "replay"}
+        assert set(phases) == {"pool_startup", "replay"}
         assert all(seconds >= 0.0 for seconds in phases.values())
         assert sum(phases.values()) <= parallel.wall_time_s + 1e-6
+
+    def test_cold_checkpointed_pool_renders_in_workers(
+        self, tmp_path, tiny_config, serial_and_parallel
+    ):
+        """The parent renders nothing; the workers store each game's
+        frame exactly once, in the driver's format."""
+        serial, _ = serial_and_parallel
+        games = ["SWa", "Mze"]
+        runner = ExperimentRunner(tiny_config, games=games, stream=self.stream)
+        report = PAR_SWEEP.run(runner, checkpoint_dir=tmp_path, jobs=2)
+        assert report.rows == serial.rows
+        assert runner.renders_performed == 0
+        keys = sorted(trace_key(tiny_config, GAMES[g].recipe) for g in games)
+        traces = tmp_path / TRACE_SUBDIR
+        stored = sorted(path.stem for path in traces.glob("*.trace"))
+        if self.stream == "batch":
+            assert stored == keys
+        else:
+            assert stored == []
+            for key in keys:
+                chunks = TileChunkStore(traces / CHUNK_SUBDIR / key, key)
+                assert chunks.frame_meta() is not None
 
     def test_parallel_resume_skips_completed_rows(
         self, tmp_path, tiny_config
@@ -570,26 +594,6 @@ class TestParallelSweep:
         )
         with pytest.raises(ConfigError, match="jobs"):
             DesignSweep().run(runner, jobs=0)
-
-    def test_prepare_traces_requires_store(self, tiny_config):
-        from repro.errors import ReplayError
-
-        runner = ExperimentRunner(
-            tiny_config, games=["SWa"], stream=self.stream
-        )
-        with pytest.raises(ReplayError, match="TraceCheckpointStore"):
-            runner.prepare_traces()
-
-    def test_prepare_traces_populates_store(self, tmp_path, tiny_config):
-        from repro.sim.checkpoint import TraceCheckpointStore
-
-        store = TraceCheckpointStore(tmp_path / "traces")
-        runner = ExperimentRunner(
-            tiny_config, games=["SWa"], stream=self.stream
-        )
-        keys = runner.prepare_traces(store)
-        assert set(keys) == {"SWa"}
-        assert all(store.contains(k) for k in keys.values())
 
 
 class TestParallelStreamingSweep(TestParallelSweep):

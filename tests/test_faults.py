@@ -21,7 +21,11 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.sim import faults
-from repro.sim.checkpoint import SweepProgress, TraceCheckpointStore
+from repro.sim.checkpoint import (
+    SweepProgress,
+    TraceCheckpointStore,
+    trace_digest,
+)
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.faults import (
     FaultPlan,
@@ -30,7 +34,7 @@ from repro.sim.faults import (
     deterministic_fraction,
 )
 from repro.sim.resilience import RetryPolicy, run_guarded
-from repro.sim.sweep import DesignSweep
+from repro.sim.sweep import TRACE_SUBDIR, DesignSweep
 
 GAME = "SWa"
 
@@ -282,6 +286,45 @@ class TestCheckpointFaults:
         reader.trace_for(GAME)
         assert reader.renders_performed == 0
 
+    def test_trace_for_survives_failing_save(
+        self, tmp_path, tiny_config, monkeypatch
+    ):
+        """A checkpoint save that raises OSError (disk full, read-only
+        store) costs the checkpoint, never the trace in memory."""
+        def refuse(self, key, trace):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(TraceCheckpointStore, "save", refuse)
+        store = TraceCheckpointStore(tmp_path)
+        runner = ExperimentRunner(
+            tiny_config, games=[GAME], checkpoint_store=store
+        )
+        trace = runner.trace_for(GAME)
+        assert runner.renders_performed == 1
+        assert not any(tmp_path.iterdir())
+        assert runner.trace_for(GAME) is trace  # cached, not re-rendered
+        fresh = ExperimentRunner(tiny_config, games=[GAME]).trace_for(GAME)
+        assert trace_digest(trace) == trace_digest(fresh)
+
+    def test_pool_heals_truncated_trace(
+        self, tmp_path, tiny_config, reference
+    ):
+        """Pool workers load traces from the campaign store: one torn on
+        disk between two sweeps is re-rendered and re-saved."""
+        make_sweep().run(
+            make_runner(tiny_config), checkpoint_dir=tmp_path, jobs=2
+        )
+        (path,) = (tmp_path / TRACE_SUBDIR).glob("*.trace")
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        store = TraceCheckpointStore(tmp_path / TRACE_SUBDIR)
+        with pytest.raises(CheckpointError):
+            store.load(path.stem)
+        report = make_sweep().run(
+            make_runner(tiny_config), checkpoint_dir=tmp_path, jobs=2
+        )
+        assert_rows_match(report, reference)
+        store.load(path.stem)  # healed: loads cleanly again
+
 
 class TestJournalFaults:
     ROW = {"speedup": 1.0}
@@ -322,6 +365,17 @@ class TestJournalFaults:
 
 
 class TestSerialInjection:
+    """Targeted ``replay.run`` injections on the serial path.
+
+    :class:`TestPoolInjection` reruns every test on two pool workers:
+    both executors replay through ``ExperimentRunner.run``, so rows,
+    failure records and attempts must come out identical.  Worker
+    fires stay in the worker, so only the serial run can assert
+    ``plan.fired``.
+    """
+
+    jobs = 1
+
     def test_transient_healed_by_retry(self, tiny_config, reference):
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_REPLAY, kind=faults.KIND_TRANSIENT,
@@ -331,8 +385,10 @@ class TestSerialInjection:
             report = make_sweep().run(
                 make_runner(tiny_config),
                 retry_policy=RetryPolicy(max_retries=1),
+                jobs=self.jobs,
             )
-        assert [e.kind for e in plan.fired] == [faults.KIND_TRANSIENT]
+        if self.jobs == 1:
+            assert [e.kind for e in plan.fired] == [faults.KIND_TRANSIENT]
         assert_rows_match(report, reference)
 
     def test_transient_without_retry_becomes_failure_row(
@@ -343,12 +399,18 @@ class TestSerialInjection:
             match=TARGET,
         ),))
         with faults.armed(plan):
-            report = make_sweep().run(make_runner(tiny_config))
+            report = make_sweep().run(
+                make_runner(tiny_config), jobs=self.jobs
+            )
         assert len(report.rows) == len(reference.rows) - 1
         (failure,) = report.failures
-        assert failure.error_type == "InjectedFaultError"
-        assert failure.design_point == TARGET
-        assert failure.attempts == 1
+        assert failure.as_dict() == {
+            "design_point": TARGET,
+            "game": GAME,
+            "error_type": "InjectedFaultError",
+            "message": "injected transient fault at replay.run",
+            "attempts": 1,
+        }
         assert report.outcome == "partial"
 
     def test_budget_blowout_is_never_retried(self, tiny_config, reference):
@@ -360,11 +422,21 @@ class TestSerialInjection:
             report = make_sweep().run(
                 make_runner(tiny_config),
                 retry_policy=RetryPolicy(max_retries=3),
+                jobs=self.jobs,
             )
         (failure,) = report.failures
-        assert failure.error_type == "BudgetExceededError"
-        assert failure.attempts == 1  # deterministic: one attempt only
+        assert failure.as_dict() == {
+            "design_point": TARGET,
+            "game": GAME,
+            "error_type": "BudgetExceededError",
+            "message": "injected budget blowout at replay.run",
+            "attempts": 1,  # deterministic: one attempt only
+        }
         assert len(report.rows) == len(reference.rows) - 1
+
+
+class TestPoolInjection(TestSerialInjection):
+    jobs = 2
 
 
 class TestKillAndResume:

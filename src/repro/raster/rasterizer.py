@@ -225,12 +225,19 @@ class Rasterizer:
         inside &= rowm[:, :, None]
         inside &= colm[:, None, :]
 
+        # Depth, folded into the weight grids' own buffers (the scalar
+        # sum of products, in its order).  The weights are recomputed
+        # at the emitted quads' lanes below, so no more than three
+        # float grids, each scaling with the chunk's pairs, are alive
+        # at once.
         vz = batch.z[pair_row]
-        z = (
-            w0 * vz[:, 0][:, None, None]
-            + w1 * vz[:, 1][:, None, None]
-            + w2 * vz[:, 2][:, None, None]
-        )
+        w0 *= vz[:, 0][:, None, None]
+        w1 *= vz[:, 1][:, None, None]
+        w0 += w1
+        w2 *= vz[:, 2][:, None, None]
+        w0 += w2
+        z = w0
+        del w0, w1, w2
         inside &= (z >= 0.0) & (z <= 1.0)
 
         # Early-Z.  The scalar depth update is an elementwise min fold
@@ -238,9 +245,7 @@ class Rasterizer:
         # exclusive running minimum of the depth-write contributions.
         # Each step takes the pairs of one rank within their tile (at
         # most one per tile) against one running depth buffer per tile;
-        # working per step keeps the chunk's live float grids to the
-        # three weights and z, since a chunk's grids scale with its
-        # pairs.
+        # working per step keeps z the chunk's one live float grid.
         writes = inside & batch.depth_write[pair_row][:, None, None]
         per_tile = np.bincount(pair_tile, minlength=n_tiles)
         rank = np.arange(len(pair_tile)) - (
@@ -284,15 +289,19 @@ class Rasterizer:
         lanes = passed.ravel()[lane_index]
         codes = _COVERAGE_WEIGHTS @ lanes
 
-        # Perspective UVs only at the emitted quads' lanes: gather the
-        # barycentric weights there and apply the scalar interpolation
-        # expressions.  Same inputs, same operations — bit-identical to
-        # interpolating the whole grid.
-        lw0 = w0.ravel()[lane_index]
-        lw1 = w1.ravel()[lane_index]
-        lw2 = w2.ravel()[lane_index]
-        del w0, w1, w2
+        # Perspective UVs only at the emitted quads' lanes: the
+        # barycentric weights at the lanes' pixel centres, then the
+        # scalar interpolation expressions.  Same inputs, same
+        # operations — bit-identical to interpolating the whole grid.
         prim = pair_row[kidx]
+        qvx = batch.x[prim]
+        qvy = batch.y[prim]
+        lw0, lw1, lw2 = barycentric_grid(
+            qvx[:, 0], qvy[:, 0], qvx[:, 1], qvy[:, 1], qvx[:, 2], qvy[:, 2],
+            batch.area2[prim],
+            tile_x0[kidx] + 2 * qx + np.array([0, 1, 0, 1])[:, None] + 0.5,
+            tile_y0[kidx] + 2 * qy + np.array([0, 0, 1, 1])[:, None] + 0.5,
+        )
         vw = batch.inv_w[prim]
         uw = batch.u_over_w[prim]
         vvw = batch.v_over_w[prim]

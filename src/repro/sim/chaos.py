@@ -50,16 +50,13 @@ DEFAULT_CHAOS_GAMES: Tuple[str, ...] = ("SWa",)
 
 #: Faults every trial may sample.  They fire wherever the replay path
 #: runs: in the parent on a serial trial, in the pool workers when the
-#: trial runs jobs > 1.  The chunk sites only fire when the trial draws
-#: the streaming dataflow (batch trials never reach them, which is
-#: harmless — the spec just never fires).
+#: trial runs jobs > 1.  The checkpoint sites fire on ``.trace`` files
+#: when the trial draws the batch dataflow and on tile chunks when it
+#: draws streaming: both stores share one record writer and reader.
 _PARENT_FAULTS: Tuple[Tuple[str, str], ...] = (
     (faults.SITE_CHECKPOINT_SAVE, faults.KIND_TORN_WRITE),
     (faults.SITE_CHECKPOINT_LOAD, faults.KIND_TRUNCATE),
     (faults.SITE_CHECKPOINT_LOAD, faults.KIND_CORRUPT),
-    (faults.SITE_CHUNK_SAVE, faults.KIND_TORN_WRITE),
-    (faults.SITE_CHUNK_LOAD, faults.KIND_TRUNCATE),
-    (faults.SITE_CHUNK_LOAD, faults.KIND_CORRUPT),
     (faults.SITE_JOURNAL_RECORD, faults.KIND_PARTIAL_LINE),
     (faults.SITE_JOURNAL_RECORD, faults.KIND_KILL),
     (faults.SITE_REPLAY, faults.KIND_TRANSIENT),
@@ -315,13 +312,11 @@ def run_chaos(
                         f"armed run: unhandled "
                         f"{type(error).__name__}: {error}"
                     )
-            # Resume what survived on disk.  Only checkpoint/chunk-load
-            # corruption stays armed: those are the faults a restarted
-            # campaign can still encounter, and both must self-heal by
+            # Resume what survived on disk.  Only checkpoint-load
+            # corruption stays armed: it is the fault a restarted
+            # campaign can still encounter, and it must self-heal by
             # re-rendering (the whole frame, or the one torn tile).
-            resume_plan = plan.for_sites(
-                {faults.SITE_CHECKPOINT_LOAD, faults.SITE_CHUNK_LOAD}
-            )
+            resume_plan = plan.for_sites({faults.SITE_CHECKPOINT_LOAD})
             with faults.armed(resume_plan if resume_plan.specs else None):
                 resumed = sweep.run(
                     ExperimentRunner(

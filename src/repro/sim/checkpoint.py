@@ -27,11 +27,14 @@ This module makes pass-1 results durable:
   chunk set reassembles (and cross-checks) to exactly the trace the
   batch path would have checkpointed.
 
-Checkpoint file layout (version 2): one ASCII JSON header line holding
-the key, payload SHA-256 and summary counts, a newline, then the raw
-pickle payload.  Writes are atomic (temp file + ``os.replace``) so a
+Checkpoint file layout (version 2), shared by ``.trace`` files and tile
+chunks: one ASCII JSON header line holding the key, payload SHA-256 and
+summary counts, a newline, then the raw pickle payload.  Both stores
+write it through one atomic writer (temp file + ``os.replace``, so a
 crash mid-save never leaves a half-written checkpoint that a later
-``--resume`` would trust.
+``--resume`` would trust) and verify it through one reader; those two
+functions hold the ``checkpoint.save`` and ``checkpoint.load`` fault
+sites.
 """
 
 from __future__ import annotations
@@ -59,8 +62,6 @@ from repro.sim.faults import (
     KIND_TRUNCATE,
     SITE_CHECKPOINT_LOAD,
     SITE_CHECKPOINT_SAVE,
-    SITE_CHUNK_LOAD,
-    SITE_CHUNK_SAVE,
     SITE_JOURNAL_RECORD,
     fault_point,
 )
@@ -98,6 +99,102 @@ def _flip_last_byte(path: Path) -> None:
 def _canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=list)
+
+
+def _atomic_write(path: Path, *parts: bytes) -> None:
+    """Write ``parts`` to ``path`` through a temp file and ``os.replace``."""
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            for part in parts:
+                handle.write(part)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def _write_record(
+    path: Path, fault_key: str, payload: Any, **header: Any
+) -> None:
+    """Atomically write one checkpoint record: header line, then pickle.
+
+    The header gains the format version and the payload's SHA-256.
+    """
+    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    header["version"] = CHECKPOINT_VERSION
+    header["sha256"] = hashlib.sha256(data).hexdigest()
+    _atomic_write(path, _canonical_json(header).encode("ascii") + b"\n", data)
+    if fault_point(SITE_CHECKPOINT_SAVE, key=fault_key) == KIND_TORN_WRITE:
+        # Simulated torn write: the rename survived but the tail of
+        # the payload never hit the platter.  The reader must detect it.
+        _truncate_file(path, 0.5)
+
+
+def _read_record(
+    path: Path, fault_key: str, kind: type, **expected: Any
+) -> Tuple[Dict[str, Any], Any]:
+    """Read and verify one checkpoint record; returns (header, payload).
+
+    Raises :class:`TraceIntegrityError` unless the header is a JSON
+    object of this version whose ``expected`` fields match, the
+    payload's SHA-256 is the header's, and the payload unpickles to a
+    ``kind``.
+    """
+    fault = fault_point(SITE_CHECKPOINT_LOAD, key=fault_key)
+    if fault == KIND_TRUNCATE:
+        _truncate_file(path, 0.5)
+    elif fault == KIND_CORRUPT:
+        _flip_last_byte(path)
+    try:
+        with open(path, "rb") as handle:
+            header_line = handle.readline(_HEADER_LIMIT)
+            data = handle.read()
+    except OSError as error:
+        raise TraceIntegrityError(
+            f"cannot read checkpoint {path}: {error}"
+        ) from error
+    try:
+        header = json.loads(header_line.decode("ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise TraceIntegrityError(
+            f"checkpoint {path} has a corrupt header"
+        ) from error
+    if not isinstance(header, dict):
+        raise TraceIntegrityError(f"checkpoint {path} has a corrupt header")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise TraceIntegrityError(
+            f"checkpoint {path} has unsupported version "
+            f"{header.get('version')!r}"
+        )
+    wrong = [name for name in expected if header.get(name) != expected[name]]
+    if wrong:
+        raise TraceIntegrityError(
+            f"checkpoint {path} was written for {wrong[0]} "
+            f"{header.get(wrong[0])!r}, not {expected[wrong[0]]!r}"
+        )
+    if hashlib.sha256(data).hexdigest() != header.get("sha256"):
+        raise TraceIntegrityError(
+            f"checkpoint {path} payload hash mismatch "
+            "(file corrupted or tampered with)"
+        )
+    try:
+        payload = pickle.loads(data)
+    except Exception as error:
+        raise TraceIntegrityError(
+            f"checkpoint {path} payload does not unpickle: {error}"
+        ) from error
+    if not isinstance(payload, kind):
+        raise TraceIntegrityError(
+            f"checkpoint {path} holds a {type(payload).__name__}, "
+            f"not a {kind.__name__}"
+        )
+    return header, payload
 
 
 def config_fingerprint(config: GPUConfig) -> Dict[str, Any]:
@@ -279,33 +376,11 @@ class TraceCheckpointStore:
 
     def save(self, key: str, trace: FrameTrace) -> Path:
         """Atomically persist ``trace`` under ``key``."""
-        payload = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
-        header = _canonical_json({
-            "version": CHECKPOINT_VERSION,
-            "key": key,
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "num_quads": trace.stats.num_quads,
-            "num_tiles": len(trace.tiles),
-        })
         path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".trace"
+        _write_record(
+            path, key, trace, key=key, num_quads=trace.stats.num_quads,
+            num_tiles=len(trace.tiles),
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(header.encode("ascii") + b"\n")
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        if fault_point(SITE_CHECKPOINT_SAVE, key=key) == KIND_TORN_WRITE:
-            # Simulated torn write: the rename survived but the tail of
-            # the payload never hit the platter.  load() must detect it.
-            _truncate_file(path, 0.5)
         return path
 
     def load(self, key: str) -> FrameTrace:
@@ -317,52 +392,7 @@ class TraceCheckpointStore:
         that as a cache miss and re-render, never as a fatal error.
         """
         path = self.path_for(key)
-        fault = fault_point(SITE_CHECKPOINT_LOAD, key=key)
-        if fault == KIND_TRUNCATE:
-            _truncate_file(path, 0.5)
-        elif fault == KIND_CORRUPT:
-            _flip_last_byte(path)
-        try:
-            with open(path, "rb") as handle:
-                header_line = handle.readline(_HEADER_LIMIT)
-                payload = handle.read()
-        except OSError as error:
-            raise TraceIntegrityError(
-                f"cannot read checkpoint {path}: {error}"
-            ) from error
-        try:
-            header = json.loads(header_line.decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise TraceIntegrityError(
-                f"checkpoint {path} has a corrupt header"
-            ) from error
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise TraceIntegrityError(
-                f"checkpoint {path} has unsupported version "
-                f"{header.get('version')!r}"
-            )
-        if header.get("key") != key:
-            raise TraceIntegrityError(
-                f"checkpoint {path} was written for key "
-                f"{header.get('key')!r}, not {key!r}"
-            )
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header.get("sha256"):
-            raise TraceIntegrityError(
-                f"checkpoint {path} payload hash mismatch "
-                "(file corrupted or tampered with)"
-            )
-        try:
-            trace = pickle.loads(payload)
-        except Exception as error:
-            raise TraceIntegrityError(
-                f"checkpoint {path} payload does not unpickle: {error}"
-            ) from error
-        if not isinstance(trace, FrameTrace):
-            raise TraceIntegrityError(
-                f"checkpoint {path} holds a {type(trace).__name__}, "
-                "not a FrameTrace"
-            )
+        header, trace = _read_record(path, key, FrameTrace, key=key)
         if len(trace.tiles) != header.get("num_tiles"):
             raise TraceIntegrityError(
                 f"checkpoint {path} tile count disagrees with its header"
@@ -375,9 +405,9 @@ class TileChunkStore:
     """Tile-granular trace checkpoints, hash-chained to the trace digest.
 
     The streaming dataflow's durable form of pass 1: one verified chunk
-    per tile coordinate (same header-line + pickle layout as
-    :class:`TraceCheckpointStore`, same torn-write/corruption fault
-    points, same atomic replace) plus a ``frame.json`` meta record
+    per tile coordinate (the same record writer and reader as
+    :class:`TraceCheckpointStore`, so the same header-line + pickle
+    layout, atomic replace and fault sites) plus a ``frame.json`` record
     holding the vertex prologue and the per-tile hash chain whose final
     link is exactly :func:`trace_digest` of the reassembled trace.
 
@@ -407,38 +437,12 @@ class TileChunkStore:
 
     def save_tile(self, tile: TileCoord, entry: TileTraceEntry) -> str:
         """Atomically persist one tile's entry; returns its tile digest."""
-        payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
         digest = tile_digest(tile, entry)
-        header = _canonical_json({
-            "version": CHECKPOINT_VERSION,
-            "key": self.key,
-            "tile": list(tile),
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "tile_digest": digest,
-            "num_quads": len(entry.columns),
-        })
-        path = self.chunk_path(tile)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".chunk"
+        _write_record(
+            self.chunk_path(tile), self._fault_key(tile), entry,
+            key=self.key, tile=list(tile), tile_digest=digest,
+            num_quads=len(entry.columns),
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(header.encode("ascii") + b"\n")
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        if fault_point(
-            SITE_CHUNK_SAVE, key=self._fault_key(tile)
-        ) == KIND_TORN_WRITE:
-            # Same simulated torn write as the trace store: the rename
-            # survived but the payload tail never hit the platter; the
-            # next load must detect it and re-render this one tile.
-            _truncate_file(path, 0.5)
         return digest
 
     def load_tile(
@@ -453,36 +457,15 @@ class TileChunkStore:
         path = self.chunk_path(tile)
         if not path.is_file():
             return None
-        fault = fault_point(SITE_CHUNK_LOAD, key=self._fault_key(tile))
-        if fault == KIND_TRUNCATE:
-            _truncate_file(path, 0.5)
-        elif fault == KIND_CORRUPT:
-            _flip_last_byte(path)
         try:
-            with open(path, "rb") as handle:
-                header_line = handle.readline(_HEADER_LIMIT)
-                payload = handle.read()
-            header = json.loads(header_line.decode("ascii"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if (
-            header.get("version") != CHECKPOINT_VERSION
-            or header.get("key") != self.key
-            or header.get("tile") != list(tile)
-        ):
-            return None
-        if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-            return None
-        try:
-            entry = pickle.loads(payload)
-        except Exception:
-            return None
-        if not isinstance(entry, TileTraceEntry):
+            header, entry = _read_record(
+                path, self._fault_key(tile), TileTraceEntry,
+                key=self.key, tile=list(tile),
+            )
+        except TraceIntegrityError:
             return None
         digest = header.get("tile_digest")
-        if not isinstance(digest, str):
-            return None
-        return entry, digest
+        return (entry, digest) if isinstance(digest, str) else None
 
     # -- frame meta ------------------------------------------------------------
 
@@ -539,19 +522,7 @@ class TileChunkStore:
             "chain": chain,
         })
         path = self.meta_path()
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as handle:
-                handle.write(meta + "\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _atomic_write(path, (meta + "\n").encode("ascii"))
         return path
 
     def seal(

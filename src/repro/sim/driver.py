@@ -27,7 +27,7 @@ ever materializing the full frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,12 +54,10 @@ LINE_BYTES = 64
 #: Render engine names accepted by :class:`FrameRenderer`.
 ENGINES = ("fast", "reference")
 
-#: Tiles buffered per footprint-batching flush of the incremental fast
-#: pass, and the fast rasterizer's chunk size.  Large enough that the
-#: vectorized raster and LOD/cache-line math keep their batching win,
-#: small enough that a streaming consumer holds O(group) tiles rather
-#: than the frame.  ``group_size=0`` means "one flush for the whole
-#: frame", which is the exact arithmetic of the monolithic render.
+#: The fast rasterizer's chunk size, and the tiles a streaming consumer
+#: asks the tile pass for at a time.  Large enough that the vectorized
+#: raster and LOD/cache-line math keep their batching win, small enough
+#: that a streaming consumer holds O(group) tiles rather than the frame.
 DEFAULT_GROUP_TILES = 16
 
 
@@ -126,16 +124,14 @@ class _FastTilePass:
     """Incremental fast-engine pass 1: geometry up front, tiles on demand.
 
     The constructor runs everything that is *frame*-scoped — the batched
-    Geometry Pipeline, clipping, and Polygon List binning.  Tiles are
-    then rasterized a chunk of ``DEFAULT_GROUP_TILES`` consecutive
-    tiles at a time, with the footprint batching of
-    ``finalize_quads_fast`` amortized over groups of buffered tiles
-    (:meth:`iter_tiles`) or collapsed to a single tile
-    (:meth:`render_tile`, the checkpoint-resume path, a chunk of one).
-    Chunking and grouping only partition the work — a tile's quads
-    depend on its own primitives alone, and every per-quad LOD and
-    cache-line row on that quad's own lanes — so any chunk or group
-    size yields bit-identical entries.
+    Geometry Pipeline, clipping, and Polygon List binning.  Each
+    :meth:`iter_tiles` call then rasterizes the tiles it is given a
+    chunk of ``DEFAULT_GROUP_TILES`` at a time and runs the footprint
+    batching of ``finalize_quads_fast`` once over all of them.  Chunks
+    and calls only partition the work — a tile's quads depend on its
+    own primitives alone, and every per-quad LOD and cache-line row on
+    that quad's own lanes — so any partition of the tiles yields
+    bit-identical entries.
     """
 
     framebuffer: Optional[FrameBuffer] = None
@@ -192,19 +188,31 @@ class _FastTilePass:
             fetch_cycles=max(len(rows) * self._fetch_cycles, 1),
         )
 
-    def _rasterize(self, tiles, rows, pending) -> None:
-        """Rasterize one chunk; its quads stay pending until a flush."""
-        chunk = self._rasterizer.rasterize_tile_fast(
-            tiles, self._batch, rows, self._zbuffer
-        )
-        if chunk is not None:
-            pending.append(chunk)
+    def iter_tiles(
+        self, order: Sequence[TileCoord]
+    ) -> Iterator[Tuple[TileCoord, TileTraceEntry]]:
+        """Yield ``(tile, finished entry)`` for every tile of ``order``.
 
-    def _flush(self, group, pending):
-        """Run the footprint batching for one buffered group of tiles."""
+        The footprint flush runs after the last chunk, so every tile of
+        ``order`` is in flight before the first is yielded: a caller
+        bounds memory by how many tiles it asks for per call.
+        """
+        rows_for_tile = self._bins.rows_for_tile
+        rasterize = self._rasterizer.rasterize_tile_fast
+        batch = self._batch
+        zbuffer = self._zbuffer
+        group: List[Tuple[TileCoord, TileTraceEntry]] = []
+        pending: List[PendingTileQuads] = []
+        for start in range(0, len(order), DEFAULT_GROUP_TILES):
+            chunk = order[start:start + DEFAULT_GROUP_TILES]
+            rows = list(map(rows_for_tile, chunk))
+            group.extend(zip(chunk, map(self._entry, chunk, rows)))
+            quads = rasterize(chunk, batch, rows, zbuffer)
+            if quads is not None:
+                pending.append(quads)
         if pending:
             quads_by_tile = self._rasterizer.finalize_quads_fast(
-                self._batch, pending
+                batch, pending
             )
             stats = self.stats
             for tile, entry in group:
@@ -212,50 +220,7 @@ class _FastTilePass:
                 if columns:
                     entry.columns = columns
                     stats.nonempty_tiles += 1
-        return group
-
-    def render_tile(self, tile: TileCoord) -> TileTraceEntry:
-        """One finished tile, finalized immediately (a chunk of one)."""
-        rows = self._bins.rows_for_tile(tile)
-        entry = self._entry(tile, rows)
-        pending: List[PendingTileQuads] = []
-        self._rasterize((tile,), (rows,), pending)
-        self._flush(((tile, entry),), pending)
-        return entry
-
-    def iter_tiles(
-        self, order: Iterable[TileCoord], group_size: int = DEFAULT_GROUP_TILES
-    ) -> Iterator[Tuple[TileCoord, TileTraceEntry]]:
-        """Yield ``(tile, finished entry)`` in ``order``.
-
-        Tiles are rasterized in chunks of ``DEFAULT_GROUP_TILES``
-        consecutive tiles.  ``group_size`` bounds how many tiles are in
-        flight between footprint flushes; a flush first rasterizes the
-        partial chunk it cuts.  ``0`` defers to one whole-frame flush —
-        the monolithic render's exact behaviour.
-        """
-        rows_for_tile = self._bins.rows_for_tile
-        group: List[Tuple[TileCoord, TileTraceEntry]] = []
-        pending: List[PendingTileQuads] = []
-        chunk: List[TileCoord] = []
-        chunk_rows: List[np.ndarray] = []
-        for tile in order:
-            rows = rows_for_tile(tile)
-            group.append((tile, self._entry(tile, rows)))
-            chunk.append(tile)
-            chunk_rows.append(rows)
-            flush = group_size and len(group) >= group_size
-            if flush or len(chunk) == DEFAULT_GROUP_TILES:
-                self._rasterize(chunk, chunk_rows, pending)
-                chunk = []
-                chunk_rows = []
-            if flush:
-                yield from self._flush(group, pending)
-                group = []
-                pending = []
-        if chunk:
-            self._rasterize(chunk, chunk_rows, pending)
-        yield from self._flush(group, pending)
+        yield from group
 
     def finish(self) -> RenderStats:
         """Complete the frame-level counters; valid after full iteration."""
@@ -347,9 +312,9 @@ class _ReferenceTilePass:
         return entry
 
     def iter_tiles(
-        self, order: Iterable[TileCoord], group_size: int = 0
+        self, order: Sequence[TileCoord]
     ) -> Iterator[Tuple[TileCoord, TileTraceEntry]]:
-        """Yield ``(tile, entry)`` in ``order``; grouping is a no-op here."""
+        """Yield ``(tile, entry)`` in ``order``, each rendered on demand."""
         for tile in order:
             yield tile, self.render_tile(tile)
 
@@ -406,9 +371,9 @@ class FrameRenderer:
 
         The returned pass exposes ``vertex_lines`` (the Geometry
         Pipeline's cache lines, known before any tile is rasterized),
-        ``iter_tiles(order, group_size)``, ``render_tile(tile)`` for
-        selective re-render (checkpoint resume), and ``finish()`` for
-        the frame-level :class:`RenderStats`.
+        ``iter_tiles(order)``, which renders any subset of the frame's
+        tiles, one call per group a consumer holds at once, and
+        ``finish()`` for the frame-level :class:`RenderStats`.
         """
         if (
             self.engine == "fast"
@@ -423,17 +388,14 @@ class FrameRenderer:
     ) -> Tuple[FrameTrace, Optional[FrameBuffer]]:
         """Render one frame; returns the trace and (optionally) the image.
 
-        Implemented on the incremental pass with ``group_size=0`` (one
-        whole-frame footprint flush), which is the monolithic render's
-        exact arithmetic and allocation pattern.
+        Implemented on the incremental pass as one ``iter_tiles`` call
+        over the whole frame (one whole-frame footprint flush), which
+        is the monolithic render's exact arithmetic and allocation
+        pattern.
         """
         tile_pass = self.begin_tiles(workload, with_image)
-        tiles: Dict[TileCoord, TileTraceEntry] = {}
-        for tile, entry in tile_pass.iter_tiles(
-            scanline_order(self.config.tiles_x, self.config.tiles_y),
-            group_size=0,
-        ):
-            tiles[tile] = entry
+        order = scanline_order(self.config.tiles_x, self.config.tiles_y)
+        tiles = dict(tile_pass.iter_tiles(order))
         trace = FrameTrace(
             config=self.config,
             vertex_lines=tile_pass.vertex_lines,

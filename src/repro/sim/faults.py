@@ -11,12 +11,16 @@ through the hot paths:
 ======================  ======================================================
 site                    instrumented in
 ======================  ======================================================
-``checkpoint.save``     :meth:`~repro.sim.checkpoint.TraceCheckpointStore.
-                        save` — torn write (the file is truncated after the
-                        atomic rename, as if the disk died mid-flush)
-``checkpoint.load``     :meth:`~repro.sim.checkpoint.TraceCheckpointStore.
-                        load` — the file is truncated or a payload byte is
-                        flipped before reading (hash-mismatch corruption)
+``checkpoint.save``     the record writer of :mod:`repro.sim.checkpoint`,
+                        behind ``TraceCheckpointStore.save`` and
+                        ``TileChunkStore.save_tile`` — torn write (the
+                        file is truncated after the atomic rename, as if
+                        the disk died mid-flush)
+``checkpoint.load``     the record reader of :mod:`repro.sim.checkpoint`,
+                        behind ``TraceCheckpointStore.load`` and
+                        ``TileChunkStore.load_tile`` — the file is
+                        truncated or a payload byte is flipped before
+                        reading (hash-mismatch corruption)
 ``journal.record``      :meth:`~repro.sim.checkpoint.SweepProgress.record`
                         — the process dies before the append (``kill``) or
                         mid-append, leaving a partial trailing line
@@ -55,8 +59,7 @@ from repro.errors import BudgetExceededError, ConfigError, InjectedFaultError
 
 __all__ = [
     "FaultPlan", "FaultSpec", "FireEvent", "InjectedKill",
-    "SITE_CHECKPOINT_LOAD", "SITE_CHECKPOINT_SAVE", "SITE_CHUNK_LOAD",
-    "SITE_CHUNK_SAVE", "SITE_JOURNAL_RECORD",
+    "SITE_CHECKPOINT_LOAD", "SITE_CHECKPOINT_SAVE", "SITE_JOURNAL_RECORD",
     "SITE_REPLAY", "SITE_WORKER", "SITES",
     "KIND_BUDGET", "KIND_CORRUPT", "KIND_EXIT", "KIND_HANG", "KIND_KILL",
     "KIND_PARTIAL_LINE", "KIND_TORN_WRITE", "KIND_TRANSIENT",
@@ -69,8 +72,6 @@ __all__ = [
 
 SITE_CHECKPOINT_SAVE = "checkpoint.save"
 SITE_CHECKPOINT_LOAD = "checkpoint.load"
-SITE_CHUNK_SAVE = "chunk.save"
-SITE_CHUNK_LOAD = "chunk.load"
 SITE_JOURNAL_RECORD = "journal.record"
 SITE_REPLAY = "replay.run"
 SITE_WORKER = "sweep.worker"
@@ -100,8 +101,6 @@ KIND_HANG = "hang"
 KINDS_BY_SITE: Dict[str, Tuple[str, ...]] = {
     SITE_CHECKPOINT_SAVE: (KIND_TORN_WRITE,),
     SITE_CHECKPOINT_LOAD: (KIND_TRUNCATE, KIND_CORRUPT),
-    SITE_CHUNK_SAVE: (KIND_TORN_WRITE,),
-    SITE_CHUNK_LOAD: (KIND_TRUNCATE, KIND_CORRUPT),
     SITE_JOURNAL_RECORD: (KIND_PARTIAL_LINE, KIND_KILL),
     SITE_REPLAY: (KIND_TRANSIENT, KIND_BUDGET),
     SITE_WORKER: (KIND_EXIT, KIND_HANG),

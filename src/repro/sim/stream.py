@@ -16,12 +16,13 @@ prologue riding the first unit — through two interchangeable drivers:
 * :class:`BatchTileStream` — walks a fully materialized trace.  Current
   behaviour, kept as the executable specification; ``TraceReplayer.run``
   is a thin wrapper over it.
-* :class:`StreamingTileStream` — a generator: each tile is rendered,
-  handed to the consumer, and dropped, bounding peak memory to
-  O(tiles-in-flight) (one footprint-batching group).  With a
-  :class:`~repro.sim.checkpoint.TileChunkStore` attached, rendered tiles
-  are persisted (and reloaded) one chunk at a time, restoring the
-  render-once economy of the batch path without ever holding the frame.
+* :class:`StreamingTileStream` — a generator over groups of
+  ``DEFAULT_GROUP_TILES`` consecutive tiles: each group is rendered,
+  handed to the consumer, and dropped, bounding peak memory to one
+  group.  With a :class:`~repro.sim.checkpoint.TileChunkStore`
+  attached, a group's tiles are loaded from per-tile chunks and only
+  the misses rendered (and saved), restoring the render-once economy
+  of the batch path without ever holding the frame.
 
 Both drivers yield bit-identical unit sequences for the same frame and
 order, which is what makes ``RunResult`` equality across
@@ -37,7 +38,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.tile_order import TileCoord
 from repro.errors import ConfigError
@@ -116,14 +117,14 @@ class BatchTileStream:
 
 
 class StreamingTileStream:
-    """Render-as-you-replay: each tile is produced, consumed, dropped.
+    """Render-as-you-replay: tile groups are produced, consumed, dropped.
 
-    Peak memory is O(one footprint group) instead of O(frame).  The
-    price is that every replay re-renders the frame — unless a
-    :class:`~repro.sim.checkpoint.TileChunkStore` is attached, in which
-    case tiles rendered once are persisted as verified per-tile chunks
-    and later replays load them back one at a time (corrupt or missing
-    chunks are transparently re-rendered, mirroring the trace store's
+    Peak memory is O(one group of ``DEFAULT_GROUP_TILES`` tiles) instead
+    of O(frame).  The price is that every replay re-renders the frame —
+    unless a :class:`~repro.sim.checkpoint.TileChunkStore` is attached,
+    in which case tiles rendered once are persisted as verified per-tile
+    chunks and later replays load them back (corrupt or missing chunks
+    are transparently re-rendered, mirroring the trace store's
     cache-miss semantics).
     """
 
@@ -133,17 +134,15 @@ class StreamingTileStream:
         self,
         renderer: FrameRenderer,
         workload: BuiltWorkload,
-        group_size: int = DEFAULT_GROUP_TILES,
         chunk_store=None,
     ):
         self.renderer = renderer
         self.workload = workload
-        self.group_size = group_size
         self.chunk_store = chunk_store
         self._order: Sequence[TileCoord] = ()
         self._pass = None
-        #: Frame-level stats, available after full iteration (pure
-        #: streaming only; on the chunk-load path stats stay ``None``).
+        #: Frame-level stats, available after full iteration (store-less
+        #: streaming only; with a chunk store attached stats stay ``None``).
         self.stats: Optional[RenderStats] = None
         #: Tiles actually rendered (vs loaded from the chunk store).
         self.tiles_rendered = 0
@@ -166,68 +165,73 @@ class StreamingTileStream:
             self._pass = tile_pass
         return tile_pass
 
-    def _prologue(self) -> Sequence[int]:
+    def _group_entries(
+        self,
+        group: Sequence[TileCoord],
+        tile_digests: Dict[TileCoord, str],
+    ) -> Dict[TileCoord, TileTraceEntry]:
+        """One group's entries: chunk-store hits, then one render of misses.
+
+        Records each tile's digest in ``tile_digests`` (loaded with the
+        chunk, or returned by the save of a rendered tile).
+        """
         store = self.chunk_store
+        entries: Dict[TileCoord, TileTraceEntry] = {}
         if store is not None:
-            lines = store.vertex_lines()
-            if lines is not None:
-                return lines
-        return self._tile_pass().vertex_lines
+            for tile in group:
+                loaded = store.load_tile(tile)
+                if loaded is not None:
+                    entries[tile], tile_digests[tile] = loaded
+        missing = [tile for tile in group if tile not in entries]
+        if missing:
+            for tile, entry in self._tile_pass().iter_tiles(missing):
+                entries[tile] = entry
+                if store is not None:
+                    tile_digests[tile] = store.save_tile(tile, entry)
+            self.tiles_rendered += len(missing)
+        return entries
 
     def __iter__(self) -> Iterator[TileWorkUnit]:
+        """Yield the traversal, one group of ``DEFAULT_GROUP_TILES`` at a time.
+
+        Without a chunk store every tile is a miss, and the frame's
+        :class:`RenderStats` land in :attr:`stats` after the traversal.
+        With one, every tile's digest and quad and pixel counts are
+        collected as it flows past, so after the full traversal the
+        store can seal (or re-verify) the frame meta whose hash chain
+        terminates in the trace digest.
+        """
+        store = self.chunk_store
+        order = self._order
         try:
-            if self.chunk_store is not None:
-                yield from self._chunked_units()
-                return
-            tile_pass = self._tile_pass()
-            vertex_lines = tile_pass.vertex_lines
-            step = 0
-            for tile, entry in tile_pass.iter_tiles(
-                self._order, self.group_size
-            ):
-                if step:
-                    yield TileWorkUnit(tile, step, entry, _NO_LINES)
-                else:
-                    yield TileWorkUnit(tile, step, entry, vertex_lines)
-                step += 1
-            self.tiles_rendered = step
-            self.stats = tile_pass.finish()
+            vertex_lines = None if store is None else store.vertex_lines()
+            if vertex_lines is None:
+                vertex_lines = self._tile_pass().vertex_lines
+            tile_digests: Dict[TileCoord, str] = {}
+            num_quads = pixels_shaded = 0
+            for step, tile in enumerate(order):
+                if not step % DEFAULT_GROUP_TILES:
+                    entries = self._group_entries(
+                        order[step:step + DEFAULT_GROUP_TILES], tile_digests
+                    )
+                # Popped, so rendering the next group holds none of this
+                # one: the stream keeps at most one group of tiles.
+                entry = entries.pop(tile)
+                if store is not None:
+                    columns = entry.columns
+                    num_quads += len(columns)
+                    pixels_shaded += columns.covered_pixels
+                yield TileWorkUnit(
+                    tile, step, entry, _NO_LINES if step else vertex_lines
+                )
+            if store is None:
+                self.stats = self._pass.finish()
+            else:
+                store.seal(
+                    self.renderer.config, vertex_lines, tile_digests,
+                    num_quads, pixels_shaded,
+                )
         finally:
             # The frame's render state dies with the traversal, not
             # with the stream object.
             self._pass = None
-
-    def _chunked_units(self) -> Iterator[TileWorkUnit]:
-        """Tile-granular checkpointing: load chunks, render the misses.
-
-        Every tile's digest and quad and pixel counts are collected as
-        it flows past, so after the full traversal the store can seal
-        (or re-verify) the frame meta whose hash chain terminates in
-        the trace digest.
-        """
-        store = self.chunk_store
-        vertex_lines = self._prologue()
-        tile_digests = {}
-        num_quads = pixels_shaded = 0
-        step = 0
-        for tile in self._order:
-            loaded = store.load_tile(tile)
-            if loaded is None:
-                entry = self._tile_pass().render_tile(tile)
-                digest = store.save_tile(tile, entry)
-                self.tiles_rendered += 1
-            else:
-                entry, digest = loaded
-            tile_digests[tile] = digest
-            columns = entry.columns
-            num_quads += len(columns)
-            pixels_shaded += columns.covered_pixels
-            if step:
-                yield TileWorkUnit(tile, step, entry, _NO_LINES)
-            else:
-                yield TileWorkUnit(tile, step, entry, vertex_lines)
-            step += 1
-        store.seal(
-            self.renderer.config, vertex_lines, tile_digests, num_quads,
-            pixels_shaded,
-        )

@@ -13,6 +13,7 @@ from repro.errors import TraceIntegrityError
 from repro.raster.fragment import TileQuads
 from repro.sim.checkpoint import (
     SweepProgress,
+    TileChunkStore,
     TraceCheckpointStore,
     campaign_key,
     config_hash,
@@ -111,6 +112,25 @@ class TestTamperDetection:
         path.write_bytes(b"not json at all\n" + blob.split(b"\n", 1)[1])
         with pytest.raises(TraceIntegrityError):
             store.load(key)
+
+    @pytest.mark.parametrize("header", [b"[]", b"7"])
+    def test_non_object_header(self, store, tiny_config, game_trace, header):
+        key, path = self._saved(store, tiny_config, game_trace)
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(header + b"\n" + payload)
+        with pytest.raises(TraceIntegrityError, match="corrupt header"):
+            store.load(key)
+
+    @pytest.mark.parametrize("header", [b"[]", b"7"])
+    def test_non_object_chunk_header_is_a_miss(
+        self, tmp_path, game_trace, header
+    ):
+        chunks = TileChunkStore(tmp_path / "chunks", "k")
+        chunks.save_tile((0, 0), game_trace.tiles[(0, 0)])
+        path = chunks.chunk_path((0, 0))
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(header + b"\n" + payload)
+        assert chunks.load_tile((0, 0)) is None
 
     def test_key_mismatch(self, store, tiny_config, game_trace):
         key, path = self._saved(store, tiny_config, game_trace)

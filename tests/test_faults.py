@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.core.dtexl import BASELINE
 from repro.errors import (
     BudgetExceededError,
     CheckpointError,
@@ -23,6 +24,7 @@ from repro.errors import (
 from repro.sim import faults
 from repro.sim.checkpoint import (
     SweepProgress,
+    TileChunkStore,
     TraceCheckpointStore,
     trace_digest,
 )
@@ -227,39 +229,61 @@ class TestTrigger:
         assert kept.seed == plan.seed
 
 
+def busy_tile(trace):
+    """The first tile, in sorted order, that holds quads."""
+    return next(t for t, e in sorted(trace.tiles.items()) if len(e.columns))
+
+
 class TestCheckpointFaults:
+    """Both stores save and load through the same checkpoint sites: a
+    damaged trace raises, a damaged tile chunk loads as a miss."""
+
     def test_torn_write_detected_on_load(self, tmp_path, tiny_trace):
         store = TraceCheckpointStore(tmp_path)
+        chunks = TileChunkStore(tmp_path / "chunks", "k")
+        tile = busy_tile(tiny_trace)
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_SAVE, kind=faults.KIND_TORN_WRITE,
         ),))
         with faults.armed(plan):
             store.save("k", tiny_trace)
-        assert plan.fired
+            chunks.save_tile(tile, tiny_trace.tiles[tile])
+        assert len(plan.fired) == 2
         with pytest.raises(TraceIntegrityError):
             store.load("k")
+        assert chunks.load_tile(tile) is None
 
     def test_truncated_load_raises_checkpoint_error(
         self, tmp_path, tiny_trace
     ):
         store = TraceCheckpointStore(tmp_path)
         store.save("k", tiny_trace)
+        chunks = TileChunkStore(tmp_path / "chunks", "k")
+        tile = busy_tile(tiny_trace)
+        chunks.save_tile(tile, tiny_trace.tiles[tile])
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_TRUNCATE,
         ),))
-        with faults.armed(plan), pytest.raises(CheckpointError):
-            store.load("k")
+        with faults.armed(plan):
+            with pytest.raises(CheckpointError):
+                store.load("k")
+            assert chunks.load_tile(tile) is None
+        assert len(plan.fired) == 2
 
     def test_corrupt_byte_fails_payload_hash(self, tmp_path, tiny_trace):
         store = TraceCheckpointStore(tmp_path)
         store.save("k", tiny_trace)
+        chunks = TileChunkStore(tmp_path / "chunks", "k")
+        tile = busy_tile(tiny_trace)
+        chunks.save_tile(tile, tiny_trace.tiles[tile])
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_CORRUPT,
         ),))
-        with faults.armed(plan), pytest.raises(
-            TraceIntegrityError, match="hash mismatch"
-        ):
-            store.load("k")
+        with faults.armed(plan):
+            with pytest.raises(TraceIntegrityError, match="hash mismatch"):
+                store.load("k")
+            assert chunks.load_tile(tile) is None
+        assert len(plan.fired) == 2
 
     def test_corrupt_checkpoint_heals_by_rerender(self, tmp_path, tiny_config):
         store = TraceCheckpointStore(tmp_path)
@@ -284,6 +308,33 @@ class TestCheckpointFaults:
             tiny_config, games=[GAME], checkpoint_store=store
         )
         reader.trace_for(GAME)
+        assert reader.renders_performed == 0
+
+    def test_corrupt_chunks_heal_by_rerender(self, tmp_path, tiny_config):
+        store = TraceCheckpointStore(tmp_path)
+
+        def streaming_runner():
+            return ExperimentRunner(
+                tiny_config, games=[GAME], checkpoint_store=store,
+                stream="streaming",
+            )
+
+        seeder = streaming_runner()
+        want = seeder.run(GAME, BASELINE)
+        assert seeder.renders_performed == 1
+
+        plan = FaultPlan(specs=(FaultSpec(
+            site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_TRUNCATE,
+        ),))
+        healer = streaming_runner()
+        with faults.armed(plan):
+            assert healer.run(GAME, BASELINE) == want
+        assert len(plan.fired) == tiny_config.num_tiles
+        assert healer.renders_performed == 1  # corrupt chunks = misses
+
+        # The heal re-chunked every tile, so the next run loads them all.
+        reader = streaming_runner()
+        assert reader.run(GAME, BASELINE) == want
         assert reader.renders_performed == 0
 
     def test_trace_for_survives_failing_save(

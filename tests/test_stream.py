@@ -62,11 +62,10 @@ def batch_result(alias, design, replayer):
     return replayer.run(trace, design), trace
 
 
-def streaming_result(alias, design, replayer, chunk_store=None, group_size=5):
+def streaming_result(alias, design, replayer, chunk_store=None):
     workload = build_game(alias, TINY)
     stream = StreamingTileStream(
-        FrameRenderer(TINY), workload,
-        group_size=group_size, chunk_store=chunk_store,
+        FrameRenderer(TINY), workload, chunk_store=chunk_store
     )
     return replayer.run_stream(stream, design), stream
 
@@ -85,15 +84,7 @@ class TestDriverEquivalence:
     def test_orders_agree_across_drivers(self, design, replayer):
         """Traversal order is the consumer's; producers must not care."""
         batch, _ = batch_result("GTr", design, replayer)
-        streamed, _ = streaming_result("GTr", design, replayer, group_size=3)
-        assert streamed == batch
-
-    @pytest.mark.parametrize("group_size", [0, 1, 3, 100])
-    def test_group_size_never_changes_results(self, group_size, replayer):
-        batch, _ = batch_result("SWa", BASELINE, replayer)
-        streamed, _ = streaming_result(
-            "SWa", BASELINE, replayer, group_size=group_size
-        )
+        streamed, _ = streaming_result("GTr", design, replayer)
         assert streamed == batch
 
     def test_streaming_stats_match_batch_trace(self, replayer):
@@ -104,25 +95,53 @@ class TestDriverEquivalence:
 
 
 class TestMultiChunkStreams:
-    """Group flushes that cut raster chunks, on a screen of two chunks.
-
-    The streaming traversal (DTexL's order) groups tiles differently
-    from the batch render's scanline chunks, and a group size that is
-    not a multiple of the chunk size flushes in mid-chunk.
-    """
+    """Streams of two groups: MULTI's 24 tiles are one full 16-tile
+    group and one partial group, in DTexL's traversal rather than the
+    batch render's scanline chunks."""
 
     @pytest.fixture(scope="class")
     def batch(self):
         trace, _ = FrameRenderer(MULTI).render(build_game("SWa", MULTI))
-        return TraceReplayer(MULTI).run(trace, DTEXL_BEST)
+        return TraceReplayer(MULTI).run(trace, DTEXL_BEST), trace
 
-    @pytest.mark.parametrize("group_size", [0, 1, 3, 20])
-    def test_group_size_never_changes_results(self, group_size, batch):
+    @staticmethod
+    def streamed(chunk_store=None):
         stream = StreamingTileStream(
             FrameRenderer(MULTI), build_game("SWa", MULTI),
-            group_size=group_size,
+            chunk_store=chunk_store,
         )
-        assert TraceReplayer(MULTI).run_stream(stream, DTEXL_BEST) == batch
+        return TraceReplayer(MULTI).run_stream(stream, DTEXL_BEST), stream
+
+    def test_store_less_stream_matches_batch(self, batch):
+        want, _ = batch
+        result, stream = self.streamed()
+        assert result == want
+        assert stream.tiles_rendered == MULTI.num_tiles
+
+    def test_cold_then_warm_chunk_store_matches_batch(self, batch, tmp_path):
+        want, _ = batch
+        cold, stream = self.streamed(TileChunkStore(tmp_path, "k"))
+        assert cold == want
+        assert stream.tiles_rendered == MULTI.num_tiles
+        warm, stream = self.streamed(TileChunkStore(tmp_path, "k"))
+        assert warm == want
+        assert stream.tiles_rendered == 0
+
+    def test_misses_in_both_groups_rerender_and_reseal(self, batch, tmp_path):
+        """Deleted chunks on both sides of the seam re-render, and the
+        mixed frame seals to the batch trace's digest again."""
+        want, trace = batch
+        self.streamed(TileChunkStore(tmp_path, "k"))
+        store = TileChunkStore(tmp_path, "k")
+        order = DTEXL_BEST.build_scheduler(MULTI).tiles
+        deleted = [order[1], order[15], order[16], order[22]]
+        for tile in deleted:
+            store.chunk_path(tile).unlink()
+        store.meta_path().unlink()
+        result, stream = self.streamed(store)
+        assert result == want
+        assert stream.tiles_rendered == len(deleted)
+        assert store.digest() == trace_digest(trace)
 
 
 # -- randomized recipes ------------------------------------------------------
@@ -148,9 +167,7 @@ class TestRandomRecipes:
         replayer = TraceReplayer(TINY)
         trace, _ = FrameRenderer(TINY).render(workload)
         batch = replayer.run(trace, DTEXL_BEST)
-        stream = StreamingTileStream(
-            FrameRenderer(TINY), recipe.build(TINY), group_size=2
-        )
+        stream = StreamingTileStream(FrameRenderer(TINY), recipe.build(TINY))
         assert replayer.run_stream(stream, DTEXL_BEST) == batch
 
 

@@ -12,7 +12,8 @@ game, so the perf evidence doubles as a bit-exactness smoke test.
 The streaming leg spawns one subprocess per driver (``ru_maxrss`` is
 monotonic per process, so peak RSS cannot be measured twice in one
 interpreter) and stamps end-to-end seconds, peak RSS, and a digest of
-the :class:`~repro.sim.replay.RunResult` for the largest suite game.
+the :class:`~repro.sim.replay.RunResult` for the largest suite game,
+rendered at a fixed ``STREAM_PROBE_SCALE`` whatever the bench scale.
 ``--check`` then gates on the batch-vs-streaming RSS ratio and on
 result equality across drivers.
 
@@ -27,7 +28,8 @@ Environment knobs (matching the figure benches):
 * ``REPRO_BENCH_SCALE``   — ``small`` (default, 512x256), ``paper``, or
   ``WIDTHxHEIGHT``.
 * ``REPRO_BENCH_GAMES``   — comma-separated aliases (default: all ten).
-* ``REPRO_BENCH_REPEATS`` — timing repeats, best-of (default 3).
+* ``REPRO_BENCH_REPEATS`` — timing repeats, best-of (default 3), for
+  the engine timings and the stream-driver probes alike.
 * ``REPRO_BENCH_JOBS``    — worker count for the parallel sweep leg
   (default: 2, clamped to the host's CPU count — extra workers on a
   single-CPU host only add pool overhead).
@@ -56,6 +58,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 OUTPUT_NAME = "BENCH_replay.json"
@@ -89,14 +92,22 @@ DESIGNS = (BASELINE, DTEXL_BEST)
 #: the default, keeps the full 2x target; factor 4.0 halves it).
 RSS_RATIO_TARGET = 2.0
 
+#: Screen of the two stream-driver probes.  The RSS ratio gauges the
+#: frame trace a batch render holds and streaming never does; at the
+#: small bench scale the largest game's trace is smaller than one
+#: chunk's raster temporaries, which both drivers pay, so the probes
+#: run where the trace dominates.
+STREAM_PROBE_SCALE = "1024x512"
+
 #: Streaming's end-to-end seconds must stay within this fraction of
 #: batch's (same work, different interleaving).  Also widened by the
 #: regression factor.
 TIME_TOLERANCE = 0.10
 
 
-def bench_config() -> GPUConfig:
-    scale = os.environ.get("REPRO_BENCH_SCALE", "small")
+def bench_config(scale: Optional[str] = None) -> GPUConfig:
+    """The bench screen: ``scale``, else ``REPRO_BENCH_SCALE``."""
+    scale = scale or os.environ.get("REPRO_BENCH_SCALE", "small")
     if scale == "paper":
         return GPUConfig()
     if scale == "small":
@@ -234,7 +245,7 @@ def run_probe(driver: str, game: str) -> int:
     the parent report working-set *growth* rather than interpreter
     overhead.
     """
-    config = bench_config()
+    config = bench_config(STREAM_PROBE_SCALE)
     baseline_kb = _self_peak_rss_kb()
     t0 = time.perf_counter()
     if driver == "batch":
@@ -251,38 +262,49 @@ def run_probe(driver: str, game: str) -> int:
         "peak_rss_kb": peak_kb,
         "baseline_rss_kb": baseline_kb,
         "delta_rss_kb": peak_kb - baseline_kb,
+        "quads": result.total_quads,
         "digest": result_digest(result),
     }))
     return 0
 
 
-def time_streams(games, traces) -> dict:
+def time_streams(games, traces, repeats: int) -> dict:
     """Per-driver memory/time profile on the largest suite game.
 
-    One subprocess per driver: ``ru_maxrss`` never decreases within a
-    process, so the second driver measured in-process would inherit the
-    first one's peak.  The largest game (by traced quads) is where the
+    One subprocess per driver and repeat: ``ru_maxrss`` never decreases
+    within a process, so a second run measured in-process would inherit
+    the first one's peak.  Repeats alternate the drivers, and each
+    driver reports its fastest run, as the engine timings do.  The
+    largest game (by traced quads at the bench scale) is where the
     full-``FrameTrace`` working set hurts most, hence where the
-    bounded-memory claim is tested.
+    bounded-memory claim is tested, at ``STREAM_PROBE_SCALE``.
     """
     largest = max(games, key=lambda g: traces[g].total_quads)
-    drivers = {}
-    for driver in STREAM_DRIVERS:
-        proc = subprocess.run(
-            [sys.executable, __file__,
-             "--probe", driver, "--probe-game", largest],
-            capture_output=True, text=True, check=True,
-        )
-        drivers[driver] = json.loads(proc.stdout.splitlines()[-1])
-        print(f"stream {driver:9s}: {drivers[driver]['seconds']:7.3f} s  "
-              f"peak {drivers[driver]['peak_rss_kb'] / 1024:6.1f} MiB  "
-              f"(+{drivers[driver]['delta_rss_kb'] / 1024:.1f} MiB)")
+    runs = {driver: [] for driver in STREAM_DRIVERS}
+    for _ in range(repeats):
+        for driver in STREAM_DRIVERS:
+            proc = subprocess.run(
+                [sys.executable, __file__,
+                 "--probe", driver, "--probe-game", largest],
+                capture_output=True, text=True, check=True,
+            )
+            runs[driver].append(json.loads(proc.stdout.splitlines()[-1]))
+    drivers = {
+        driver: min(records, key=lambda record: record["seconds"])
+        for driver, records in runs.items()
+    }
+    for driver, record in drivers.items():
+        print(f"stream {driver:9s}: {record['seconds']:7.3f} s  "
+              f"peak {record['peak_rss_kb'] / 1024:6.1f} MiB  "
+              f"(+{record['delta_rss_kb'] / 1024:.1f} MiB)")
     batch, streaming = drivers["batch"], drivers["streaming"]
+    digests = {r["digest"] for records in runs.values() for r in records}
     return {
+        "scale": STREAM_PROBE_SCALE,
         "game": largest,
-        "game_quads": traces[largest].total_quads,
+        "game_quads": batch["quads"],
         "drivers": drivers,
-        "results_match": len({d["digest"] for d in drivers.values()}) == 1,
+        "results_match": len(digests) == 1,
         "rss_ratio_batch_over_streaming": round(
             batch["delta_rss_kb"] / max(1, streaming["delta_rss_kb"]), 3
         ),
@@ -346,7 +368,7 @@ def run_bench() -> dict:
         shutil.rmtree(store_dir, ignore_errors=True)
     print(f"sweep serial {serial_s:.3f} s, jobs={jobs} {parallel_s:.3f} s")
 
-    streaming = time_streams(games, traces)
+    streaming = time_streams(games, traces, repeats)
     print(f"stream drivers: results_match={streaming['results_match']}, "
           f"batch/streaming RSS growth "
           f"{streaming['rss_ratio_batch_over_streaming']:.2f}x")

@@ -324,24 +324,21 @@ class Rasterizer:
         )
 
     def finalize_quads_fast(
-        self, batch: ScreenBatch, pending: List[PendingTileQuads]
+        self, batch: ScreenBatch, pending: PendingTileQuads
     ) -> Dict[TileCoord, TileQuads]:
-        """Footprint batching + columnar quad emission for many chunks.
+        """Footprint batching + columnar quad emission for one chunk.
 
-        Quads from every chunk are grouped by (texture, samples) so the
+        The chunk's quads are grouped by (texture, samples) so the
         mip-LOD and cache-line math runs in a handful of vectorized
         calls; each group's ``(N, Q)`` cache-line matrix is deduped
         column by column in first-visit order (:func:`first_visit_mask`)
         and scattered into one CSR line array.  Each tile's
-        :class:`TileQuads` is then a set of slices of the shared
+        :class:`TileQuads` is then a set of slices of the chunk's
         columns, in the tile's emission order.
         """
-        out: Dict[TileCoord, TileQuads] = {}
-        if not pending:
-            return out
-        rows_all = np.concatenate([p.prim_row for p in pending])
-        lane_u = np.concatenate([p.lane_u for p in pending], axis=1)
-        lane_v = np.concatenate([p.lane_v for p in pending], axis=1)
+        rows_all = pending.prim_row
+        lane_u = pending.lane_u
+        lane_v = pending.lane_v
         tex_ids = batch.texture_id[rows_all]
         samples = batch.texture_samples[rows_all]
         total = len(rows_all)
@@ -372,7 +369,7 @@ class Rasterizer:
             # Column-major read-out: quad by quad, each in visit order.
             survivors.append(group_lines.T[first.T])
 
-        # CSR over the chunks.  Each group's survivors are quad-major
+        # CSR over the chunk.  Each group's survivors are quad-major
         # with quads in stream order, and groups partition the quads,
         # so a stable sort by owning quad yields stream order; a single
         # group is in stream order already.
@@ -386,20 +383,16 @@ class Rasterizer:
         else:
             flat = np.zeros(0, dtype=np.int64)
 
-        qx = np.concatenate([p.qx for p in pending])
-        qy = np.concatenate([p.qy for p in pending])
-        codes = np.concatenate([p.coverage_code for p in pending])
+        qx, qy, codes = pending.qx, pending.qy, pending.coverage_code
         pids = batch.pid[rows_all]
         alu = batch.alu_cycles[rows_all]
         blend = batch.blend[rows_all]
-        tiles = [tile for p in pending for tile in p.tiles]
+        tiles = pending.tiles
         quad_bounds = np.zeros(len(tiles) + 1, dtype=np.int64)
-        np.cumsum(
-            np.concatenate([p.quad_counts for p in pending]),
-            out=quad_bounds[1:],
-        )
+        np.cumsum(pending.quad_counts, out=quad_bounds[1:])
         starts = quad_bounds.tolist()
         line_starts = offsets[quad_bounds].tolist()
+        out: Dict[TileCoord, TileQuads] = {}
         for i, tile in enumerate(tiles):
             start, stop = starts[i], starts[i + 1]
             if start == stop:
@@ -414,7 +407,7 @@ class Rasterizer:
                 offsets[start:stop + 1] - first_line,
             )
         self.quads_emitted += total
-        self.pixels_shaded += sum(p.covered for p in pending)
+        self.pixels_shaded += pending.covered
         return out
 
     # -- internals --------------------------------------------------------------

@@ -21,7 +21,9 @@ The incremental split is the producer half of the streaming tile
 dataflow (:mod:`repro.sim.stream`): geometry, clipping and binning run
 once up front (:meth:`FrameRenderer.begin_tiles`), then tiles are
 rasterized on demand so a consumer can replay and drop each tile without
-ever materializing the full frame.
+ever materializing the full frame.  The fast pass rasterizes and
+flushes one chunk of tiles at a time, so a whole-frame ``render`` holds
+the finished trace plus one chunk's temporaries, never the frame's.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from repro.geometry.vertex_stage import VertexStage
 from repro.raster.blending import BlendingUnit
 from repro.raster.color_buffer import ColorBuffer, FrameBuffer
 from repro.raster.fragment import Quad, QuadStream, TileQuads
-from repro.raster.rasterizer import PendingTileQuads, Rasterizer
+from repro.raster.rasterizer import Rasterizer
 from repro.raster.setup import ScreenBatch, setup_draw_batch, setup_primitive
 from repro.raster.zbuffer import ZBuffer
 from repro.texture.sampler import FilterMode, Sampler
@@ -57,7 +59,8 @@ ENGINES = ("fast", "reference")
 #: The fast rasterizer's chunk size, and the tiles a streaming consumer
 #: asks the tile pass for at a time.  Large enough that the vectorized
 #: raster and LOD/cache-line math keep their batching win, small enough
-#: that a streaming consumer holds O(group) tiles rather than the frame.
+#: that a render holds one chunk's temporaries and a streaming consumer
+#: O(group) tiles rather than the frame.
 DEFAULT_GROUP_TILES = 16
 
 
@@ -126,12 +129,12 @@ class _FastTilePass:
     The constructor runs everything that is *frame*-scoped — the batched
     Geometry Pipeline, clipping, and Polygon List binning.  Each
     :meth:`iter_tiles` call then rasterizes the tiles it is given a
-    chunk of ``DEFAULT_GROUP_TILES`` at a time and runs the footprint
-    batching of ``finalize_quads_fast`` once over all of them.  Chunks
-    and calls only partition the work — a tile's quads depend on its
-    own primitives alone, and every per-quad LOD and cache-line row on
-    that quad's own lanes — so any partition of the tiles yields
-    bit-identical entries.
+    chunk of ``DEFAULT_GROUP_TILES`` at a time, running the footprint
+    batching of ``finalize_quads_fast`` on each chunk before yielding
+    its tiles.  Chunks and calls only partition the work — a tile's
+    quads depend on its own primitives alone, and every per-quad LOD
+    and cache-line row on that quad's own lanes — so any partition of
+    the tiles yields bit-identical entries.
     """
 
     framebuffer: Optional[FrameBuffer] = None
@@ -180,7 +183,7 @@ class _FastTilePass:
         self.stats = stats
 
     def _entry(self, tile: TileCoord, rows: np.ndarray) -> TileTraceEntry:
-        """A tile's fetch traffic; its quads arrive at the next flush."""
+        """A tile's fetch traffic; the caller attaches its quads."""
         return TileTraceEntry(
             fetch_lines=TileFetcher.fetch_lines_fast(
                 self._bins, tile, self._batch.pid[rows]
@@ -193,34 +196,28 @@ class _FastTilePass:
     ) -> Iterator[Tuple[TileCoord, TileTraceEntry]]:
         """Yield ``(tile, finished entry)`` for every tile of ``order``.
 
-        The footprint flush runs after the last chunk, so every tile of
-        ``order`` is in flight before the first is yielded: a caller
-        bounds memory by how many tiles it asks for per call.
+        Each chunk is rasterized and its footprints flushed before its
+        tiles are yielded and the next chunk starts, so the pass holds
+        one chunk's temporaries however many tiles ``order`` names.
         """
         rows_for_tile = self._bins.rows_for_tile
         rasterize = self._rasterizer.rasterize_tile_fast
+        finalize = self._rasterizer.finalize_quads_fast
         batch = self._batch
         zbuffer = self._zbuffer
-        group: List[Tuple[TileCoord, TileTraceEntry]] = []
-        pending: List[PendingTileQuads] = []
+        stats = self.stats
         for start in range(0, len(order), DEFAULT_GROUP_TILES):
             chunk = order[start:start + DEFAULT_GROUP_TILES]
             rows = list(map(rows_for_tile, chunk))
-            group.extend(zip(chunk, map(self._entry, chunk, rows)))
-            quads = rasterize(chunk, batch, rows, zbuffer)
-            if quads is not None:
-                pending.append(quads)
-        if pending:
-            quads_by_tile = self._rasterizer.finalize_quads_fast(
-                batch, pending
-            )
-            stats = self.stats
-            for tile, entry in group:
-                columns = quads_by_tile.get(tile)
-                if columns:
-                    entry.columns = columns
-                    stats.nonempty_tiles += 1
-        yield from group
+            pending = rasterize(chunk, batch, rows, zbuffer)
+            quads_by_tile = {} if pending is None else finalize(batch, pending)
+            del pending
+            stats.nonempty_tiles += len(quads_by_tile)
+            for tile, tile_rows in zip(chunk, rows):
+                entry = self._entry(tile, tile_rows)
+                if tile in quads_by_tile:
+                    entry.columns = quads_by_tile[tile]
+                yield tile, entry
 
     def finish(self) -> RenderStats:
         """Complete the frame-level counters; valid after full iteration."""
@@ -389,9 +386,9 @@ class FrameRenderer:
         """Render one frame; returns the trace and (optionally) the image.
 
         Implemented on the incremental pass as one ``iter_tiles`` call
-        over the whole frame (one whole-frame footprint flush), which
-        is the monolithic render's exact arithmetic and allocation
-        pattern.
+        over the whole frame in scanline order: the render holds the
+        finished trace plus one chunk's temporaries, and its entries
+        are the ones any other partition of the tiles yields.
         """
         tile_pass = self.begin_tiles(workload, with_image)
         order = scanline_order(self.config.tiles_x, self.config.tiles_y)

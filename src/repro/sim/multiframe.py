@@ -9,7 +9,8 @@ behaviour afterwards.
 
 Each frame is rendered once and replayed once, so there is nothing to
 cache between passes: every frame is a plain ``render`` followed by a
-``run`` on the shared hierarchy.
+``run`` on the shared hierarchy, and its trace is dropped before the
+next frame renders.
 """
 
 from __future__ import annotations
@@ -88,4 +89,7 @@ class AnimationSimulator:
             result.frames.append(
                 self.replayer.run(trace, design, hierarchy=hierarchy)
             )
+            # Released before the next render, so the run holds one
+            # frame's trace at a time.
+            del trace
         return result

@@ -1,5 +1,8 @@
 """Tests for animated multi-frame simulation with warm caches."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import GPUConfig
@@ -96,6 +99,27 @@ class TestWarmCaches:
         base = sim.run(animation, BASELINE)
         dtexl = sim.run(animation, DTEXL_BEST)
         assert dtexl.total_l2_accesses < base.total_l2_accesses
+
+
+class TestFrameLifetime:
+    def test_one_live_trace_per_frame(self, config, animation):
+        """Frame k's trace is released before frame k+1 renders, so a
+        warm-cache run holds one frame at a time."""
+        simulator = AnimationSimulator(config)
+        render = simulator.renderer.render
+        traces = []
+        live_at_render = []
+
+        def tracked(workload, *args, **kwargs):
+            gc.collect()
+            live_at_render.append(sum(ref() is not None for ref in traces))
+            trace, image = render(workload, *args, **kwargs)
+            traces.append(weakref.ref(trace))
+            return trace, image
+
+        simulator.renderer.render = tracked
+        simulator.run(animation, BASELINE)
+        assert live_at_render == [0] * animation.num_frames
 
 
 class TestFrameCoherenceStats:

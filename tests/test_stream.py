@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 
 from repro.config import GPUConfig
 from repro.core.dtexl import BASELINE, DTEXL_BEST, DTexLConfig
+from repro.core.tile_order import scanline_order
 from repro.errors import ConfigError, TraceIntegrityError
 from repro.sim.checkpoint import TileChunkStore, trace_digest
-from repro.sim.driver import FrameRenderer
+from repro.raster.rasterizer import Rasterizer
+from repro.sim.driver import DEFAULT_GROUP_TILES, FrameRenderer
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.replay import TraceReplayer
 from repro.sim.stream import (
@@ -95,9 +97,10 @@ class TestDriverEquivalence:
 
 
 class TestMultiChunkStreams:
-    """Streams of two groups: MULTI's 24 tiles are one full 16-tile
-    group and one partial group, in DTexL's traversal rather than the
-    batch render's scanline chunks."""
+    """Two chunks: MULTI's 24 tiles are one full 16-tile chunk and one
+    partial chunk.  The batch render flushes them one at a time in
+    scanline order; the streams walk them as two groups in DTexL's
+    traversal."""
 
     @pytest.fixture(scope="class")
     def batch(self):
@@ -111,6 +114,28 @@ class TestMultiChunkStreams:
             chunk_store=chunk_store,
         )
         return TraceReplayer(MULTI).run_stream(stream, DTEXL_BEST), stream
+
+    def test_batch_render_flushes_one_chunk_at_a_time(self, monkeypatch):
+        """``render()`` finalizes each 16-tile chunk on its own, so it
+        never holds more than one chunk's footprint temporaries."""
+        flushed = []
+        finalize = Rasterizer.finalize_quads_fast
+
+        def spy(rasterizer, batch, pending):
+            quads_by_tile = finalize(rasterizer, batch, pending)
+            flushed.append(set(quads_by_tile))
+            return quads_by_tile
+
+        monkeypatch.setattr(Rasterizer, "finalize_quads_fast", spy)
+        trace, _ = FrameRenderer(MULTI).render(build_game("SWa", MULTI))
+        order = scanline_order(MULTI.tiles_x, MULTI.tiles_y)
+        chunks = [order[:DEFAULT_GROUP_TILES], order[DEFAULT_GROUP_TILES:]]
+        assert len(flushed) == len(chunks)
+        for chunk, tiles in zip(chunks, flushed):
+            assert tiles and tiles <= set(chunk)
+        assert set.union(*flushed) == {
+            tile for tile, entry in trace.tiles.items() if len(entry.columns)
+        }
 
     def test_store_less_stream_matches_batch(self, batch):
         want, _ = batch

@@ -16,9 +16,9 @@ check``, with one namespace of entries per gate::
     {"version": 2, "gates": {"archcheck": [
         {"fingerprint": "...", "justification": "..."}]}}
 
-Fingerprints are location-independent (module pairs, cycle member
-sets, entry-point/mutation pairs) so reformatting or moving code never
-invalidates the baseline, only genuine architectural change does.
+Fingerprints are location-independent (module pairs, function and
+rule pairs) so reformatting or moving code never invalidates the
+baseline, only genuine architectural change does.
 """
 
 from __future__ import annotations

@@ -1,62 +1,28 @@
-"""Cross-module call graph and the timing-critical mutation pass.
+"""Cross-module call graph: which project function does a call reach?
 
-replint's ``config-mutation`` rule sees one file: it flags
-``config.x = 1`` wherever it appears.  What it cannot see is a replay
-step calling a helper calling a helper that mutates module-level state
-or a shared config three modules away.  This pass closes that gap:
+perfcheck's hot region and faultcheck's escape analysis both walk the
+program along resolved calls.  The graph is built in two steps:
 
 1. index every function and method in the project;
 2. resolve intra-project calls (same-module names, imported names,
    ``self.method``, ``self.attr.method`` through constructor- or
    annotation-derived attribute types, and — as a fallback — method
-   names defined exactly once in the whole project);
-3. walk the graph from the contract's declared timing-critical entry
-   points (the replay step, cache access, scheduler tick) and report
-   every reachable *direct mutation site*: module-level state writes
-   (``global``, mutation of a module-level object) and shared-config
-   attribute writes.
+   names defined exactly once in the whole project).
 
 Resolution is deliberately conservative: a call it cannot resolve adds
-no edge, and ambiguous method names add no edge unless exact.  The
-pass therefore proves absence of *detectable* mutations over the
-resolved graph — an approximation, but one whose misses are silent
-non-edges rather than false alarms, and the per-file rule still
-patrols every mutation site replint can express.
+no edge, and ambiguous method names add no edge unless exact.  Every
+pass over the graph therefore under-approximates — its misses are
+silent non-edges rather than false alarms.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.analysis.checks_common import Finding
 from repro.analysis.arch.modgraph import ModuleGraph, ModuleInfo
 from repro.analysis.lint.rules import build_import_aliases, dotted_name
-
-#: Names that conventionally bind a shared simulation configuration
-#: (mirrors replint's ``config-mutation`` heuristic).
-CONFIG_NAMES = frozenset({
-    "config", "gpu", "gpu_config", "dtexl_config", "design",
-    "base_config", "effective_config",
-})
-
-#: Method calls that mutate their receiver in place.
-_MUTATING_METHODS = frozenset({
-    "append", "extend", "insert", "add", "update", "remove", "discard",
-    "pop", "popitem", "clear", "setdefault", "sort", "reverse",
-    "__setitem__", "__delitem__",
-})
-
-
-@dataclass(frozen=True)
-class Mutation:
-    """One direct mutation site inside a function body."""
-
-    kind: str      #: ``module-state`` | ``shared-config``
-    target: str    #: what is written (dotted, best effort)
-    line: int
-    col: int
 
 
 @dataclass
@@ -69,7 +35,6 @@ class FunctionNode:
     class_name: Optional[str]
     node: ast.AST
     calls: Set[str] = field(default_factory=set)
-    mutations: List[Mutation] = field(default_factory=list)
 
 
 class CallGraph:
@@ -90,8 +55,6 @@ class CallGraph:
         self._module_defs: Dict[str, Dict[str, str]] = {}
         #: module -> class local name -> class qualname
         self._module_classes: Dict[str, Dict[str, str]] = {}
-        #: module -> module-level data bindings (mutation roots)
-        self._module_state: Dict[str, Set[str]] = {}
         #: module -> import aliases
         self._aliases: Dict[str, Dict[str, str]] = {}
         self._index()
@@ -104,7 +67,6 @@ class CallGraph:
             self._aliases[info.name] = build_import_aliases(info.tree)
             defs: Dict[str, str] = {}
             classes: Dict[str, str] = {}
-            state: Set[str] = set()
             for node in info.tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qual = f"{info.name}.{node.name}"
@@ -127,17 +89,8 @@ class CallGraph:
                             dotted_name(b) for b in node.bases
                         ) if base
                     ]
-                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    targets = (
-                        node.targets if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        if isinstance(target, ast.Name):
-                            state.add(target.id)
             self._module_defs[info.name] = defs
             self._module_classes[info.name] = classes
-            self._module_state[info.name] = state
         for qual, node in self.functions.items():
             name = qual.rsplit(".", 1)[1]
             self._method_index.setdefault(name, []).append(qual)
@@ -218,11 +171,15 @@ class CallGraph:
                             types[target.attr] = value_cls
             self.attr_types[class_qual] = types
 
-    # -- call + mutation resolution -------------------------------------------
+    # -- call resolution ------------------------------------------------------
 
     def _resolve(self) -> None:
         for fn in self.functions.values():
-            self._scan_function(fn)
+            for node in ast.walk(fn.node):
+                if isinstance(node, ast.Call):
+                    callee = self._resolve_call(fn, node)
+                    if callee:
+                        fn.calls.add(callee)
 
     def _method_on_class(self, class_qual: str,
                          method: str) -> Optional[str]:
@@ -298,171 +255,3 @@ class CallGraph:
         if len(candidates) == 1:
             return candidates[0]
         return None
-
-    @staticmethod
-    def _is_config_like(node: ast.AST) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in CONFIG_NAMES
-        if isinstance(node, ast.Attribute):
-            return node.attr in CONFIG_NAMES
-        return False
-
-    @staticmethod
-    def _root_name(node: ast.AST) -> Optional[str]:
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        return node.id if isinstance(node, ast.Name) else None
-
-    def _scan_function(self, fn: FunctionNode) -> None:
-        module_state = self._module_state.get(fn.module, set()) \
-            | set(self._module_classes.get(fn.module, {}))
-        globals_declared: Set[str] = set()
-        local_names: Set[str] = set()
-        args = getattr(fn.node, "args", None)
-        if args is not None:
-            for arg in (args.posonlyargs + args.args + args.kwonlyargs):
-                local_names.add(arg.arg)
-            if args.vararg:
-                local_names.add(args.vararg.arg)
-            if args.kwarg:
-                local_names.add(args.kwarg.arg)
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Global):
-                globals_declared.update(node.names)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        if target.id in globals_declared:
-                            fn.mutations.append(Mutation(
-                                kind="module-state", target=target.id,
-                                line=node.lineno, col=node.col_offset,
-                            ))
-                        else:
-                            local_names.add(target.id)
-            elif isinstance(node, ast.For) and isinstance(
-                node.target, ast.Name
-            ):
-                local_names.add(node.target.id)
-            elif isinstance(node, ast.withitem) and isinstance(
-                node.optional_vars, ast.Name
-            ):
-                local_names.add(node.optional_vars.id)
-        for node in ast.walk(fn.node):
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                if isinstance(node, ast.AnnAssign) and node.value is None:
-                    continue  # a bare annotation binds nothing
-                targets = (
-                    node.targets if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if not isinstance(target, (ast.Attribute, ast.Subscript)):
-                        continue
-                    base = target.value
-                    if isinstance(target, ast.Attribute) \
-                            and self._is_config_like(base):
-                        fn.mutations.append(Mutation(
-                            kind="shared-config",
-                            target=dotted_name(target) or target.attr,
-                            line=node.lineno, col=node.col_offset,
-                        ))
-                        continue
-                    root = self._root_name(target)
-                    if (root and root in module_state
-                            and root not in local_names
-                            and root != "self"):
-                        fn.mutations.append(Mutation(
-                            kind="module-state",
-                            target=dotted_name(target) or root,
-                            line=node.lineno, col=node.col_offset,
-                        ))
-            elif isinstance(node, ast.Call):
-                callee = self._resolve_call(fn, node)
-                if callee:
-                    fn.calls.add(callee)
-                func = node.func
-                if isinstance(func, ast.Name) and func.id == "setattr" \
-                        and node.args and self._is_config_like(node.args[0]):
-                    fn.mutations.append(Mutation(
-                        kind="shared-config",
-                        target=dotted_name(node.args[0]) or "config",
-                        line=node.lineno, col=node.col_offset,
-                    ))
-                elif isinstance(func, ast.Attribute) \
-                        and func.attr in _MUTATING_METHODS:
-                    root = self._root_name(func.value)
-                    if (root and root != "self"
-                            and root in module_state
-                            and root not in local_names):
-                        fn.mutations.append(Mutation(
-                            kind="module-state",
-                            target=(dotted_name(func) or func.attr),
-                            line=node.lineno, col=node.col_offset,
-                        ))
-
-
-# -- the pass -----------------------------------------------------------------
-
-
-def check_timing_critical_mutations(
-    graph: ModuleGraph,
-    entrypoints: Sequence[str],
-    callgraph: Optional[CallGraph] = None,
-) -> List[Finding]:
-    """Prove declared entry points never reach a state mutation.
-
-    Walks the resolved call graph breadth-first from each entry point;
-    every reachable direct mutation site becomes a finding whose
-    message spells out one call chain from the entry point to the
-    mutation, so the report is actionable without re-deriving the path.
-    """
-    cg = callgraph if callgraph is not None else CallGraph(graph)
-    findings: List[Finding] = []
-    for entry in sorted(entrypoints):
-        if entry not in cg.functions:
-            findings.append(Finding(
-                path=str(graph.src_root), line=0, col=0,
-                rule="unknown-entrypoint",
-                message=(
-                    f"contract entry point {entry} does not exist; fix "
-                    "the [callgraph] entrypoints list in archcontract.toml"
-                ),
-                fingerprint=f"unknown-entrypoint:{entry}",
-            ))
-            continue
-        parent: Dict[str, Optional[str]] = {entry: None}
-        queue = [entry]
-        while queue:
-            current = queue.pop(0)
-            fn = cg.functions[current]
-            for mutation in fn.mutations:
-                chain: List[str] = []
-                walk: Optional[str] = current
-                while walk is not None:
-                    chain.append(walk)
-                    walk = parent[walk]
-                chain.reverse()
-                findings.append(Finding(
-                    path=fn.path, line=mutation.line, col=mutation.col,
-                    rule="timing-critical-mutation",
-                    message=(
-                        f"{' -> '.join(chain)} mutates "
-                        f"{mutation.kind.replace('-', ' ')} "
-                        f"({mutation.target}); timing-critical entry "
-                        "points must be pure over shared state so "
-                        "replays stay deterministic"
-                    ),
-                    fingerprint=(
-                        "timing-critical-mutation:"
-                        f"{entry}:{current}:{mutation.target}"
-                    ),
-                ))
-            for callee in sorted(fn.calls):
-                if callee not in parent:
-                    parent[callee] = current
-                    queue.append(callee)
-    return findings

@@ -1,4 +1,4 @@
-"""Declared layer contracts: parsing and the layer checks.
+"""Declared layer contracts: parsing and the layer check.
 
 ``archcontract.toml`` declares the repository's layering once, checked
 in next to the code it governs::
@@ -15,20 +15,15 @@ in next to the code it governs::
     [modules]
     "repro.cli" = "cli"                  # top-level modules -> layer
 
-    [callgraph]
-    entrypoints = ["repro.sim.replay.TraceReplayer.run", ...]
-
-    [deadcode]
-    reference_roots = ["tests", "examples", "benchmarks"]
-    ignore = ["repro.analysis.visualize.*"]
-
-A module's layer is its first package component under the project
-package (``repro.sim.replay`` -> ``sim``) unless ``[modules]`` maps it
+Any other table is an error, so a misspelt or retired table cannot
+pass while checking nothing it declares.  A module's layer is its
+first package component under the project package
+(``repro.sim.replay`` -> ``sim``) unless ``[modules]`` maps it
 explicitly.  Importing within a layer is always allowed; an edge from
 layer A to layer B is allowed only if B appears in A's list.  The
-checks over a :class:`~repro.analysis.arch.modgraph.ModuleGraph` flag
-forbidden edges, import cycles, and modules the contract doesn't map
-at all (so a new top-level package can't silently dodge the contract).
+check over a :class:`~repro.analysis.arch.modgraph.ModuleGraph` flags
+forbidden edges and modules the contract doesn't map at all (so a new
+top-level package can't silently dodge the contract).
 """
 
 from __future__ import annotations
@@ -38,8 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
-from repro.analysis.checks_common import Finding
-from repro.analysis.arch.modgraph import ImportEdge, ModuleGraph
+from repro.analysis.checks_common import Finding, reject_unknown_tables
+from repro.analysis.arch.modgraph import ModuleGraph
 from repro.errors import ConfigError
 
 
@@ -52,16 +47,6 @@ class LayerContract:
     layers: Dict[str, List[str]]
     #: explicit module -> layer overrides (for top-level modules).
     module_layers: Dict[str, str] = field(default_factory=dict)
-    #: qualnames of timing-critical entry points for the call-graph pass.
-    entrypoints: List[str] = field(default_factory=list)
-    #: extra directories whose name references keep exports alive,
-    #: relative to the contract file's directory.
-    reference_roots: List[str] = field(default_factory=list)
-    #: fnmatch patterns of qualnames exempt from dead-export checks.
-    deadcode_ignore: List[str] = field(default_factory=list)
-    #: where the contract was loaded from (reference roots resolve
-    #: against its parent directory).
-    path: Optional[Path] = None
 
     # -- loading --------------------------------------------------------------
 
@@ -80,11 +65,13 @@ class LayerContract:
             raise ConfigError(
                 f"cannot parse architecture contract {path}: {error}"
             ) from error
-        return cls.from_dict(raw, path=path)
+        return cls.from_dict(raw)
 
     @classmethod
-    def from_dict(cls, raw: dict, path: Optional[Path] = None
-                  ) -> "LayerContract":
+    def from_dict(cls, raw: dict) -> "LayerContract":
+        reject_unknown_tables(
+            raw, ("project", "layers", "modules"), "architecture contract"
+        )
         project = raw.get("project", {})
         package = project.get("package")
         if not isinstance(package, str) or not package:
@@ -118,17 +105,8 @@ class LayerContract:
                     f"module {module!r} is mapped to unknown layer {layer!r}"
                 )
             module_layers[module] = layer
-        callgraph = raw.get("callgraph", {})
-        deadcode = raw.get("deadcode", {})
-        return cls(
-            package=package,
-            layers=layers,
-            module_layers=module_layers,
-            entrypoints=list(callgraph.get("entrypoints", [])),
-            reference_roots=list(deadcode.get("reference_roots", [])),
-            deadcode_ignore=list(deadcode.get("ignore", [])),
-            path=path,
-        )
+        return cls(package=package, layers=layers,
+                   module_layers=module_layers)
 
     # -- layer mapping --------------------------------------------------------
 
@@ -153,7 +131,7 @@ class LayerContract:
         return "*" in allowed or dst_layer in allowed
 
 
-# -- the layer checks ---------------------------------------------------------
+# -- the layer check ----------------------------------------------------------
 
 
 def check_layers(graph: ModuleGraph,
@@ -194,19 +172,3 @@ def check_layers(graph: ModuleGraph,
         ))
     return findings
 
-
-def check_cycles(graph: ModuleGraph) -> List[Finding]:
-    """Import cycles (strongly connected components of the graph)."""
-    findings: List[Finding] = []
-    for component in graph.cycles():
-        anchor = graph.modules[component[0]]
-        findings.append(Finding(
-            path=str(anchor.path), line=1, col=0, rule="import-cycle",
-            message=(
-                "import cycle between "
-                + " <-> ".join(component)
-                + "; break it by moving the shared piece below both"
-            ),
-            fingerprint="import-cycle:" + "+".join(component),
-        ))
-    return findings

@@ -160,67 +160,3 @@ class ModuleGraph:
                     ))
         self.edges.sort(key=lambda e: (e.src, e.dst, e.line))
 
-    # -- queries --------------------------------------------------------------
-
-    def adjacency(self) -> Dict[str, List[str]]:
-        adj: Dict[str, List[str]] = {name: [] for name in self.modules}
-        for edge in self.edges:
-            if edge.dst not in adj[edge.src]:
-                adj[edge.src].append(edge.dst)
-        return adj
-
-    def cycles(self) -> List[List[str]]:
-        """Strongly connected components with more than one module.
-
-        Iterative Tarjan, so a pathological fixture can't blow the
-        recursion limit.  Members of each cycle are sorted and the
-        cycle list itself is sorted, so reports are deterministic.
-        """
-        adj = self.adjacency()
-        index: Dict[str, int] = {}
-        lowlink: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        counter = [0]
-        components: List[List[str]] = []
-
-        for root in sorted(adj):
-            if root in index:
-                continue
-            work: List[Tuple[str, int]] = [(root, 0)]
-            while work:
-                node, child_i = work[-1]
-                if child_i == 0:
-                    index[node] = lowlink[node] = counter[0]
-                    counter[0] += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                advanced = False
-                children = adj[node]
-                while child_i < len(children):
-                    child = children[child_i]
-                    child_i += 1
-                    if child not in index:
-                        work[-1] = (node, child_i)
-                        work.append((child, 0))
-                        advanced = True
-                        break
-                    if child in on_stack:
-                        lowlink[node] = min(lowlink[node], index[child])
-                if advanced:
-                    continue
-                work.pop()
-                if lowlink[node] == index[node]:
-                    component: List[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    if len(component) > 1:
-                        components.append(sorted(component))
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-        return sorted(components)

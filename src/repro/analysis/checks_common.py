@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Sequence
 
+from repro.errors import ConfigError
+
 #: Packages whose code feeds simulated time / the replayed access stream.
 #: A wall-clock read or an unordered iteration here corrupts results;
 #: the same constructs in, say, ``analysis.tables`` merely format them.
@@ -97,3 +99,21 @@ def findings_payload(findings: Sequence[Finding], tool: str = "replint",
     }
     payload.update(extra)
     return payload
+
+
+def reject_unknown_tables(raw: Dict[str, Any], known: Sequence[str],
+                          what: str) -> None:
+    """Raise :class:`ConfigError` naming any table ``known`` lacks.
+
+    A contract table its loader ignores would pass while checking
+    nothing it declares (a misspelt name, or a table whose rule was
+    deleted), so every unknown table fails the gate as a broken contract.
+    """
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"{what} declares unknown table(s) "
+            + ", ".join(f"[{name}]" for name in unknown)
+            + "; known tables: "
+            + ", ".join(f"[{name}]" for name in known)
+        )

@@ -2,11 +2,11 @@
 
 Static companion to the runtime fault-injection harness: recovers the
 exception taxonomy from the AST, propagates raised types along
-archcheck's call graph, and enforces the six flow contracts the
+archcheck's call graph, and enforces the five flow contracts the
 simulator's resilience story depends on (no swallowed kills, preserved
 cause chains, transient-only retries, one-to-one fault-site wiring,
-total CLI exit-code mapping, picklable worker submissions).  Run it as
-``repro check --only faultcheck``.
+total CLI exit-code mapping).  Run it as ``repro check --only
+faultcheck``.
 """
 
 from repro.analysis.flow.checks import FlowConfig

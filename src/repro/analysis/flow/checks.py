@@ -1,4 +1,4 @@
-"""The faultcheck passes: six whole-program exception-flow checks.
+"""The faultcheck passes: five whole-program exception-flow checks.
 
 Each check returns :class:`~repro.analysis.checks_common.Finding` rows
 with location-independent fingerprints, so the baseline ratchet of
@@ -23,9 +23,6 @@ with location-independent fingerprints, so the baseline ratchet of
 5. ``unmapped-exit-code`` / ``undocumented-exit-code`` — every project
    exception that can escape a CLI subcommand is caught by the CLI
    boundary and mapped to a named ``EXIT_*`` constant.
-6. ``unpicklable-worker-capture`` — objects handed to a process-pool
-   ``submit()`` must survive the fork/spawn boundary: no lambdas, no
-   closures over local defs, no locally opened handles or locks.
 """
 
 from __future__ import annotations
@@ -477,132 +474,3 @@ def _returns_documented_exit(handler: ast.ExceptHandler,
     # undocumented only when it also returns something unnamed.
     return not saw_return
 
-
-# -- 6. picklable worker submissions ------------------------------------------
-
-#: Constructor tails whose results never survive a fork boundary.
-_UNPICKLABLE_FACTORIES = frozenset({
-    "open", "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
-    "Event", "socket", "connect",
-})
-
-
-def check_worker_pickles(graph: ModuleGraph) -> List[Finding]:
-    """Statically vet everything handed to a process-pool ``submit``.
-
-    Heuristic targeting: any ``<receiver>.submit(...)`` call whose
-    receiver mentions an executor or pool.  The submitted callable must
-    be a module-level function — not a lambda, not a function defined
-    inside the submitting frame (its closure cells die at the fork
-    boundary) — and no argument may be a lambda or a name locally bound
-    to an open handle or lock.
-    """
-    findings: List[Finding] = []
-    for info in graph.modules.values():
-        module_defs = {
-            node.name for node in info.tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-
-        def scan_function(fn_node: ast.AST, label: str) -> None:
-            nested_defs: Set[str] = set()
-            lambda_names: Set[str] = set()
-            handle_names: Set[str] = set()
-            for node in ast.walk(fn_node):
-                if node is not fn_node and isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    nested_defs.add(node.name)
-                elif isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if not isinstance(target, ast.Name):
-                            continue
-                        if isinstance(node.value, ast.Lambda):
-                            lambda_names.add(target.id)
-                        elif isinstance(node.value, ast.Call):
-                            callee = dotted_name(node.value.func) or ""
-                            if callee.rsplit(".", 1)[-1] in (
-                                _UNPICKLABLE_FACTORIES
-                            ):
-                                handle_names.add(target.id)
-            for node in ast.walk(fn_node):
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "submit"):
-                    continue
-                receiver = dotted_name(node.func.value) or ""
-                lowered = receiver.lower()
-                if "executor" not in lowered and "pool" not in lowered:
-                    continue
-                problems: List[str] = []
-                if node.args:
-                    target = node.args[0]
-                    if isinstance(target, ast.Lambda):
-                        problems.append("a lambda as the task callable")
-                    elif isinstance(target, ast.Name):
-                        if target.id in nested_defs:
-                            problems.append(
-                                f"locally defined function "
-                                f"{target.id!r} (closure cells do not "
-                                "cross the fork boundary)"
-                            )
-                        elif target.id in lambda_names:
-                            problems.append(
-                                f"{target.id!r}, which is bound to a "
-                                "lambda"
-                            )
-                        elif (target.id not in module_defs
-                              and target.id in handle_names):
-                            problems.append(
-                                f"{target.id!r}, which holds an open "
-                                "handle or lock"
-                            )
-                for extra in list(node.args[1:]) + [
-                    kw.value for kw in node.keywords
-                ]:
-                    if isinstance(extra, ast.Lambda):
-                        problems.append("a lambda argument")
-                    elif (isinstance(extra, ast.Name)
-                          and extra.id in (lambda_names | handle_names
-                                           | nested_defs)):
-                        problems.append(
-                            f"argument {extra.id!r} bound to a lambda, "
-                            "local function, open handle or lock"
-                        )
-                for problem in problems:
-                    findings.append(Finding(
-                        path=str(info.path), line=node.lineno,
-                        col=node.col_offset,
-                        rule="unpicklable-worker-capture",
-                        message=(
-                            f"{label} submits {problem} to a process "
-                            "pool; worker submissions must be "
-                            "module-level callables over picklable "
-                            "arguments"
-                        ),
-                        fingerprint=(
-                            "unpicklable-worker-capture:"
-                            f"{label}:{problem.split(chr(39))[0].strip()}"
-                        ),
-                    ))
-
-        def visit(node: ast.AST, prefix: str) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef)):
-                    scan_function(
-                        child,
-                        f"{prefix}.{child.name}" if prefix else (
-                            f"{info.name}.{child.name}"
-                        ),
-                    )
-                elif isinstance(child, ast.ClassDef):
-                    visit(
-                        child,
-                        f"{prefix}.{child.name}" if prefix else (
-                            f"{info.name}.{child.name}"
-                        ),
-                    )
-
-        visit(info.tree, "")
-    return findings

@@ -3,8 +3,7 @@
 ``repro check`` runs four static gates over the source tree:
 
 * ``lint`` — replint's per-file AST rules (:mod:`repro.analysis.lint`);
-* ``archcheck`` — the layer contract, import cycles, timing-critical
-  mutations and the export surface (:mod:`repro.analysis.arch`);
+* ``archcheck`` — the layer contract (:mod:`repro.analysis.arch`);
 * ``faultcheck`` — the exception-flow contracts
   (:mod:`repro.analysis.flow`);
 * ``perfcheck`` — the hot-path code shapes and the benchmark
@@ -33,11 +32,7 @@ from repro.analysis.arch import (
     CallGraph,
     LayerContract,
     ModuleGraph,
-    check_cycles,
-    check_dead_exports,
     check_layers,
-    check_timing_critical_mutations,
-    check_undeclared_exports,
     graph_to_json,
     to_dot,
 )
@@ -60,7 +55,6 @@ from repro.analysis.flow.checks import (
     check_fault_sites,
     check_retry_hygiene,
     check_swallowed_base_exceptions,
-    check_worker_pickles,
 )
 from repro.analysis.lint import lint_paths
 from repro.analysis.perf import (
@@ -119,24 +113,11 @@ def lint(options: GateOptions) -> GateRun:
 
 
 def archcheck(options: GateOptions) -> GateRun:
-    """The layer contract, cycles, mutations and export surface."""
+    """The layer contract: forbidden imports and unmapped modules."""
     contract = LayerContract.load(Path(options.contract))
     graph = ModuleGraph.build(Path(options.src), packages=[contract.package])
     findings: List[Finding] = list(graph.errors)
     findings.extend(check_layers(graph, contract))
-    findings.extend(check_cycles(graph))
-    if contract.entrypoints:
-        findings.extend(check_timing_critical_mutations(
-            graph, contract.entrypoints, CallGraph(graph)
-        ))
-    findings.extend(check_dead_exports(
-        graph,
-        reference_roots=[
-            contract.path.parent / root for root in contract.reference_roots
-        ],
-        ignore=contract.deadcode_ignore,
-    ))
-    findings.extend(check_undeclared_exports(graph))
     return GateRun(
         findings,
         {"modules": len(graph.modules), "edges": len(graph.edges)},
@@ -148,7 +129,7 @@ def archcheck(options: GateOptions) -> GateRun:
 
 
 def faultcheck(options: GateOptions) -> GateRun:
-    """The six exception-flow contracts over ``package``."""
+    """The five exception-flow contracts over ``package``."""
     config = options.flow
     graph = ModuleGraph.build(Path(options.src), packages=[options.package])
     taxonomy = ExceptionTaxonomy.build(graph)
@@ -168,7 +149,6 @@ def faultcheck(options: GateOptions) -> GateRun:
     findings.extend(check_cli_exit_codes(
         graph, callgraph, escapes, taxonomy, config
     ))
-    findings.extend(check_worker_pickles(graph))
     return GateRun(findings, {
         "modules": len(graph.modules),
         "exception_classes": len(taxonomy.classes),

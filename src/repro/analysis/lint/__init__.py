@@ -5,7 +5,7 @@ replay metrics are exact properties of a deterministic access stream:
 
 * ``replint`` (:mod:`engine`, :mod:`rules`): an AST-based static pass
   with rules tuned to simulator hazards (wall-clock reads, unseeded
-  RNGs, set iteration, float equality, bare asserts, config mutation).
+  RNGs, set iteration, bare asserts).
   Run it with ``python -m repro check --only lint``.
 * :class:`TraceSanitizer` (:mod:`sanitizer`): a runtime checker that
   walks a trace/replay pair and verifies quad conservation, cycle

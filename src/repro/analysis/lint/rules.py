@@ -14,12 +14,8 @@ rule id                   hazard
                           (no seeded generator) make replays unrepeatable
 ``unordered-iteration``   iterating a ``set``/``frozenset`` lets hash
                           randomization reorder the access stream
-``float-equality``        ``==`` against a nonzero float literal on
-                          cycle/energy quantities is platform-fragile
 ``bare-assert``           ``assert`` vanishes under ``python -O``; library
                           validation must raise the ``repro.errors`` taxonomy
-``config-mutation``       mutating a shared ``GPUConfig``/``DTexLConfig``
-                          after construction corrupts every later replay
 ========================  ====================================================
 
 Rules are pure functions of one parsed module: no I/O, no project
@@ -80,13 +76,6 @@ _SET_PRODUCING_METHODS = frozenset({
 #: order-insensitive and therefore fine.)
 _ORDER_SENSITIVE_CONSUMERS = frozenset({"list", "tuple", "enumerate",
                                         "iter", "sum"})
-
-#: Names that conventionally bind a shared simulation configuration.
-_CONFIG_NAMES = frozenset({
-    "config", "gpu", "gpu_config", "dtexl_config", "design",
-    "base_config", "effective_config",
-})
-
 
 @dataclass
 class ModuleContext:
@@ -264,36 +253,6 @@ def check_unordered_iteration(ctx: ModuleContext) -> List[Finding]:
     return findings
 
 
-# -- float-equality -----------------------------------------------------------
-
-def _is_nonzero_float_literal(node: ast.AST) -> bool:
-    if isinstance(node, ast.Constant) and isinstance(node.value, float):
-        return node.value != 0.0  # exact-zero degenerate guards are idiomatic
-    if (
-        isinstance(node, ast.UnaryOp)
-        and isinstance(node.op, (ast.USub, ast.UAdd))
-    ):
-        return _is_nonzero_float_literal(node.operand)
-    return False
-
-
-def check_float_equality(ctx: ModuleContext) -> List[Finding]:
-    findings: List[Finding] = []
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Compare):
-            continue
-        operands = [node.left] + list(node.comparators)
-        eq_ops = any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
-        if eq_ops and any(_is_nonzero_float_literal(o) for o in operands):
-            findings.append(_finding(
-                ctx, node, "float-equality",
-                "== / != against a nonzero float literal; cycle and "
-                "energy quantities must be compared with tolerances "
-                "(math.isclose) or kept integral",
-            ))
-    return findings
-
-
 # -- bare-assert --------------------------------------------------------------
 
 def check_bare_assert(ctx: ModuleContext) -> List[Finding]:
@@ -309,51 +268,6 @@ def check_bare_assert(ctx: ModuleContext) -> List[Finding]:
     return findings
 
 
-# -- config-mutation ----------------------------------------------------------
-
-def _is_config_like(node: ast.AST) -> bool:
-    """Whether an expression conventionally denotes a shared config."""
-    if isinstance(node, ast.Name):
-        return node.id in _CONFIG_NAMES
-    if isinstance(node, ast.Attribute):
-        return node.attr in _CONFIG_NAMES
-    return False
-
-
-def check_config_mutation(ctx: ModuleContext) -> List[Finding]:
-    findings: List[Finding] = []
-
-    def flag(node: ast.AST, what: str) -> None:
-        findings.append(_finding(
-            ctx, node, "config-mutation",
-            f"{what} mutates a shared GPUConfig/DTexLConfig after "
-            "construction; build a new instance with dataclasses.replace "
-            "so concurrent replays never observe a half-updated config",
-        ))
-
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign)
-                else [node.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and _is_config_like(target.value)
-                ):
-                    flag(node, f"assignment to {dotted_name(target)}")
-        elif isinstance(node, ast.Call):
-            name = _resolved_call_name(node, ctx)
-            if (
-                name in ("setattr", "object.__setattr__")
-                and node.args
-                and _is_config_like(node.args[0])
-            ):
-                flag(node, f"{name}() on a config object")
-    return findings
-
-
 #: Registry, in reporting order.  ``timing_only`` rules patrol only
 #: :data:`TIMING_CRITICAL_PACKAGES`; the rest patrol all library code.
 ALL_RULES: List[Rule] = [
@@ -366,15 +280,9 @@ ALL_RULES: List[Rule] = [
     Rule("unordered-iteration",
          "no iteration over sets in timing-critical packages",
          timing_only=True, check=check_unordered_iteration),
-    Rule("float-equality",
-         "no == against nonzero float literals",
-         timing_only=False, check=check_float_equality),
     Rule("bare-assert",
          "no assert-based validation in library code",
          timing_only=False, check=check_bare_assert),
-    Rule("config-mutation",
-         "no mutation of shared configs after construction",
-         timing_only=False, check=check_config_mutation),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in ALL_RULES}

@@ -5,9 +5,9 @@ call graph, walks the hot region from the entry points
 ``perfcontract.toml`` declares (the fast replay path, the cache access
 loops, quad emission), and enforces the rules that keep the fast
 engine fast — no allocation in hot loops, attribute chains hoisted to
-locals, no exception machinery in the per-quad path, fast/reference
-engine disjointness, declared loop-depth bounds, and a contract-drift
-check so the declared hot set can't silently rot.  Run it as
+locals, fast/reference engine disjointness, declared loop-depth
+bounds, and a contract-drift check so the declared hot set can't
+silently rot.  Run it as
 ``repro check --only perfcheck``.
 """
 

@@ -1,7 +1,7 @@
 """The per-function hot-path rules and the contract-drift checks.
 
 Every function in the hot region gets one AST scan that tracks lexical
-loop depth and collects three families of evidence:
+loop depth and collects two families of evidence:
 
 * **allocations** — list/dict/set/tuple literals, comprehensions,
   generator expressions, f-strings, string concatenation, closures and
@@ -14,10 +14,10 @@ loop depth and collects three families of evidence:
   two or more attributes inside a loop whose root name is never
   rebound in the function: each iteration pays the full lookup chain
   for a value that a one-line hoist makes a local.
-* **fault paths** — ``try``/``raise``/``print``/logging/IO inside a
-  loop body: exception machinery and side channels do not belong in
-  the per-quad path (allocations inside a ``raise`` are not
-  double-flagged; the raise itself is the finding).
+
+A ``raise`` is skipped together with its payload: the f-string of an
+error message is built once, on the way out of the loop, not per
+iteration.
 
 Loop depth is counted the way CPython evaluates, not the way the
 source indents: a ``for`` statement's iterable and target run once per
@@ -40,9 +40,6 @@ from repro.analysis.perf.hotpath import HotRegion, reachable_chains
 #: allocation call targets flagged by dotted name.
 _ALLOCATING_CALLS = frozenset({"np.append", "numpy.append"})
 
-#: names whose method calls count as logging in a hot loop.
-_LOGGING_ROOTS = frozenset({"logging", "log", "logger"})
-
 
 @dataclass
 class _Site:
@@ -58,7 +55,6 @@ class HotScan:
 
     allocations: List[_Site] = field(default_factory=list)
     chains: List[_Site] = field(default_factory=list)
-    fault_paths: List[_Site] = field(default_factory=list)
     max_loop_depth: int = 0
 
 
@@ -114,11 +110,6 @@ class _Scanner:
             kind=kind, line=node.lineno, col=node.col_offset, detail=detail,
         ))
 
-    def _fault(self, node: ast.AST, kind: str) -> None:
-        self.result.fault_paths.append(_Site(
-            kind=kind, line=node.lineno, col=node.col_offset,
-        ))
-
     # -- traversal -------------------------------------------------------
     #
     # ``depth`` counts enclosing For/While statements; ``comp`` counts
@@ -165,14 +156,7 @@ class _Scanner:
             self._visit_all(node.orelse, depth + 1, comp)
             return
         if isinstance(node, ast.Raise):
-            # the raise is the finding; its f-string is not a second one.
-            if depth >= 1:
-                self._fault(node, "raise")
-            return
-        if isinstance(node, ast.Try):
-            if depth >= 1:
-                self._fault(node, "try")
-            self._visit_children(node, depth, comp)
+            # an error path runs once, on the way out: not per iteration.
             return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
@@ -247,7 +231,7 @@ class _Scanner:
                 self._alloc(node, "str-concat")
         if depth + comp >= 1:
             if isinstance(node, ast.Call):
-                self._visit_call(node, depth)
+                self._visit_call(node)
                 self._visit_children(node, depth, comp)
                 return
             if isinstance(node, ast.Attribute) and isinstance(
@@ -264,25 +248,11 @@ class _Scanner:
                     return  # maximal chains only; sub-chains are implied
         self._visit_children(node, depth, comp)
 
-    def _visit_call(self, node: ast.Call, depth: int) -> None:
-        func = node.func
-        if isinstance(func, ast.Name):
-            if func.id == "print":
-                self._fault(node, "print")
-            elif func.id == "open":
-                self._fault(node, "io")
-            return
-        if isinstance(func, ast.Attribute):
-            chain = _pure_chain(func)
-            if chain is None:
-                return
-            root, _, dotted = chain
-            if dotted in _ALLOCATING_CALLS:
-                self._alloc(node, "np.append", detail=dotted)
-            elif root in _LOGGING_ROOTS:
-                self._fault(node, "logging")
-            elif dotted.startswith(("sys.stdout.", "sys.stderr.")):
-                self._fault(node, "io")
+    def _visit_call(self, node: ast.Call) -> None:
+        if isinstance(node.func, ast.Attribute):
+            chain = _pure_chain(node.func)
+            if chain is not None and chain[2] in _ALLOCATING_CALLS:
+                self._alloc(node, "np.append", detail=chain[2])
 
 
 def scan_function(fn_node: ast.AST) -> HotScan:
@@ -302,7 +272,7 @@ def _via(region: HotRegion, qualname: str) -> str:
 
 def check_hot_loops(callgraph: CallGraph,
                     region: HotRegion) -> List[Finding]:
-    """Allocation, attribute-chain and fault-path rules over the region.
+    """Allocation and attribute-chain rules over the region.
 
     Findings aggregate per ``(function, kind)`` — one waiver covers one
     deliberate pattern in one function, and fixing any single site
@@ -349,23 +319,6 @@ def check_hot_loops(callgraph: CallGraph,
                 fingerprint=(
                     f"unhoisted-attribute-chain:{qualname}:{dotted}"
                 ),
-            ))
-        by_fault: Dict[str, List[_Site]] = {}
-        for site in scan.fault_paths:
-            by_fault.setdefault(site.kind, []).append(site)
-        for kind in sorted(by_fault):
-            sites = by_fault[kind]
-            first = min(sites, key=lambda s: (s.line, s.col))
-            extra = (f" ({len(sites)} sites)" if len(sites) > 1 else "")
-            findings.append(Finding(
-                path=fn.path, line=first.line, col=first.col,
-                rule="hot-loop-fault-path",
-                message=(
-                    f"{kind} inside a hot loop{extra}; this function is "
-                    f"hot via {_via(region, qualname)} — move exception "
-                    "machinery and side channels out of the per-quad path"
-                ),
-                fingerprint=f"hot-loop-fault-path:{qualname}:{kind}",
             ))
     return findings
 

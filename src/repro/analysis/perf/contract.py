@@ -29,7 +29,8 @@ work (per-frame construction, image-output paths); an exclusion stops
 the walk at that function.  The ``signature`` and ``max_loop_depth``
 fields pin the entry point's shape so the contract rots loudly: rename
 a parameter or add a fourth nested loop and the drift check fires
-before the benchmark does.
+before the benchmark does.  Any table not shown above is an error, so
+a misspelt table cannot pass while checking nothing it declares.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
+from repro.analysis.checks_common import reject_unknown_tables
 from repro.errors import ConfigError
 
 
@@ -90,6 +92,10 @@ class PerfContract:
     @classmethod
     def from_dict(cls, raw: dict, path: Optional[Path] = None
                   ) -> "PerfContract":
+        reject_unknown_tables(
+            raw, ("project", "entry", "hotregion", "purity", "profile"),
+            "performance contract",
+        )
         project = raw.get("project", {})
         package = project.get("package")
         if not isinstance(package, str) or not package:

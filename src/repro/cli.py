@@ -323,8 +323,7 @@ def cmd_chaos(args) -> int:
         config=args.screen,
         games=_games(args.games),
         task_timeout_s=args.task_timeout,
-        retry_policy=RetryPolicy(max_retries=args.max_retries,
-                                 seed=args.seed),
+        retry_policy=RetryPolicy(max_retries=args.max_retries),
     )
     if args.json:
         import json

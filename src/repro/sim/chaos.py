@@ -248,7 +248,7 @@ def run_chaos(
     games = list(games) if games is not None else list(DEFAULT_CHAOS_GAMES)
     sweep = sweep if sweep is not None else default_sweep()
     retry_policy = retry_policy if retry_policy is not None else RetryPolicy(
-        max_retries=2, seed=seed
+        max_retries=2
     )
     hang_seconds = task_timeout_s * 2.0
 

@@ -130,10 +130,10 @@ class InjectedKill(BaseException):
 def deterministic_fraction(*parts: object) -> float:
     """A uniform [0, 1) draw that is a pure function of ``parts``.
 
-    Used instead of ``random.Random`` so injection (and retry jitter)
-    decisions are independent of call ordering and of the process they
-    are made in — two workers evaluating the same (seed, site, key,
-    attempt) agree without sharing state.
+    Used instead of ``random.Random`` so injection decisions are
+    independent of call ordering and of the process they are made in —
+    two workers evaluating the same (seed, site, key, attempt) agree
+    without sharing state.
     """
     material = "|".join(str(part) for part in parts)
     digest = hashlib.sha256(material.encode("utf-8")).digest()

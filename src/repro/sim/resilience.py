@@ -20,12 +20,10 @@ module provides the pieces the sweep and suite runners share:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.errors import BudgetExceededError, is_transient
-from repro.sim.faults import deterministic_fraction
 
 T = TypeVar("T")
 
@@ -72,51 +70,19 @@ class FailureRecord:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry of transient failures, with deterministic backoff.
+    """Bounded, immediate retry of transient failures.
 
     ``max_retries`` is the number of *re*-attempts after the first try;
     the default of 0 means fail on first error.  Only errors flagged
     transient (``error.transient``) are retried — retrying a
     deterministic crash wastes a campaign's wall time.
-
-    Between attempts the policy sleeps an exponential backoff
-    (``backoff_base_s * backoff_factor**(attempt-1)``, capped at
-    ``backoff_max_s``) shortened by *seeded* jitter: the jitter draw is
-    a pure function of ``(seed, key, attempt)``, so two runs of the
-    same campaign wait the exact same schedule — a chaos trial replays
-    bit-identically — while two design points retrying concurrently
-    still de-synchronize.  The default ``backoff_base_s`` of 0 keeps
-    retries immediate, exactly the pre-backoff behavior.
     """
 
     max_retries: int = 0
-    backoff_base_s: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 30.0
-    #: Fraction of each delay subject to jitter (0 = fixed schedule).
-    jitter: float = 0.5
-    seed: int = 0
 
     def attempts_for(self, error: BaseException) -> int:
         """Total attempts allowed once ``error`` has been observed."""
         return 1 + (self.max_retries if is_transient(error) else 0)
-
-    def delay_for(self, attempt: int, key: str = "") -> float:
-        """Seconds to wait after failed attempt number ``attempt``.
-
-        Deterministic: the same ``(policy, attempt, key)`` always
-        produces the same delay, in [delay*(1-jitter), delay].
-        """
-        if self.backoff_base_s <= 0.0:
-            return 0.0
-        delay = self.backoff_base_s * (self.backoff_factor ** (attempt - 1))
-        delay = min(delay, self.backoff_max_s)
-        if self.jitter <= 0.0:
-            return delay
-        draw = deterministic_fraction(
-            self.seed, "retry-backoff", key, attempt
-        )
-        return delay * (1.0 - self.jitter * draw)
 
 
 def run_guarded(
@@ -129,13 +95,10 @@ def run_guarded(
     """Run ``fn`` inside an error boundary.
 
     Returns ``(result, None)`` on success or ``(None, failure)`` once
-    the retry budget is exhausted.  Retries wait the policy's
-    deterministic backoff (keyed by design point and game, so the
-    schedule is reproducible).  ``KeyboardInterrupt``/``SystemExit``
+    the retry budget is exhausted.  ``KeyboardInterrupt``/``SystemExit``
     propagate — a campaign must still be killable.
     """
     policy = policy or RetryPolicy()
-    backoff_key = f"{design_point}/{game}"
     attempt = 0
     while True:
         attempt += 1
@@ -145,9 +108,6 @@ def run_guarded(
             raise
         except Exception as error:
             if attempt < policy.attempts_for(error):
-                delay = policy.delay_for(attempt, key=backoff_key)
-                if delay > 0.0:
-                    time.sleep(delay)
                 continue
             return None, FailureRecord.of(
                 error, design_point, game, attempts=attempt
@@ -193,10 +153,11 @@ class RunManifest:
     design_points_resumed: List[str] = field(default_factory=list)
     failures: List[FailureRecord] = field(default_factory=list)
     wall_time_s: float = 0.0
-    #: Wall seconds per campaign phase (parallel runs stamp ``render``,
-    #: ``pool_startup`` and ``replay``), so a slow campaign can be
-    #: attributed to pass-1 rendering, executor spin-up or the replays
-    #: themselves straight from the archived manifest.
+    #: Wall seconds per campaign phase (serial streaming runs stamp
+    #: ``streamed``; parallel runs stamp ``pool_startup`` and ``replay``,
+    #: the workers' renders included), so a slow campaign can be
+    #: attributed to executor spin-up or the replays themselves
+    #: straight from the archived manifest.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property

@@ -32,21 +32,29 @@ except ImportError:  # pragma: no cover - hypothesis is a dev extra
 
 @pytest.fixture(autouse=True)
 def sanitize_every_replay(monkeypatch):
-    """Auto-sanitize every successful replay the suite performs.
+    """Auto-sanitize every successful batch replay the suite performs.
 
-    Wraps :meth:`TraceReplayer.run` so each trace/result pair the tests
-    produce is walked by the :class:`TraceSanitizer`; a replay that
-    silently breaks a pipeline invariant fails its test even when the
-    test itself only asserted something narrower.
+    Wraps :meth:`TraceReplayer.run_stream`, which every replay goes
+    through (``TraceReplayer.run`` and ``ExperimentRunner.run`` alike),
+    so each trace/result pair the tests produce is walked by the
+    :class:`TraceSanitizer`; a replay that silently breaks a pipeline
+    invariant fails its test even when the test itself only asserted
+    something narrower.  A streamed replay holds no whole trace to
+    check; test_stream pins its results equal to batch.
     """
     from repro.analysis.lint.sanitizer import TraceSanitizer
     from repro.sim.replay import TraceReplayer
+    from repro.sim.stream import BatchTileStream
 
-    original = TraceReplayer.run
+    original = TraceReplayer.run_stream
 
-    def run(self, trace, design, hierarchy=None):
-        result = original(self, trace, design, hierarchy)
-        violations = TraceSanitizer(self.config).check(trace, result, design)
+    def run_stream(self, stream, design, hierarchy=None):
+        result = original(self, stream, design, hierarchy)
+        if not isinstance(stream, BatchTileStream):
+            return result
+        violations = TraceSanitizer(self.config).check(
+            stream.trace, result, design
+        )
         if violations:
             detail = "; ".join(str(v) for v in violations)
             pytest.fail(
@@ -55,7 +63,7 @@ def sanitize_every_replay(monkeypatch):
             )
         return result
 
-    monkeypatch.setattr(TraceReplayer, "run", run)
+    monkeypatch.setattr(TraceReplayer, "run_stream", run_stream)
 
 
 @pytest.fixture(scope="session")

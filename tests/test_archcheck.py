@@ -13,9 +13,6 @@ from repro.analysis.arch import (
     LayerContract,
     ModuleGraph,
     TODO_JUSTIFICATION,
-    check_dead_exports,
-    check_timing_critical_mutations,
-    check_undeclared_exports,
     graph_to_dict,
     to_dot,
 )
@@ -35,9 +32,6 @@ CONTRACT_DICT = {
         "high": ["mid", "low"],
     },
     "modules": {"pkg": "high"},
-    # fixture functions are unreferenced by construction; dead-export
-    # behaviour gets its own direct tests below
-    "deadcode": {"ignore": ["*"]},
 }
 
 
@@ -164,16 +158,6 @@ class TestModuleGraph:
         assert [f.rule for f in graph.errors] == ["parse-error"]
         assert "pkg.low.bad" not in graph.modules
 
-    def test_cycles_detected_and_deterministic(self, tmp_path):
-        graph = make_graph(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/low/__init__.py": "",
-            "pkg/low/a.py": "import pkg.low.b\n",
-            "pkg/low/b.py": "import pkg.low.a\n",
-            "pkg/low/c.py": "import pkg.low.a\n",
-        })
-        assert graph.cycles() == [["pkg.low.a", "pkg.low.b"]]
-
 
 # -- layer contracts ----------------------------------------------------------
 
@@ -201,21 +185,6 @@ class TestLayerContract:
             "forbidden-import:pkg.low.base->pkg.high.top"
         )
         assert "layer low" in finding.message
-
-    def test_import_cycle_is_a_finding(self, tmp_path):
-        files = dict(CLEAN_TREE)
-        files["pkg/mid/other.py"] = "from pkg.mid import work\n"
-        files["pkg/mid/work.py"] = (
-            "from pkg.mid import other\n"
-            "def work():\n"
-            "    return other\n"
-        )
-        report = run_check(tmp_path, files)
-        cycles = [f for f in report.findings if f.rule == "import-cycle"]
-        assert len(cycles) == 1
-        assert cycles[0].fingerprint == (
-            "import-cycle:pkg.mid.other+pkg.mid.work"
-        )
 
     def test_unmapped_module_is_a_finding(self, tmp_path):
         files = dict(CLEAN_TREE)
@@ -245,244 +214,6 @@ class TestLayerContract:
     def test_missing_contract_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             LayerContract.load(tmp_path / "absent.toml")
-
-
-# -- call graph / mutation pass -----------------------------------------------
-
-
-MUTATION_TREE = {
-    "pkg/__init__.py": "",
-    "pkg/low/__init__.py": "",
-    "pkg/low/state.py": (
-        "COUNTERS = {}\n"
-        "def bump(key):\n"
-        "    COUNTERS[key] = COUNTERS.get(key, 0) + 1\n"
-    ),
-    "pkg/mid/__init__.py": "",
-    "pkg/mid/engine.py": (
-        "from pkg.low.state import bump\n"
-        "class Engine:\n"
-        "    def run(self):\n"
-        "        return self.step()\n"
-        "    def step(self):\n"
-        "        bump('ticks')\n"
-    ),
-}
-
-
-class TestMutationPass:
-    def entry_contract(self, *entrypoints):
-        return contract_dict(callgraph={"entrypoints": list(entrypoints)})
-
-    def test_transitive_module_state_mutation_found(self, tmp_path):
-        report = run_check(
-            tmp_path, MUTATION_TREE,
-            the_contract=self.entry_contract("pkg.mid.engine.Engine.run"),
-        )
-        hits = [
-            f for f in report.findings
-            if f.rule == "timing-critical-mutation"
-        ]
-        assert len(hits) == 1
-        assert "Engine.run -> pkg.mid.engine.Engine.step -> " \
-            "pkg.low.state.bump" in hits[0].message
-        assert hits[0].fingerprint == (
-            "timing-critical-mutation:pkg.mid.engine.Engine.run:"
-            "pkg.low.state.bump:COUNTERS"
-        )
-
-    def test_shared_config_mutation_through_attribute_type(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/low/__init__.py": "",
-            "pkg/low/tuner.py": (
-                "class Tuner:\n"
-                "    def apply(self, config):\n"
-                "        config.speed = 99\n"
-            ),
-            "pkg/mid/__init__.py": "",
-            "pkg/mid/engine.py": (
-                "from pkg.low.tuner import Tuner\n"
-                "class Engine:\n"
-                "    def __init__(self):\n"
-                "        self.tuner = Tuner()\n"
-                "    def run(self, config):\n"
-                "        self.tuner.apply(config)\n"
-            ),
-        }
-        report = run_check(
-            tmp_path, files,
-            the_contract=self.entry_contract("pkg.mid.engine.Engine.run"),
-        )
-        hits = [
-            f for f in report.findings
-            if f.rule == "timing-critical-mutation"
-        ]
-        assert len(hits) == 1
-        assert hits[0].message.startswith(
-            "pkg.mid.engine.Engine.run -> pkg.low.tuner.Tuner.apply"
-        )
-        assert "shared config" in hits[0].message
-
-    def test_unreachable_mutation_not_flagged(self, tmp_path):
-        report = run_check(
-            tmp_path, MUTATION_TREE,
-            the_contract=self.entry_contract("pkg.low.state.bump"),
-        )
-        # bump itself mutates, so entry at bump still reports; entry at
-        # a function that never reaches bump must not.
-        files = dict(MUTATION_TREE)
-        files["pkg/mid/pure.py"] = "def quiet():\n    return 7\n"
-        clean = run_check(
-            tmp_path, files,
-            the_contract=self.entry_contract("pkg.mid.pure.quiet"),
-        )
-        assert [
-            f.rule for f in clean.findings
-            if f.rule == "timing-critical-mutation"
-        ] == []
-        assert report.findings  # direct entry does report
-
-    def test_local_and_self_mutations_are_clean(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/low/__init__.py": "",
-            "pkg/low/calc.py": (
-                "TABLE = {}\n"
-                "class Calc:\n"
-                "    def __init__(self):\n"
-                "        self.cache = {}\n"
-                "    def run(self, items):\n"
-                "        TABLE = {}\n"           # local shadows the global
-                "        TABLE['x'] = 1\n"
-                "        self.cache['y'] = 2\n"  # own state is fine
-                "        out = []\n"
-                "        out.append(3)\n"
-                "        return out\n"
-            ),
-        }
-        report = run_check(
-            tmp_path, files,
-            the_contract=self.entry_contract("pkg.low.calc.Calc.run"),
-        )
-        assert [
-            f.rule for f in report.findings
-            if f.rule == "timing-critical-mutation"
-        ] == []
-
-    def test_global_statement_is_flagged(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/low/__init__.py": "",
-            "pkg/low/g.py": (
-                "TICKS = 0\n"
-                "def tick():\n"
-                "    global TICKS\n"
-                "    TICKS = TICKS + 1\n"
-            ),
-        }
-        report = run_check(
-            tmp_path, files,
-            the_contract=self.entry_contract("pkg.low.g.tick"),
-        )
-        hits = [
-            f for f in report.findings
-            if f.rule == "timing-critical-mutation"
-        ]
-        assert len(hits) == 1 and "TICKS" in hits[0].message
-
-    def test_unknown_entrypoint_is_a_finding(self, tmp_path):
-        report = run_check(
-            tmp_path, CLEAN_TREE,
-            the_contract=self.entry_contract("pkg.mid.work.nope"),
-        )
-        assert [f.rule for f in report.findings] == ["unknown-entrypoint"]
-
-
-# -- dead / undeclared exports ------------------------------------------------
-
-
-class TestExportChecks:
-    def test_dead_export_found_and_live_ones_kept(self, tmp_path):
-        graph = make_graph(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/low/__init__.py": "",
-            "pkg/low/util.py": (
-                "def used():\n    return 1\n"
-                "def orphan():\n    return 2\n"
-                "def _private_helper():\n    return 3\n"
-            ),
-            "pkg/mid/__init__.py": "",
-            "pkg/mid/work.py": (
-                "from pkg.low.util import used\n"
-                "def work():\n    return used()\n"
-            ),
-        })
-        findings = check_dead_exports(graph)
-        # `work` is dead too (nothing references it), `orphan` is dead,
-        # `used` is alive, `_private_helper` is out of scope.
-        assert {f.fingerprint for f in findings} == {
-            "dead-export:pkg.low.util.orphan",
-            "dead-export:pkg.mid.work.work",
-        }
-
-    def test_reference_roots_keep_exports_alive(self, tmp_path):
-        graph = make_graph(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/low/__init__.py": "",
-            "pkg/low/util.py": "def orphan():\n    return 2\n",
-        })
-        tests_dir = write_tree(tmp_path / "tests", {
-            "test_util.py": (
-                "from pkg.low.util import orphan\n"
-                "def test_orphan():\n    assert orphan() == 2\n"
-            ),
-        })
-        assert check_dead_exports(graph) != []
-        assert check_dead_exports(graph, reference_roots=[tests_dir]) == []
-
-    def test_ignore_patterns(self, tmp_path):
-        graph = make_graph(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/low/__init__.py": "",
-            "pkg/low/util.py": "def orphan():\n    return 2\n",
-        })
-        assert check_dead_exports(graph, ignore=["pkg.low.*"]) == []
-
-    def test_undeclared_import_is_a_finding(self, tmp_path):
-        graph = make_graph(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/low/__init__.py": (
-                "from pkg.low.util import real, ghost\n"
-            ),
-            "pkg/low/util.py": "def real():\n    return 1\n",
-        })
-        findings = check_undeclared_exports(graph)
-        assert [f.fingerprint for f in findings] == [
-            "undeclared-export:pkg.low:pkg.low.util.ghost"
-        ]
-
-    def test_importing_a_submodule_name_is_declared(self, tmp_path):
-        graph = make_graph(tmp_path, {
-            "pkg/__init__.py": "from pkg import low\n",
-            "pkg/low/__init__.py": "from pkg.low import util\n",
-            "pkg/low/util.py": "X = 1\n",
-        })
-        assert check_undeclared_exports(graph) == []
-
-    def test_all_ghost_entry_is_a_finding(self, tmp_path):
-        graph = make_graph(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/low/__init__.py": "",
-            "pkg/low/util.py": (
-                "__all__ = ['real', 'phantom']\n"
-                "def real():\n    return 1\n"
-            ),
-        })
-        findings = check_undeclared_exports(graph)
-        assert [f.fingerprint for f in findings] == [
-            "undeclared-export:pkg.low.util:__all__.phantom"
-        ]
 
 
 # -- baseline ratchet ---------------------------------------------------------
@@ -655,7 +386,8 @@ class TestRepositoryGate:
 
 
 class TestCli:
-    def _write_fixture(self, tmp_path, files, baseline_entries=None):
+    def _write_fixture(self, tmp_path, files, baseline_entries=None,
+                       extra_toml=""):
         src = write_tree(tmp_path / "src", files)
         contract_path = tmp_path / "archcontract.toml"
         contract_path.write_text(
@@ -665,9 +397,8 @@ class TestCli:
             'mid = ["low"]\n'
             'high = ["mid", "low"]\n\n'
             "[modules]\n"
-            '"pkg" = "high"\n\n'
-            "[deadcode]\n"
-            'ignore = ["*"]\n'
+            '"pkg" = "high"\n'
+            + extra_toml
         )
         baseline_path = tmp_path / "baseline.json"
         if baseline_entries is not None:
@@ -726,6 +457,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "archcheck: exit 2 (fatal)" in out
         assert "no architecture contract" in out
+
+    def test_unknown_table_is_fatal(self, tmp_path, capsys):
+        # A misspelt table must not pass while checking nothing.
+        src, ct, bl = self._write_fixture(
+            tmp_path, CLEAN_TREE, extra_toml='\n[dedcode]\nignore = ["*"]\n',
+        )
+        assert main(self._argv(src, ct, bl)) == 1
+        out = capsys.readouterr().out
+        assert "archcheck: exit 2 (fatal)" in out
+        assert "unknown table(s) [dedcode]" in out
 
     def test_repo_defaults_exit_zero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)

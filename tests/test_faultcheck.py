@@ -1,4 +1,4 @@
-"""The ``faultcheck`` exception-flow pass: taxonomy, escapes, six checks."""
+"""The ``faultcheck`` exception-flow pass: taxonomy, escapes, five checks."""
 
 from __future__ import annotations
 
@@ -569,71 +569,6 @@ class TestCliExitCodes:
         assert report.ok
 
 
-# -- mutation 6: worker pickle safety -----------------------------------------
-
-
-class TestWorkerPickles:
-    def test_lambda_submission_is_a_finding(self, tmp_path):
-        report = run_flow(tmp_path, mutate({
-            "pkg/pool.py": (
-                "from concurrent.futures import ProcessPoolExecutor\n"
-                "def run_all(items):\n"
-                "    with ProcessPoolExecutor() as executor:\n"
-                "        futures = [\n"
-                "            executor.submit(lambda: item * 2)\n"
-                "            for item in items\n"
-                "        ]\n"
-                "    return [f.result() for f in futures]\n"
-            ),
-        }))
-        assert rules_of(report) == {"unpicklable-worker-capture"}
-
-    def test_nested_function_submission_is_a_finding(self, tmp_path):
-        report = run_flow(tmp_path, mutate({
-            "pkg/pool.py": (
-                "from concurrent.futures import ProcessPoolExecutor\n"
-                "def run_all(items):\n"
-                "    def work(x):\n"
-                "        return x * 2\n"
-                "    with ProcessPoolExecutor() as executor:\n"
-                "        futures = [executor.submit(work, i) for i in items]\n"
-                "    return [f.result() for f in futures]\n"
-            ),
-        }))
-        assert rules_of(report) == {"unpicklable-worker-capture"}
-        (finding,) = report.findings
-        assert "closure" in finding.message
-
-    def test_open_handle_argument_is_a_finding(self, tmp_path):
-        report = run_flow(tmp_path, mutate({
-            "pkg/pool.py": (
-                "from concurrent.futures import ProcessPoolExecutor\n"
-                "def work(handle):\n"
-                "    return handle\n"
-                "def run_one(path):\n"
-                "    log = open(path)\n"
-                "    with ProcessPoolExecutor() as executor:\n"
-                "        future = executor.submit(work, log)\n"
-                "    return future.result()\n"
-            ),
-        }))
-        assert rules_of(report) == {"unpicklable-worker-capture"}
-
-    def test_module_level_callable_is_allowed(self, tmp_path):
-        report = run_flow(tmp_path, mutate({
-            "pkg/pool.py": (
-                "from concurrent.futures import ProcessPoolExecutor\n"
-                "def work(x):\n"
-                "    return x * 2\n"
-                "def run_all(items):\n"
-                "    with ProcessPoolExecutor() as executor:\n"
-                "        futures = [executor.submit(work, i) for i in items]\n"
-                "    return [f.result() for f in futures]\n"
-            ),
-        }))
-        assert report.ok
-
-
 # -- baseline ratchet ---------------------------------------------------------
 
 
@@ -800,8 +735,7 @@ class TestFaultcheckCli:
             + "".join(
                 f'"pkg.{mod}" = "all"\n'
                 for mod in ("boundary", "cli", "core", "errors", "faults")
-            )
-            + "[deadcode]\nignore = [\"*\"]\n",
+            ),
             encoding="utf-8",
         )
         (tmp_path / "perfcontract.toml").write_text(
@@ -835,8 +769,7 @@ class TestFaultcheckCli:
             + "".join(
                 f'"pkg.{mod}" = "all"\n'
                 for mod in ("cli", "core", "errors", "faults")
-            )
-            + "[deadcode]\nignore = [\"*\"]\n",
+            ),
             encoding="utf-8",
         )
         monkeypatch.chdir(tmp_path)

@@ -7,8 +7,6 @@ the final report to be bit-identical to an uninjected reference.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.core.dtexl import BASELINE
@@ -35,7 +33,7 @@ from repro.sim.faults import (
     InjectedKill,
     deterministic_fraction,
 )
-from repro.sim.resilience import RetryPolicy, run_guarded
+from repro.sim.resilience import RetryPolicy
 from repro.sim.sweep import TRACE_SUBDIR, DesignSweep
 
 GAME = "SWa"
@@ -591,47 +589,6 @@ class TestWorkerRecovery:
             if not (r.grouping == "CG-square" and r.decoupled)
         ]
         assert [r.as_dict() for r in report.rows] == surviving
-
-
-class TestRetryBackoff:
-    def test_zero_base_means_immediate(self):
-        assert RetryPolicy(max_retries=2).delay_for(1, key="k") == 0.0
-
-    def test_exponential_capped_and_jittered(self):
-        policy = RetryPolicy(
-            max_retries=5, backoff_base_s=1.0, backoff_factor=2.0,
-            backoff_max_s=3.0, jitter=0.5, seed=1,
-        )
-        for attempt, ceiling in ((1, 1.0), (2, 2.0), (3, 3.0), (4, 3.0)):
-            delay = policy.delay_for(attempt, key="k")
-            assert ceiling * 0.5 <= delay <= ceiling
-
-    def test_deterministic_per_key_and_attempt(self):
-        policy = RetryPolicy(backoff_base_s=1.0, seed=7)
-        assert policy.delay_for(2, key="a") == policy.delay_for(2, key="a")
-        assert policy.delay_for(2, key="a") != policy.delay_for(2, key="b")
-
-    def test_run_guarded_sleeps_the_policy_schedule(self, monkeypatch):
-        slept = []
-        monkeypatch.setattr(time, "sleep", slept.append)
-        policy = RetryPolicy(
-            max_retries=2, backoff_base_s=0.5, jitter=0.5, seed=3
-        )
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise InjectedFaultError("flaky", transient=True)
-            return "ok"
-
-        result, failure = run_guarded(
-            flaky, design_point="dp", game="g", policy=policy
-        )
-        assert (result, failure) == ("ok", None)
-        assert slept == [
-            policy.delay_for(1, key="dp/g"), policy.delay_for(2, key="dp/g"),
-        ]
 
 
 class TestChaosCampaign:

@@ -103,25 +103,6 @@ class TestUnorderedIteration:
         assert rules_in(src, TABLE_PATH) == []
 
 
-class TestFloatEquality:
-    def test_nonzero_literal_flagged_everywhere(self):
-        src = "ok = speedup == 1.5\n"
-        assert rules_in(src) == ["float-equality"]
-        assert rules_in(src, TABLE_PATH) == ["float-equality"]
-
-    def test_negative_literal_flagged(self):
-        src = "bad = delta != -2.5\n"
-        assert rules_in(src) == ["float-equality"]
-
-    def test_zero_degenerate_guard_is_clean(self):
-        src = "if area == 0.0:\n    return None\n"
-        assert rules_in(src) == []
-
-    def test_integer_comparison_is_clean(self):
-        src = "done = cycles == 128\n"
-        assert rules_in(src) == []
-
-
 class TestBareAssert:
     def test_assert_flagged(self):
         src = "def f(n):\n    assert n > 0, 'bad'\n"
@@ -133,27 +114,6 @@ class TestBareAssert:
             "def f(n):\n"
             "    if n <= 0:\n"
             "        raise ConfigError('bad')\n"
-        )
-        assert rules_in(src) == []
-
-
-class TestConfigMutation:
-    def test_attribute_assignment_flagged(self):
-        src = "config.num_shader_cores = 8\n"
-        assert rules_in(src) == ["config-mutation"]
-
-    def test_augmented_assignment_flagged(self):
-        src = "design.l1_size_kib *= 4\n"
-        assert rules_in(src) == ["config-mutation"]
-
-    def test_setattr_flagged(self):
-        src = "object.__setattr__(config, 'decoupled', True)\n"
-        assert rules_in(src) == ["config-mutation"]
-
-    def test_dataclasses_replace_is_clean(self):
-        src = (
-            "import dataclasses\n"
-            "bigger = dataclasses.replace(config, num_shader_cores=8)\n"
         )
         assert rules_in(src) == []
 
@@ -273,13 +233,13 @@ class TestEngine:
         )
 
     def test_findings_sorted_and_serializable(self):
-        src = "assert a\nx = b == 1.5\n"
+        src = "assert a\nfor x in {1, 2}:\n    pass\n"
         findings = LintEngine().lint_source(src, SIM_PATH)
         assert [f.line for f in findings] == sorted(f.line for f in findings)
         payload = json.loads(json.dumps(findings_payload(findings)))
         assert payload["count"] == len(findings) == 2
         assert {row["rule"] for row in payload["findings"]} == {
-            "bare-assert", "float-equality",
+            "bare-assert", "unordered-iteration",
         }
         text = format_text(findings)
         assert "replint: 2 findings" in text
@@ -311,16 +271,15 @@ class TestRealTree:
             "import random\n"
             "import time\n"
             "def jitter(config):\n"
-            "    config.frequency_mhz = 600\n"
             "    assert config.frequency_mhz\n"
             "    for core in {1, 2, 3}:\n"
-            "        if time.monotonic() == 1.5:\n"
+            "        if time.monotonic() > 1.5:\n"
             "            return random.random()\n"
         )
         found = {f.rule for f in lint_paths([tmp_path])}
         assert found == {
             "wall-clock", "unseeded-random", "unordered-iteration",
-            "float-equality", "bare-assert", "config-mutation",
+            "bare-assert",
         }
 
 

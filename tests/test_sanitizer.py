@@ -20,6 +20,7 @@ from repro.cli import main
 from repro.core.dtexl import BASELINE, DTEXL_BEST, PAPER_CONFIGURATIONS
 from repro.errors import InvariantViolationError
 from repro.raster.fragment import TileQuads
+from repro.sim.experiment import ExperimentRunner
 from repro.sim.replay import TraceReplayer
 
 UPPER_BOUND = PAPER_CONFIGURATIONS["upper-bound"]
@@ -64,6 +65,27 @@ class TestCleanReplays:
             copy.deepcopy(tiny_trace)
         )
         assert len(trace_digest(tiny_trace)) == 64
+
+
+# -- the suite-wide fixture ---------------------------------------------------
+
+
+class TestAutouseFixture:
+    def test_experiment_runner_replay_is_sanitized(
+        self, tiny_config, monkeypatch
+    ):
+        """``ExperimentRunner.run`` replays through ``run_stream``,
+        not ``TraceReplayer.run``; conftest's fixture must see it too."""
+        checked = []
+        original = TraceSanitizer.check
+
+        def check(self, trace, result, design, **kwargs):
+            checked.append(design.name)
+            return original(self, trace, result, design, **kwargs)
+
+        monkeypatch.setattr(TraceSanitizer, "check", check)
+        ExperimentRunner(tiny_config, games=["SWa"]).run("SWa", BASELINE)
+        assert checked == [BASELINE.name]
 
 
 # -- the five mutation classes ------------------------------------------------

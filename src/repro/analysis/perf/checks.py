@@ -32,7 +32,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.arch.callgraph import CallGraph, FunctionNode
+from repro.analysis.arch.callgraph import CallGraph
 from repro.analysis.checks_common import Finding
 from repro.analysis.perf.contract import PerfContract
 from repro.analysis.perf.hotpath import HotRegion, reachable_chains

@@ -38,7 +38,7 @@ from __future__ import annotations
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.checks_common import reject_unknown_tables
 from repro.errors import ConfigError
@@ -69,8 +69,6 @@ class PerfContract:
     profile_sections: List[str] = field(default_factory=list)
     #: floor for ``fast_vs_reference_speedup`` in the profile JSON.
     profile_min_speedup: float = 0.0
-    #: where the contract was loaded from.
-    path: Optional[Path] = None
 
     @classmethod
     def load(cls, path: Path) -> "PerfContract":
@@ -87,11 +85,10 @@ class PerfContract:
             raise ConfigError(
                 f"cannot parse performance contract {path}: {error}"
             ) from error
-        return cls.from_dict(raw, path=path)
+        return cls.from_dict(raw)
 
     @classmethod
-    def from_dict(cls, raw: dict, path: Optional[Path] = None
-                  ) -> "PerfContract":
+    def from_dict(cls, raw: dict) -> "PerfContract":
         reject_unknown_tables(
             raw, ("project", "entry", "hotregion", "purity", "profile"),
             "performance contract",
@@ -144,5 +141,4 @@ class PerfContract:
                 str(x) for x in profile.get("required_sections", [])
             ],
             profile_min_speedup=float(min_speedup),
-            path=path,
         )

@@ -144,7 +144,3 @@ class PrimitiveAssembler:
             blend=draw.blend,
             late_z=draw.late_z,
         )
-
-    @property
-    def primitives_assembled(self) -> int:
-        return self._next_id

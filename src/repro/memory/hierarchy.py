@@ -11,11 +11,10 @@ returning an :class:`AccessResult` with the level serviced and total
 latency, while maintaining per-level statistics.  ``l2.stats.accesses`` is
 the paper's headline "L2 Accesses" metric.
 
-The batched counterparts (:meth:`texture_access_lines`,
-:meth:`vertex_access_lines`, :meth:`tile_access_lines`) walk a whole
-footprint per call without allocating per-access result records; they
-update every counter in the same per-line order as the scalar entry
-points.  The fast replay engine drives the caches' recency lists
+The batched counterparts (:meth:`vertex_access_lines`,
+:meth:`tile_access_lines`) walk a whole footprint per call without
+allocating per-access result records; they update every counter in the
+same per-line order as the scalar entry points.  The fast replay engine drives the caches' recency lists
 directly, one chunk of tiles at a time (see :mod:`repro.sim.replay`).
 ``backend`` selects the cache implementation: ``"fast"`` (recency
 lists, the default) or ``"reference"`` (the OrderedDict specification
@@ -137,20 +136,6 @@ class MemoryHierarchy:
         if to_dram:
             below += self.dram.access_lines(to_dram)
         return hits, below
-
-    def texture_access_lines(
-        self, sc_id: int, lines: Sequence[int], miss_overhead: int = 0
-    ) -> Tuple[int, int]:
-        """Texture footprint fetch from shader core ``sc_id``.
-
-        Returns ``(l1_hits, stall_cycles)``; each L1 miss stalls for the
-        service latency below the L1 plus ``miss_overhead`` (the NoC +
-        replay penalty the shader model charges per miss) — the same
-        arithmetic the scalar replay path applies per line.
-        """
-        hits, below = self._access_lines(self.texture_l1s[sc_id], lines)
-        misses = len(lines) - hits
-        return hits, below + misses * miss_overhead
 
     def vertex_access_lines(self, lines: Sequence[int]) -> Tuple[int, int]:
         """Batched Geometry Pipeline fetches; returns (hits, below-L1 latency)."""

@@ -3,7 +3,7 @@ blending, and the coupled/decoupled timing models.
 """
 
 from repro.raster.setup import ScreenPrimitive, ScreenVertex, setup_primitive
-from repro.raster.fragment import Quad, QuadKey
+from repro.raster.fragment import Quad
 from repro.raster.rasterizer import Rasterizer
 from repro.raster.zbuffer import ZBuffer
 from repro.raster.color_buffer import ColorBuffer
@@ -17,7 +17,7 @@ from repro.raster.pipeline import (
 
 __all__ = [
     "ScreenVertex", "ScreenPrimitive", "setup_primitive",
-    "Quad", "QuadKey",
+    "Quad",
     "Rasterizer", "ZBuffer", "ColorBuffer", "BlendingUnit",
     "RasterPipelineModel", "FrameTiming", "SubtileWork", "TileWork",
 ]

@@ -13,7 +13,6 @@ as ``Quad`` objects; a ``Quad`` is the per-quad view of one row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence, Tuple
@@ -24,22 +23,6 @@ from repro.core.tile_order import TileCoord
 
 #: Pixel offsets within a quad, in (dx, dy) raster order.
 QUAD_PIXEL_OFFSETS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-@dataclass(frozen=True)
-class QuadKey:
-    """Identity of a quad location on screen."""
-
-    tile: TileCoord
-    qx: int
-    qy: int
-
-    def pixel_origin(self, tile_size: int) -> Tuple[int, int]:
-        """Screen coordinates of the quad's top-left pixel."""
-        return (
-            self.tile[0] * tile_size + self.qx * 2,
-            self.tile[1] * tile_size + self.qy * 2,
-        )
 
 
 class Quad(NamedTuple):
@@ -70,10 +53,6 @@ class Quad(NamedTuple):
     @property
     def covered_pixels(self) -> int:
         return sum(self.coverage)
-
-    @property
-    def key(self) -> QuadKey:
-        return QuadKey(self.tile, self.qx, self.qy)
 
     @property
     def compute_cycles(self) -> int:

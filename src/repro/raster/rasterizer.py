@@ -598,8 +598,10 @@ class Rasterizer:
         """Per-quad (lod, cache lines) for all covered blocks at once.
 
         Bilinear sampling — the overwhelmingly common case — runs fully
-        vectorized; other filter modes fall back to the scalar
-        per-lane path, which is bit-identical.
+        vectorized; other filter modes take the scalar per-lane path,
+        their only path.  On bilinear quads that path touches the same
+        cache lines and gives LODs within one ulp (``math`` against
+        numpy rounding in :func:`compute_lod`).
         """
         if texture is None or texture_samples == 0:
             return [(0.0, ())] * len(blocks)

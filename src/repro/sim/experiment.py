@@ -7,17 +7,17 @@ Attaching a :class:`~repro.sim.checkpoint.TraceCheckpointStore` makes
 that cache durable: a re-run (or a crashed campaign's resume) loads
 verified traces from disk instead of rendering again.
 
-:meth:`ExperimentRunner.run` is the only place a replay runs.  Serial
-campaigns, every task of a parallel sweep (each pool worker keeps one
-runner over the campaign's store) and ``repro replay`` all call it, so
-one body fires the ``replay.run`` fault point and feeds
+:meth:`ExperimentRunner.run` is the only place a replay runs.  Every
+task of a sweep (on the parent's runner, or on a pool worker's runner
+over the campaign's store), :meth:`~ExperimentRunner.run_suite` and
+``repro replay`` all call it, so one body fires the ``replay.run``
+fault point and feeds
 :meth:`~repro.sim.replay.TraceReplayer.run_stream` the game's tile
 stream, whichever stream driver the runner was built with.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -34,12 +34,7 @@ from repro.sim.stream import (
     StreamingTileStream,
     check_driver,
 )
-from repro.sim.resilience import (
-    FailureRecord,
-    ReplayBudget,
-    RetryPolicy,
-    run_guarded,
-)
+from repro.sim.resilience import FailureRecord, ReplayBudget
 from repro.texture.sampler import Sampler
 from repro.workloads.games import GAMES, build_game
 
@@ -51,9 +46,9 @@ CHUNK_SUBDIR = "chunks"
 class SuiteResult:
     """One design point's results over the whole suite.
 
-    ``failures`` is populated only by fault-isolated runs
-    (:meth:`ExperimentRunner.run_suite` with ``isolate_faults=True``):
-    each entry is a game that crashed and was skipped.
+    ``failures`` is populated only by the sweep's grid walk: it holds
+    the design point's first failing game, after which the walk skips
+    the point's remaining games.
     """
 
     design_point: str
@@ -151,9 +146,6 @@ class ExperimentRunner:
         #: On the streaming path a run that rendered *any* tile (instead
         #: of loading every chunk) counts as one render.
         self.renders_performed = 0
-        #: Wall seconds per dataflow phase, accumulated across runs; the
-        #: sweep folds these into the manifest's ``phase_seconds``.
-        self.phase_seconds: Dict[str, float] = {}
 
     # -- pass 1 cache -----------------------------------------------------------
 
@@ -230,59 +222,29 @@ class ExperimentRunner:
     def run(self, alias: str, design: DTexLConfig) -> RunResult:
         """Replay one game under one design point.
 
-        The one replay path: serial campaigns, every pool task of a
-        parallel sweep (on a per-worker runner over the campaign's
-        store) and ``repro replay`` all come through here, so the
-        ``design/game``-keyed fault point fires identically whichever
+        The one replay path: every sweep task (inline on this runner or
+        on a pool worker's runner over the campaign's store),
+        :meth:`run_suite` and ``repro replay`` all come through here, so
+        the ``design/game``-keyed fault point fires identically whichever
         executor and stream driver runs the replay.
         """
-        start = time.monotonic()  # replint: disable=wall-clock -- dataflow phase attribution for the manifest, never a simulated quantity
         fault_point(SITE_REPLAY, key=f"{design.name}/{alias}")
         stream = self.stream_for(alias)
         result = self.replayer.run_stream(stream, design)
-        if self.stream == "streaming":
-            if stream.tiles_rendered:
-                self.renders_performed += 1
-            elapsed = time.monotonic() - start  # replint: disable=wall-clock -- dataflow phase attribution for the manifest, never a simulated quantity
-            self.phase_seconds["streamed"] = (
-                self.phase_seconds.get("streamed", 0.0) + elapsed
-            )
+        if self.stream == "streaming" and stream.tiles_rendered:
+            self.renders_performed += 1
         return result
 
-    def run_suite(
-        self,
-        design: DTexLConfig,
-        isolate_faults: bool = False,
-        retry_policy: Optional[RetryPolicy] = None,
-        fail_fast: bool = False,
-    ) -> SuiteResult:
+    def run_suite(self, design: DTexLConfig) -> SuiteResult:
         """Replay every game of the suite under one design point.
 
-        With ``isolate_faults`` a crashing game becomes a
-        :class:`FailureRecord` on the result instead of aborting the
-        suite; failures flagged transient are retried per
-        ``retry_policy`` first.  ``fail_fast`` stops at the first failed
-        game — the sweep uses it because a design point missing any game
-        cannot produce an aggregate row, so its remaining replays are
-        wasted work.
+        A plain loop: the first failing game's exception propagates.
+        Fault isolation, retries and fail-fast are the sweep's
+        (:class:`~repro.sim.sweep.DesignSweep`).
         """
         result = SuiteResult(design_point=design.name)
         for alias in self.games:
-            if not isolate_faults:
-                result.per_game[alias] = self.run(alias, design)
-                continue
-            run, failure = run_guarded(
-                lambda: self.run(alias, design),
-                design_point=design.name,
-                game=alias,
-                policy=retry_policy,
-            )
-            if failure is not None:
-                result.failures.append(failure)
-                if fail_fast:
-                    break
-            else:
-                result.per_game[alias] = run
+            result.per_game[alias] = self.run(alias, design)
         return result
 
     def run_baseline(self) -> SuiteResult:

@@ -153,11 +153,11 @@ class RunManifest:
     design_points_resumed: List[str] = field(default_factory=list)
     failures: List[FailureRecord] = field(default_factory=list)
     wall_time_s: float = 0.0
-    #: Wall seconds per campaign phase (serial streaming runs stamp
-    #: ``streamed``; parallel runs stamp ``pool_startup`` and ``replay``,
-    #: the workers' renders included), so a slow campaign can be
-    #: attributed to executor spin-up or the replays themselves
-    #: straight from the archived manifest.
+    #: Wall seconds per campaign phase: every campaign that replays
+    #: stamps ``replay`` (renders included, under either executor) and
+    #: pool campaigns stamp ``pool_startup`` before it, so a slow
+    #: campaign can be attributed to executor spin-up or the replays
+    #: themselves straight from the archived manifest.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property

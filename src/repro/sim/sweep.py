@@ -7,26 +7,29 @@ a shared :class:`~repro.sim.experiment.ExperimentRunner`, producing flat
 result rows that can be printed or written to CSV.
 
 Execution is fault-isolated: a design point that crashes becomes a
-structured :class:`~repro.sim.resilience.FailureRecord` in the returned
-:class:`SweepReport` while the rest of the grid keeps running.  With a
-checkpoint directory, completed rows are journaled as they finish and
-pass-1 traces are persisted, so a killed campaign resumes from where it
-died without re-rendering anything; a JSON manifest summarising the run
-is written alongside.
+structured :class:`~repro.sim.resilience.FailureRecord` in the
+campaign's :class:`~repro.sim.resilience.RunManifest` while the rest of
+the grid keeps running.  With a checkpoint directory, completed rows
+are journaled as they finish and pass-1 traces are persisted, so a
+killed campaign resumes from where it died without re-rendering
+anything; the manifest is written alongside as JSON.
 
-With ``jobs > 1`` the (design point x game) replays fan out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  The parent renders
-nothing: each worker replays through its own
-:class:`~repro.sim.experiment.ExperimentRunner` over the campaign's
+Every campaign is one grid walk over one task table: the baseline's
+games plus every pending (design point, game) pair, each replayed by
+one task body through :meth:`ExperimentRunner.run`.  ``jobs`` only
+picks who runs the tasks.  With ``jobs == 1`` each task runs on the
+parent's runner when the walk asks for its result.  With ``jobs > 1``
+a process pool runs them and the parent renders nothing: each worker
+replays through its own runner over the campaign's
 :class:`~repro.sim.checkpoint.TraceCheckpointStore` (a temporary one
 when no checkpoint directory is given), so the first worker that needs
-a game renders and saves it and later tasks load it.  Results are
-reassembled in grid-and-games order, so a parallel campaign produces
-bit-identical rows, failures and manifest contents to a serial one —
-only ``wall_time_s`` and ``phase_seconds`` differ.
+a game renders and saves it and later tasks load it.  The walk consumes
+results in grid-and-games order either way, so a parallel campaign
+produces bit-identical rows, failures and manifest contents to a serial
+one — only ``wall_time_s`` and ``phase_seconds`` differ.
 
-The parallel pool is self-healing (:class:`_TaskPool`): a worker that
-dies (``BrokenProcessPool``) or hangs past the per-task deadline is
+The pool is self-healing (:class:`_TaskPool`): a worker that dies
+(``BrokenProcessPool``) or hangs past the per-task deadline is
 respawned and its tasks rescheduled; only a task that keeps failing
 becomes a :class:`FailureRecord` row.  Rows are journaled as each
 design point assembles — before pool teardown — and every injection
@@ -64,9 +67,6 @@ from repro.sim.experiment import ExperimentRunner, SuiteResult
 from repro.sim.replay import TraceReplayer
 from repro.sim.resilience import (
     FailureRecord,
-    OUTCOME_FATAL,
-    OUTCOME_PARTIAL,
-    OUTCOME_SUCCESS,
     RetryPolicy,
     RunManifest,
     run_guarded,
@@ -86,7 +86,32 @@ TRACE_SUBDIR = "traces"
 MANIFEST_FILENAME = "manifest.json"
 
 
-# -- parallel-executor plumbing (module level: must pickle to workers) --------
+# -- the task body and its executors ------------------------------------------
+
+
+def _replay(
+    runner: ExperimentRunner,
+    design: DTexLConfig,
+    game: str,
+    policy: Optional[RetryPolicy],
+    guarded: bool,
+):
+    """One (design point, game) task, on ``runner``, under either executor.
+
+    Unguarded tasks (the baseline) let exceptions propagate — a
+    baseline failure is fatal.  Guarded tasks return the
+    ``(result, failure)`` pair of :func:`run_guarded`, so retry
+    accounting and failure records do not depend on the executor.
+    """
+    if not guarded:
+        return runner.run(game, design), None
+    return run_guarded(
+        lambda: runner.run(game, design),
+        design_point=design.name,
+        game=game,
+        policy=policy,
+    )
+
 
 #: This process's runners, keyed by ``(store_dir, config, driver,
 #: engine)``.  A pool worker builds one on its first task and keeps it,
@@ -106,19 +131,13 @@ def _replay_task(
     plan: Optional[faults.FaultPlan] = None,
     attempt: int = 1,
 ):
-    """One (design point, game) replay inside a worker process.
+    """:func:`_replay` inside a pool worker (module level: it pickles).
 
-    The replay goes through :meth:`ExperimentRunner.run` on this
-    worker's runner over the campaign's store, built on first use with
-    the parent's ``replayer`` (energy parameters, budget, engine).  The
-    first worker that needs a game renders it and saves it to the
-    store; later tasks on other workers load it.
-
-    Unguarded tasks (the baseline) let exceptions propagate through the
-    future — a baseline failure is fatal, exactly as in a serial run.
-    Guarded tasks return the same ``(result, failure)`` pair
-    :func:`run_guarded` produces serially, so retry accounting and
-    failure records match bit-for-bit.
+    The replay runs on this worker's runner over the campaign's store,
+    built on first use with the parent's ``replayer`` (energy
+    parameters, budget, engine).  The first worker that needs a game
+    renders it and saves it to the store; later tasks on other workers
+    load it.
 
     ``plan`` re-arms the parent's fault plan inside the worker (fork
     inheritance is not guaranteed under spawn, and a respawned pool
@@ -140,24 +159,40 @@ def _replay_task(
             )
             runner.replayer = replayer
             _WORKER_RUNNERS[key] = runner
-        if not guarded:
-            return runner.run(game, design), None
-        return run_guarded(
-            lambda: runner.run(game, design),
-            design_point=design.name,
-            game=game,
-            policy=policy,
-        )
+        return _replay(runner, design, game, policy, guarded)
 
 
-#: Sentinel design name keying the baseline's tasks in the pool (design
-#: point names always contain slashes, so this can never collide).
+#: Sentinel design name keying the baseline's tasks in the task table
+#: (design point names always contain slashes, so it can never collide).
 _BASELINE_TASK = "__baseline__"
 
 #: Default scheduling attempts per task before a crash/hang is recorded.
 DEFAULT_MAX_TASK_ATTEMPTS = 3
 
 TaskId = Tuple[str, str]  # (design name or _BASELINE_TASK, game alias)
+
+
+class _InlineTasks:
+    """The ``jobs == 1`` executor: tasks run on the parent's runner.
+
+    A task runs only when the walk asks for its result, so replays run
+    one at a time in grid order, a design point that fails fast never
+    replays its later games, and the parent's runner keeps its trace
+    cache and ``renders_performed`` count.
+    """
+
+    def __init__(self, runner: ExperimentRunner):
+        self._runner = runner
+        self._args: Dict[TaskId, tuple] = {}
+
+    def submit(self, task_id: TaskId, args: tuple) -> None:
+        self._args[task_id] = args
+
+    def result(self, task_id: TaskId):
+        return _replay(self._runner, *self._args.pop(task_id))
+
+    def close(self) -> None:
+        self._args.clear()
 
 
 class _TaskPool:
@@ -200,11 +235,15 @@ class _TaskPool:
         task_timeout_s: Optional[float],
         max_attempts: int,
         plan: Optional[faults.FaultPlan],
+        shared: tuple,
     ):
         self._jobs = jobs
         self._timeout_s = task_timeout_s
         self._max_attempts = max(1, max_attempts)
         self._plan = plan
+        #: Leading arguments of every task: how a worker finds its
+        #: runner (store directory, config, stream driver, replayer).
+        self._shared = shared
         self._executor = ProcessPoolExecutor(max_workers=jobs)
         self._args: Dict[TaskId, tuple] = {}
         self._attempts: Dict[TaskId, int] = {}
@@ -220,7 +259,7 @@ class _TaskPool:
 
     def _submit(self, task_id: TaskId, attempt: int) -> Future:
         return self._executor.submit(
-            _replay_task, *self._args[task_id],
+            _replay_task, *self._shared, *self._args[task_id],
             plan=self._plan, attempt=attempt,
         )
 
@@ -358,20 +397,31 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
-    """Everything one sweep campaign produced."""
+    """Everything one sweep campaign produced: its rows and its manifest.
 
+    Failures, resumed points, wall time and outcome are the manifest's;
+    the report reads them from there.
+    """
+
+    manifest: RunManifest
     rows: List[SweepRow] = field(default_factory=list)
-    failures: List[FailureRecord] = field(default_factory=list)
-    #: Design-point names whose rows were loaded from a previous run.
-    resumed: List[str] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    manifest: Optional[RunManifest] = None
+
+    @property
+    def failures(self) -> List[FailureRecord]:
+        return self.manifest.failures
+
+    @property
+    def resumed(self) -> List[str]:
+        """Design-point names whose rows were loaded from a previous run."""
+        return self.manifest.design_points_resumed
+
+    @property
+    def wall_time_s(self) -> float:
+        return self.manifest.wall_time_s
 
     @property
     def outcome(self) -> str:
-        if not self.failures:
-            return OUTCOME_SUCCESS
-        return OUTCOME_PARTIAL if self.rows else OUTCOME_FATAL
+        return self.manifest.outcome
 
 
 @dataclass
@@ -422,9 +472,9 @@ class DesignSweep:
         rows journaled by a previous run of the same campaign are
         reused instead of recomputed.  ``jobs > 1`` fans the replays
         over worker processes; the report is bit-identical to a serial
-        run except for ``wall_time_s``.
+        run except for ``wall_time_s`` and ``phase_seconds``.
 
-        The parallel path is self-healing: a crashed worker
+        The pool is self-healing: a crashed worker
         (``BrokenProcessPool``) respawns the pool and reschedules every
         in-flight task, a task past ``task_timeout_s`` has its hung
         worker killed and is retried, and a task that fails
@@ -455,108 +505,46 @@ class DesignSweep:
             )
         completed = progress.completed_rows() if (progress and resume) else {}
 
-        report = SweepReport()
         manifest = RunManifest(
             config_hash=config_hash(runner.config),
             games=list(runner.games),
         )
-        phase_before = dict(runner.phase_seconds)
-        if jobs == 1:
-            self._run_serial(
-                runner, retry_policy, completed, progress, report, manifest
-            )
-        else:
-            self._run_parallel(
-                runner, retry_policy, completed, progress, report, manifest,
-                jobs, task_timeout_s, max_task_attempts,
-            )
-
-        # Fold the runner's dataflow phases (the streamed render+replay
-        # interleave has no separable render/replay split) into the
-        # manifest, counting only this campaign's share.
-        for phase, seconds in runner.phase_seconds.items():
-            delta = seconds - phase_before.get(phase, 0.0)
-            if delta > 0.0:
-                manifest.phase_seconds[phase] = (
-                    manifest.phase_seconds.get(phase, 0.0) + delta
-                )
-        manifest.failures = list(report.failures)
+        report = SweepReport(manifest)
+        self._walk(
+            runner, retry_policy, completed, progress, report, manifest,
+            jobs, task_timeout_s, max_task_attempts,
+        )
         manifest.wall_time_s = time.monotonic() - start  # replint: disable=wall-clock -- campaign wall time for the manifest, never a simulated quantity
-        report.wall_time_s = manifest.wall_time_s
-        report.manifest = manifest
         if checkpoint_dir is not None:
-            write_run_manifest(
-                Path(checkpoint_dir) / MANIFEST_FILENAME, manifest
-            )
+            write_run_manifest(checkpoint_dir / MANIFEST_FILENAME, manifest)
         return report
 
-    def _run_serial(
-        self, runner, retry_policy, completed, progress, report, manifest
-    ) -> None:
-        """The in-process grid walk (one replay at a time)."""
-        base: Optional[SuiteResult] = None
-        for design in self.design_points():
-            manifest.design_points_attempted.append(design.name)
-            if design.name in completed:
-                report.rows.append(SweepRow.from_dict(completed[design.name]))
-                report.resumed.append(design.name)
-                manifest.design_points_resumed.append(design.name)
-                continue
-            if base is None:
-                # Lazy: a fully resumed campaign never re-runs the
-                # baseline.  A baseline failure is fatal by design.
-                base = runner.run_suite(self.baseline)
-            suite = runner.run_suite(
-                design,
-                isolate_faults=True,
-                retry_policy=retry_policy,
-                fail_fast=True,
-            )
-            self._assemble(
-                design, suite, base, runner, retry_policy, progress, report,
-                manifest,
-            )
-
-    def _run_parallel(
+    def _walk(
         self, runner, retry_policy, completed, progress, report, manifest,
         jobs: int, task_timeout_s: Optional[float], max_task_attempts: int,
     ) -> None:
-        """Fan (design point x game) over a self-healing process pool.
+        """The campaign's one grid walk, under either executor.
 
-        The parent renders nothing: it picks the store directory (the
-        runner's, or a temporary one so workers still share frames),
-        submits every task, and consumes results strictly in
-        grid-and-games order, so rows, failures, journal entries and
-        manifest lists come out exactly as the serial walk produces
-        them.  Each task replays through its worker's own
-        :class:`ExperimentRunner`; the first worker that needs a game
-        renders and saves it, later tasks load it.  ``fail_fast`` is
-        emulated at assembly: only the first failing game of a design
-        point (in games order) is kept, matching the serial early exit.
-
-        Each design point is assembled — and its row journaled — as
-        soon as its own tasks finish, while later tasks are still
-        running: a campaign killed (or a pool broken beyond repair)
-        mid-run keeps every completed row on disk.  Worker death and
-        deadline misses are absorbed by :class:`_TaskPool`; a task that
-        exhausts its attempts becomes a :class:`FailureRecord` exactly
-        like an in-process crash would.
-
-        The manifest's ``phase_seconds`` records where the wall time
-        went — ``pool_startup`` (executor creation and task submission)
-        and ``replay`` (everything after: the workers' renders, loads
-        and replays) — so a parallel campaign slower than its serial
-        twin can be diagnosed from the archived manifest alone.  On a
-        single-CPU host the replay phase is expected to show little or
-        no scaling: the workers contend for the one core and the
-        parent pays pool overhead on top.
+        The task table holds the baseline's games (unguarded) and every
+        pending (design point, game) pair (guarded).  ``jobs == 1`` runs
+        a task on ``runner`` when the walk asks for its result;
+        ``jobs > 1`` submits the table to a :class:`_TaskPool` over the
+        runner's store (or a temporary one, so workers share frames).
+        Results are consumed in grid-and-games order: journaled rows
+        resume, the baseline's results are consumed at the first pending
+        point (any baseline failure is fatal, a pool crash that outlived
+        its retries included), and each point keeps only its first
+        failing game.  A point is assembled, and its row journaled, as
+        soon as its own tasks finish, so a killed campaign keeps every
+        completed row on disk.  ``phase_seconds`` stamps ``replay``
+        under both executors, after the pool's ``pool_startup``
+        (executor creation and task submission).
         """
         pending = [
             design for design in self.design_points()
             if design.name not in completed
         ]
-        base: Optional[SuiteResult] = None
-        pool: Optional[_TaskPool] = None
+        executor = None
         temp_dir: Optional[str] = None
         phase_start = time.monotonic()  # replint: disable=wall-clock -- campaign phase attribution for the manifest, never a simulated quantity
 
@@ -568,57 +556,63 @@ class DesignSweep:
 
         try:
             if pending:
-                if runner.checkpoint_store is not None:
-                    store_dir = str(runner.checkpoint_store.directory)
+                if jobs == 1:
+                    executor = _InlineTasks(runner)
                 else:
-                    temp_dir = tempfile.mkdtemp(prefix="repro-sweep-traces-")
-                    store_dir = temp_dir
-                shared = (store_dir, runner.config, runner.stream,
-                          runner.replayer)
-                pool = _TaskPool(
-                    jobs, task_timeout_s, max_task_attempts,
-                    faults.active_plan(),
-                )
+                    if runner.checkpoint_store is not None:
+                        store_dir = str(runner.checkpoint_store.directory)
+                    else:
+                        temp_dir = tempfile.mkdtemp(
+                            prefix="repro-sweep-traces-"
+                        )
+                        store_dir = temp_dir
+                    executor = _TaskPool(
+                        jobs, task_timeout_s, max_task_attempts,
+                        faults.active_plan(),
+                        (store_dir, runner.config, runner.stream,
+                         runner.replayer),
+                    )
                 for alias in runner.games:
-                    pool.submit(
+                    executor.submit(
                         (_BASELINE_TASK, alias),
-                        shared + (self.baseline, alias, retry_policy, False),
+                        (self.baseline, alias, retry_policy, False),
                     )
                 for design in pending:
                     for alias in runner.games:
-                        pool.submit(
+                        executor.submit(
                             (design.name, alias),
-                            shared + (design, alias, retry_policy, True),
+                            (design, alias, retry_policy, True),
                         )
-                stamp("pool_startup")
-                # Baseline first, in games order: the first failing
-                # game's exception propagates fatally, as serially —
-                # including a worker crash that outlived its retries.
-                base = SuiteResult(design_point=self.baseline.name)
-                for alias in runner.games:
-                    run, _ = pool.result((_BASELINE_TASK, alias))
-                    base.per_game[alias] = run
+                if jobs > 1:
+                    stamp("pool_startup")
+            base: Optional[SuiteResult] = None
             for design in self.design_points():
                 manifest.design_points_attempted.append(design.name)
                 if design.name in completed:
                     report.rows.append(
                         SweepRow.from_dict(completed[design.name])
                     )
-                    report.resumed.append(design.name)
                     manifest.design_points_resumed.append(design.name)
                     continue
+                if base is None:
+                    base = SuiteResult(design_point=self.baseline.name)
+                    for alias in runner.games:
+                        run, _ = executor.result((_BASELINE_TASK, alias))
+                        base.per_game[alias] = run
                 suite = SuiteResult(design_point=design.name)
                 for alias in runner.games:
                     try:
-                        run, failure = pool.result((design.name, alias))
+                        run, failure = executor.result((design.name, alias))
                     except (WorkerCrashError, TaskTimeoutError) as error:
+                        # Only the pool raises these: a worker crash or
+                        # hang that outlived the task's attempts.
                         failure = FailureRecord.of(
                             error, design.name, alias,
-                            attempts=pool.attempts((design.name, alias)),
+                            attempts=executor.attempts((design.name, alias)),
                         )
                     if failure is not None:
                         suite.failures.append(failure)
-                        break  # fail_fast: keep only the first
+                        break  # keep only the first failing game
                     suite.per_game[alias] = run
                 self._assemble(
                     design, suite, base, runner, retry_policy, progress,
@@ -627,8 +621,8 @@ class DesignSweep:
             if pending:
                 stamp("replay")
         finally:
-            if pool is not None:
-                pool.close()
+            if executor is not None:
+                executor.close()
             if temp_dir is not None:
                 shutil.rmtree(temp_dir, ignore_errors=True)
 
@@ -638,7 +632,7 @@ class DesignSweep:
     ) -> None:
         """Turn one design point's suite result into a row or failures."""
         if suite.failures:
-            report.failures.extend(suite.failures)
+            manifest.failures.extend(suite.failures)
             manifest.design_points_failed.append(design.name)
             return
         row, failure = run_guarded(
@@ -647,7 +641,7 @@ class DesignSweep:
             policy=retry_policy,
         )
         if failure is not None:
-            report.failures.append(failure)
+            manifest.failures.append(failure)
             manifest.design_points_failed.append(design.name)
             return
         report.rows.append(row)

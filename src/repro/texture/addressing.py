@@ -72,25 +72,3 @@ _MORTON_TABLE = _build_morton_table()
 def morton_table():
     """The precomputed 16-bit bit-spread table (read-only)."""
     return _MORTON_TABLE
-
-
-def morton_encode_array(x, y):
-    """Vectorized :func:`morton_encode` over numpy integer arrays."""
-    import numpy as np
-
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.size and y.size and (
-        int(x.min()) >= 0 and int(y.min()) >= 0
-        and int(x.max()) < (1 << 16) and int(y.max()) < (1 << 16)
-    ):
-        table = morton_table()
-        return table[x] | (table[y] << np.uint64(1))
-
-    def part(n):
-        n = n.astype(np.uint64)
-        for mask, shift in zip(reversed(_B), reversed(_S)):
-            n = (n | (n << np.uint64(shift))) & np.uint64(mask)
-        return n
-
-    return part(x) | (part(y) << np.uint64(1))

@@ -35,19 +35,6 @@ class ParameterBuffer:
     tile_lists: Dict[TileCoord, List[int]] = field(default_factory=dict)
     base_address: int = PARAMETER_BUFFER_BASE
 
-    def add_primitive(self, primitive: ScreenPrimitive) -> None:
-        """Store a primitive's attributes (once, keyed by primitive id).
-
-        Clipping can split one logical primitive into several triangles
-        sharing an id; each triangle is stored under a sub-key so both
-        are replayable while the *attribute* accounting stays per-id.
-        """
-        key = primitive.primitive_id
-        sub = 0
-        while (key, sub) in self.primitives:
-            sub += 1
-        self.primitives[(key, sub)] = primitive
-
     def append_to_tile(self, tile: TileCoord, primitive_id: int, sub: int) -> None:
         """Append one primitive reference to a tile's list, in program order."""
         self.tile_lists.setdefault(tile, []).append((primitive_id, sub))

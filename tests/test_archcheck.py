@@ -16,7 +16,6 @@ from repro.analysis.arch import (
     graph_to_dict,
     to_dot,
 )
-from repro.analysis.checks_common import Finding
 from repro.analysis.gates import GateOptions, run_gates
 from repro.cli import main
 from repro.errors import ConfigError

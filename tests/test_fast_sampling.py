@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.raster.rasterizer import first_visit_mask
-from repro.texture.addressing import morton_encode, morton_encode_array
 from repro.texture.sampler import FilterMode, Sampler, compute_lod
 from repro.texture.texture import Texture
 
@@ -16,30 +15,6 @@ from repro.texture.texture import Texture
 @pytest.fixture
 def texture():
     return Texture(0, 128, 64, base_address=1 << 28)
-
-
-class TestMortonArray:
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=2**15),
-                st.integers(min_value=0, max_value=2**15),
-            ),
-            min_size=1,
-            max_size=50,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_scalar(self, points):
-        xs = np.array([p[0] for p in points])
-        ys = np.array([p[1] for p in points])
-        batch = morton_encode_array(xs, ys)
-        for i, (x, y) in enumerate(points):
-            assert int(batch[i]) == morton_encode(x, y)
-
-    def test_preserves_shape(self):
-        xs = np.zeros((3, 4, 2), dtype=np.int64)
-        assert morton_encode_array(xs, xs).shape == (3, 4, 2)
 
 
 class TestTexelLinesArray:
@@ -221,7 +196,11 @@ class TestFirstVisitMask:
 
 class TestRasterizerFastPath:
     def test_batch_equals_scalar_end_to_end(self):
-        """The whole-frame trace must be bit-identical either way."""
+        """The reference rasterizer's vectorized bilinear footprints
+        match its scalar per-lane path over a whole frame: the same
+        cache lines, and LODs within one ulp (the scalar path's
+        ``math.hypot``/``math.log2`` may round the last bit differently
+        from numpy's)."""
         from repro.config import GPUConfig
         from repro.raster import rasterizer as rmod
         from repro.sim.driver import FrameRenderer
@@ -233,7 +212,7 @@ class TestRasterizerFastPath:
             depth_complexity=1.5,
         )
         workload = recipe.build(config)
-        fast, _ = FrameRenderer(config).render(workload)
+        batch, _ = FrameRenderer(config, engine="reference").render(workload)
 
         original = rmod.Rasterizer._batch_footprints
         rmod.Rasterizer._batch_footprints = (
@@ -243,15 +222,20 @@ class TestRasterizerFastPath:
             ]
         )
         try:
-            scalar, _ = FrameRenderer(config).render(workload)
+            scalar, _ = FrameRenderer(config, engine="reference").render(
+                workload
+            )
         finally:
             rmod.Rasterizer._batch_footprints = original
 
-        assert fast.total_quads == scalar.total_quads
-        for tile in fast.tiles:
-            for a, b in zip(fast.tiles[tile].quads, scalar.tiles[tile].quads):
+        assert batch.total_quads == scalar.total_quads > 0
+        assert batch.tiles.keys() == scalar.tiles.keys()
+        for tile in batch.tiles:
+            ours, theirs = batch.tiles[tile].quads, scalar.tiles[tile].quads
+            assert len(ours) == len(theirs)
+            for a, b in zip(ours, theirs):
                 assert a.texture_lines == b.texture_lines
-                assert a.lod == pytest.approx(b.lod)
+                assert abs(a.lod - b.lod) <= math.ulp(max(a.lod, b.lod))
 
     def test_trilinear_still_works(self):
         """Non-bilinear modes use the scalar fallback transparently."""

@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.arch import Baseline, CallGraph, ModuleGraph
 from repro.analysis.arch.baseline import TODO_JUSTIFICATION
 from repro.analysis.flow import (
@@ -14,7 +12,6 @@ from repro.analysis.flow import (
     ExceptionTaxonomy,
     FlowConfig,
     extract_flows,
-    extract_handlers,
 )
 from repro.analysis.gates import GateOptions, run_gates
 from repro.cli import main

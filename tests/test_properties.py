@@ -1,6 +1,5 @@
 """Cross-cutting property-based tests on system invariants."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +22,14 @@ def build_tiles(spec):
                      subtiles=subtiles)
         )
     return tiles
+
+
+def fifo_timing(spec, fifo_depth, decoupled):
+    """One frame's timing with a ``fifo_depth``-deep quad FIFO."""
+    config = GPUConfig(
+        screen_width=128, screen_height=64, fifo_depth=fifo_depth
+    )
+    return RasterPipelineModel(config, decoupled).simulate(build_tiles(spec))
 
 
 subtile_spec = st.tuples(
@@ -68,6 +75,29 @@ class TestPipelineInvariants:
             a = RasterPipelineModel(config, decoupled).simulate(light)
             b = RasterPipelineModel(config, decoupled).simulate(heavy)
             assert b.total_cycles >= a.total_cycles
+
+    # The FIFO gate: tile t's Fragment starts wait until every unit has
+    # started tile t - fifo_depth.
+
+    @given(frame_spec, st.integers(1, 14), st.integers(0, 14))
+    @settings(max_examples=40, deadline=None)
+    def test_deeper_fifo_never_slows_decoupled(self, spec, depth, extra):
+        shallow = fifo_timing(spec, depth, decoupled=True)
+        deep = fifo_timing(spec, depth + extra, decoupled=True)
+        assert deep.total_cycles <= shallow.total_cycles
+
+    @given(frame_spec, st.integers(1, 14), st.integers(1, 14))
+    @settings(max_examples=30, deadline=None)
+    def test_coupled_ignores_fifo_depth(self, spec, depth_a, depth_b):
+        assert fifo_timing(spec, depth_a, decoupled=False) == fifo_timing(
+            spec, depth_b, decoupled=False
+        )
+
+    @given(frame_spec, st.integers(0, 14))
+    @settings(max_examples=30, deadline=None)
+    def test_fifo_as_deep_as_the_frame_gates_nothing(self, spec, extra):
+        exact = fifo_timing(spec, len(spec), decoupled=True)
+        assert fifo_timing(spec, len(spec) + extra, decoupled=True) == exact
 
 
 class TestSchedulerInvariants:

@@ -1,10 +1,8 @@
 """Tests for fault-isolated sweeps, retries, budgets and manifests."""
 
-import json
-
 import pytest
 
-from repro.core.dtexl import BASELINE, DTexLConfig
+from repro.core.dtexl import BASELINE
 from repro.sim.checkpoint import read_manifest
 from repro.errors import BudgetExceededError, ReplayError, ReproError
 from repro.sim.experiment import ExperimentRunner, SuiteResult
@@ -19,7 +17,10 @@ from repro.sim.sweep import DesignSweep, failures_to_csv, rows_to_csv
 
 
 class FlakyRunner(ExperimentRunner):
-    """Fails a chosen design point a fixed number of times, then works."""
+    """Fails a chosen design point a fixed number of times, then works.
+
+    ``calls`` records every replay asked of it, as (design, game).
+    """
 
     def __init__(self, *args, flaky_design="", failures_left=0,
                  transient=True, **kwargs):
@@ -27,8 +28,10 @@ class FlakyRunner(ExperimentRunner):
         self.flaky_design = flaky_design
         self.failures_left = failures_left
         self.transient = transient
+        self.calls = []
 
     def run(self, alias, design):
+        self.calls.append((design.name, alias))
         if design.name == self.flaky_design and self.failures_left > 0:
             self.failures_left -= 1
             raise ReproError("injected flake", transient=self.transient)
@@ -99,27 +102,6 @@ class TestRunGuarded:
 
         with pytest.raises(KeyboardInterrupt):
             run_guarded(interrupted, design_point="p")
-
-
-class TestFaultIsolatedSuite:
-    def test_mid_suite_failure_yields_row_not_abort(self, tiny_config):
-        runner = FlakyRunner(
-            tiny_config, games=["SWa", "GTr"],
-            flaky_design="baseline", failures_left=1, transient=False,
-        )
-        suite = runner.run_suite(BASELINE, isolate_faults=True)
-        assert [f.game for f in suite.failures] == ["SWa"]
-        assert suite.failures[0].error_type == "ReproError"
-        assert list(suite.per_game) == ["GTr"]  # the suite kept going
-
-    def test_fail_fast_stops_after_first_game(self, tiny_config):
-        runner = FlakyRunner(
-            tiny_config, games=["SWa", "GTr"],
-            flaky_design="baseline", failures_left=99, transient=False,
-        )
-        suite = runner.run_suite(BASELINE, isolate_faults=True, fail_fast=True)
-        assert len(suite.failures) == 1
-        assert suite.per_game == {}
 
 
 class TestSuiteComparisonErrors:
@@ -209,6 +191,26 @@ class TestFaultIsolatedSweep:
         )
         report = make_sweep(["FG-xshift2", "CG-square"]).run(runner)
         assert [f.design_point for f in report.failures] == [flaky_name]
+
+    def test_fail_fast_stops_after_first_game(self, tiny_config):
+        """A point whose first game fails never replays its second: the
+        serial executor runs a task only when the walk asks for it."""
+        flaky_name = "CG-square/const/zorder/dec"
+        runner = FlakyRunner(
+            tiny_config, games=["SWa", "GTr"],
+            flaky_design=flaky_name, failures_left=99, transient=False,
+        )
+        report = make_sweep(["CG-square", "FG-xshift2"]).run(runner, jobs=1)
+        assert [(f.design_point, f.game) for f in report.failures] == [
+            (flaky_name, "SWa")
+        ]
+        assert runner.calls == [
+            ("baseline", "SWa"), ("baseline", "GTr"),
+            (flaky_name, "SWa"),
+            ("FG-xshift2/const/zorder/dec", "SWa"),
+            ("FG-xshift2/const/zorder/dec", "GTr"),
+        ]
+        assert len(report.rows) == 1
 
     def test_baseline_failure_is_fatal(self, tiny_config):
         runner = FlakyRunner(

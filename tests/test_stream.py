@@ -334,10 +334,19 @@ class TestRunnerStreams:
             with pytest.raises(ConfigError, match="unknown stream driver"):
                 ExperimentRunner(TINY, stream=name)
 
-    def test_streamed_runner_stamps_phase_seconds(self):
-        runner = ExperimentRunner(TINY, games=["SWa"], stream="streaming")
-        runner.run("SWa", BASELINE)
-        assert runner.phase_seconds["streamed"] > 0.0
+    @pytest.mark.parametrize("stream", STREAM_DRIVERS)
+    def test_serial_sweep_stamps_the_replay_phase(self, stream):
+        """A serial campaign stamps one ``replay`` phase, whichever
+        driver feeds it (the pool adds ``pool_startup`` before it)."""
+        from repro.sim.sweep import DesignSweep
+
+        runner = ExperimentRunner(TINY, games=["SWa"], stream=stream)
+        report = DesignSweep(groupings=["CG-square"], decoupled=[True]).run(
+            runner, jobs=1
+        )
+        phases = report.manifest.phase_seconds
+        assert set(phases) == {"replay"}
+        assert 0.0 < phases["replay"] <= report.wall_time_s
 
     def test_chunked_runner_renders_once_across_design_points(self, tmp_path):
         from repro.sim.checkpoint import TraceCheckpointStore

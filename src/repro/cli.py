@@ -600,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream", choices=STREAM_DRIVERS, default="batch",
         help="tile dataflow for each replay (see `repro replay "
              "--help`); with --checkpoint-dir the streaming driver "
-             "caches per-tile chunks so later design points skip the "
+             "caches 16-tile segments so later design points skip the "
              "render; rows are bit-identical across drivers",
     )
     _add_common(p_sweep)

@@ -51,8 +51,9 @@ DEFAULT_CHAOS_GAMES: Tuple[str, ...] = ("SWa",)
 #: Faults every trial may sample.  They fire wherever the replay path
 #: runs: in the parent on a serial trial, in the pool workers when the
 #: trial runs jobs > 1.  The checkpoint sites fire on ``.trace`` files
-#: when the trial draws the batch dataflow and on tile chunks when it
-#: draws streaming: both stores share one record writer and reader.
+#: when the trial draws the batch dataflow and on 16-tile segments
+#: when it draws streaming: both stores share one record writer and
+#: reader.
 _PARENT_FAULTS: Tuple[Tuple[str, str], ...] = (
     (faults.SITE_CHECKPOINT_SAVE, faults.KIND_TORN_WRITE),
     (faults.SITE_CHECKPOINT_LOAD, faults.KIND_TRUNCATE),
@@ -63,8 +64,8 @@ _PARENT_FAULTS: Tuple[Tuple[str, str], ...] = (
 )
 
 #: Stream drivers chaos trials alternate between: the batch spec and
-#: the tile-granular streaming path whose chunk checkpoints must heal
-#: kills and corruption landing *inside* a frame.
+#: the streaming path whose segment checkpoints must heal kills and
+#: corruption landing *inside* a frame.
 _TRIAL_STREAMS: Tuple[str, ...] = ("batch", "streaming")
 
 #: Worker-process faults, only meaningful when the trial runs jobs > 1.
@@ -315,7 +316,8 @@ def run_chaos(
             # Resume what survived on disk.  Only checkpoint-load
             # corruption stays armed: it is the fault a restarted
             # campaign can still encounter, and it must self-heal by
-            # re-rendering (the whole frame, or the one torn tile).
+            # re-rendering (the whole frame, or the torn segment's
+            # 16 tiles).
             resume_plan = plan.for_sites({faults.SITE_CHECKPOINT_LOAD})
             with faults.armed(resume_plan if resume_plan.specs else None):
                 resumed = sweep.run(

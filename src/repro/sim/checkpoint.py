@@ -21,17 +21,18 @@ This module makes pass-1 results durable:
   per-tile digests (sorted tile order) so it can be computed from tile
   digests collected one at a time without ever materializing the
   frame.
-* :class:`TileChunkStore` — the tile-granular checkpoint the streaming
-  dataflow uses: one verified chunk per tile coordinate plus a frame
-  meta record whose hash chain terminates in the trace digest, so a
-  chunk set reassembles (and cross-checks) to exactly the trace the
-  batch path would have checkpointed.
+* :class:`TileChunkStore` — the segment store the streaming dataflow
+  checkpoints through: a frame is a directory of
+  ``DEFAULT_GROUP_TILES``-tile segments in the frame's z-order, each
+  one verified record, plus a ``frame.json`` manifest sealing every
+  segment's :func:`segment_hash`.  The trace digest is computed from
+  the segments when someone asks for it, never on the save path.
 
-Checkpoint file layout (version 2), shared by ``.trace`` files and tile
-chunks: one ASCII JSON header line holding the key, payload SHA-256 and
-summary counts, a newline, then the raw pickle payload.  Both stores
-write it through one atomic writer (temp file + ``os.replace``, so a
-crash mid-save never leaves a half-written checkpoint that a later
+Checkpoint file layout (version 3), shared by ``.trace`` files and
+segments: one ASCII JSON header line holding the key, payload SHA-256
+and summary fields, a newline, then the raw pickle payload.  Both
+stores write it through one atomic writer (temp file + ``os.replace``,
+so a crash mid-save never leaves a half-written checkpoint that a later
 ``--resume`` would trust) and verify it through one reader; those two
 functions hold the ``checkpoint.save`` and ``checkpoint.load`` fault
 sites.
@@ -44,16 +45,20 @@ import hashlib
 import json
 import os
 import pickle
+import struct
 import tempfile
 import warnings
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.config import GPUConfig
-from repro.core.tile_order import TileCoord
+from repro.core.tile_order import TileCoord, z_order
 from repro.errors import TraceIntegrityError
-from repro.raster.fragment import COVERAGE_TUPLES
-from repro.sim.driver import FrameTrace, TileTraceEntry
+from repro.raster.fragment import COVERAGE_TUPLES, TileQuads
+from repro.sim.driver import DEFAULT_GROUP_TILES, FrameTrace, TileTraceEntry
 from repro.sim.faults import (
     InjectedKill,
     KIND_CORRUPT,
@@ -67,9 +72,10 @@ from repro.sim.faults import (
 )
 from repro.workloads.recipe import SceneRecipe
 
-#: Version 2: tile entries pickle as quad columns (:class:`TileQuads`)
-#: rather than ``Quad`` lists; version-1 files load as cache misses.
-CHECKPOINT_VERSION = 2
+#: Version 3: a streamed frame is a directory of 16-tile segments plus
+#: a manifest.  Version-2 per-tile chunks and ``.trace`` files, and
+#: version-1 ``Quad``-list files, load as cache misses.
+CHECKPOINT_VERSION = 3
 _HEADER_LIMIT = 4096  # sane upper bound on the header line
 
 
@@ -309,7 +315,7 @@ def tile_digest(tile: TileCoord, entry: TileTraceEntry) -> str:
 
 
 def frame_digest(
-    config: GPUConfig,
+    fingerprint: Dict[str, Any],
     vertex_lines: Sequence[int],
     tile_digests: Dict[TileCoord, str],
     num_quads: int,
@@ -317,16 +323,17 @@ def frame_digest(
 ) -> str:
     """The trace digest of a frame, from its per-tile digests.
 
-    A hash chain: a frame prefix (config fingerprint + vertex lines),
-    then every tile's :func:`tile_digest` folded in *sorted tile
-    order*, then the replay-relevant stats totals.  Because the chain
-    sorts the tiles itself and ``num_quads`` / ``pixels_shaded`` are
-    order-independent sums, a streaming producer can collect tile
-    digests in the replay's traversal order and still arrive at the
-    exact digest a materialized trace hashes to.
+    A hash chain: a frame prefix (the :func:`config_fingerprint` +
+    vertex lines), then every tile's :func:`tile_digest` folded in
+    *sorted tile order*, then the replay-relevant stats totals.
+    Because the chain sorts the tiles itself and ``num_quads`` /
+    ``pixels_shaded`` are order-independent sums, the digest can be
+    built from tile digests gathered in any order — from a
+    materialized trace or from a segment store's segments — and still
+    arrive at the same value.
     """
     prefix = _canonical_json({
-        "config": config_fingerprint(config),
+        "config": fingerprint,
         "vertex_lines": list(vertex_lines),
     })
     chain = hashlib.sha256(prefix.encode("ascii")).hexdigest()
@@ -349,11 +356,11 @@ def trace_digest(trace: FrameTrace) -> str:
     sorted, quads in stream order, every replay-relevant field), so two
     structurally equal traces hash equally regardless of how they were
     serialized.  Built with :func:`frame_digest`, which is what lets
-    the streaming dataflow compute the same digest without ever
-    holding the whole frame.
+    :meth:`TileChunkStore.digest` compute the same digest from a
+    streamed frame's segments.
     """
     return frame_digest(
-        trace.config,
+        config_fingerprint(trace.config),
         trace.vertex_lines,
         {tile: tile_digest(tile, entry) for tile, entry in trace.tiles.items()},
         trace.stats.num_quads,
@@ -401,164 +408,271 @@ class TraceCheckpointStore:
         return trace
 
 
+@lru_cache(maxsize=None)
+def segment_layout(
+    tiles_x: int, tiles_y: int
+) -> Tuple[Tuple[Tuple[TileCoord, ...], ...], Dict[TileCoord, int]]:
+    """A grid's segments and the segment index of every tile.
+
+    Segment *i* holds the frame's z-order tiles ``16i .. 16i + 15``
+    (``DEFAULT_GROUP_TILES``).  Built once per grid and shared, so
+    neither the tuple nor the dictionary may be mutated.
+    """
+    order = z_order(tiles_x, tiles_y)
+    segments = tuple(
+        tuple(order[start:start + DEFAULT_GROUP_TILES])
+        for start in range(0, len(order), DEFAULT_GROUP_TILES)
+    )
+    segment_of = {
+        tile: index
+        for index, tiles in enumerate(segments)
+        for tile in tiles
+    }
+    return segments, segment_of
+
+
+#: Per-entry framing of :func:`segment_hash`: the tile, the fetch
+#: cycles and the lengths that delimit the variable-size fields.
+_ENTRY_HEAD = struct.Struct("<6q")
+
+
+def segment_hash(
+    tiles: Sequence[TileCoord], entries: Sequence[TileTraceEntry]
+) -> str:
+    """Content identity of one segment, cheap enough for every save.
+
+    SHA-256 over each entry's tile, fetch cycles, fetch lines and the
+    raw bytes of its quad columns (all int64, float64 or bool), with
+    the lengths that delimit them.  Unlike pickle bytes it survives a
+    pickle round trip, and unlike :func:`tile_digest` it builds no
+    per-quad Python objects.
+    """
+    sha = hashlib.sha256()
+    update = sha.update
+    pack = _ENTRY_HEAD.pack
+    fields = TileQuads.FIELDS
+    for (x, y), entry in zip(tiles, entries):
+        columns = entry.columns
+        fetch_lines = entry.fetch_lines
+        update(pack(
+            x, y, entry.fetch_cycles, len(fetch_lines), len(columns),
+            columns.num_lines,
+        ))
+        update(np.asarray(fetch_lines, dtype=np.int64).tobytes())
+        for name in fields:
+            update(getattr(columns, name).tobytes())
+    return sha.hexdigest()
+
+
 class TileChunkStore:
-    """Tile-granular trace checkpoints, hash-chained to the trace digest.
+    """The streamed frame's segment store.
 
-    The streaming dataflow's durable form of pass 1: one verified chunk
-    per tile coordinate (the same record writer and reader as
-    :class:`TraceCheckpointStore`, so the same header-line + pickle
-    layout, atomic replace and fault sites) plus a ``frame.json`` record
-    holding the vertex prologue and the per-tile hash chain whose final
-    link is exactly :func:`trace_digest` of the reassembled trace.
+    A frame is a directory of segments plus a ``frame.json`` manifest.
+    Segment *i* holds the frame's z-order tiles ``16i .. 16i + 15``
+    (:func:`segment_layout`) as one verified record — the same
+    header-line + pickle layout, atomic replace and ``checkpoint.save``
+    / ``checkpoint.load`` fault sites as :class:`TraceCheckpointStore`,
+    keyed ``<trace key>:s<index>`` — whose header carries the
+    segment's tiles and :func:`segment_hash`.
 
-    A missing, truncated or corrupt chunk is a *cache miss* — the
-    caller re-renders that one tile — never an error, mirroring the
-    trace store's self-healing contract at tile granularity.  The first
-    design point of a streaming campaign therefore renders each tile
-    once and chunks it; every later design point replays the same game
-    from chunks, restoring the render-once economy while peak memory
-    stays O(tiles-in-flight).
+    The first full traversal seals the manifest: config fingerprint,
+    vertex prologue, quad and pixel totals and every segment's content
+    hash.  Later traversals hold each segment they load or re-render
+    to the manifest's hash and fail closed with
+    :class:`TraceIntegrityError` on a mismatch.  The semantic trace
+    digest is not on the save path: :meth:`frame_meta` and
+    :meth:`digest` compute it from the verified segments on first
+    request and cache it in the manifest.
+
+    A missing, torn or corrupt segment is a *cache miss* — the caller
+    re-renders that segment's tiles — never an error, mirroring the
+    trace store's self-healing contract at segment granularity.  The
+    first design point of a streaming campaign renders the frame once
+    and saves it segment by segment; every later design point replays
+    the game from segments, restoring the render-once economy while
+    peak memory stays O(segments in flight).
     """
 
-    META_FILENAME = "frame.json"
+    MANIFEST_FILENAME = "frame.json"
 
     def __init__(self, directory: os.PathLike, key: str):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.key = key
 
-    # -- per-tile chunks -------------------------------------------------------
+    # -- segments --------------------------------------------------------------
 
-    def chunk_path(self, tile: TileCoord) -> Path:
-        return self.directory / f"t{tile[0]:03d}_{tile[1]:03d}.chunk"
+    def segment_path(self, index: int) -> Path:
+        return self.directory / f"s{index:05d}.seg"
 
-    def _fault_key(self, tile: TileCoord) -> str:
-        return f"{self.key}:{tile[0]},{tile[1]}"
-
-    def save_tile(self, tile: TileCoord, entry: TileTraceEntry) -> str:
-        """Atomically persist one tile's entry; returns its tile digest."""
-        digest = tile_digest(tile, entry)
+    def save_tile(
+        self,
+        index: int,
+        tiles: Sequence[TileCoord],
+        entries: Sequence[TileTraceEntry],
+    ) -> str:
+        """Atomically persist one whole segment; returns its content hash."""
+        content = segment_hash(tiles, entries)
         _write_record(
-            self.chunk_path(tile), self._fault_key(tile), entry,
-            key=self.key, tile=list(tile), tile_digest=digest,
-            num_quads=len(entry.columns),
+            self.segment_path(index), f"{self.key}:s{index}", list(entries),
+            key=self.key, segment=index, tiles=[list(tile) for tile in tiles],
+            content=content,
         )
-        return digest
+        return content
 
     def load_tile(
-        self, tile: TileCoord
-    ) -> Optional[Tuple[TileTraceEntry, str]]:
-        """Load one verified chunk, or ``None`` to mean "re-render me".
+        self, index: int, tiles: Sequence[TileCoord]
+    ) -> Optional[Tuple[List[TileTraceEntry], str]]:
+        """Load one verified segment, or ``None`` to mean "re-render it".
 
-        Returns ``(entry, tile_digest)`` so the caller's running frame
-        digest can reuse the chunk's verified hash instead of rehashing
-        the entry on every replay.
+        Returns the segment's entries in ``tiles`` order with the
+        content hash its header carries.
         """
-        path = self.chunk_path(tile)
+        loaded = self._read_segment(index)
+        if loaded is None:
+            return None
+        header, entries = loaded
+        if header["tiles"] != [list(tile) for tile in tiles]:
+            return None
+        return entries, header["content"]
+
+    def _read_segment(
+        self, index: int
+    ) -> Optional[Tuple[Dict[str, Any], List[TileTraceEntry]]]:
+        """One segment's verified ``(header, entries)``, or ``None``."""
+        path = self.segment_path(index)
         if not path.is_file():
             return None
         try:
-            header, entry = _read_record(
-                path, self._fault_key(tile), TileTraceEntry,
-                key=self.key, tile=list(tile),
+            header, entries = _read_record(
+                path, f"{self.key}:s{index}", list, key=self.key,
+                segment=index,
             )
         except TraceIntegrityError:
             return None
-        digest = header.get("tile_digest")
-        return (entry, digest) if isinstance(digest, str) else None
+        tiles = header.get("tiles")
+        if (
+            not isinstance(header.get("content"), str)
+            or not isinstance(tiles, list)
+            or len(tiles) != len(entries)
+            or not all(isinstance(entry, TileTraceEntry) for entry in entries)
+        ):
+            return None
+        return header, entries
 
-    # -- frame meta ------------------------------------------------------------
+    # -- the manifest ----------------------------------------------------------
 
-    def meta_path(self) -> Path:
-        return self.directory / self.META_FILENAME
+    def manifest_path(self) -> Path:
+        return self.directory / self.MANIFEST_FILENAME
 
-    def frame_meta(self) -> Optional[Dict[str, Any]]:
-        """The sealed frame record, or ``None`` while incomplete/corrupt."""
-        path = self.meta_path()
+    def manifest(self) -> Optional[Dict[str, Any]]:
+        """The sealed manifest as written, or ``None`` while unsealed.
+
+        Reads one small file and hashes nothing: this is what a replay
+        consults.  An unreadable manifest, or one of another key or
+        version, counts as unsealed.
+        """
+        path = self.manifest_path()
         if not path.is_file():
             return None
         try:
             with open(path, "r", encoding="ascii") as handle:
-                meta = json.load(handle)
+                manifest = json.load(handle)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
-        if not isinstance(meta, dict) or meta.get("key") != self.key:
+        if (
+            not isinstance(manifest, dict)
+            or manifest.get("version") != CHECKPOINT_VERSION
+            or manifest.get("key") != self.key
+            or not isinstance(manifest.get("config"), dict)
+            or not isinstance(manifest.get("segments"), list)
+            or not isinstance(manifest.get("vertex_lines"), list)
+            or not isinstance(manifest.get("num_quads"), int)
+            or not isinstance(manifest.get("pixels_shaded"), int)
+        ):
             return None
-        return meta
+        return manifest
+
+    def _write_manifest(self, manifest: Dict[str, Any]) -> None:
+        _atomic_write(
+            self.manifest_path(),
+            (_canonical_json(manifest) + "\n").encode("ascii"),
+        )
 
     def vertex_lines(self) -> Optional[List[int]]:
         """The frame's vertex prologue, once a full traversal sealed it."""
-        meta = self.frame_meta()
-        if meta is None:
-            return None
-        lines = meta.get("vertex_lines")
-        return list(lines) if isinstance(lines, list) else None
+        manifest = self.manifest()
+        return None if manifest is None else list(manifest["vertex_lines"])
+
+    def frame_meta(self) -> Optional[Dict[str, Any]]:
+        """The sealed manifest with the frame's trace ``digest``.
+
+        The digest is :func:`frame_digest` over every segment's
+        :func:`tile_digest`\\ s, computed on the first request and
+        cached in the manifest.  ``None`` while the frame is unsealed or
+        a segment is missing or unreadable; a segment whose recomputed
+        :func:`segment_hash` differs from the manifest's raises
+        :class:`TraceIntegrityError`.
+        """
+        manifest = self.manifest()
+        if manifest is None or isinstance(manifest.get("digest"), str):
+            return manifest
+        tile_digests: Dict[TileCoord, str] = {}
+        for index, sealed in enumerate(manifest["segments"]):
+            loaded = self._read_segment(index)
+            if loaded is None:
+                return None
+            header, entries = loaded
+            tiles = [tuple(tile) for tile in header["tiles"]]
+            if segment_hash(tiles, entries) != sealed:
+                raise TraceIntegrityError(
+                    f"segment {index} under {self.directory} does not "
+                    "match its sealed manifest"
+                )
+            for tile, entry in zip(tiles, entries):
+                tile_digests[tile] = tile_digest(tile, entry)
+        manifest["digest"] = frame_digest(
+            manifest["config"], manifest["vertex_lines"], tile_digests,
+            manifest["num_quads"], manifest["pixels_shaded"],
+        )
+        self._write_manifest(manifest)
+        return manifest
 
     def digest(self) -> Optional[str]:
-        """The sealed trace digest, or ``None`` while incomplete."""
+        """The frame's trace digest, or ``None`` while unsealed."""
         meta = self.frame_meta()
-        return meta.get("digest") if meta else None
-
-    def write_frame_meta(
-        self,
-        digest: str,
-        vertex_lines: Sequence[int],
-        tile_digests: Dict[TileCoord, str],
-        num_quads: int,
-        pixels_shaded: int,
-    ) -> Path:
-        """Atomically seal the frame: chain record + final digest."""
-        chain = [
-            {"tile": list(tile), "digest": tile_digests[tile]}
-            for tile in sorted(tile_digests)
-        ]
-        meta = _canonical_json({
-            "version": CHECKPOINT_VERSION,
-            "key": self.key,
-            "digest": digest,
-            "vertex_lines": list(vertex_lines),
-            "num_quads": num_quads,
-            "pixels_shaded": pixels_shaded,
-            "chain": chain,
-        })
-        path = self.meta_path()
-        _atomic_write(path, (meta + "\n").encode("ascii"))
-        return path
+        return None if meta is None else meta["digest"]
 
     def seal(
         self,
         config: GPUConfig,
         vertex_lines: Sequence[int],
-        tile_digests: Dict[TileCoord, str],
+        segment_hashes: Sequence[str],
         num_quads: int,
         pixels_shaded: int,
-    ) -> str:
-        """Seal one full tile traversal; returns the frame's digest.
+    ) -> None:
+        """Seal one full traversal's segments into the manifest.
 
-        Writes the frame meta — vertex prologue, per-tile hash chain,
-        final trace digest — or, when a previous traversal already
-        sealed it, cross-checks the digest against it and raises
-        :class:`TraceIntegrityError` on divergence.
+        Writes ``frame.json`` or, when another traversal sealed it
+        meanwhile, cross-checks the segment hashes against it and
+        raises :class:`TraceIntegrityError` on divergence.
         """
-        digest = frame_digest(
-            config, vertex_lines, tile_digests, num_quads, pixels_shaded
-        )
-        existing = self.frame_meta()
+        existing = self.manifest()
         if existing is None:
-            self.write_frame_meta(
-                digest=digest,
-                vertex_lines=vertex_lines,
-                tile_digests=tile_digests,
-                num_quads=num_quads,
-                pixels_shaded=pixels_shaded,
-            )
-        elif existing.get("digest") != digest:
+            self._write_manifest({
+                "version": CHECKPOINT_VERSION,
+                "key": self.key,
+                "config": config_fingerprint(config),
+                "vertex_lines": list(vertex_lines),
+                "num_quads": num_quads,
+                "pixels_shaded": pixels_shaded,
+                "segments": list(segment_hashes),
+            })
+        elif existing["segments"] != list(segment_hashes):
             raise TraceIntegrityError(
-                f"chunked frame under {self.directory} reassembled to "
-                f"digest {digest}, but its sealed meta records "
-                f"{existing.get('digest')!r}"
+                f"segments under {self.directory} disagree with the "
+                "manifest another traversal sealed"
             )
-        return digest
 
 
 class SweepProgress:

@@ -38,7 +38,7 @@ from repro.sim.resilience import FailureRecord, ReplayBudget
 from repro.texture.sampler import Sampler
 from repro.workloads.games import GAMES, build_game
 
-#: Subdirectory of a trace checkpoint store holding per-tile chunks.
+#: Subdirectory of a trace checkpoint store holding segmented frames.
 CHUNK_SUBDIR = "chunks"
 
 
@@ -119,7 +119,7 @@ class ExperimentRunner:
     ``stream`` picks the render→replay dataflow: ``"batch"`` (default)
     materializes each game's :class:`FrameTrace` once and replays it
     per design point; ``"streaming"`` renders tiles on the fly and
-    drops them after replay, caching per-tile chunks in the checkpoint
+    drops them after replay, caching 16-tile segments in the checkpoint
     store (when attached) so later design points still pay one render.
     Both produce bit-identical :class:`RunResult`\\ s — the drivers
     change *when* memory and time are spent, never what is computed.
@@ -144,7 +144,7 @@ class ExperimentRunner:
         #: Functional renders actually performed (checkpoint hits skip it);
         #: the probe the resume tests use to prove no trace was re-rendered.
         #: On the streaming path a run that rendered *any* tile (instead
-        #: of loading every chunk) counts as one render.
+        #: of loading every segment) counts as one render.
         self.renders_performed = 0
 
     # -- pass 1 cache -----------------------------------------------------------
@@ -187,12 +187,13 @@ class ExperimentRunner:
     # -- tile streams -----------------------------------------------------------
 
     def chunk_store_for(self, alias: str) -> Optional[TileChunkStore]:
-        """The game's per-tile chunk store, when checkpointing is on.
+        """The game's segment store, when checkpointing is on.
 
-        Chunks live under ``<trace store>/chunks/<trace key>/`` so a
-        campaign directory carries both granularities side by side and
-        ``trace_key`` keeps chunked frames from colliding across
-        configs or recipes.
+        A streamed frame's 16-tile segments and its ``frame.json``
+        manifest live under ``<trace store>/chunks/<trace key>/``, so a
+        campaign directory carries whole traces and segmented frames
+        side by side and ``trace_key`` keeps frames from colliding
+        across configs or recipes.
         """
         if self.checkpoint_store is None or alias not in GAMES:
             return None

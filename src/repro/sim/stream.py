@@ -20,9 +20,11 @@ prologue riding the first unit — through two interchangeable drivers:
   ``DEFAULT_GROUP_TILES`` consecutive tiles: each group is rendered,
   handed to the consumer, and dropped, bounding peak memory to one
   group.  With a :class:`~repro.sim.checkpoint.TileChunkStore`
-  attached, a group's tiles are loaded from per-tile chunks and only
-  the misses rendered (and saved), restoring the render-once economy
-  of the batch path without ever holding the frame.
+  attached, the stream works in the store's 16-tile segments instead:
+  it loads each segment a group touches, or renders and saves it
+  whole, and keeps a segment's tiles until the traversal has taken
+  them, so every tile order reads each segment once per replay and
+  the render-once economy of the batch path holds without the frame.
 
 Both drivers yield bit-identical unit sequences for the same frame and
 order, which is what makes ``RunResult`` equality across
@@ -38,10 +40,12 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.tile_order import TileCoord
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TraceIntegrityError
+from repro.sim.checkpoint import segment_layout
 from repro.sim.driver import (
     DEFAULT_GROUP_TILES,
     FrameRenderer,
@@ -119,13 +123,17 @@ class BatchTileStream:
 class StreamingTileStream:
     """Render-as-you-replay: tile groups are produced, consumed, dropped.
 
-    Peak memory is O(one group of ``DEFAULT_GROUP_TILES`` tiles) instead
-    of O(frame).  The price is that every replay re-renders the frame —
-    unless a :class:`~repro.sim.checkpoint.TileChunkStore` is attached,
-    in which case tiles rendered once are persisted as verified per-tile
-    chunks and later replays load them back (corrupt or missing chunks
-    are transparently re-rendered, mirroring the trace store's
-    cache-miss semantics).
+    Without a store, peak memory is O(one group of
+    ``DEFAULT_GROUP_TILES`` tiles) instead of O(frame), and every
+    replay re-renders the frame.  With a
+    :class:`~repro.sim.checkpoint.TileChunkStore` attached, tiles come
+    in the store's segments: a segment the traversal touches is loaded
+    whole, or re-rendered whole and saved when it is missing, torn or
+    corrupt, and its tiles are held until the traversal yields them.
+    The stream then holds the tiles of the segments it has opened and
+    not yet yielded: one group under ``zorder`` and ``hilbert``, a band
+    of segments under ``sorder`` and ``scanline`` (at 1960x768, 16,
+    32, 128 and 208 tiles).
     """
 
     driver = "streaming"
@@ -155,9 +163,9 @@ class StreamingTileStream:
     def _tile_pass(self):
         """The incremental render pass, created on first need.
 
-        Lazy so a fully chunk-cached frame never pays geometry again —
-        except for the vertex prologue, which lives in the chunk store's
-        frame meta once a first pass completed.
+        Lazy so a fully checkpointed frame never pays geometry again —
+        except for the vertex prologue, which lives in the store's
+        manifest once a first pass completed.
         """
         tile_pass = self._pass
         if tile_pass is None:
@@ -165,73 +173,142 @@ class StreamingTileStream:
             self._pass = tile_pass
         return tile_pass
 
-    def _group_entries(
-        self,
-        group: Sequence[TileCoord],
-        tile_digests: Dict[TileCoord, str],
-    ) -> Dict[TileCoord, TileTraceEntry]:
-        """One group's entries: chunk-store hits, then one render of misses.
-
-        Records each tile's digest in ``tile_digests`` (loaded with the
-        chunk, or returned by the save of a rendered tile).
-        """
-        store = self.chunk_store
-        entries: Dict[TileCoord, TileTraceEntry] = {}
-        if store is not None:
-            for tile in group:
-                loaded = store.load_tile(tile)
-                if loaded is not None:
-                    entries[tile], tile_digests[tile] = loaded
-        missing = [tile for tile in group if tile not in entries]
-        if missing:
-            for tile, entry in self._tile_pass().iter_tiles(missing):
-                entries[tile] = entry
-                if store is not None:
-                    tile_digests[tile] = store.save_tile(tile, entry)
-            self.tiles_rendered += len(missing)
-        return entries
+    def _render(
+        self, tiles: Sequence[TileCoord], held: Dict[TileCoord, TileTraceEntry]
+    ) -> None:
+        """Render ``tiles`` with one ``iter_tiles`` call into ``held``."""
+        held.update(self._tile_pass().iter_tiles(tiles))
+        self.tiles_rendered += len(tiles)
 
     def __iter__(self) -> Iterator[TileWorkUnit]:
         """Yield the traversal, one group of ``DEFAULT_GROUP_TILES`` at a time.
 
-        Without a chunk store every tile is a miss, and the frame's
-        :class:`RenderStats` land in :attr:`stats` after the traversal.
-        With one, every tile's digest and quad and pixel counts are
-        collected as it flows past, so after the full traversal the
-        store can seal (or re-verify) the frame meta whose hash chain
-        terminates in the trace digest.
+        Without a chunk store every group is rendered as the traversal
+        reaches it, and the frame's :class:`RenderStats` land in
+        :attr:`stats` after the traversal.  With one, each group opens
+        the segments it touches (:class:`_Segments`), and the traversal
+        ends by sealing the store's manifest if no earlier one did.
         """
         store = self.chunk_store
         order = self._order
         try:
-            vertex_lines = None if store is None else store.vertex_lines()
-            if vertex_lines is None:
+            manifest = None if store is None else store.manifest()
+            if manifest is None:
                 vertex_lines = self._tile_pass().vertex_lines
-            tile_digests: Dict[TileCoord, str] = {}
-            num_quads = pixels_shaded = 0
+            else:
+                vertex_lines = manifest["vertex_lines"]
+            segments = (
+                None if store is None else _Segments(self, store, manifest)
+            )
+            held: Dict[TileCoord, TileTraceEntry] = {}
             for step, tile in enumerate(order):
                 if not step % DEFAULT_GROUP_TILES:
-                    entries = self._group_entries(
-                        order[step:step + DEFAULT_GROUP_TILES], tile_digests
-                    )
-                # Popped, so rendering the next group holds none of this
-                # one: the stream keeps at most one group of tiles.
-                entry = entries.pop(tile)
-                if store is not None:
-                    columns = entry.columns
-                    num_quads += len(columns)
-                    pixels_shaded += columns.covered_pixels
+                    group = order[step:step + DEFAULT_GROUP_TILES]
+                    if segments is None:
+                        self._render(group, held)
+                    else:
+                        segments.open_group(group, held)
+                # Popped, so the stream holds only tiles it has yet to
+                # yield.
+                entry = held.pop(tile)
                 yield TileWorkUnit(
                     tile, step, entry, _NO_LINES if step else vertex_lines
                 )
-            if store is None:
+            if segments is None:
                 self.stats = self._pass.finish()
             else:
-                store.seal(
-                    self.renderer.config, vertex_lines, tile_digests,
-                    num_quads, pixels_shaded,
-                )
+                segments.seal_manifest(vertex_lines)
         finally:
             # The frame's render state dies with the traversal, not
             # with the stream object.
             self._pass = None
+
+
+class _Segments:
+    """One checkpointed traversal's segment book-keeping.
+
+    Opens each segment the first time the traversal touches it: loads
+    it from the store or, on a miss, renders every missing segment of
+    the group with one ``iter_tiles`` call and saves each one whole, so
+    segments on disk are always complete.  Each segment's content hash
+    is held to the sealed manifest's, or collected (with the frame's
+    quad and pixel totals) to seal a new manifest.
+    """
+
+    def __init__(self, stream: StreamingTileStream, store, manifest):
+        config = stream.renderer.config
+        self.stream = stream
+        self.store = store
+        self.tiles, self.segment_of = segment_layout(
+            config.tiles_x, config.tiles_y
+        )
+        #: Content hash of every segment opened so far (``None``: not yet).
+        self.hashes: List[Optional[str]] = [None] * len(self.tiles)
+        self.sealed = None if manifest is None else manifest["segments"]
+        if self.sealed is not None and len(self.sealed) != len(self.tiles):
+            raise TraceIntegrityError(
+                f"manifest under {store.directory} seals "
+                f"{len(self.sealed)} segments, the grid has {len(self.tiles)}"
+            )
+        self.num_quads = self.pixels_shaded = 0
+
+    def open_group(
+        self, group: Sequence[TileCoord], held: Dict[TileCoord, TileTraceEntry]
+    ) -> None:
+        """Bring every unopened segment ``group`` touches into ``held``."""
+        store = self.store
+        segment_tiles = self.tiles
+        hashes = self.hashes
+        missing: List[int] = []
+        for index in dict.fromkeys(map(self.segment_of.__getitem__, group)):
+            if hashes[index] is not None:
+                continue
+            tiles = segment_tiles[index]
+            loaded = store.load_tile(index, tiles)
+            if loaded is None:
+                missing.append(index)
+            else:
+                self._take(index, tiles, *loaded, held)
+        if missing:
+            rendered: Dict[TileCoord, TileTraceEntry] = {}
+            self.stream._render(list(chain.from_iterable(
+                map(segment_tiles.__getitem__, missing)
+            )), rendered)
+            for index in missing:
+                tiles = segment_tiles[index]
+                entries = list(map(rendered.pop, tiles))
+                self._take(
+                    index, tiles, entries,
+                    store.save_tile(index, tiles, entries), held,
+                )
+
+    def _take(
+        self,
+        index: int,
+        tiles: Sequence[TileCoord],
+        entries: Sequence[TileTraceEntry],
+        content: str,
+        held: Dict[TileCoord, TileTraceEntry],
+    ) -> None:
+        """Check one opened segment against the manifest; hold its tiles."""
+        sealed = self.sealed
+        if sealed is None:
+            for entry in entries:
+                columns = entry.columns
+                self.num_quads += len(columns)
+                self.pixels_shaded += columns.covered_pixels
+        elif sealed[index] != content:
+            raise TraceIntegrityError(
+                f"segment {index} under {self.store.directory} does not "
+                "match its sealed manifest"
+            )
+        self.hashes[index] = content
+        held.update(zip(tiles, entries))
+
+    def seal_manifest(self, vertex_lines: Sequence[int]) -> None:
+        """Seal the manifest after a traversal that opened every segment."""
+        if self.sealed is None and None not in self.hashes:
+            self.store.seal(
+                self.stream.renderer.config, vertex_lines, self.hashes,
+                self.num_quads, self.pixels_shaded,
+            )

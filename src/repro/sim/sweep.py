@@ -224,9 +224,12 @@ class _TaskPool:
       :class:`TaskTimeoutError`) the sweep converts into a
       :class:`FailureRecord` row instead of an abort.
 
-    Completed futures are never thrown away: results consumed before a
-    crash stay consumed, which is what makes crash recovery invisible
-    in the final report.
+    A task's future is kept until the walk consumes it, then dropped
+    with the task's arguments: results consumed before a crash stay
+    consumed, which is what makes crash recovery invisible in the
+    final report, and the parent holds no result it has already read.
+    A breakage that surfaces while a task is being submitted is
+    recovered the same way (:meth:`_submit`).
     """
 
     def __init__(
@@ -258,10 +261,22 @@ class _TaskPool:
         self._futures[task_id] = self._submit(task_id, attempt=1)
 
     def _submit(self, task_id: TaskId, attempt: int) -> Future:
-        return self._executor.submit(
-            _replay_task, *self._shared, *self._args[task_id],
-            plan=self._plan, attempt=attempt,
-        )
+        """Submit one task attempt; a broken pool yields a failed future.
+
+        ``ProcessPoolExecutor.submit`` raises ``BrokenProcessPool`` at
+        once when a worker has already died.  Pinned on a failed future
+        instead, the breakage reaches :meth:`result` and is recovered
+        like one that hit a running task.
+        """
+        try:
+            return self._executor.submit(
+                _replay_task, *self._shared, *self._args[task_id],
+                plan=self._plan, attempt=attempt,
+            )
+        except BrokenProcessPool as error:
+            failed: Future = Future()
+            failed.set_exception(error)
+            return failed
 
     def attempts(self, task_id: TaskId) -> int:
         """Scheduling attempts consumed by ``task_id`` so far."""
@@ -279,7 +294,7 @@ class _TaskPool:
             while True:
                 future = self._futures[task_id]
                 try:
-                    return future.result(timeout=self._timeout_s)
+                    result = future.result(timeout=self._timeout_s)
                 except BrokenProcessPool:
                     self._recover(
                         task_id,
@@ -298,6 +313,11 @@ class _TaskPool:
                         ),
                         kill_workers=True,
                     )
+                else:
+                    # Consumed: the walk never asks for it again, so the
+                    # parent keeps no result it has already read.
+                    del self._futures[task_id], self._args[task_id]
+                    return result
         finally:
             self._unpark()
 

@@ -17,6 +17,7 @@ from repro.sim.checkpoint import (
     TraceCheckpointStore,
     campaign_key,
     config_hash,
+    segment_layout,
     trace_key,
     verify_trace,
 )
@@ -126,11 +127,13 @@ class TestTamperDetection:
         self, tmp_path, game_trace, header
     ):
         chunks = TileChunkStore(tmp_path / "chunks", "k")
-        chunks.save_tile((0, 0), game_trace.tiles[(0, 0)])
-        path = chunks.chunk_path((0, 0))
+        tiles = sorted(game_trace.tiles)[:4]
+        chunks.save_tile(0, tiles, [game_trace.tiles[t] for t in tiles])
+        assert chunks.load_tile(0, tiles) is not None
+        path = chunks.segment_path(0)
         payload = path.read_bytes().split(b"\n", 1)[1]
         path.write_bytes(header + b"\n" + payload)
-        assert chunks.load_tile((0, 0)) is None
+        assert chunks.load_tile(0, tiles) is None
 
     def test_key_mismatch(self, store, tiny_config, game_trace):
         key, path = self._saved(store, tiny_config, game_trace)
@@ -295,24 +298,26 @@ class TestVersionOneCheckpoints:
     def test_version1_tile_chunk_is_rerendered(
         self, tmp_path, tiny_config, game_trace
     ):
+        """A version-1 record in a segment's place loads as a miss, and
+        the stream re-renders and re-saves that segment."""
         runner = ExperimentRunner(
             tiny_config, games=["SWa"], stream="streaming",
             checkpoint_store=TraceCheckpointStore(tmp_path / "traces"),
         )
         want = runner.run("SWa", DTEXL_BEST)
         store = runner.chunk_store_for("SWa")
-        tile = next(
-            t for t, e in sorted(game_trace.tiles.items()) if len(e.columns)
-        )
-        path = store.chunk_path(tile)
+        (tiles,), _ = segment_layout(tiny_config.tiles_x, tiny_config.tiles_y)
+        path = store.segment_path(0)
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        write_version1(path, header, version1_entry(game_trace.tiles[tile]))
-        assert store.load_tile(tile) is None
+        write_version1(path, header, [
+            version1_entry(game_trace.tiles[tile]) for tile in tiles
+        ])
+        assert store.load_tile(0, tiles) is None
         stream = runner.stream_for("SWa")
         assert runner.replayer.run_stream(stream, DTEXL_BEST) == want
-        assert stream.tiles_rendered == 1
-        entry, _ = store.load_tile(tile)
-        assert entry == game_trace.tiles[tile]
+        assert stream.tiles_rendered == len(tiles)
+        entries, _ = store.load_tile(0, tiles)
+        assert entries == [game_trace.tiles[tile] for tile in tiles]
 
 
 class TestSweepProgress:

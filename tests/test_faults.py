@@ -7,6 +7,12 @@ the final report to be bit-identical to an uninjected reference.
 
 from __future__ import annotations
 
+import gc
+import itertools
+import weakref
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.core.dtexl import BASELINE
@@ -19,11 +25,12 @@ from repro.errors import (
     TraceIntegrityError,
     WorkerCrashError,
 )
-from repro.sim import faults
+from repro.sim import faults, sweep
 from repro.sim.checkpoint import (
     SweepProgress,
     TileChunkStore,
     TraceCheckpointStore,
+    segment_layout,
     trace_digest,
 )
 from repro.sim.experiment import ExperimentRunner
@@ -227,29 +234,30 @@ class TestTrigger:
         assert kept.seed == plan.seed
 
 
-def busy_tile(trace):
-    """The first tile, in sorted order, that holds quads."""
-    return next(t for t, e in sorted(trace.tiles.items()) if len(e.columns))
+def save_segment(chunks, trace):
+    """Save the trace's first segment to ``chunks``; returns its tiles."""
+    (tiles, *_), _ = segment_layout(trace.config.tiles_x, trace.config.tiles_y)
+    chunks.save_tile(0, tiles, [trace.tiles[tile] for tile in tiles])
+    return tiles
 
 
 class TestCheckpointFaults:
     """Both stores save and load through the same checkpoint sites: a
-    damaged trace raises, a damaged tile chunk loads as a miss."""
+    damaged trace raises, a damaged segment loads as a miss."""
 
     def test_torn_write_detected_on_load(self, tmp_path, tiny_trace):
         store = TraceCheckpointStore(tmp_path)
         chunks = TileChunkStore(tmp_path / "chunks", "k")
-        tile = busy_tile(tiny_trace)
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_SAVE, kind=faults.KIND_TORN_WRITE,
         ),))
         with faults.armed(plan):
             store.save("k", tiny_trace)
-            chunks.save_tile(tile, tiny_trace.tiles[tile])
-        assert len(plan.fired) == 2
+            tiles = save_segment(chunks, tiny_trace)
+        assert [event.key for event in plan.fired] == ["k", "k:s0"]
         with pytest.raises(TraceIntegrityError):
             store.load("k")
-        assert chunks.load_tile(tile) is None
+        assert chunks.load_tile(0, tiles) is None
 
     def test_truncated_load_raises_checkpoint_error(
         self, tmp_path, tiny_trace
@@ -257,30 +265,28 @@ class TestCheckpointFaults:
         store = TraceCheckpointStore(tmp_path)
         store.save("k", tiny_trace)
         chunks = TileChunkStore(tmp_path / "chunks", "k")
-        tile = busy_tile(tiny_trace)
-        chunks.save_tile(tile, tiny_trace.tiles[tile])
+        tiles = save_segment(chunks, tiny_trace)
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_TRUNCATE,
         ),))
         with faults.armed(plan):
             with pytest.raises(CheckpointError):
                 store.load("k")
-            assert chunks.load_tile(tile) is None
+            assert chunks.load_tile(0, tiles) is None
         assert len(plan.fired) == 2
 
     def test_corrupt_byte_fails_payload_hash(self, tmp_path, tiny_trace):
         store = TraceCheckpointStore(tmp_path)
         store.save("k", tiny_trace)
         chunks = TileChunkStore(tmp_path / "chunks", "k")
-        tile = busy_tile(tiny_trace)
-        chunks.save_tile(tile, tiny_trace.tiles[tile])
+        tiles = save_segment(chunks, tiny_trace)
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_CORRUPT,
         ),))
         with faults.armed(plan):
             with pytest.raises(TraceIntegrityError, match="hash mismatch"):
                 store.load("k")
-            assert chunks.load_tile(tile) is None
+            assert chunks.load_tile(0, tiles) is None
         assert len(plan.fired) == 2
 
     def test_corrupt_checkpoint_heals_by_rerender(self, tmp_path, tiny_config):
@@ -327,10 +333,11 @@ class TestCheckpointFaults:
         healer = streaming_runner()
         with faults.armed(plan):
             assert healer.run(GAME, BASELINE) == want
-        assert len(plan.fired) == tiny_config.num_tiles
-        assert healer.renders_performed == 1  # corrupt chunks = misses
+        segments, _ = segment_layout(tiny_config.tiles_x, tiny_config.tiles_y)
+        assert len(plan.fired) == len(segments)
+        assert healer.renders_performed == 1  # corrupt segments = misses
 
-        # The heal re-chunked every tile, so the next run loads them all.
+        # The heal re-saved every segment, so the next run loads them all.
         reader = streaming_runner()
         assert reader.run(GAME, BASELINE) == want
         assert reader.renders_performed == 0
@@ -589,6 +596,42 @@ class TestWorkerRecovery:
             if not (r.grouping == "CG-square" and r.decoupled)
         ]
         assert [r.as_dict() for r in report.rows] == surviving
+
+
+class TestPoolBookkeeping:
+    def test_pool_broken_during_submission_heals(
+        self, tiny_config, reference, monkeypatch
+    ):
+        """A worker that dies before the walk has submitted every task
+        makes ``submit`` itself raise; the breakage must still reach
+        the pool's recovery instead of aborting the campaign."""
+        calls = itertools.count(1)
+
+        class BreaksOnSecondSubmit(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                if next(calls) == 2:
+                    raise BrokenProcessPool("a worker died mid-submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        report = make_sweep().run(make_runner(tiny_config), jobs=2)
+        assert_rows_match(report, reference)
+
+    def test_consumed_results_are_released(self, tiny_config, tmp_path):
+        """The pool drops a result once the walk has read it."""
+        runner = make_runner(tiny_config)
+        pool = sweep._TaskPool(1, None, 1, None, (
+            str(tmp_path), runner.config, runner.stream, runner.replayer,
+        ))
+        try:
+            pool.submit(("baseline", GAME), (BASELINE, GAME, None, False))
+            run, _ = pool.result(("baseline", GAME))
+            released = weakref.ref(run)
+            del run
+            gc.collect()
+            assert released() is None
+        finally:
+            pool.close()
 
 
 class TestChaosCampaign:

@@ -9,11 +9,17 @@ driver is the executable specification; streaming only changes *when*
 memory and time are spent.
 
 Also covered here: the :class:`TileWorkUnit` protocol (vertex prologue
-rides the first unit only), the :class:`TileChunkStore` hash chain
-terminating in the trace digest, and chunk-corruption self-healing.
+rides the first unit only), the :class:`TileChunkStore` segment store
+(its manifest, the trace digest computed on demand, segment-corruption
+self-healing) and how often each tile order reads a segment.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +27,10 @@ from hypothesis import strategies as st
 
 from repro.config import GPUConfig
 from repro.core.dtexl import BASELINE, DTEXL_BEST, DTexLConfig
-from repro.core.tile_order import scanline_order
+from repro.core.tile_order import scanline_order, z_order
 from repro.errors import ConfigError, TraceIntegrityError
-from repro.sim.checkpoint import TileChunkStore, trace_digest
+from repro.sim import checkpoint
+from repro.sim.checkpoint import TileChunkStore, segment_layout, trace_digest
 from repro.raster.rasterizer import Rasterizer
 from repro.sim.driver import DEFAULT_GROUP_TILES, FrameRenderer
 from repro.sim.experiment import ExperimentRunner
@@ -42,6 +49,9 @@ TINY = GPUConfig(screen_width=128, screen_height=64)
 
 #: 8x3 tiles: more than one 16-tile raster chunk, the last one partial.
 MULTI = GPUConfig(screen_width=256, screen_height=96)
+
+#: 16x8 tiles: eight full segments of the checkpointed stream.
+SEGMENTED = GPUConfig(screen_width=512, screen_height=256)
 
 #: Orders that traverse the 4x2 grid differently, so production order
 #: (scanline groups inside the render pass) never equals consumption
@@ -153,19 +163,183 @@ class TestMultiChunkStreams:
         assert stream.tiles_rendered == 0
 
     def test_misses_in_both_groups_rerender_and_reseal(self, batch, tmp_path):
-        """Deleted chunks on both sides of the seam re-render, and the
-        mixed frame seals to the batch trace's digest again."""
+        """A deleted segment whose tiles both traversal groups consume
+        re-renders whole, and the mixed frame seals to the batch
+        trace's digest again."""
         want, trace = batch
         self.streamed(TileChunkStore(tmp_path, "k"))
         store = TileChunkStore(tmp_path, "k")
         order = DTEXL_BEST.build_scheduler(MULTI).tiles
-        deleted = [order[1], order[15], order[16], order[22]]
-        for tile in deleted:
-            store.chunk_path(tile).unlink()
-        store.meta_path().unlink()
+        segments, segment_of = segment_layout(MULTI.tiles_x, MULTI.tiles_y)
+        groups = [order[:DEFAULT_GROUP_TILES], order[DEFAULT_GROUP_TILES:]]
+        assert all(1 in {segment_of[tile] for tile in g} for g in groups)
+        store.segment_path(1).unlink()
+        store.manifest_path().unlink()
         result, stream = self.streamed(store)
         assert result == want
-        assert stream.tiles_rendered == len(deleted)
+        assert stream.tiles_rendered == len(segments[1])
+        assert store.digest() == trace_digest(trace)
+
+
+class TestSegmentStore:
+    """The segment store on a frame of several segments: SEGMENTED's
+    128 tiles are eight 16-tile segments in z-order."""
+
+    ORDERS = ("zorder", "hilbert", "sorder", "scanline")
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        trace, _ = FrameRenderer(SEGMENTED).render(
+            build_game("SWa", SEGMENTED)
+        )
+        return trace
+
+    @staticmethod
+    def design(order="hilbert"):
+        return DTexLConfig(name=f"probe-{order}", order=order)
+
+    @staticmethod
+    def streamed(store, design):
+        stream = StreamingTileStream(
+            FrameRenderer(SEGMENTED), build_game("SWa", SEGMENTED),
+            chunk_store=store,
+        )
+        return TraceReplayer(SEGMENTED).run_stream(stream, design), stream
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        """Wrap ``owner.name`` so each call's first argument is recorded."""
+        calls = []
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args[1] if isinstance(owner, type) else args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def test_layout_cuts_z_order_into_segments(self):
+        segments, segment_of = segment_layout(
+            SEGMENTED.tiles_x, SEGMENTED.tiles_y
+        )
+        assert [tile for tiles in segments for tile in tiles] == z_order(
+            SEGMENTED.tiles_x, SEGMENTED.tiles_y
+        )
+        assert [len(tiles) for tiles in segments] == [DEFAULT_GROUP_TILES] * 8
+        assert all(
+            segment_of[tile] == index
+            for index, tiles in enumerate(segments) for tile in tiles
+        )
+
+    def test_segment_hash_survives_a_pickle_round_trip(self, trace):
+        segments, _ = segment_layout(SEGMENTED.tiles_x, SEGMENTED.tiles_y)
+        entries = [trace.tiles[tile] for tile in segments[0]]
+        copies = pickle.loads(pickle.dumps(entries))
+        assert checkpoint.segment_hash(segments[0], copies) == (
+            checkpoint.segment_hash(segments[0], entries)
+        )
+
+    def test_traversals_compute_no_tile_digest(
+        self, trace, tmp_path, monkeypatch
+    ):
+        want = TraceReplayer(SEGMENTED).run(trace, self.design())
+        digests = self.count_calls(monkeypatch, checkpoint, "tile_digest")
+        store = TileChunkStore(tmp_path, "k")
+        cold, stream = self.streamed(store, self.design())
+        assert (cold, stream.tiles_rendered, digests) == (
+            want, SEGMENTED.num_tiles, []
+        )
+        warm, stream = self.streamed(store, self.design())
+        assert (warm, stream.tiles_rendered, digests) == (want, 0, [])
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_warm_replay_loads_each_segment_once(
+        self, order, trace, tmp_path, monkeypatch
+    ):
+        self.streamed(TileChunkStore(tmp_path, "k"), self.design())
+        loads = self.count_calls(monkeypatch, TileChunkStore, "load_tile")
+        want = TraceReplayer(SEGMENTED).run(trace, self.design(order))
+        warm, stream = self.streamed(
+            TileChunkStore(tmp_path, "k"), self.design(order)
+        )
+        assert warm == want
+        assert stream.tiles_rendered == 0
+        assert sorted(loads) == list(range(8))
+
+    def test_digest_on_demand_is_the_trace_digest_and_cached(
+        self, trace, tmp_path, monkeypatch
+    ):
+        want = trace_digest(trace)
+        store = TileChunkStore(tmp_path, "k")
+        self.streamed(store, self.design())
+        assert "digest" not in store.manifest()
+        digests = self.count_calls(monkeypatch, checkpoint, "tile_digest")
+        assert store.digest() == want
+        assert len(digests) == SEGMENTED.num_tiles
+        reopened = TileChunkStore(tmp_path, "k")
+        assert reopened.manifest()["digest"] == want
+        assert reopened.frame_meta()["digest"] == want
+        assert len(digests) == SEGMENTED.num_tiles  # served from the cache
+
+    def test_torn_segment_rerenders_its_tiles_and_reseals(
+        self, trace, tmp_path
+    ):
+        want = TraceReplayer(SEGMENTED).run(trace, self.design("scanline"))
+        self.streamed(TileChunkStore(tmp_path, "k"), self.design())
+        store = TileChunkStore(tmp_path, "k")
+        segments, _ = segment_layout(SEGMENTED.tiles_x, SEGMENTED.tiles_y)
+        victim = store.segment_path(3)
+        victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+        assert store.load_tile(3, segments[3]) is None
+        healed, stream = self.streamed(store, self.design("scanline"))
+        assert healed == want
+        assert stream.tiles_rendered == len(segments[3])
+        assert store.load_tile(3, segments[3]) is not None
+        assert store.digest() == trace_digest(trace)
+
+    def test_segment_unlike_its_manifest_fails_closed(self, tmp_path):
+        store = TileChunkStore(tmp_path, "k")
+        self.streamed(store, self.design())
+        segments, _ = segment_layout(SEGMENTED.tiles_x, SEGMENTED.tiles_y)
+        entries, content = store.load_tile(2, segments[2])
+        entries[0] = dataclasses.replace(
+            entries[0], fetch_cycles=entries[0].fetch_cycles + 1
+        )
+        assert store.save_tile(2, segments[2], entries) != content
+        assert store.load_tile(2, segments[2]) is not None  # hash-valid
+        with pytest.raises(TraceIntegrityError, match="sealed manifest"):
+            self.streamed(TileChunkStore(tmp_path, "k"), self.design())
+        with pytest.raises(TraceIntegrityError, match="sealed manifest"):
+            store.frame_meta()
+
+    def test_version2_chunk_directory_is_ignored(self, trace, tmp_path):
+        """Per-tile chunks and the frame record of the version-2 layout
+        in the store's directory are never read: the frame re-renders."""
+        for tile, entry in trace.tiles.items():
+            payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+            header = json.dumps({
+                "key": "k", "tile": list(tile), "version": 2,
+                "tile_digest": checkpoint.tile_digest(tile, entry),
+                "num_quads": len(entry.columns),
+                "sha256": hashlib.sha256(payload).hexdigest(),
+            }, sort_keys=True)
+            (tmp_path / f"t{tile[0]:03d}_{tile[1]:03d}.chunk").write_bytes(
+                header.encode("ascii") + b"\n" + payload
+            )
+        (tmp_path / "frame.json").write_text(json.dumps({
+            "version": 2, "key": "k", "digest": trace_digest(trace),
+            "vertex_lines": list(trace.vertex_lines),
+            "num_quads": trace.stats.num_quads,
+            "pixels_shaded": trace.stats.pixels_shaded, "chain": [],
+        }))
+        store = TileChunkStore(tmp_path, "k")
+        assert store.manifest() is None
+        want = TraceReplayer(SEGMENTED).run(trace, self.design())
+        result, stream = self.streamed(store, self.design())
+        assert result == want
+        assert stream.tiles_rendered == SEGMENTED.num_tiles
+        assert store.manifest()["version"] == checkpoint.CHECKPOINT_VERSION
         assert store.digest() == trace_digest(trace)
 
 
@@ -283,7 +457,7 @@ class TestChunkStore:
         first, _ = streaming_result(
             "SWa", BASELINE, replayer, chunk_store=store
         )
-        victim = store.chunk_path((1, 1))
+        victim = store.segment_path(0)
         payload = victim.read_bytes()
         victim.write_bytes(payload[: len(payload) // 2])
         healed_store = TileChunkStore(tmp_path / "chunks", "k1")
@@ -291,18 +465,17 @@ class TestChunkStore:
             "SWa", BASELINE, replayer, chunk_store=healed_store
         )
         assert healed == first
-        assert stream.tiles_rendered == 1  # only the torn tile
-        assert healed_store.load_tile((1, 1)) is not None  # re-chunked
+        (tiles,), _ = segment_layout(TINY.tiles_x, TINY.tiles_y)
+        assert stream.tiles_rendered == len(tiles)  # the torn segment
+        assert healed_store.load_tile(0, tiles) is not None  # re-saved
 
     def test_tampered_frame_meta_is_caught(self, tmp_path, replayer):
         store = TileChunkStore(tmp_path / "chunks", "k1")
         streaming_result("SWa", BASELINE, replayer, chunk_store=store)
-        meta = store.frame_meta()
-        store.write_frame_meta(
-            "0" * 64, meta["vertex_lines"],
-            {}, meta["num_quads"], meta["pixels_shaded"],
-        )
-        with pytest.raises(TraceIntegrityError):
+        manifest = store.manifest()
+        manifest["segments"][0] = "0" * 64
+        store.manifest_path().write_text(json.dumps(manifest))
+        with pytest.raises(TraceIntegrityError, match="sealed manifest"):
             streaming_result(
                 "SWa", BASELINE, replayer,
                 chunk_store=TileChunkStore(tmp_path / "chunks", "k1"),
@@ -312,7 +485,9 @@ class TestChunkStore:
         store = TileChunkStore(tmp_path / "chunks", "k1")
         streaming_result("SWa", BASELINE, replayer, chunk_store=store)
         other = TileChunkStore(tmp_path / "chunks", "k2")
-        assert other.load_tile((0, 0)) is None
+        (tiles,), _ = segment_layout(TINY.tiles_x, TINY.tiles_y)
+        assert store.load_tile(0, tiles) is not None
+        assert other.load_tile(0, tiles) is None
         assert other.digest() is None
 
 

@@ -46,6 +46,7 @@ slowdowns don't).
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import hashlib
 import json
@@ -170,14 +171,19 @@ def time_engines(config, traces, repeats: int) -> dict:
     Repeats are interleaved across engines (fast, reference, fast, ...)
     so slow drift of the host — frequency scaling, noisy neighbours —
     hits both engines alike instead of biasing whichever ran last.
+    Each timed repeat replays its own shallow copies of the traces,
+    made before its clock starts: a copy starts with an empty schedule
+    memo, so every timed fast replay runs its memory half instead of
+    reusing the one an earlier repeat left on the trace.
     """
     replayers = {e: TraceReplayer(config, engine=e) for e in ENGINES}
     best = {e: float("inf") for e in ENGINES}
     for _ in range(repeats):
         for engine in ENGINES:
             replayer = replayers[engine]
+            fresh = [copy.copy(trace) for trace in traces.values()]
             t0 = time.perf_counter()
-            for trace in traces.values():
+            for trace in fresh:
                 for design in DESIGNS:
                     replayer.run(trace, design)
             best[engine] = min(best[engine], time.perf_counter() - t0)

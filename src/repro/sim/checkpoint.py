@@ -70,6 +70,7 @@ from repro.sim.faults import (
     SITE_JOURNAL_RECORD,
     fault_point,
 )
+from repro.texture.sampler import Sampler
 from repro.workloads.recipe import SceneRecipe
 
 #: Version 3: a streamed frame is a directory of 16-tile segments plus
@@ -219,17 +220,31 @@ def workload_fingerprint(recipe: SceneRecipe, frame: int = 0) -> Dict[str, Any]:
     return {"recipe": dataclasses.asdict(recipe), "frame": frame}
 
 
-def trace_key(config: GPUConfig, recipe: SceneRecipe, frame: int = 0) -> str:
+def trace_key(
+    config: GPUConfig,
+    recipe: SceneRecipe,
+    frame: int = 0,
+    sampler: Optional[Sampler] = None,
+) -> str:
     """Content hash keying one checkpointed trace.
 
-    Any change to the GPU configuration or the scene recipe produces a
-    different key, so stale checkpoints are never silently reused.
+    Any change to the GPU configuration, the scene recipe or the
+    texture sampler produces a different key, so stale checkpoints are
+    never silently reused.  The default sampler adds nothing to the
+    hashed payload, so its keys are the ones written before samplers
+    were keyed.
     """
-    text = _canonical_json({
+    payload = {
         "version": CHECKPOINT_VERSION,
         "config": config_fingerprint(config),
         "workload": workload_fingerprint(recipe, frame),
-    })
+    }
+    if sampler is not None and sampler != Sampler():
+        payload["sampler"] = {
+            "filter_mode": sampler.filter_mode.value,
+            "max_anisotropy": sampler.max_anisotropy,
+        }
+    text = _canonical_json(payload)
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 

@@ -107,12 +107,32 @@ class RenderStats:
 
 @dataclass
 class FrameTrace:
-    """Schedule-independent record of one rendered frame."""
+    """Schedule-independent record of one rendered frame.
+
+    :attr:`schedule_memo` holds the memory halves of this trace's
+    replays, keyed by :func:`repro.sim.replay.memory_key`, so design
+    points that differ only in timing share one memory pass.  It is not
+    a field: it never enters ``==``, ``repr`` or ``asdict``, and a
+    pickle, copy, checkpoint load or ``dataclasses.replace`` of the
+    trace starts with an empty one.
+    """
 
     config: GPUConfig
     vertex_lines: List[int]
     tiles: Dict[TileCoord, TileTraceEntry]
     stats: RenderStats
+
+    def __post_init__(self) -> None:
+        self.schedule_memo: Dict[tuple, object] = {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["schedule_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.schedule_memo = {}
 
     @property
     def total_quads(self) -> int:

@@ -164,7 +164,9 @@ class ExperimentRunner:
             return self._traces[alias]
         key = None
         if self.checkpoint_store is not None and alias in GAMES:
-            key = trace_key(self.config, GAMES[alias].recipe)
+            key = trace_key(
+                self.config, GAMES[alias].recipe, sampler=self.renderer.sampler
+            )
             if self.checkpoint_store.contains(key):
                 try:
                     trace = self.checkpoint_store.load(key)
@@ -197,7 +199,9 @@ class ExperimentRunner:
         """
         if self.checkpoint_store is None or alias not in GAMES:
             return None
-        key = trace_key(self.config, GAMES[alias].recipe)
+        key = trace_key(
+            self.config, GAMES[alias].recipe, sampler=self.renderer.sampler
+        )
         return TileChunkStore(
             self.checkpoint_store.directory / CHUNK_SUBDIR / key, key
         )

@@ -1,10 +1,35 @@
 """Pass 2: replay a frame trace under one DTexL design point.
 
-The replay walks the tiles in the design point's tile order, maps every
-quad to a shader core through the quad scheduler, drives the texture
-accesses through the private-L1/shared-L2 hierarchy, and feeds the
-resulting per-subtile costs to the coupled or decoupled pipeline timing
-model and the energy model.
+A replay is two halves.
+
+* **The memory half** (:meth:`TraceReplayer.replay_schedule`) walks the
+  tiles in the design point's tile order, maps every quad to a shader
+  core through the quad scheduler and drives the vertex prologue, the
+  Parameter-Buffer fetches and the texture accesses through the
+  private-L1/shared-L2 hierarchy and DRAM.  It returns a
+  :class:`ScheduleWork`: quads, issue cycles and stall cycles per
+  (tile, core), each tile's fetch cycles, the hierarchy's counter
+  deltas and the L1 replication factor.
+* **The timing half** (:meth:`TraceReplayer.time_schedule`) feeds that
+  work to the coupled or decoupled pipeline timing model and the
+  energy model, and assembles the :class:`RunResult`.
+
+The memory half reads the trace, the schedule (grouping, assignment,
+tile order, upper bound) and the memory-side config: the tile grid,
+the core count, the cache and DRAM configs, and the L2 hit latency and
+``shader.miss_overhead_cycles`` that price a stall.  :func:`memory_key`
+names exactly those.  The barrier architecture and the timing-side
+config (``fifo_depth``, ``flush_bytes_per_cycle``, ``shader.max_warps``,
+``issue_rate``, the clock, ...) reach only the timing half.  So a
+cold-hierarchy, fast-engine replay of a materialized trace (``run``, or
+``run_stream`` on a :class:`BatchTileStream`) reuses the memory half an
+earlier replay of *the same trace object* computed under an equal key,
+from the trace's :attr:`~repro.sim.driver.FrameTrace.schedule_memo`.
+Design points that differ only in their barriers, and replayers that
+differ only in timing knobs, then pay one memory pass per trace.  The
+memo lives exactly as long as its trace.  Warm-hierarchy replays
+(``AnimationSimulator``), streamed replays and the reference engine
+never read or write it.
 
 Two engines produce bit-identical :class:`RunResult` records:
 
@@ -24,13 +49,14 @@ Two engines produce bit-identical :class:`RunResult` records:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 import numpy as np
 
 from repro.config import GPUConfig
 from repro.core.dtexl import DTexLConfig
+from repro.core.tile_order import TileCoord
 from repro.errors import ConfigError
 from repro.memory.cache import access_set_streams
 from repro.memory.hierarchy import MemoryHierarchy
@@ -64,6 +90,30 @@ def _chunks(units, size):
             chunk.clear()
     if chunk:
         yield chunk
+
+
+def memory_key(design: DTexLConfig, config: GPUConfig) -> tuple:
+    """Everything the memory half of a replay of ``design`` reads.
+
+    The schedule (grouping, assignment, tile order, upper bound) and
+    the memory-side fields of the config the design point runs on
+    (``design.effective_gpu_config(config)``): the screen and tile size
+    that set the tile grid, the core count, the four cache configs and
+    the DRAM config whole, and ``shader.miss_overhead_cycles``, which
+    prices a stall together with the L2 hit latency.  The barrier
+    architecture and every timing-side field are left out, so replays
+    that differ only there share one memory pass.
+    ``tests/test_replay.py`` sorts every config field into one side or
+    the other and fails on a field it has not been told about.
+    """
+    gpu = design.effective_gpu_config(config)
+    return (
+        design.grouping, design.assignment, design.order, design.upper_bound,
+        gpu.screen_width, gpu.screen_height, gpu.tile_size,
+        gpu.num_shader_cores, gpu.vertex_cache, gpu.texture_cache,
+        gpu.tile_cache, gpu.l2_cache, gpu.dram,
+        gpu.shader.miss_overhead_cycles,
+    )
 
 
 @dataclass
@@ -100,8 +150,8 @@ class RunResult:
 
 
 @dataclass(frozen=True)
-class _CounterSnapshot:
-    """Hierarchy counters at one instant, for per-frame deltas."""
+class MemoryCounters:
+    """Hierarchy access counters: a snapshot, or one replay's deltas."""
 
     l2_accesses: int
     l2_misses: int
@@ -112,9 +162,9 @@ class _CounterSnapshot:
     tile_accesses: int
 
     @staticmethod
-    def of(hierarchy: MemoryHierarchy) -> "_CounterSnapshot":
+    def of(hierarchy: MemoryHierarchy) -> "MemoryCounters":
         l1 = hierarchy.texture_l1_stats()
-        return _CounterSnapshot(
+        return MemoryCounters(
             l2_accesses=hierarchy.l2_accesses,
             l2_misses=hierarchy.l2_misses,
             dram_accesses=hierarchy.dram_accesses,
@@ -123,6 +173,47 @@ class _CounterSnapshot:
             vertex_accesses=hierarchy.vertex_cache.stats.accesses,
             tile_accesses=hierarchy.tile_cache.stats.accesses,
         )
+
+    def since(self, before: "MemoryCounters") -> "MemoryCounters":
+        """The counts accumulated between ``before`` and this snapshot."""
+        return MemoryCounters(*(
+            getattr(self, f.name) - getattr(before, f.name)
+            for f in fields(self)
+        ))
+
+
+@dataclass(frozen=True, eq=False)
+class ScheduleWork:
+    """The memory half of one replay: all the timing half reads.
+
+    Per traversal step: the tile (``tiles[step]`` is its ``(x, y)``),
+    its step and its Parameter-Buffer fetch cycles.  Per (step, core):
+    quads, issue cycles and stall cycles.  Read-only int64 arrays,
+    about 0.2 MiB at 1960x768, so a trace can keep one per memory key.
+    """
+
+    tiles: np.ndarray
+    steps: np.ndarray
+    fetch_cycles: np.ndarray
+    quads: np.ndarray
+    compute_cycles: np.ndarray
+    stall_cycles: np.ndarray
+    #: The hierarchy's counter deltas over this replay.
+    counters: MemoryCounters
+    total_quads: int
+    l1_replication_factor: float
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScheduleWork):
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, np.ndarray):
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
 
 
 class TraceReplayer:
@@ -176,6 +267,41 @@ class TraceReplayer:
     ) -> RunResult:
         """Replay a tile stream under ``design``; returns the full result.
 
+        The memory half (:meth:`replay_schedule`), then the timing half
+        (:meth:`time_schedule`).  A cold-hierarchy, fast-engine replay
+        of a :class:`BatchTileStream` first looks the memory half up in
+        its trace's ``schedule_memo`` under :func:`memory_key`, and
+        stores it there when it had to compute it.  A hit re-runs the
+        per-tile quad-budget check over the running totals, so it
+        raises the same :class:`~repro.errors.BudgetExceededError` the
+        replay it replaces would have.
+        """
+        if (
+            hierarchy is None
+            and self.engine == "fast"
+            and isinstance(stream, BatchTileStream)
+        ):
+            memo = stream.trace.schedule_memo
+            key = memory_key(design, self.config)
+            work = memo.get(key)
+            if work is None:
+                work = memo[key] = self.replay_schedule(stream, design)
+            else:
+                check_quads = self.budget.check_quads
+                for total in np.cumsum(work.quads.sum(axis=1)).tolist():
+                    check_quads(total, design.name)
+        else:
+            work = self.replay_schedule(stream, design, hierarchy)
+        return self.time_schedule(work, design)
+
+    def replay_schedule(
+        self,
+        stream,
+        design: DTexLConfig,
+        hierarchy: Optional[MemoryHierarchy] = None,
+    ) -> ScheduleWork:
+        """The memory half: ``stream`` through ``design``'s schedule.
+
         ``stream`` is any :mod:`repro.sim.stream` driver; it is opened
         with the design point's tile traversal, so producer and consumer
         walk the same order and the frame counters accumulate per tile
@@ -184,7 +310,8 @@ class TraceReplayer:
         access order bit for bit.  Units are replayed in chunks of
         ``DEFAULT_GROUP_TILES``; the fast engine simulates the memory
         hierarchy once per chunk, with per-tile results identical to a
-        tile-by-tile walk.
+        tile-by-tile walk.  The quad budget is checked after every tile.
+        Without a ``hierarchy`` the caches start cold.
         """
         gpu = design.effective_gpu_config(self.config)
         fast = self.engine == "fast"
@@ -192,36 +319,77 @@ class TraceReplayer:
             hierarchy = MemoryHierarchy(
                 gpu, backend="fast" if fast else "reference"
             )
-        before = _CounterSnapshot.of(hierarchy)
+        before = MemoryCounters.of(hierarchy)
         # The scheduler always reasons over 4 subtile slots; the
         # upper-bound run folds them onto its single SC below.
         scheduler = design.build_scheduler(self.config)
         n_cores = gpu.num_shader_cores
 
-        tile_works: List[TileWork] = []
-        per_tile_counts: List[List[int]] = []
+        tiles: List[TileCoord] = []
+        steps: List[int] = []
+        fetch_cycles: List[int] = []
+        chunk_work = []
         total_quads = 0
         process = self._tile_quads_fast if fast else self._tiles_reference
         # Hot loop: resolve attribute chains once, not per tile.
         check_quads = self.budget.check_quads
         units = stream.open(scheduler.tiles)
         for chunk in _chunks(units, DEFAULT_GROUP_TILES):
-            done = process(chunk, scheduler, hierarchy, gpu, n_cores)
-            for unit, (subtiles, counts) in zip(chunk, done):
+            chunk_work.append(
+                process(chunk, scheduler, hierarchy, gpu, n_cores)
+            )
+            for unit in chunk:
                 entry = unit.entry
                 total_quads += len(entry.columns)
-                tile_works.append(
-                    TileWork(
-                        tile=unit.tile,
-                        step=unit.step,
-                        fetch_cycles=entry.fetch_cycles,
-                        subtiles=subtiles,
-                    )
-                )
-                per_tile_counts.append(counts)
+                tiles.append(unit.tile)
+                steps.append(unit.step)
+                fetch_cycles.append(entry.fetch_cycles)
                 check_quads(total_quads, design.name)
 
-        replication = hierarchy.replication_factor()
+        quads, compute, stalls = np.concatenate(chunk_work, axis=1)
+        arrays = (
+            np.array(tiles, dtype=np.int64).reshape(-1, 2),
+            np.array(steps, dtype=np.int64),
+            np.array(fetch_cycles, dtype=np.int64),
+            quads, compute, stalls,
+        )
+        for array in arrays:
+            array.flags.writeable = False
+        return ScheduleWork(
+            *arrays,
+            counters=MemoryCounters.of(hierarchy).since(before),
+            total_quads=total_quads,
+            l1_replication_factor=hierarchy.replication_factor(),
+        )
+
+    def time_schedule(
+        self, work: ScheduleWork, design: DTexLConfig
+    ) -> RunResult:
+        """The timing half: frame time, energy and the result record.
+
+        Reads ``work``, the barrier architecture and the timing-side
+        config, never the trace or the caches.  Every list in the
+        result is built by this call, so results that share one
+        :class:`ScheduleWork` share no mutable state.
+        """
+        gpu = design.effective_gpu_config(self.config)
+        n_cores = work.quads.shape[1]
+        subtiles = list(map(
+            SubtileWork,
+            work.quads.ravel().tolist(),
+            work.compute_cycles.ravel().tolist(),
+            work.stall_cycles.ravel().tolist(),
+        ))
+        tile_works = list(map(
+            TileWork,
+            map(tuple, work.tiles.tolist()),
+            work.steps.tolist(),
+            work.fetch_cycles.tolist(),
+            [
+                subtiles[i:i + n_cores]
+                for i in range(0, len(subtiles), n_cores)
+            ],
+        ))
         pipeline = RasterPipelineModel(gpu, design.decoupled)
         timing = pipeline.simulate(tile_works)
         self.budget.check_cycles(timing.total_cycles, design.name)
@@ -233,33 +401,33 @@ class TraceReplayer:
         )
         fb_lines = len(tile_works) * -(-tile_bytes // 64)
 
-        after = _CounterSnapshot.of(hierarchy)
+        counters = work.counters
         energy = self.energy_model.frame_energy(
-            l1_accesses=after.l1_accesses - before.l1_accesses,
-            l2_accesses=after.l2_accesses - before.l2_accesses,
-            dram_accesses=after.dram_accesses - before.dram_accesses,
-            vertex_accesses=after.vertex_accesses - before.vertex_accesses,
-            tile_accesses=after.tile_accesses - before.tile_accesses,
+            l1_accesses=counters.l1_accesses,
+            l2_accesses=counters.l2_accesses,
+            dram_accesses=counters.dram_accesses,
+            vertex_accesses=counters.vertex_accesses,
+            tile_accesses=counters.tile_accesses,
             sc_issue_cycles=sum(timing.sc_issue_cycles),
-            quads_processed=total_quads,
+            quads_processed=work.total_quads,
             frame_cycles=timing.total_cycles,
             frequency_mhz=gpu.frequency_mhz,
             framebuffer_write_lines=fb_lines,
         )
         return RunResult(
             design_point=design.name,
-            l2_accesses=after.l2_accesses - before.l2_accesses,
-            l2_misses=after.l2_misses - before.l2_misses,
-            dram_accesses=after.dram_accesses - before.dram_accesses,
-            l1_accesses=after.l1_accesses - before.l1_accesses,
-            l1_misses=after.l1_misses - before.l1_misses,
-            vertex_accesses=after.vertex_accesses - before.vertex_accesses,
-            tile_accesses=after.tile_accesses - before.tile_accesses,
-            total_quads=total_quads,
+            l2_accesses=counters.l2_accesses,
+            l2_misses=counters.l2_misses,
+            dram_accesses=counters.dram_accesses,
+            l1_accesses=counters.l1_accesses,
+            l1_misses=counters.l1_misses,
+            vertex_accesses=counters.vertex_accesses,
+            tile_accesses=counters.tile_accesses,
+            total_quads=work.total_quads,
             timing=timing,
             energy=energy,
-            per_tile_quad_counts=per_tile_counts,
-            l1_replication_factor=replication,
+            per_tile_quad_counts=work.quads.tolist(),
+            l1_replication_factor=work.l1_replication_factor,
             framebuffer_write_lines=fb_lines,
         )
 
@@ -267,7 +435,7 @@ class TraceReplayer:
 
     @staticmethod
     def _tile_quads_fast(units, scheduler, hierarchy, gpu, n_cores):
-        """Columnar replay of one chunk of tiles: (subtiles, counts) per tile.
+        """Columnar replay of one chunk of tiles: its per-(tile, core) work.
 
         The chunk's vertex prologue (first unit of a frame only) goes
         through the vertex cache first.  Then, per tile, the tile cache
@@ -277,7 +445,9 @@ class TraceReplayer:
         and quads and issue cycles per (tile, core) cell are
         ``np.bincount`` aggregates — no per-quad Python.
         :meth:`_simulate_lines` then drives the texture lines and the
-        fetch misses through the L1s, L2 and DRAM.
+        fetch misses through the L1s, L2 and DRAM.  Returns one int64
+        array of shape ``(3, tiles, n_cores)``: quads, issue cycles and
+        stall cycles.
         """
         vertex_lines = units[0].vertex_lines
         if vertex_lines:
@@ -303,13 +473,13 @@ class TraceReplayer:
         slot = np.concatenate([stream.slot for stream in streams])
         cell = quad_tile * n_cores + np.stack(luts)[quad_tile, slot]
         n_cells = n_tiles * n_cores
-        num_quads = np.bincount(cell, minlength=n_cells).tolist()
+        num_quads = np.bincount(cell, minlength=n_cells)
         # Float64 weights sum integers exactly far beyond any tile's
         # issue-cycle total (2**53).
         issue = np.concatenate([stream.issue for stream in streams])
         compute = np.bincount(
             cell, weights=issue, minlength=n_cells
-        ).astype(np.int64).tolist()
+        ).astype(np.int64)
         tile_lines = [unit.entry.columns.lines for unit in units]
         # Each tile's line -> quad column, offset to chunk quad indices.
         line_quad = np.concatenate([s.line_quad for s in streams])
@@ -325,12 +495,10 @@ class TraceReplayer:
             gpu,
             n_cores,
             n_cells,
-        ).tolist()
-        works = list(map(SubtileWork, num_quads, compute, stalls))
-        return [
-            (works[i:i + n_cores], num_quads[i:i + n_cores])
-            for i in range(0, n_cells, n_cores)
-        ]
+        )
+        return np.stack((num_quads, compute, stalls)).reshape(
+            3, n_tiles, n_cores
+        )
 
     @staticmethod
     def _simulate_lines(
@@ -411,7 +579,10 @@ class TraceReplayer:
 
     @staticmethod
     def _tiles_reference(units, scheduler, hierarchy, gpu, n_cores):
-        """The reference engine over a chunk, one tile after another."""
+        """The reference engine over a chunk, one tile after another.
+
+        Returns the chunk's work in :meth:`_tile_quads_fast`'s layout.
+        """
         done = []
         for unit in units:
             for line in unit.vertex_lines:
@@ -419,10 +590,15 @@ class TraceReplayer:
             entry = unit.entry
             for line in entry.fetch_lines:
                 hierarchy.tile_access(line)
-            done.append(TraceReplayer._tile_quads_reference(
-                entry, scheduler, unit.step, hierarchy, gpu, n_cores
-            ))
-        return done
+            done.append([
+                (s.num_quads, s.compute_cycles, s.stall_cycles)
+                for s in TraceReplayer._tile_quads_reference(
+                    entry, scheduler, unit.step, hierarchy, gpu, n_cores
+                )
+            ])
+        return np.array(done, dtype=np.int64).reshape(
+            len(units), n_cores, 3
+        ).transpose(2, 0, 1)
 
     @staticmethod
     def _tile_quads_reference(entry, scheduler, step, hierarchy, gpu, n_cores):
@@ -440,4 +616,4 @@ class TraceReplayer:
                 if not result.l1_hit:
                     stall += result.latency - l1_hit_latency + miss_overhead
             subtiles[core].add_quad(quad.compute_cycles, stall)
-        return subtiles, [s.num_quads for s in subtiles]
+        return subtiles

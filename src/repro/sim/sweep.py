@@ -113,15 +113,17 @@ def _replay(
     )
 
 
-#: This process's runners, keyed by ``(store_dir, config, driver,
-#: engine)``.  A pool worker builds one on its first task and keeps it,
-#: so a batch trace it rendered or loaded serves all its later tasks.
+#: This process's runners, keyed by ``(store_dir, config, sampler,
+#: driver, engine)``.  A pool worker builds one on its first task and
+#: keeps it, so a batch trace it rendered or loaded serves all its later
+#: tasks.
 _WORKER_RUNNERS: Dict[tuple, ExperimentRunner] = {}
 
 
 def _replay_task(
     store_dir: str,
     config,
+    sampler,
     stream_driver: str,
     replayer: TraceReplayer,
     design: DTexLConfig,
@@ -134,10 +136,10 @@ def _replay_task(
     """:func:`_replay` inside a pool worker (module level: it pickles).
 
     The replay runs on this worker's runner over the campaign's store,
-    built on first use with the parent's ``replayer`` (energy
-    parameters, budget, engine).  The first worker that needs a game
-    renders it and saves it to the store; later tasks on other workers
-    load it.
+    built on first use with the parent's ``sampler`` and ``replayer``
+    (energy parameters, budget, engine).  The first worker that needs a
+    game renders it and saves it to the store; later tasks on other
+    workers load it.
 
     ``plan`` re-arms the parent's fault plan inside the worker (fork
     inheritance is not guaranteed under spawn, and a respawned pool
@@ -149,11 +151,12 @@ def _replay_task(
         faults.fault_point(
             faults.SITE_WORKER, key=f"{design.name}/{game}", attempt=attempt
         )
-        key = (store_dir, config, stream_driver, replayer.engine)
+        key = (store_dir, config, sampler, stream_driver, replayer.engine)
         runner = _WORKER_RUNNERS.get(key)
         if runner is None:
             runner = ExperimentRunner(
                 config,
+                sampler,
                 checkpoint_store=TraceCheckpointStore(store_dir),
                 stream=stream_driver,
             )
@@ -245,7 +248,8 @@ class _TaskPool:
         self._max_attempts = max(1, max_attempts)
         self._plan = plan
         #: Leading arguments of every task: how a worker finds its
-        #: runner (store directory, config, stream driver, replayer).
+        #: runner (store directory, config, sampler, stream driver,
+        #: replayer).
         self._shared = shared
         self._executor = ProcessPoolExecutor(max_workers=jobs)
         self._args: Dict[TaskId, tuple] = {}
@@ -589,8 +593,8 @@ class DesignSweep:
                     executor = _TaskPool(
                         jobs, task_timeout_s, max_task_attempts,
                         faults.active_plan(),
-                        (store_dir, runner.config, runner.stream,
-                         runner.replayer),
+                        (store_dir, runner.config, runner.renderer.sampler,
+                         runner.stream, runner.replayer),
                     )
                 for alias in runner.games:
                     executor.submit(

@@ -55,18 +55,21 @@ def compute_lod(
     return max(0.0, math.log2(rho))
 
 
+@dataclass(frozen=True)
 class Sampler:
-    """Computes sample footprints (and procedural colors) for a texture."""
+    """Computes sample footprints (and procedural colors) for a texture.
 
-    def __init__(
-        self,
-        filter_mode: FilterMode = FilterMode.BILINEAR,
-        max_anisotropy: int = 4,
-    ):
-        if max_anisotropy < 1:
+    A value: samplers with equal settings compare and hash equal, so a
+    pool worker's runner and a checkpoint key can be told apart by the
+    sampler they render with.
+    """
+
+    filter_mode: FilterMode = FilterMode.BILINEAR
+    max_anisotropy: int = 4
+
+    def __post_init__(self) -> None:
+        if self.max_anisotropy < 1:
             raise ConfigError("max_anisotropy must be >= 1")
-        self.filter_mode = filter_mode
-        self.max_anisotropy = max_anisotropy
 
     # -- footprint construction ------------------------------------------------
 

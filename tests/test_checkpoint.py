@@ -24,6 +24,7 @@ from repro.sim.checkpoint import (
 from repro.sim.driver import TileTraceEntry
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.replay import TraceReplayer
+from repro.texture.sampler import FilterMode, Sampler
 from repro.workloads.games import GAMES
 
 
@@ -56,6 +57,47 @@ class TestKeys:
             trace_key(tiny_config, GAMES["SWa"].recipe, frame=0)
             != trace_key(tiny_config, GAMES["SWa"].recipe, frame=1)
         )
+
+    def test_key_depends_on_a_non_default_sampler(
+        self, tmp_path, tiny_config
+    ):
+        """The default sampler keeps the sampler-less key, which the
+        benchmark uses to find a campaign's frames; any other sampler
+        gets its own key, in the runner's stores too."""
+        recipe = GAMES["SWa"].recipe
+        plain = trace_key(tiny_config, recipe)
+        assert trace_key(tiny_config, recipe, sampler=Sampler()) == plain
+        trilinear = Sampler(filter_mode=FilterMode.TRILINEAR)
+        assert trace_key(tiny_config, recipe, sampler=trilinear) != plain
+        wide = Sampler(FilterMode.ANISOTROPIC, max_anisotropy=8)
+        assert trace_key(tiny_config, recipe, sampler=wide) != trace_key(
+            tiny_config, recipe, sampler=Sampler(FilterMode.ANISOTROPIC)
+        )
+        store = TraceCheckpointStore(tmp_path)
+        keys = [
+            ExperimentRunner(
+                tiny_config, sampler, checkpoint_store=store
+            ).chunk_store_for("SWa").key
+            for sampler in (None, trilinear)
+        ]
+        assert keys == [
+            plain, trace_key(tiny_config, recipe, sampler=trilinear)
+        ]
+
+    def test_shared_store_keeps_filter_modes_apart(
+        self, tmp_path, tiny_config
+    ):
+        store = TraceCheckpointStore(tmp_path)
+        bilinear = ExperimentRunner(tiny_config, checkpoint_store=store)
+        trilinear = ExperimentRunner(
+            tiny_config, Sampler(filter_mode=FilterMode.TRILINEAR),
+            checkpoint_store=store,
+        )
+        first = bilinear.trace_for("CCS")
+        second = trilinear.trace_for("CCS")
+        assert trilinear.renders_performed == 1
+        assert second.total_texture_lines != first.total_texture_lines
+        assert len(list(tmp_path.glob("*.trace"))) == 2
 
     def test_config_hash_sensitivity(self, tiny_config, small_config):
         assert config_hash(tiny_config) != config_hash(small_config)

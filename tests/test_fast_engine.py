@@ -22,6 +22,7 @@ specification fails here.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import pickle
 import weakref
@@ -60,6 +61,7 @@ from repro.sim.replay import ENGINES, TraceReplayer
 from repro.sim.stream import BatchTileStream, StreamingTileStream
 from repro.sim.sweep import TRACE_SUBDIR, DesignSweep
 from repro.shader.shader_core import ShaderCore
+from repro.texture.sampler import FilterMode, Sampler
 from repro.workloads.games import GAMES
 
 
@@ -218,7 +220,8 @@ class TestReplayEngineEquivalence:
     def test_results_bit_identical(self, tiny_config, tiny_trace, design):
         fast = TraceReplayer(tiny_config, engine="fast")
         ref = TraceReplayer(tiny_config, engine="reference")
-        assert fast.run(tiny_trace, design) == ref.run(tiny_trace, design)
+        got = fast.run(copy.copy(tiny_trace), design)
+        assert got == ref.run(tiny_trace, design)
 
     def test_real_game_bit_identical(self, small_config, small_game_trace):
         fast = TraceReplayer(small_config, engine="fast")
@@ -263,7 +266,9 @@ class TestChunkedReplay:
     Chunk boundaries must be invisible: 1-tile chunks, chunks that
     split the frame unevenly (3 of 8 tiles) and one chunk larger than
     the frame all give the reference engine's results.  ``upper-bound``
-    runs one SC with a 256-set L1, so its L1 stream key differs.
+    runs one SC with a 256-set L1, so its L1 stream key differs.  Cold
+    replays take a copy of the shared trace, whose memo is empty, so
+    the memory half really runs at the patched chunk size.
     """
 
     @pytest.fixture(params=[1, 3, 9], ids=lambda n: f"chunk{n}")
@@ -278,7 +283,8 @@ class TestChunkedReplay:
     ):
         fast = TraceReplayer(tiny_config, engine="fast")
         ref = TraceReplayer(tiny_config, engine="reference")
-        assert fast.run(tiny_trace, design) == ref.run(tiny_trace, design)
+        got = fast.run(copy.copy(tiny_trace), design)
+        assert got == ref.run(tiny_trace, design)
 
     @pytest.mark.parametrize("design", CHUNK_DESIGNS, ids=lambda d: d.name)
     def test_warm_hierarchy_over_two_frames(
@@ -587,6 +593,28 @@ class TestParallelSweep:
             p.name for p in sweep.design_points()
         )
         assert second.renders_performed == 0
+
+    def test_pool_workers_render_with_the_runners_sampler(self, tiny_config):
+        """A trilinear campaign gives its serial rows on the pool too."""
+        sweep = DesignSweep(
+            groupings=["FG-xshift2", "CG-square"], assignments=["const"],
+            orders=["zorder"], decoupled=[True],
+        )
+
+        def rows(jobs, sampler):
+            runner = ExperimentRunner(
+                tiny_config, sampler, games=["CCS"], stream=self.stream
+            )
+            return sweep.run(runner, jobs=jobs).rows
+
+        trilinear = Sampler(filter_mode=FilterMode.TRILINEAR)
+        serial = rows(1, trilinear)
+        assert rows(2, trilinear) == serial
+        # The filter mode shows in the rows, so the pool could not have
+        # matched them with the default sampler.
+        assert [r.l2_accesses for r in serial] != [
+            r.l2_accesses for r in rows(1, None)
+        ]
 
     def test_invalid_jobs_rejected(self, tiny_config):
         runner = ExperimentRunner(

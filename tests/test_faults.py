@@ -621,7 +621,8 @@ class TestPoolBookkeeping:
         """The pool drops a result once the walk has read it."""
         runner = make_runner(tiny_config)
         pool = sweep._TaskPool(1, None, 1, None, (
-            str(tmp_path), runner.config, runner.stream, runner.replayer,
+            str(tmp_path), runner.config, runner.renderer.sampler,
+            runner.stream, runner.replayer,
         ))
         try:
             pool.submit(("baseline", GAME), (BASELINE, GAME, None, False))

@@ -1,9 +1,30 @@
-"""Tests for the trace replayer (pass 2)."""
+"""Tests for the trace replayer (pass 2) and its schedule memo."""
+
+import copy
+import dataclasses
+import gc
+import pickle
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.dtexl import BASELINE, DTexLConfig, PAPER_CONFIGURATIONS
-from repro.sim.replay import TraceReplayer
+from repro.config import CacheConfig, DRAMConfig, GPUConfig, ShaderConfig
+from repro.core.dtexl import (
+    BASELINE,
+    DTEXL_BEST,
+    DTexLConfig,
+    PAPER_CONFIGURATIONS,
+)
+from repro.errors import BudgetExceededError
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.sim.checkpoint import TraceCheckpointStore, trace_digest
+from repro.sim.driver import FrameRenderer
+from repro.sim.replay import TraceReplayer, memory_key
+from repro.sim.resilience import ReplayBudget
+from repro.sim.stream import BatchTileStream
+from repro.workloads.games import build_game, game_aliases
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +158,359 @@ class TestFramebufferTraffic:
         base = replayer.run(tiny_trace, BASELINE)
         dtexl = replayer.run(tiny_trace, DTEXL_BEST)
         assert base.framebuffer_write_lines == dtexl.framebuffer_write_lines
+
+
+# -- the two halves and the schedule memo -----------------------------------
+
+
+#: Every field of the four config classes, by the replay half that
+#: reads it.  A nested config field of GPUConfig is sorted field by
+#: field under its own class.  :func:`memory_key` must change with
+#: every memory-side field and with no timing-side one.
+MEMORY_SIDE = {
+    GPUConfig: {
+        "screen_width", "screen_height", "tile_size", "num_shader_cores",
+    },
+    CacheConfig: {
+        "name", "size_bytes", "line_bytes", "associativity", "hit_latency",
+    },
+    DRAMConfig: {"min_latency", "max_latency", "size_bytes"},
+    ShaderConfig: {"miss_overhead_cycles"},
+}
+TIMING_SIDE = {
+    GPUConfig: {
+        "frequency_mhz", "voltage", "tech_nm", "fifo_depth",
+        "tile_fetcher_cycles_per_primitive", "raster_quads_per_cycle",
+        "stage_unit_quads_per_cycle", "flush_bytes_per_cycle",
+        "color_bytes_per_pixel",
+    },
+    CacheConfig: set(),
+    DRAMConfig: set(),
+    ShaderConfig: {
+        "max_warps", "issue_rate", "base_shader_cycles",
+        "texture_issue_cycles",
+    },
+}
+NESTED = {
+    "vertex_cache": CacheConfig, "texture_cache": CacheConfig,
+    "tile_cache": CacheConfig, "l2_cache": CacheConfig,
+    "dram": DRAMConfig, "shader": ShaderConfig,
+}
+
+#: Fine and coarse grouping, two tile orders, and the single-SC upper
+#: bound, whose effective config differs from the one passed in.
+KEY_DESIGNS = [BASELINE, DTEXL_BEST, PAPER_CONFIGURATIONS["upper-bound"]]
+
+
+def leaf_fields():
+    """``(path, side)`` for every leaf field of :class:`GPUConfig`."""
+    for f in dataclasses.fields(GPUConfig):
+        nested = NESTED.get(f.name)
+        if nested is None:
+            side = "memory" if f.name in MEMORY_SIDE[GPUConfig] else "timing"
+            yield (f.name,), side
+            continue
+        for g in dataclasses.fields(nested):
+            side = "memory" if g.name in MEMORY_SIDE[nested] else "timing"
+            yield (f.name, g.name), side
+
+
+def perturbed(config, path):
+    """``config`` with the field at ``path`` changed to a valid value."""
+    head, *rest = path
+    value = getattr(config, head)
+    if rest:
+        new = perturbed(value, rest)
+    elif isinstance(value, str):
+        new = value + "'"
+    else:
+        new = value * 2  # valid for every numeric field (sizes stay powers)
+    return dataclasses.replace(config, **{head: new})
+
+
+def fresh(trace):
+    """A copy of ``trace`` with an empty memo, sharing its tiles."""
+    copied = copy.copy(trace)
+    assert copied.schedule_memo == {}
+    return copied
+
+
+def barrier_twin(design):
+    return dataclasses.replace(
+        design, name=design.name + "~", decoupled=not design.decoupled
+    )
+
+
+class TestMemoryKeyFields:
+    def test_every_config_field_is_classified(self):
+        for cls in (GPUConfig, CacheConfig, DRAMConfig, ShaderConfig):
+            names = {f.name for f in dataclasses.fields(cls)}
+            nested = set(NESTED) if cls is GPUConfig else set()
+            memory, timing = MEMORY_SIDE[cls], TIMING_SIDE[cls]
+            assert not memory & timing
+            assert names == memory | timing | nested, (
+                f"{cls.__name__}: unclassified {names - memory - timing}"
+            )
+
+    @pytest.mark.parametrize("design", KEY_DESIGNS, ids=lambda d: d.name)
+    def test_memory_side_fields_change_the_key(self, design, tiny_config):
+        key = memory_key(design, tiny_config)
+        for path, side in leaf_fields():
+            if side == "memory":
+                changed = perturbed(tiny_config, path)
+                assert memory_key(design, changed) != key, path
+
+    @pytest.mark.parametrize("design", KEY_DESIGNS, ids=lambda d: d.name)
+    def test_timing_side_fields_leave_the_memory_half(
+        self, design, tiny_config, tiny_trace
+    ):
+        """Neither the key nor the memory half reads a timing field."""
+        key = memory_key(design, tiny_config)
+        want = TraceReplayer(tiny_config).replay_schedule(
+            BatchTileStream(tiny_trace), design
+        )
+        for path, side in leaf_fields():
+            if side == "timing":
+                changed = perturbed(tiny_config, path)
+                assert memory_key(design, changed) == key, path
+                got = TraceReplayer(changed).replay_schedule(
+                    BatchTileStream(tiny_trace), design
+                )
+                assert got == want, path
+
+    def test_schedule_fields_change_the_key(self, tiny_config):
+        key = memory_key(BASELINE, tiny_config)
+        for change in (
+            {"grouping": "CG-square"}, {"assignment": "flp1"},
+            {"order": "hilbert"}, {"upper_bound": True},
+        ):
+            design = dataclasses.replace(BASELINE, **change)
+            assert memory_key(design, tiny_config) != key, change
+        assert memory_key(barrier_twin(BASELINE), tiny_config) == key
+
+
+@pytest.fixture(scope="module")
+def game_traces(tiny_config):
+    renderer = FrameRenderer(tiny_config)
+    return {
+        alias: renderer.render(build_game(alias, tiny_config))[0]
+        for alias in game_aliases()
+    }
+
+
+class TestEqualKeysEqualWork:
+    def test_every_game_shares_within_a_key(self, tiny_config, game_traces):
+        """Designs with one key give one ScheduleWork on every game.
+
+        The 13 paper designs and each one's barrier twin: the paper's
+        own pairs (baseline and FG-xshift2-decoupled, CG-square-coupled
+        and Zorder-const) and every twin share; keys that differ in the
+        tile order alone (Zorder-const, HLB-const) must not.
+        """
+        designs = list(PAPER_CONFIGURATIONS.values())
+        designs += [barrier_twin(d) for d in designs]
+        groups = {}
+        for design in designs:
+            groups.setdefault(memory_key(design, tiny_config), []).append(
+                design.name
+            )
+        shared = [names for names in groups.values() if len(names) > 1]
+        assert ["baseline", "FG-xshift2-decoupled"] in [
+            names[:2] for names in shared
+        ]
+        assert any(
+            {"CG-square-coupled", "Zorder-const"} <= set(names)
+            for names in shared
+        )
+        replayer = TraceReplayer(tiny_config)
+        by_name = {d.name: d for d in designs}
+        for alias, trace in game_traces.items():
+            works = {
+                name: replayer.replay_schedule(
+                    BatchTileStream(trace), by_name[name]
+                )
+                for name in by_name
+            }
+            for names in groups.values():
+                for name in names[1:]:
+                    assert works[name] == works[names[0]], (alias, name)
+            assert works["Zorder-const"] != works["HLB-const"], alias
+
+
+class TestScheduleMemo:
+    def test_hits_equal_fresh_replays_for_all_paper_designs(
+        self, monkeypatch, tiny_config, game_traces
+    ):
+        """13 designs, 11 memory passes; a second pass, in reverse order,
+        is all hits, and every hit equals a replay of a fresh copy."""
+        trace = fresh(game_traces["CCS"])
+        replayer = TraceReplayer(tiny_config)
+        designs = list(PAPER_CONFIGURATIONS.values())
+        first = [replayer.run(trace, d) for d in designs]
+        assert len(trace.schedule_memo) == 11
+        passes = []
+        original = TraceReplayer.replay_schedule
+
+        def counting(self, stream, design, hierarchy=None):
+            passes.append(design.name)
+            return original(self, stream, design, hierarchy)
+
+        monkeypatch.setattr(TraceReplayer, "replay_schedule", counting)
+        hits = [replayer.run(trace, d) for d in reversed(designs)]
+        assert passes == []
+        for design, hit, earlier in zip(reversed(designs), hits, first[::-1]):
+            assert hit == earlier == replayer.run(fresh(trace), design)
+        assert len(passes) == len(designs)
+
+    @settings(max_examples=12)
+    @given(
+        max_warps=st.integers(1, 16),
+        flush=st.sampled_from([1, 3, 4, 16, 64]),
+        fifo_depth=st.integers(1, 24),
+    )
+    def test_timing_knobs_hit_and_equal_fresh_replays(
+        self, tiny_config, game_traces, max_warps, flush, fifo_depth
+    ):
+        knobs = dataclasses.replace(
+            tiny_config,
+            shader=dataclasses.replace(
+                tiny_config.shader, max_warps=max_warps
+            ),
+            flush_bytes_per_cycle=flush,
+            fifo_depth=fifo_depth,
+        )
+        trace = game_traces["GTr"]
+        for design in (BASELINE, DTEXL_BEST):
+            TraceReplayer(tiny_config).run(trace, design)
+            keys = len(trace.schedule_memo)
+            hit = TraceReplayer(knobs).run(trace, design)
+            assert len(trace.schedule_memo) == keys
+            assert hit == TraceReplayer(knobs).run(fresh(trace), design)
+
+    def test_results_share_no_mutable_list(self, tiny_config, tiny_trace):
+        trace = fresh(tiny_trace)
+        replayer = TraceReplayer(tiny_config)
+        a = replayer.run(trace, BASELINE)
+        b = replayer.run(trace, barrier_twin(BASELINE))
+        c = replayer.run(trace, BASELINE)
+        assert a == c
+        for one, other in ((a, b), (a, c)):
+            assert one.per_tile_quad_counts is not other.per_tile_quad_counts
+            assert all(
+                x is not y for x, y in zip(
+                    one.per_tile_quad_counts, other.per_tile_quad_counts
+                )
+            )
+            assert one.timing.sc_busy_cycles is not other.timing.sc_busy_cycles
+        a.per_tile_quad_counts[0][0] += 1
+        assert c == replayer.run(fresh(trace), BASELINE)
+
+    def test_memo_dies_with_its_trace(self, tiny_config, tiny_trace):
+        trace = fresh(tiny_trace)
+        TraceReplayer(tiny_config).run(trace, BASELINE)
+        (work,) = trace.schedule_memo.values()
+        alive = weakref.ref(work)
+        del work, trace
+        gc.collect()
+        assert alive() is None
+
+    def test_copies_and_loads_start_empty(
+        self, tmp_path, tiny_config, tiny_trace
+    ):
+        trace = fresh(tiny_trace)
+        digest = trace_digest(trace)
+        TraceReplayer(tiny_config).run(trace, BASELINE)
+        assert len(trace.schedule_memo) == 1
+        store = TraceCheckpointStore(tmp_path)
+        store.save("k", trace)
+        others = [
+            copy.copy(trace), copy.deepcopy(trace),
+            dataclasses.replace(trace), pickle.loads(pickle.dumps(trace)),
+            store.load("k"),
+        ]
+        for other in others:
+            assert other.schedule_memo == {}
+            assert other == trace
+        assert pickle.dumps(trace) == pickle.dumps(fresh(trace))
+        assert trace_digest(trace) == digest
+        assert "schedule_memo" not in repr(trace)
+        assert "schedule_memo" not in {
+            f.name for f in dataclasses.fields(trace)
+        }
+
+    @staticmethod
+    def poisoned(trace, design, config):
+        """Plant a visibly wrong memory half under ``design``'s key."""
+        work = TraceReplayer(config).replay_schedule(
+            BatchTileStream(trace), design
+        )
+        key = memory_key(design, config)
+        trace.schedule_memo[key] = dataclasses.replace(
+            work, stall_cycles=work.stall_cycles + 1000
+        )
+        return key
+
+    def test_the_poison_shows_on_a_hit(self, tiny_config, tiny_trace):
+        trace = fresh(tiny_trace)
+        self.poisoned(trace, BASELINE, tiny_config)
+        replayer = TraceReplayer(tiny_config)
+        assert replayer.run(trace, BASELINE) != replayer.run(
+            fresh(trace), BASELINE
+        )
+
+    @pytest.mark.parametrize("design", KEY_DESIGNS, ids=lambda d: d.name)
+    def test_caller_hierarchy_never_reads_or_writes_it(
+        self, design, tiny_config, tiny_trace
+    ):
+        trace = fresh(tiny_trace)
+        key = self.poisoned(trace, design, tiny_config)
+        poison = trace.schedule_memo[key]
+        gpu = design.effective_gpu_config(tiny_config)
+        replayer = TraceReplayer(tiny_config)
+        cold = replayer.run(
+            trace, design, hierarchy=MemoryHierarchy(gpu, backend="fast")
+        )
+        assert cold == replayer.run(fresh(trace), design)
+        assert trace.schedule_memo == {key: poison}
+        empty = fresh(trace)
+        replayer.run(empty, design, hierarchy=MemoryHierarchy(gpu))
+        assert empty.schedule_memo == {}
+
+    @pytest.mark.parametrize("design", KEY_DESIGNS, ids=lambda d: d.name)
+    def test_reference_engine_never_reads_or_writes_it(
+        self, design, tiny_config, tiny_trace
+    ):
+        trace = fresh(tiny_trace)
+        key = self.poisoned(trace, design, tiny_config)
+        poison = trace.schedule_memo[key]
+        reference = TraceReplayer(tiny_config, engine="reference")
+        got = reference.run(trace, design)
+        assert got == TraceReplayer(tiny_config).run(fresh(trace), design)
+        assert trace.schedule_memo == {key: poison}
+        empty = fresh(trace)
+        reference.run(empty, design)
+        assert empty.schedule_memo == {}
+
+    @pytest.mark.parametrize(
+        "make_budget",
+        [
+            lambda quads: ReplayBudget(max_quads=1),
+            lambda quads: ReplayBudget(max_quads=quads // 2),
+            lambda quads: ReplayBudget(max_cycles=1),
+        ],
+        ids=["first-tile", "mid-frame", "cycles"],
+    )
+    def test_hit_raises_the_budget_error_of_a_fresh_replay(
+        self, make_budget, tiny_config, tiny_trace
+    ):
+        trace = fresh(tiny_trace)
+        TraceReplayer(tiny_config).run(trace, DTEXL_BEST)
+        bounded = TraceReplayer(
+            tiny_config, budget=make_budget(trace.total_quads)
+        )
+        with pytest.raises(BudgetExceededError) as hit:
+            bounded.run(trace, DTEXL_BEST)
+        with pytest.raises(BudgetExceededError) as replay:
+            bounded.run(fresh(trace), DTEXL_BEST)
+        assert str(hit.value) == str(replay.value)
+        assert len(trace.schedule_memo) == 1

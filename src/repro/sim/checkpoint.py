@@ -25,17 +25,21 @@ This module makes pass-1 results durable:
   checkpoints through: a frame is a directory of
   ``DEFAULT_GROUP_TILES``-tile segments in the frame's z-order, each
   one verified record, plus a ``frame.json`` manifest sealing every
-  segment's :func:`segment_hash`.  The trace digest is computed from
-  the segments when someone asks for it, never on the save path.
+  segment's payload hash.  The trace digest is computed from the
+  segments when someone asks for it, never on the save path.
 
-Checkpoint file layout (version 3), shared by ``.trace`` files and
+Checkpoint file layout (version 4), shared by ``.trace`` files and
 segments: one ASCII JSON header line holding the key, payload SHA-256
-and summary fields, a newline, then the raw pickle payload.  Both
-stores write it through one atomic writer (temp file + ``os.replace``,
-so a crash mid-save never leaves a half-written checkpoint that a later
-``--resume`` would trust) and verify it through one reader; those two
-functions hold the ``checkpoint.save`` and ``checkpoint.load`` fault
-sites.
+and summary fields, a newline, then the payload bytes.  A ``.trace``
+payload is the pickled :class:`~repro.sim.driver.FrameTrace`; a
+segment payload is a typed record (:func:`_pack_segment`): an index
+block, then every column concatenated over the segment's tiles in the
+smallest little-endian dtype that holds it, decoded with
+``np.frombuffer`` and never unpickled.  Both stores write through one
+atomic writer (temp file + ``os.replace``, so a crash mid-save never
+leaves a half-written checkpoint that a later ``--resume`` would
+trust) and verify through one reader; those two functions hold the
+``checkpoint.save`` and ``checkpoint.load`` fault sites.
 """
 
 from __future__ import annotations
@@ -45,10 +49,11 @@ import hashlib
 import json
 import os
 import pickle
-import struct
 import tempfile
 import warnings
 from functools import lru_cache
+from itertools import accumulate, chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -73,10 +78,10 @@ from repro.sim.faults import (
 from repro.texture.sampler import Sampler
 from repro.workloads.recipe import SceneRecipe
 
-#: Version 3: a streamed frame is a directory of 16-tile segments plus
-#: a manifest.  Version-2 per-tile chunks and ``.trace`` files, and
-#: version-1 ``Quad``-list files, load as cache misses.
-CHECKPOINT_VERSION = 3
+#: Version 4: a segment is a typed payload hashed once.  Version-3
+#: pickled segments, version-2 per-tile chunks, older ``.trace`` files
+#: and version-1 ``Quad``-list files all load as cache misses.
+CHECKPOINT_VERSION = 4
 _HEADER_LIMIT = 4096  # sane upper bound on the header line
 
 
@@ -127,31 +132,32 @@ def _atomic_write(path: Path, *parts: bytes) -> None:
 
 
 def _write_record(
-    path: Path, fault_key: str, payload: Any, **header: Any
-) -> None:
-    """Atomically write one checkpoint record: header line, then pickle.
+    path: Path, fault_key: str, data: bytes, **header: Any
+) -> str:
+    """Atomically write one checkpoint record: header line, then ``data``.
 
-    The header gains the format version and the payload's SHA-256.
+    The header gains the format version and the payload's SHA-256,
+    which is returned.
     """
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    sha256 = hashlib.sha256(data).hexdigest()
     header["version"] = CHECKPOINT_VERSION
-    header["sha256"] = hashlib.sha256(data).hexdigest()
+    header["sha256"] = sha256
     _atomic_write(path, _canonical_json(header).encode("ascii") + b"\n", data)
     if fault_point(SITE_CHECKPOINT_SAVE, key=fault_key) == KIND_TORN_WRITE:
         # Simulated torn write: the rename survived but the tail of
         # the payload never hit the platter.  The reader must detect it.
         _truncate_file(path, 0.5)
+    return sha256
 
 
 def _read_record(
-    path: Path, fault_key: str, kind: type, **expected: Any
-) -> Tuple[Dict[str, Any], Any]:
+    path: Path, fault_key: str, **expected: Any
+) -> Tuple[Dict[str, Any], bytes]:
     """Read and verify one checkpoint record; returns (header, payload).
 
     Raises :class:`TraceIntegrityError` unless the header is a JSON
-    object of this version whose ``expected`` fields match, the
-    payload's SHA-256 is the header's, and the payload unpickles to a
-    ``kind``.
+    object of this version whose ``expected`` fields match and the
+    payload's SHA-256 is the header's.
     """
     fault = fault_point(SITE_CHECKPOINT_LOAD, key=fault_key)
     if fault == KIND_TRUNCATE:
@@ -190,18 +196,7 @@ def _read_record(
             f"checkpoint {path} payload hash mismatch "
             "(file corrupted or tampered with)"
         )
-    try:
-        payload = pickle.loads(data)
-    except Exception as error:
-        raise TraceIntegrityError(
-            f"checkpoint {path} payload does not unpickle: {error}"
-        ) from error
-    if not isinstance(payload, kind):
-        raise TraceIntegrityError(
-            f"checkpoint {path} holds a {type(payload).__name__}, "
-            f"not a {kind.__name__}"
-        )
-    return header, payload
+    return header, data
 
 
 def config_fingerprint(config: GPUConfig) -> Dict[str, Any]:
@@ -400,7 +395,8 @@ class TraceCheckpointStore:
         """Atomically persist ``trace`` under ``key``."""
         path = self.path_for(key)
         _write_record(
-            path, key, trace, key=key, num_quads=trace.stats.num_quads,
+            path, key, pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL),
+            key=key, num_quads=trace.stats.num_quads,
             num_tiles=len(trace.tiles),
         )
         return path
@@ -414,7 +410,18 @@ class TraceCheckpointStore:
         that as a cache miss and re-render, never as a fatal error.
         """
         path = self.path_for(key)
-        header, trace = _read_record(path, key, FrameTrace, key=key)
+        header, data = _read_record(path, key, key=key)
+        try:
+            trace = pickle.loads(data)
+        except Exception as error:
+            raise TraceIntegrityError(
+                f"checkpoint {path} payload does not unpickle: {error}"
+            ) from error
+        if not isinstance(trace, FrameTrace):
+            raise TraceIntegrityError(
+                f"checkpoint {path} holds a {type(trace).__name__}, "
+                "not a FrameTrace"
+            )
         if len(trace.tiles) != header.get("num_tiles"):
             raise TraceIntegrityError(
                 f"checkpoint {path} tile count disagrees with its header"
@@ -446,37 +453,176 @@ def segment_layout(
     return segments, segment_of
 
 
-#: Per-entry framing of :func:`segment_hash`: the tile, the fetch
-#: cycles and the lengths that delimit the variable-size fields.
-_ENTRY_HEAD = struct.Struct("<6q")
+#: Integer encodings of a segment column by dtype code, smallest first.
+#: A column is stored in the first one that holds every value it has,
+#: so the choice is a function of the values alone; each is
+#: little-endian or one byte wide, so a payload is the same on every
+#: host.
+_INT_DTYPES = ("|u1", "|i1", "<u2", "<i2", "<u4", "<i4", "<i8")
+_INT_LIMITS = tuple(
+    (int(info.min), int(info.max)) for info in map(np.iinfo, _INT_DTYPES)
+)
+#: The fixed encodings of the two columns that are not narrowed.
+_LOD_DTYPE = "<f8"
+_BLEND_DTYPE = "|u1"
+#: The quad columns stored narrowed, in payload order; the fetch lines
+#: follow them, then ``lod`` and ``blend``.
+_INT_FIELDS = (
+    "qx", "qy", "primitive_id", "texture_id", "coverage_code",
+    "alu_cycles", "lines", "line_offsets",
+)
+_FIELDS_OF = attrgetter(*TileQuads.FIELDS)
+#: Narrowed columns: the integer quad columns and the fetch lines.
+_NARROWED = len(_INT_FIELDS) + 1
+#: What a load widens each stored column back to: the render's dtypes.
+_WIDENED = (np.int64,) * _NARROWED + (np.float64, bool)
+#: Index-block words: the head (tile count, one dtype code per narrowed
+#: column) and each tile's (x, y, fetch cycles, fetch lines, quads,
+#: lines).
+_HEAD_WORDS = 1 + _NARROWED
+_TILE_WORDS = 6
 
 
-def segment_hash(
+def _narrow_code(values: np.ndarray) -> int:
+    """The dtype code of the smallest encoding that holds ``values``."""
+    if not len(values):
+        return 0
+    low, high = int(values.min()), int(values.max())
+    for code, (floor, ceiling) in enumerate(_INT_LIMITS[:-1]):
+        if floor <= low and high <= ceiling:
+            return code
+    return len(_INT_LIMITS) - 1  # <i8 holds any int64
+
+
+def _pack_segment(
     tiles: Sequence[TileCoord], entries: Sequence[TileTraceEntry]
-) -> str:
-    """Content identity of one segment, cheap enough for every save.
+) -> bytes:
+    """One segment's canonical payload; equal entries give equal bytes.
 
-    SHA-256 over each entry's tile, fetch cycles, fetch lines and the
-    raw bytes of its quad columns (all int64, float64 or bool), with
-    the lengths that delimit them.  Unlike pickle bytes it survives a
-    pickle round trip, and unlike :func:`tile_digest` it builds no
-    per-quad Python objects.
+    An index block of little-endian int64 words: the tile count, the
+    dtype code of each narrowed column, then per tile its ``x``, ``y``,
+    fetch cycles and fetch-line, quad and line counts.  Then the
+    columns, each concatenated over the tiles: the eight integer quad
+    columns and the fetch lines in the smallest of
+    :data:`_INT_DTYPES` that holds them, ``lod`` as ``<f8`` and
+    ``blend`` as one byte per quad.  A segment has at least one tile.
     """
-    sha = hashlib.sha256()
-    update = sha.update
-    pack = _ENTRY_HEAD.pack
-    fields = TileQuads.FIELDS
-    for (x, y), entry in zip(tiles, entries):
-        columns = entry.columns
-        fetch_lines = entry.fetch_lines
-        update(pack(
-            x, y, entry.fetch_cycles, len(fetch_lines), len(columns),
-            columns.num_lines,
+    columns = [entry.columns for entry in entries]
+    fetch_lines = [entry.fetch_lines for entry in entries]
+    fields = dict(zip(
+        TileQuads.FIELDS,
+        map(np.concatenate, zip(*map(_FIELDS_OF, columns))),
+    ))
+    stored = [fields[name] for name in _INT_FIELDS]
+    stored.append(
+        np.array(list(chain.from_iterable(fetch_lines)), dtype=np.int64)
+    )
+    codes = list(map(_narrow_code, stored))
+    dtypes = [_INT_DTYPES[code] for code in codes]
+    stored += [fields["lod"], fields["blend"]]
+    dtypes += [_LOD_DTYPE, _BLEND_DTYPE]
+    table = [
+        (x, y, entry.fetch_cycles, len(lines), len(quads), quads.num_lines)
+        for (x, y), entry, lines, quads in zip(
+            tiles, entries, fetch_lines, columns
+        )
+    ]
+    index = np.array(
+        [len(entries), *codes, *chain.from_iterable(table)], dtype="<i8"
+    )
+    parts = [index.tobytes()]
+    parts.extend(
+        values.astype(dtype).tobytes()
+        for values, dtype in zip(stored, dtypes)
+    )
+    return b"".join(parts)
+
+
+def _unpack_segment(
+    data: bytes,
+) -> Tuple[List[TileCoord], List[TileTraceEntry]]:
+    """The tiles and entries of a :func:`_pack_segment` payload.
+
+    Every column is decoded with ``np.frombuffer`` and widened back to
+    the dtype the render produces (int64, float64, bool), and the fetch
+    lines to a list of ints, so the entries equal rendered ones, dtypes
+    included.  Raises :class:`TraceIntegrityError` when the layout does
+    not add up: an unknown dtype code, a count that disagrees with the
+    byte lengths or the line offsets, offsets that fall inside a tile,
+    or trailing bytes.
+    """
+    if len(data) < _HEAD_WORDS * 8:
+        raise TraceIntegrityError("segment payload has no index block")
+    count, *codes = np.frombuffer(data, "<i8", _HEAD_WORDS).tolist()
+    start = (_HEAD_WORDS + _TILE_WORDS * count) * 8
+    if (
+        count < 1 or len(data) < start
+        or not all(0 <= code < len(_INT_DTYPES) for code in codes)
+    ):
+        raise TraceIntegrityError("segment payload has a corrupt index block")
+    xs, ys, cycles, fetch_counts, quad_counts, line_counts = zip(
+        *np.frombuffer(
+            data, "<i8", _TILE_WORDS * count, _HEAD_WORDS * 8
+        ).reshape(count, _TILE_WORDS).tolist()
+    )
+    if min(chain(fetch_counts, quad_counts, line_counts)) < 0:
+        raise TraceIntegrityError("segment payload has a negative count")
+    quads = sum(quad_counts)
+    # qx .. alu_cycles, lines, line_offsets, fetch lines, lod, blend.
+    lengths = (quads,) * 6 + (
+        sum(line_counts), quads + count, sum(fetch_counts), quads, quads,
+    )
+    dtypes = [np.dtype(_INT_DTYPES[code]) for code in codes]
+    dtypes += [np.dtype(_LOD_DTYPE), np.dtype(_BLEND_DTYPE)]
+    sizes = [length * dtype.itemsize for length, dtype in zip(lengths, dtypes)]
+    if start + sum(sizes) != len(data):
+        raise TraceIntegrityError(
+            "segment payload length disagrees with its index block"
+        )
+    decoded = []
+    offset = start
+    for dtype, length, size, widened in zip(dtypes, lengths, sizes, _WIDENED):
+        decoded.append(
+            np.frombuffer(data, dtype, length, offset).astype(widened)
+        )
+        offset += size
+    (qx, qy, primitive_id, texture_id, code, alu, flat, offsets, fetch,
+     lod, blend) = decoded
+    quad_bounds = list(accumulate(quad_counts, initial=0))
+    line_bounds = list(accumulate(line_counts, initial=0))
+    fetch_bounds = list(accumulate(fetch_counts, initial=0))
+    # Tile i's offsets sit at quad_bounds[i] + i .. quad_bounds[i + 1] + i:
+    # they must start at 0, never fall and end at the tile's line count.
+    firsts = np.array(quad_bounds[:-1]) + np.arange(count)
+    steps = np.diff(offsets)
+    steps[firsts[1:] - 1] = 0  # from one tile's last offset to the next's first
+    if (
+        offsets[firsts].any() or (steps < 0).any()
+        or not np.array_equal(offsets[firsts + quad_counts], line_counts)
+    ):
+        raise TraceIntegrityError(
+            "segment line offsets disagree with its line counts"
+        )
+    fetch = fetch.tolist()
+    tiles = list(zip(xs, ys))
+    entries = []
+    append = entries.append
+    for i, tile in enumerate(tiles):
+        first, last = quad_bounds[i], quad_bounds[i + 1]
+        if first == last:
+            columns = TileQuads.empty()
+        else:
+            columns = TileQuads(
+                tile, qx[first:last], qy[first:last],
+                primitive_id[first:last], texture_id[first:last],
+                code[first:last], alu[first:last], lod[first:last],
+                blend[first:last], flat[line_bounds[i]:line_bounds[i + 1]],
+                offsets[first + i:last + i + 1],
+            )
+        append(TileTraceEntry(
+            fetch[fetch_bounds[i]:fetch_bounds[i + 1]], cycles[i], columns
         ))
-        update(np.asarray(fetch_lines, dtype=np.int64).tobytes())
-        for name in fields:
-            update(getattr(columns, name).tobytes())
-    return sha.hexdigest()
+    return tiles, entries
 
 
 class TileChunkStore:
@@ -484,14 +630,16 @@ class TileChunkStore:
 
     A frame is a directory of segments plus a ``frame.json`` manifest.
     Segment *i* holds the frame's z-order tiles ``16i .. 16i + 15``
-    (:func:`segment_layout`) as one verified record — the same
-    header-line + pickle layout, atomic replace and ``checkpoint.save``
-    / ``checkpoint.load`` fault sites as :class:`TraceCheckpointStore`,
-    keyed ``<trace key>:s<index>`` — whose header carries the
-    segment's tiles and :func:`segment_hash`.
+    (:func:`segment_layout`) as one verified record — the same header
+    line, atomic replace and ``checkpoint.save`` / ``checkpoint.load``
+    fault sites as :class:`TraceCheckpointStore`, keyed ``<trace
+    key>:s<index>`` — whose payload is the typed
+    :func:`_pack_segment` record.  The payload's SHA-256 is the
+    segment's only hash: the header carries it, :meth:`save_tile`
+    returns it and the manifest seals it.
 
     The first full traversal seals the manifest: config fingerprint,
-    vertex prologue, quad and pixel totals and every segment's content
+    vertex prologue, quad and pixel totals and every segment's payload
     hash.  Later traversals hold each segment they load or re-render
     to the manifest's hash and fail closed with
     :class:`TraceIntegrityError` on a mismatch.  The semantic trace
@@ -499,9 +647,11 @@ class TileChunkStore:
     :meth:`digest` compute it from the verified segments on first
     request and cache it in the manifest.
 
-    A missing, torn or corrupt segment is a *cache miss* — the caller
-    re-renders that segment's tiles — never an error, mirroring the
-    trace store's self-healing contract at segment granularity.  The
+    A missing, torn or corrupt segment, or one whose payload does not
+    add up, is a *cache miss* — the caller re-renders that segment's
+    tiles — never an error, mirroring the trace store's self-healing
+    contract at segment granularity.  A write that fails with
+    :class:`OSError` (a full disk) costs the file, never the replay.  The
     first design point of a streaming campaign renders the frame once
     and saves it segment by segment; every later design point replays
     the game from segments, restoring the render-once economy while
@@ -526,14 +676,21 @@ class TileChunkStore:
         tiles: Sequence[TileCoord],
         entries: Sequence[TileTraceEntry],
     ) -> str:
-        """Atomically persist one whole segment; returns its content hash."""
-        content = segment_hash(tiles, entries)
-        _write_record(
-            self.segment_path(index), f"{self.key}:s{index}", list(entries),
-            key=self.key, segment=index, tiles=[list(tile) for tile in tiles],
-            content=content,
-        )
-        return content
+        """Atomically persist one whole segment; returns its payload hash.
+
+        A write that fails with :class:`OSError` is tolerated: the
+        entries in memory are still good and the hash is known, so the
+        replay goes on, and the next reader re-renders and re-saves the
+        segment.
+        """
+        data = _pack_segment(tiles, entries)
+        try:
+            return _write_record(
+                self.segment_path(index), f"{self.key}:s{index}", data,
+                key=self.key, segment=index,
+            )
+        except OSError:
+            return hashlib.sha256(data).hexdigest()
 
     def load_tile(
         self, index: int, tiles: Sequence[TileCoord]
@@ -541,39 +698,32 @@ class TileChunkStore:
         """Load one verified segment, or ``None`` to mean "re-render it".
 
         Returns the segment's entries in ``tiles`` order with the
-        content hash its header carries.
+        payload hash its header carries.  A segment of other tiles is a
+        miss.
         """
         loaded = self._read_segment(index)
         if loaded is None:
             return None
-        header, entries = loaded
-        if header["tiles"] != [list(tile) for tile in tiles]:
+        content, stored_tiles, entries = loaded
+        if stored_tiles != list(tiles):
             return None
-        return entries, header["content"]
+        return entries, content
 
     def _read_segment(
         self, index: int
-    ) -> Optional[Tuple[Dict[str, Any], List[TileTraceEntry]]]:
-        """One segment's verified ``(header, entries)``, or ``None``."""
+    ) -> Optional[Tuple[str, List[TileCoord], List[TileTraceEntry]]]:
+        """One segment's verified ``(hash, tiles, entries)``, or ``None``."""
         path = self.segment_path(index)
         if not path.is_file():
             return None
         try:
-            header, entries = _read_record(
-                path, f"{self.key}:s{index}", list, key=self.key,
-                segment=index,
+            header, data = _read_record(
+                path, f"{self.key}:s{index}", key=self.key, segment=index,
             )
+            tiles, entries = _unpack_segment(data)
         except TraceIntegrityError:
             return None
-        tiles = header.get("tiles")
-        if (
-            not isinstance(header.get("content"), str)
-            or not isinstance(tiles, list)
-            or len(tiles) != len(entries)
-            or not all(isinstance(entry, TileTraceEntry) for entry in entries)
-        ):
-            return None
-        return header, entries
+        return header["sha256"], tiles, entries
 
     # -- the manifest ----------------------------------------------------------
 
@@ -609,10 +759,16 @@ class TileChunkStore:
         return manifest
 
     def _write_manifest(self, manifest: Dict[str, Any]) -> None:
-        _atomic_write(
-            self.manifest_path(),
-            (_canonical_json(manifest) + "\n").encode("ascii"),
-        )
+        """Write ``frame.json``; a write that fails with OSError is
+        tolerated, since the next traversal seals again and the next
+        :meth:`frame_meta` recomputes the digest."""
+        try:
+            _atomic_write(
+                self.manifest_path(),
+                (_canonical_json(manifest) + "\n").encode("ascii"),
+            )
+        except OSError:
+            pass
 
     def vertex_lines(self) -> Optional[List[int]]:
         """The frame's vertex prologue, once a full traversal sealed it."""
@@ -625,8 +781,8 @@ class TileChunkStore:
         The digest is :func:`frame_digest` over every segment's
         :func:`tile_digest`\\ s, computed on the first request and
         cached in the manifest.  ``None`` while the frame is unsealed or
-        a segment is missing or unreadable; a segment whose recomputed
-        :func:`segment_hash` differs from the manifest's raises
+        a segment is missing or unreadable; a segment whose verified
+        payload hash differs from the manifest's raises
         :class:`TraceIntegrityError`.
         """
         manifest = self.manifest()
@@ -637,9 +793,8 @@ class TileChunkStore:
             loaded = self._read_segment(index)
             if loaded is None:
                 return None
-            header, entries = loaded
-            tiles = [tuple(tile) for tile in header["tiles"]]
-            if segment_hash(tiles, entries) != sealed:
+            content, tiles, entries = loaded
+            if content != sealed:
                 raise TraceIntegrityError(
                     f"segment {index} under {self.directory} does not "
                     "match its sealed manifest"

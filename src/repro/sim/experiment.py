@@ -19,6 +19,7 @@ stream, whichever stream driver the runner was built with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.stats import geometric_mean
@@ -213,13 +214,16 @@ class ExperimentRunner:
 
         Batch walks the cached (or loaded, or freshly rendered) trace;
         streaming renders tiles as the replay consumes them, through
-        the game's chunk store when checkpointing is on.
+        the game's chunk store when checkpointing is on.  A streamed
+        replay gets a function that builds the game's scene, not the
+        scene: a replay of a sealed frame never renders, so it never
+        builds the game.
         """
         if self.stream == "batch":
             return BatchTileStream(self.trace_for(alias))
-        workload = build_game(alias, self.config)
         return StreamingTileStream(
-            self.renderer, workload, chunk_store=self.chunk_store_for(alias)
+            self.renderer, partial(build_game, alias, self.config),
+            chunk_store=self.chunk_store_for(alias),
         )
 
     # -- pass 2 -----------------------------------------------------------------

@@ -25,6 +25,9 @@ prologue riding the first unit — through two interchangeable drivers:
   whole, and keeps a segment's tiles until the traversal has taken
   them, so every tile order reads each segment once per replay and
   the render-once economy of the batch path holds without the frame.
+  A segment loads as typed columns (one hash, no unpickling), and a
+  replay of a sealed frame never builds the scene: the stream builds
+  its workload only when it has to render.
 
 Both drivers yield bit-identical unit sequences for the same frame and
 order, which is what makes ``RunResult`` equality across
@@ -41,7 +44,17 @@ Usage::
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.tile_order import TileCoord
 from repro.errors import ConfigError, TraceIntegrityError
@@ -134,6 +147,11 @@ class StreamingTileStream:
     not yet yielded: one group under ``zorder`` and ``hilbert``, a band
     of segments under ``sorder`` and ``scanline`` (at 1960x768, 16,
     32, 128 and 208 tiles).
+
+    ``workload`` is the built scene, or a zero-argument callable that
+    builds it.  A callable runs the first time the stream needs the
+    tile pass — no store, an unsealed manifest or a segment miss — so a
+    replay of a sealed frame never builds its scene.
     """
 
     driver = "streaming"
@@ -141,7 +159,7 @@ class StreamingTileStream:
     def __init__(
         self,
         renderer: FrameRenderer,
-        workload: BuiltWorkload,
+        workload: Union[BuiltWorkload, Callable[[], BuiltWorkload]],
         chunk_store=None,
     ):
         self.renderer = renderer
@@ -163,13 +181,16 @@ class StreamingTileStream:
     def _tile_pass(self):
         """The incremental render pass, created on first need.
 
-        Lazy so a fully checkpointed frame never pays geometry again —
-        except for the vertex prologue, which lives in the store's
+        Lazy so a fully checkpointed frame never builds its scene or
+        pays geometry again — its vertex prologue lives in the store's
         manifest once a first pass completed.
         """
         tile_pass = self._pass
         if tile_pass is None:
-            tile_pass = self.renderer.begin_tiles(self.workload)
+            workload = self.workload
+            if not isinstance(workload, BuiltWorkload):
+                workload = self.workload = workload()
+            tile_pass = self.renderer.begin_tiles(workload)
             self._pass = tile_pass
         return tile_pass
 
@@ -230,7 +251,7 @@ class _Segments:
     Opens each segment the first time the traversal touches it: loads
     it from the store or, on a miss, renders every missing segment of
     the group with one ``iter_tiles`` call and saves each one whole, so
-    segments on disk are always complete.  Each segment's content hash
+    segments on disk are always complete.  Each segment's payload hash
     is held to the sealed manifest's, or collected (with the frame's
     quad and pixel totals) to seal a new manifest.
     """
@@ -242,7 +263,7 @@ class _Segments:
         self.tiles, self.segment_of = segment_layout(
             config.tiles_x, config.tiles_y
         )
-        #: Content hash of every segment opened so far (``None``: not yet).
+        #: Payload hash of every segment opened so far (``None``: not yet).
         self.hashes: List[Optional[str]] = [None] * len(self.tiles)
         self.sealed = None if manifest is None else manifest["segments"]
         if self.sealed is not None and len(self.sealed) != len(self.tiles):

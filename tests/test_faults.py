@@ -7,6 +7,7 @@ the final report to be bit-identical to an uninjected reference.
 
 from __future__ import annotations
 
+import errno
 import gc
 import itertools
 import weakref
@@ -25,7 +26,7 @@ from repro.errors import (
     TraceIntegrityError,
     WorkerCrashError,
 )
-from repro.sim import faults, sweep
+from repro.sim import checkpoint, faults, sweep
 from repro.sim.checkpoint import (
     SweepProgress,
     TileChunkStore,
@@ -361,6 +362,49 @@ class TestCheckpointFaults:
         assert runner.trace_for(GAME) is trace  # cached, not re-rendered
         fresh = ExperimentRunner(tiny_config, games=[GAME]).trace_for(GAME)
         assert trace_digest(trace) == trace_digest(fresh)
+
+    def test_streamed_replay_survives_a_full_disk(
+        self, tmp_path, small_config, monkeypatch
+    ):
+        """A segment save, manifest seal or digest-cache write that fails
+        with OSError costs the file, never the replay: a streamed replay
+        on a full disk gives the batch result, as a batch one does, and
+        the next reader renders the missing segments and seals."""
+        def full(path, *parts):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        want = ExperimentRunner(small_config, games=[GAME]).run(
+            GAME, BASELINE
+        )
+        store = TraceCheckpointStore(tmp_path)
+
+        def runner(stream):
+            return ExperimentRunner(
+                small_config, games=[GAME], checkpoint_store=store,
+                stream=stream,
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint, "_atomic_write", full)
+            assert runner("batch").run(GAME, BASELINE) == want
+            assert runner("streaming").run(GAME, BASELINE) == want
+        chunks = runner("streaming").chunk_store_for(GAME)
+        assert not any(tmp_path.rglob("*.*"))  # nothing reached the disk
+
+        healer = runner("streaming")
+        stream = healer.stream_for(GAME)
+        assert healer.replayer.run_stream(stream, BASELINE) == want
+        assert stream.tiles_rendered == small_config.num_tiles
+        assert chunks.manifest() is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint, "_atomic_write", full)
+            assert chunks.frame_meta()["digest"] == trace_digest(
+                healer.trace_for(GAME)
+            )
+        assert "digest" not in chunks.manifest()  # the cache write failed
+        reader = runner("streaming")
+        assert reader.run(GAME, BASELINE) == want
+        assert reader.renders_performed == 0
 
     def test_pool_heals_truncated_trace(
         self, tmp_path, tiny_config, reference

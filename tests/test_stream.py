@@ -11,7 +11,9 @@ memory and time are spent.
 Also covered here: the :class:`TileWorkUnit` protocol (vertex prologue
 rides the first unit only), the :class:`TileChunkStore` segment store
 (its manifest, the trace digest computed on demand, segment-corruption
-self-healing) and how often each tile order reads a segment.
+self-healing), how often each tile order reads a segment, when a
+stream builds its scene, and the typed segment payload (canonical
+bytes, exact round trips, one hash over every decoded field).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import json
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,10 +32,17 @@ from repro.config import GPUConfig
 from repro.core.dtexl import BASELINE, DTEXL_BEST, DTexLConfig
 from repro.core.tile_order import scanline_order, z_order
 from repro.errors import ConfigError, TraceIntegrityError
-from repro.sim import checkpoint
-from repro.sim.checkpoint import TileChunkStore, segment_layout, trace_digest
+from repro.raster.fragment import TileQuads
+from repro.sim import checkpoint, experiment
+from repro.sim.checkpoint import (
+    TileChunkStore,
+    TraceCheckpointStore,
+    config_fingerprint,
+    segment_layout,
+    trace_digest,
+)
 from repro.raster.rasterizer import Rasterizer
-from repro.sim.driver import DEFAULT_GROUP_TILES, FrameRenderer
+from repro.sim.driver import DEFAULT_GROUP_TILES, FrameRenderer, TileTraceEntry
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.replay import TraceReplayer
 from repro.sim.stream import (
@@ -232,14 +242,6 @@ class TestSegmentStore:
             for index, tiles in enumerate(segments) for tile in tiles
         )
 
-    def test_segment_hash_survives_a_pickle_round_trip(self, trace):
-        segments, _ = segment_layout(SEGMENTED.tiles_x, SEGMENTED.tiles_y)
-        entries = [trace.tiles[tile] for tile in segments[0]]
-        copies = pickle.loads(pickle.dumps(entries))
-        assert checkpoint.segment_hash(segments[0], copies) == (
-            checkpoint.segment_hash(segments[0], entries)
-        )
-
     def test_traversals_compute_no_tile_digest(
         self, trace, tmp_path, monkeypatch
     ):
@@ -313,34 +315,316 @@ class TestSegmentStore:
         with pytest.raises(TraceIntegrityError, match="sealed manifest"):
             store.frame_meta()
 
-    def test_version2_chunk_directory_is_ignored(self, trace, tmp_path):
-        """Per-tile chunks and the frame record of the version-2 layout
-        in the store's directory are never read: the frame re-renders."""
-        for tile, entry in trace.tiles.items():
-            payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+    def test_version3_segment_directory_is_ignored(self, trace, tmp_path):
+        """Pickled segments and the manifest of the version-3 layout in
+        the store's directory are never read: the frame re-renders."""
+        segments, _ = segment_layout(SEGMENTED.tiles_x, SEGMENTED.tiles_y)
+        hashes = []
+        for index, tiles in enumerate(segments):
+            payload = pickle.dumps(
+                [trace.tiles[tile] for tile in tiles],
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+            sha256 = hashlib.sha256(payload).hexdigest()
             header = json.dumps({
-                "key": "k", "tile": list(tile), "version": 2,
-                "tile_digest": checkpoint.tile_digest(tile, entry),
-                "num_quads": len(entry.columns),
-                "sha256": hashlib.sha256(payload).hexdigest(),
+                "key": "k", "segment": index, "version": 3,
+                "tiles": [list(tile) for tile in tiles],
+                "content": sha256, "sha256": sha256,
             }, sort_keys=True)
-            (tmp_path / f"t{tile[0]:03d}_{tile[1]:03d}.chunk").write_bytes(
+            (tmp_path / f"s{index:05d}.seg").write_bytes(
                 header.encode("ascii") + b"\n" + payload
             )
+            hashes.append(sha256)
         (tmp_path / "frame.json").write_text(json.dumps({
-            "version": 2, "key": "k", "digest": trace_digest(trace),
+            "version": 3, "key": "k", "config": config_fingerprint(SEGMENTED),
             "vertex_lines": list(trace.vertex_lines),
             "num_quads": trace.stats.num_quads,
-            "pixels_shaded": trace.stats.pixels_shaded, "chain": [],
+            "pixels_shaded": trace.stats.pixels_shaded, "segments": hashes,
         }))
         store = TileChunkStore(tmp_path, "k")
         assert store.manifest() is None
+        assert store.load_tile(0, segments[0]) is None
         want = TraceReplayer(SEGMENTED).run(trace, self.design())
         result, stream = self.streamed(store, self.design())
         assert result == want
         assert stream.tiles_rendered == SEGMENTED.num_tiles
         assert store.manifest()["version"] == checkpoint.CHECKPOINT_VERSION
         assert store.digest() == trace_digest(trace)
+
+    def test_no_segment_load_unpickles(self, trace, tmp_path, monkeypatch):
+        want = TraceReplayer(SEGMENTED).run(trace, self.design())
+        self.streamed(TileChunkStore(tmp_path, "k"), self.design())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a segment load unpickled")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "load", refuse)
+        warm, stream = self.streamed(
+            TileChunkStore(tmp_path, "k"), self.design()
+        )
+        assert (warm, stream.tiles_rendered) == (want, 0)
+        meta = TileChunkStore(tmp_path, "k").frame_meta()
+        assert meta["digest"] == trace_digest(trace)
+
+    def test_scene_is_built_only_to_render(self, trace, tmp_path, monkeypatch):
+        """A replay of a sealed frame builds no scene in any tile order;
+        a cold replay and one with a torn segment build one each."""
+        builds = []
+
+        def build(alias, config):
+            builds.append(alias)
+            return build_game(alias, config)
+
+        monkeypatch.setattr(experiment, "build_game", build)
+        runner = ExperimentRunner(
+            SEGMENTED, games=["SWa"], stream="streaming",
+            checkpoint_store=TraceCheckpointStore(tmp_path),
+        )
+        replayer = TraceReplayer(SEGMENTED)
+        assert runner.run("SWa", self.design()) == replayer.run(
+            trace, self.design()
+        )
+        assert builds == ["SWa"]
+        for order in self.ORDERS:
+            design = self.design(order)
+            assert runner.run("SWa", design) == replayer.run(trace, design)
+        assert builds == ["SWa"]
+        victim = runner.chunk_store_for("SWa").segment_path(5)
+        victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+        design = self.design("scanline")
+        assert runner.run("SWa", design) == replayer.run(trace, design)
+        assert builds == ["SWa", "SWa"]
+
+    def test_payload_hash_covers_every_decoded_field(self, trace, tmp_path):
+        """One value changed anywhere — a tile, a fetch line, the fetch
+        cycles or any quad column — changes the hash ``save_tile``
+        returns, so the manifest catches it."""
+        store = TileChunkStore(tmp_path, "k")
+        segments, _ = segment_layout(SEGMENTED.tiles_x, SEGMENTED.tiles_y)
+        tiles = segments[0]
+        entries = [trace.tiles[tile] for tile in tiles]
+        at = next(
+            index for index, entry in enumerate(entries)
+            if len(entry.columns) and entry.fetch_lines
+        )
+        entry = entries[at]
+
+        def swapped(replacement):
+            return entries[:at] + [replacement] + entries[at + 1:]
+
+        def column_changed(name):
+            columns = dict(zip(TileQuads.FIELDS, (
+                getattr(entry.columns, field) for field in TileQuads.FIELDS
+            )))
+            values = columns[name].copy()
+            values[-1] = (
+                not values[-1] if values.dtype == bool else values[-1] + 1
+            )
+            columns[name] = values
+            return swapped(dataclasses.replace(
+                entry, columns=TileQuads(entry.columns.tile, **columns)
+            ))
+
+        moved = list(tiles)
+        moved[at] = (moved[at][0] + 100, moved[at][1])
+        variants = {
+            "tile": (moved, entries),
+            "fetch line": (tiles, swapped(dataclasses.replace(
+                entry, fetch_lines=entry.fetch_lines[:-1]
+                + [entry.fetch_lines[-1] + 1],
+            ))),
+            "fetch cycles": (tiles, swapped(dataclasses.replace(
+                entry, fetch_cycles=entry.fetch_cycles + 1,
+            ))),
+        }
+        for name in TileQuads.FIELDS:
+            variants[name] = (tiles, column_changed(name))
+        base = store.save_tile(0, tiles, entries)
+        hashes = {
+            name: store.save_tile(0, changed_tiles, changed)
+            for name, (changed_tiles, changed) in variants.items()
+        }
+        assert base not in hashes.values()
+        assert len(set(hashes.values())) == len(variants)
+
+    @pytest.mark.parametrize("damage", [
+        "short column", "trailing bytes", "unknown dtype code",
+        "counts shifted between tiles", "offsets that fall", "other tiles",
+    ])
+    def test_payload_that_does_not_add_up_is_a_miss_that_heals(
+        self, damage, trace, tmp_path
+    ):
+        """A payload whose hash checks but whose layout does not is a
+        miss like a torn segment: the stream re-renders and re-saves."""
+        want = TraceReplayer(SEGMENTED).run(trace, self.design())
+        self.streamed(TileChunkStore(tmp_path, "k"), self.design())
+        segments, _ = segment_layout(SEGMENTED.tiles_x, SEGMENTED.tiles_y)
+        tiles = segments[4]
+        data = checkpoint._pack_segment(
+            tiles, [trace.tiles[tile] for tile in tiles]
+        )
+        words = checkpoint._HEAD_WORDS + checkpoint._TILE_WORDS * len(tiles)
+        index = np.frombuffer(data, "<i8", words).copy()
+        columns = data[words * 8:]
+        table = index[checkpoint._HEAD_WORDS:].reshape(len(tiles), -1)
+        if damage == "short column":
+            bad = data[:words * 8] + columns[1:]
+        elif damage == "trailing bytes":
+            bad = data + b"\0"
+        elif damage == "offsets that fall":
+            entries = [trace.tiles[tile] for tile in tiles]
+            columns = entries[0].columns
+            offsets = columns.line_offsets.copy()
+            assert len(offsets) > 2
+            offsets[1] = offsets[-1]  # quad 0 takes every line, quad 1 < 0
+            fields = {
+                name: getattr(columns, name) for name in TileQuads.FIELDS
+            }
+            fields["line_offsets"] = offsets
+            bad = checkpoint._pack_segment(tiles, [dataclasses.replace(
+                entries[0], columns=TileQuads(columns.tile, **fields)
+            )] + entries[1:])
+        else:
+            if damage == "unknown dtype code":
+                index[1] = len(checkpoint._INT_DTYPES)
+            elif damage == "counts shifted between tiles":
+                table[0, 4] += 1  # a quad moves from tile 1 to tile 0
+                table[1, 4] -= 1
+            else:
+                table[0, 0] += 100
+            bad = index.tobytes() + columns
+        checkpoint._write_record(
+            TileChunkStore(tmp_path, "k").segment_path(4), "k:s4", bad,
+            key="k", segment=4,
+        )
+        store = TileChunkStore(tmp_path, "k")
+        assert store.load_tile(4, tiles) is None
+        healed, stream = self.streamed(store, self.design())
+        assert healed == want
+        assert stream.tiles_rendered == len(tiles)
+        assert store.load_tile(4, tiles) is not None
+
+
+# -- the typed segment payload ------------------------------------------------
+
+
+def assert_round_trip(tiles, entries) -> bytes:
+    """Decode equals the entries, dtypes included, and re-encodes to the
+    same bytes; returns the payload."""
+    data = checkpoint._pack_segment(tiles, entries)
+    decoded_tiles, decoded = checkpoint._unpack_segment(data)
+    assert decoded_tiles == list(tiles)
+    assert decoded == list(entries)
+    for loaded, given_entry in zip(decoded, entries):
+        assert all(type(line) is int for line in loaded.fetch_lines)
+        assert type(loaded.fetch_cycles) is int
+        for name in TileQuads.FIELDS:
+            # TileQuads equality ignores dtype, so compare it apart.
+            assert getattr(loaded.columns, name).dtype == getattr(
+                given_entry.columns, name
+            ).dtype, name
+    assert checkpoint._pack_segment(decoded_tiles, decoded) == data
+    return data
+
+
+def stored_dtypes(data, entries):
+    """Each stored column's dtype string and the values stored in it."""
+    codes = np.frombuffer(data, "<i8", checkpoint._HEAD_WORDS)[1:]
+    values = [
+        np.concatenate([getattr(entry.columns, name) for entry in entries])
+        for name in checkpoint._INT_FIELDS
+    ]
+    values.append(np.array(
+        [line for entry in entries for line in entry.fetch_lines],
+        dtype=np.int64,
+    ))
+    stored = [
+        (checkpoint._INT_DTYPES[code], column)
+        for code, column in zip(codes.tolist(), values)
+    ]
+    return stored + [
+        (checkpoint._LOD_DTYPE, None), (checkpoint._BLEND_DTYPE, None),
+    ]
+
+
+#: Values at every narrowing boundary, and the int64 extremes.
+EDGE_INTS = (
+    -1, 0, 1, 2**7 - 1, 2**7, -(2**7) - 1, 2**8 - 1, 2**8, 2**15,
+    -(2**15) - 1, 2**16, 2**31, -(2**31) - 1, 2**32, -(2**63), 2**63 - 1,
+)
+int64s = st.one_of(
+    st.sampled_from(EDGE_INTS), st.integers(-(2**63), 2**63 - 1)
+)
+
+
+@st.composite
+def segment_entries(draw):
+    """1-4 tiles, each empty or with 1-3 quads of edge-case values."""
+    tiles = draw(st.lists(
+        st.tuples(st.integers(0, 300), st.integers(0, 300)),
+        min_size=1, max_size=4, unique=True,
+    ))
+    entries = []
+    for tile in tiles:
+        quads = draw(st.integers(0, 3))
+        if quads:
+            counts = draw(st.lists(
+                st.integers(0, 3), min_size=quads, max_size=quads
+            ))
+            offsets = np.zeros(quads + 1, dtype=np.int64)
+            np.cumsum(counts, out=offsets[1:])
+
+            def ints(size):
+                return np.array(draw(st.lists(
+                    int64s, min_size=size, max_size=size
+                )), dtype=np.int64)
+
+            columns = TileQuads(
+                tile, *(ints(quads) for _ in range(6)),
+                np.array(draw(st.lists(
+                    st.floats(allow_nan=False), min_size=quads,
+                    max_size=quads,
+                )), dtype=np.float64),
+                np.array(draw(st.lists(
+                    st.booleans(), min_size=quads, max_size=quads
+                )), dtype=bool),
+                ints(int(offsets[-1])), offsets,
+            )
+        else:
+            columns = TileQuads.empty()
+        entries.append(TileTraceEntry(
+            draw(st.lists(int64s, max_size=4)), draw(int64s), columns
+        ))
+    return tiles, entries
+
+
+class TestSegmentPayload:
+    def test_every_suite_segment_round_trips(self):
+        """All 80 segments of the ten games at 512x256."""
+        renderer = FrameRenderer(SEGMENTED)
+        segments, _ = segment_layout(SEGMENTED.tiles_x, SEGMENTED.tiles_y)
+        for alias in game_aliases():
+            trace, _ = renderer.render(build_game(alias, SEGMENTED))
+            for tiles in segments:
+                assert_round_trip(tiles, [trace.tiles[tile] for tile in tiles])
+
+    @given(drawn=segment_entries())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_entries_round_trip_in_the_smallest_dtype(self, drawn):
+        tiles, entries = drawn
+        data = assert_round_trip(tiles, entries)
+        for dtype, values in stored_dtypes(data, entries):
+            # Explicitly little-endian or byte-wide, whatever the host.
+            assert dtype[0] in "<|", dtype
+            if values is not None and len(values):
+                fits = [
+                    np.dtype(code).itemsize
+                    for code in checkpoint._INT_DTYPES
+                    if np.iinfo(code).min <= values.min()
+                    and values.max() <= np.iinfo(code).max
+                ]
+                assert np.dtype(dtype).itemsize == min(fits)
 
 
 # -- randomized recipes ------------------------------------------------------

@@ -76,14 +76,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis.lint.sanitizer import trace_digest  # noqa: E402
 from repro.config import GPUConfig  # noqa: E402
 from repro.core.dtexl import BASELINE, DTEXL_BEST  # noqa: E402
-from repro.sim.checkpoint import TraceCheckpointStore, trace_key  # noqa: E402
 from repro.sim.driver import ENGINES as RENDER_ENGINES  # noqa: E402
 from repro.sim.driver import FrameRenderer  # noqa: E402
 from repro.sim.experiment import ExperimentRunner  # noqa: E402
 from repro.sim.replay import ENGINES, TraceReplayer  # noqa: E402
 from repro.sim.stream import STREAM_DRIVERS  # noqa: E402
 from repro.sim.sweep import DesignSweep  # noqa: E402
-from repro.workloads.games import GAMES, build_game, game_aliases  # noqa: E402
+from repro.workloads.games import build_game, game_aliases  # noqa: E402
 
 DESIGNS = (BASELINE, DTEXL_BEST)
 
@@ -190,11 +189,12 @@ def time_engines(config, traces, repeats: int) -> dict:
     return best
 
 
-def time_sweep(config, games, jobs: int, store) -> float:
+def time_sweep(config, games, jobs: int, store_dir) -> float:
     """Seconds for one small sweep grid over pre-rendered traces.
 
     Both the serial and the parallel leg load pass-1 from the same
-    checkpoint store, so the comparison isolates the replay fan-out.
+    frame stores under ``store_dir``, so the comparison isolates the
+    replay fan-out.
     """
     sweep = DesignSweep(
         groupings=("FG-xshift2", "CG-square"),
@@ -202,9 +202,7 @@ def time_sweep(config, games, jobs: int, store) -> float:
         orders=("zorder",),
         decoupled=(True,),
     )
-    runner = ExperimentRunner(
-        config, games=list(games), checkpoint_store=store
-    )
+    runner = ExperimentRunner(config, games=list(games), store_dir=store_dir)
     t0 = time.perf_counter()
     sweep.run(runner, jobs=jobs)
     return time.perf_counter() - t0
@@ -358,12 +356,12 @@ def run_bench() -> dict:
 
     store_dir = tempfile.mkdtemp(prefix="repro-bench-traces-")
     try:
-        store = TraceCheckpointStore(store_dir)
+        saver = ExperimentRunner(config, store_dir=store_dir)
         for alias, trace in traces.items():
-            store.save(trace_key(config, GAMES[alias].recipe), trace)
-        serial_s = time_sweep(config, games, 1, store)
+            saver.chunk_store_for(alias).save_frame(trace)
+        serial_s = time_sweep(config, games, 1, store_dir)
         if jobs > 1:
-            parallel_s = time_sweep(config, games, jobs, store)
+            parallel_s = time_sweep(config, games, jobs, store_dir)
         else:
             # A second serial run would only measure noise; on a
             # single-CPU host (or with REPRO_BENCH_JOBS=1) the

@@ -570,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--games", metavar="A,B,...")
     p_sweep.add_argument(
         "--checkpoint-dir", metavar="DIR",
-        help="persist traces, completed rows and a run manifest here",
+        help="persist frames, completed rows and a run manifest here",
     )
     p_sweep.add_argument(
         "--resume", action="store_true",
@@ -599,9 +599,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--stream", choices=STREAM_DRIVERS, default="batch",
         help="tile dataflow for each replay (see `repro replay "
-             "--help`); with --checkpoint-dir the streaming driver "
-             "caches 16-tile segments so later design points skip the "
-             "render; rows are bit-identical across drivers",
+             "--help`); with --checkpoint-dir either driver keeps each "
+             "frame as 16-tile segments, so later design points and "
+             "the other driver skip the render; rows are bit-identical "
+             "across drivers",
     )
     _add_common(p_sweep)
 

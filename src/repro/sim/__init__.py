@@ -17,7 +17,6 @@ from repro.sim.stream import (
 from repro.sim.experiment import ExperimentRunner, SuiteResult
 from repro.sim.checkpoint import (
     TileChunkStore,
-    TraceCheckpointStore,
     trace_digest,
     trace_key,
     verify_trace,
@@ -37,7 +36,7 @@ __all__ = [
     "STREAM_DRIVERS", "BatchTileStream", "StreamingTileStream",
     "TileWorkUnit",
     "ExperimentRunner", "SuiteResult",
-    "TileChunkStore", "TraceCheckpointStore",
+    "TileChunkStore",
     "trace_digest", "trace_key", "verify_trace",
     "FailureRecord", "ReplayBudget", "RetryPolicy", "RunManifest",
     "FaultPlan", "FaultSpec", "fault_point",

@@ -1,18 +1,19 @@
-"""Durable frame-trace checkpoints and sweep progress.
+"""Durable frame checkpoints and sweep progress.
 
 Pass 1 (the functional render) is the expensive half of the two-pass
-economy; a crashed campaign that throws its traces away pays it again.
+economy; a crashed campaign that throws its frames away pays it again.
 This module makes pass-1 results durable:
 
 * :func:`trace_key` — a content hash of ``(GPUConfig, workload recipe,
   frame)``, so a checkpoint is only ever reused for the exact workload
   and configuration that produced it.
-* :class:`TraceCheckpointStore` — serializes a
-  :class:`~repro.sim.driver.FrameTrace` to disk and verifies it on load:
-  a payload hash catches bit-level tampering, and structural invariants
-  (full tile coverage, quad counts against :class:`RenderStats`) catch
-  semantically broken traces that still unpickle.  Any verification
-  failure raises :class:`~repro.errors.TraceIntegrityError`.
+* :class:`TileChunkStore` — the one on-disk form of a frame, for both
+  stream drivers: ``DEFAULT_GROUP_TILES``-tile segments plus a
+  ``frame.json`` manifest sealing their hashes and, once a traversal
+  rendered the whole frame, its :class:`RenderStats`.  A frame either
+  driver sealed serves the other.
+* :func:`verify_trace` — the structural invariants a loaded trace must
+  hold; any violation raises :class:`~repro.errors.TraceIntegrityError`.
 * :class:`SweepProgress` — an append-only journal of completed sweep
   rows, keyed by a campaign hash, so a re-run with ``--resume`` skips
   every design point that already finished.
@@ -21,25 +22,15 @@ This module makes pass-1 results durable:
   per-tile digests (sorted tile order) so it can be computed from tile
   digests collected one at a time without ever materializing the
   frame.
-* :class:`TileChunkStore` — the segment store the streaming dataflow
-  checkpoints through: a frame is a directory of
-  ``DEFAULT_GROUP_TILES``-tile segments in the frame's z-order, each
-  one verified record, plus a ``frame.json`` manifest sealing every
-  segment's payload hash.  The trace digest is computed from the
-  segments when someone asks for it, never on the save path.
 
-Checkpoint file layout (version 4), shared by ``.trace`` files and
-segments: one ASCII JSON header line holding the key, payload SHA-256
-and summary fields, a newline, then the payload bytes.  A ``.trace``
-payload is the pickled :class:`~repro.sim.driver.FrameTrace`; a
-segment payload is a typed record (:func:`_pack_segment`): an index
-block, then every column concatenated over the segment's tiles in the
-smallest little-endian dtype that holds it, decoded with
-``np.frombuffer`` and never unpickled.  Both stores write through one
-atomic writer (temp file + ``os.replace``, so a crash mid-save never
-leaves a half-written checkpoint that a later ``--resume`` would
-trust) and verify through one reader; those two functions hold the
-``checkpoint.save`` and ``checkpoint.load`` fault sites.
+Segment file layout (version 4): one ASCII JSON header line holding the
+key, segment index and payload SHA-256, a newline, then a typed payload
+(:func:`_pack_segment`) decoded with ``np.frombuffer``, so no
+checkpoint read rebuilds a Python object from stored bytes.  One atomic
+writer (temp file + ``os.replace``, so a crash mid-save never leaves a
+half-written checkpoint that a later ``--resume`` would trust) and one
+verifying reader hold the ``checkpoint.save`` and ``checkpoint.load``
+fault sites.
 """
 
 from __future__ import annotations
@@ -48,14 +39,13 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import warnings
 from functools import lru_cache
 from itertools import accumulate, chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +53,12 @@ from repro.config import GPUConfig
 from repro.core.tile_order import TileCoord, z_order
 from repro.errors import TraceIntegrityError
 from repro.raster.fragment import COVERAGE_TUPLES, TileQuads
-from repro.sim.driver import DEFAULT_GROUP_TILES, FrameTrace, TileTraceEntry
+from repro.sim.driver import (
+    DEFAULT_GROUP_TILES,
+    FrameTrace,
+    RenderStats,
+    TileTraceEntry,
+)
 from repro.sim.faults import (
     InjectedKill,
     KIND_CORRUPT,
@@ -78,9 +73,11 @@ from repro.sim.faults import (
 from repro.texture.sampler import Sampler
 from repro.workloads.recipe import SceneRecipe
 
-#: Version 4: a segment is a typed payload hashed once.  Version-3
-#: pickled segments, version-2 per-tile chunks, older ``.trace`` files
-#: and version-1 ``Quad``-list files all load as cache misses.
+#: Version 4: a segment is a typed payload hashed once.  The serialized
+#: objects of earlier versions (version-3 segments, version-2 per-tile
+#: chunks, version-1 ``Quad`` lists) all load as cache misses, and the
+#: whole-frame files earlier versions kept beside the segments are
+#: never read.
 CHECKPOINT_VERSION = 4
 _HEADER_LIMIT = 4096  # sane upper bound on the header line
 
@@ -361,13 +358,11 @@ def frame_digest(
 def trace_digest(trace: FrameTrace) -> str:
     """Canonical content hash of a frame trace.
 
-    Unlike the pickle-payload hash of :class:`TraceCheckpointStore`,
-    this digest is a function of the trace's *semantic* content (tiles
-    sorted, quads in stream order, every replay-relevant field), so two
-    structurally equal traces hash equally regardless of how they were
-    serialized.  Built with :func:`frame_digest`, which is what lets
-    :meth:`TileChunkStore.digest` compute the same digest from a
-    streamed frame's segments.
+    Unlike a segment's payload hash, a function of the trace's
+    *semantic* content (tiles sorted, quads in stream order, every
+    replay-relevant field), so equal traces hash equally however they
+    were stored.  Built with :func:`frame_digest`, which lets
+    :meth:`TileChunkStore.frame_meta` compute it from the segments.
     """
     return frame_digest(
         config_fingerprint(trace.config),
@@ -376,58 +371,6 @@ def trace_digest(trace: FrameTrace) -> str:
         trace.stats.num_quads,
         trace.stats.pixels_shaded,
     )
-
-
-class TraceCheckpointStore:
-    """Disk-backed, integrity-checked store of frame traces."""
-
-    def __init__(self, directory: os.PathLike):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def path_for(self, key: str) -> Path:
-        return self.directory / f"{key}.trace"
-
-    def contains(self, key: str) -> bool:
-        return self.path_for(key).is_file()
-
-    def save(self, key: str, trace: FrameTrace) -> Path:
-        """Atomically persist ``trace`` under ``key``."""
-        path = self.path_for(key)
-        _write_record(
-            path, key, pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL),
-            key=key, num_quads=trace.stats.num_quads,
-            num_tiles=len(trace.tiles),
-        )
-        return path
-
-    def load(self, key: str) -> FrameTrace:
-        """Load and fully verify the trace stored under ``key``.
-
-        Raises :class:`TraceIntegrityError` (a
-        :class:`~repro.errors.CheckpointError`) for anything short of a
-        byte-identical, structurally sound checkpoint; callers treat
-        that as a cache miss and re-render, never as a fatal error.
-        """
-        path = self.path_for(key)
-        header, data = _read_record(path, key, key=key)
-        try:
-            trace = pickle.loads(data)
-        except Exception as error:
-            raise TraceIntegrityError(
-                f"checkpoint {path} payload does not unpickle: {error}"
-            ) from error
-        if not isinstance(trace, FrameTrace):
-            raise TraceIntegrityError(
-                f"checkpoint {path} holds a {type(trace).__name__}, "
-                "not a FrameTrace"
-            )
-        if len(trace.tiles) != header.get("num_tiles"):
-            raise TraceIntegrityError(
-                f"checkpoint {path} tile count disagrees with its header"
-            )
-        verify_trace(trace)
-        return trace
 
 
 @lru_cache(maxsize=None)
@@ -625,37 +568,59 @@ def _unpack_segment(
     return tiles, entries
 
 
+#: The type of every :class:`RenderStats` field, read off its default.
+_STATS_TYPES = {
+    field.name: type(field.default) for field in dataclasses.fields(RenderStats)
+}
+#: The config-fingerprint fields that fix a frame's tile grid.
+_GRID_FIELDS = ("screen_width", "screen_height", "tile_size")
+
+
+def _segments_of(fingerprint: Dict[str, Any]) -> Optional[tuple]:
+    """The segments of a fingerprint's grid; ``None`` if it has none."""
+    width, height, size = map(fingerprint.get, _GRID_FIELDS)
+    if not all(type(n) is int and n > 0 for n in (width, height, size)):
+        return None
+    return segment_layout(-(-width // size), -(-height // size))[0]
+
+
+def _sealed_stats(manifest: Dict[str, Any]) -> Optional[RenderStats]:
+    """The manifest's :class:`RenderStats`, or ``None`` when it has none.
+
+    The manifest comes from disk: an entry other than exactly the
+    dataclass's fields, each of its field's type, counts as none.
+    """
+    stats = manifest.get("stats")
+    if not isinstance(stats, dict) or _STATS_TYPES != {
+        name: type(value) for name, value in stats.items()
+    }:
+        return None
+    return RenderStats(**stats)
+
+
 class TileChunkStore:
-    """The streamed frame's segment store.
+    """A frame's segment store: the one on-disk form of a frame.
 
     A frame is a directory of segments plus a ``frame.json`` manifest.
     Segment *i* holds the frame's z-order tiles ``16i .. 16i + 15``
-    (:func:`segment_layout`) as one verified record — the same header
-    line, atomic replace and ``checkpoint.save`` / ``checkpoint.load``
-    fault sites as :class:`TraceCheckpointStore`, keyed ``<trace
-    key>:s<index>`` — whose payload is the typed
-    :func:`_pack_segment` record.  The payload's SHA-256 is the
-    segment's only hash: the header carries it, :meth:`save_tile`
+    (:func:`segment_layout`) as one verified record keyed ``<trace
+    key>:s<index>``, whose typed :func:`_pack_segment` payload's SHA-256
+    is the segment's only hash: the header carries it, :meth:`save_tile`
     returns it and the manifest seals it.
 
-    The first full traversal seals the manifest: config fingerprint,
-    vertex prologue, quad and pixel totals and every segment's payload
-    hash.  Later traversals hold each segment they load or re-render
-    to the manifest's hash and fail closed with
-    :class:`TraceIntegrityError` on a mismatch.  The semantic trace
-    digest is not on the save path: :meth:`frame_meta` and
-    :meth:`digest` compute it from the verified segments on first
-    request and cache it in the manifest.
+    A streamed replay loads and saves segment by segment, a batch runner
+    whole frames (:meth:`save_frame`, :meth:`load_frame`).  The first
+    traversal that opens every segment seals the manifest; one that
+    rendered every tile also seals the frame's :class:`RenderStats`,
+    which a batch load needs, into a new manifest or one sealed without.
+    Every reader holds each segment to the manifest's hash and fails
+    closed with :class:`TraceIntegrityError` on a mismatch.
+    :meth:`frame_meta` computes the trace digest on first request.
 
-    A missing, torn or corrupt segment, or one whose payload does not
-    add up, is a *cache miss* — the caller re-renders that segment's
-    tiles — never an error, mirroring the trace store's self-healing
-    contract at segment granularity.  A write that fails with
-    :class:`OSError` (a full disk) costs the file, never the replay.  The
-    first design point of a streaming campaign renders the frame once
-    and saves it segment by segment; every later design point replays
-    the game from segments, restoring the render-once economy while
-    peak memory stays O(segments in flight).
+    A missing, torn or corrupt segment is a *cache miss* — a streamed
+    replay re-renders its tiles, a batch load the frame — never an
+    error.  A write that fails with :class:`OSError` costs the file,
+    never the replay.
     """
 
     MANIFEST_FILENAME = "frame.json"
@@ -701,18 +666,6 @@ class TileChunkStore:
         payload hash its header carries.  A segment of other tiles is a
         miss.
         """
-        loaded = self._read_segment(index)
-        if loaded is None:
-            return None
-        content, stored_tiles, entries = loaded
-        if stored_tiles != list(tiles):
-            return None
-        return entries, content
-
-    def _read_segment(
-        self, index: int
-    ) -> Optional[Tuple[str, List[TileCoord], List[TileTraceEntry]]]:
-        """One segment's verified ``(hash, tiles, entries)``, or ``None``."""
         path = self.segment_path(index)
         if not path.is_file():
             return None
@@ -720,10 +673,75 @@ class TileChunkStore:
             header, data = _read_record(
                 path, f"{self.key}:s{index}", key=self.key, segment=index,
             )
-            tiles, entries = _unpack_segment(data)
+            stored_tiles, entries = _unpack_segment(data)
         except TraceIntegrityError:
             return None
-        return header["sha256"], tiles, entries
+        if stored_tiles != list(tiles):
+            return None
+        return entries, header["sha256"]
+
+    # -- whole frames ----------------------------------------------------------
+
+    def save_frame(self, trace: FrameTrace) -> None:
+        """Save a rendered frame through :meth:`save_tile`; seal it."""
+        config = trace.config
+        segments, _ = segment_layout(config.tiles_x, config.tiles_y)
+        hashes = [
+            self.save_tile(index, tiles, [trace.tiles[tile] for tile in tiles])
+            for index, tiles in enumerate(segments)
+        ]
+        stats = trace.stats
+        self.seal(
+            config, trace.vertex_lines, hashes, stats.num_quads,
+            stats.pixels_shaded, stats,
+        )
+
+    def load_frame(self, config: GPUConfig) -> Optional[FrameTrace]:
+        """The sealed frame as a verified :class:`FrameTrace`, or ``None``.
+
+        ``None`` unless the manifest is sealed with the frame's stats
+        and every segment loads; a segment that loads but is not the one
+        the manifest sealed raises :class:`TraceIntegrityError`, as in a
+        streamed replay.  Tiles go in scanline order, the order
+        :meth:`~repro.sim.driver.FrameRenderer.render` fills them.
+        """
+        manifest = self.manifest()
+        stats = None if manifest is None else _sealed_stats(manifest)
+        if stats is None:
+            return None
+        entries: Dict[TileCoord, TileTraceEntry] = {}
+        for segment in self._sealed_segments(manifest):
+            if segment is None:
+                return None
+            entries.update(zip(*segment))
+        tiles = dict(sorted(entries.items(), key=lambda item: item[0][::-1]))
+        trace = FrameTrace(config, list(manifest["vertex_lines"]), tiles, stats)
+        verify_trace(trace)  # also catches a grid other than config's
+        return trace
+
+    def _sealed_segments(
+        self, manifest: Dict[str, Any]
+    ) -> Iterator[Optional[Tuple[Sequence[TileCoord], List[TileTraceEntry]]]]:
+        """Every sealed segment's ``(tiles, entries)``, in index order.
+
+        Yields ``None`` at the first segment that does not load; raises
+        :class:`TraceIntegrityError` at one the manifest did not seal.
+        """
+        segments = _segments_of(manifest["config"])
+        for index, (tiles, sealed) in enumerate(
+            zip(segments, manifest["segments"])
+        ):
+            loaded = self.load_tile(index, tiles)
+            if loaded is None:
+                yield None
+                return
+            entries, content = loaded
+            if content != sealed:
+                raise TraceIntegrityError(
+                    f"segment {index} under {self.directory} does not "
+                    "match its sealed manifest"
+                )
+            yield tiles, entries
 
     # -- the manifest ----------------------------------------------------------
 
@@ -735,7 +753,8 @@ class TileChunkStore:
 
         Reads one small file and hashes nothing: this is what a replay
         consults.  An unreadable manifest, or one of another key or
-        version, counts as unsealed.
+        version, counts as unsealed; one that seals more or fewer
+        segments than its grid has raises :class:`TraceIntegrityError`.
         """
         path = self.manifest_path()
         if not path.is_file():
@@ -754,8 +773,16 @@ class TileChunkStore:
             or not isinstance(manifest.get("vertex_lines"), list)
             or not isinstance(manifest.get("num_quads"), int)
             or not isinstance(manifest.get("pixels_shaded"), int)
+            or _segments_of(manifest["config"]) is None
         ):
             return None
+        segments = _segments_of(manifest["config"])
+        if len(manifest["segments"]) != len(segments):
+            raise TraceIntegrityError(
+                f"manifest under {self.directory} seals "
+                f"{len(manifest['segments'])} segments, the grid has "
+                f"{len(segments)}"
+            )
         return manifest
 
     def _write_manifest(self, manifest: Dict[str, Any]) -> None:
@@ -769,11 +796,6 @@ class TileChunkStore:
             )
         except OSError:
             pass
-
-    def vertex_lines(self) -> Optional[List[int]]:
-        """The frame's vertex prologue, once a full traversal sealed it."""
-        manifest = self.manifest()
-        return None if manifest is None else list(manifest["vertex_lines"])
 
     def frame_meta(self) -> Optional[Dict[str, Any]]:
         """The sealed manifest with the frame's trace ``digest``.
@@ -789,17 +811,10 @@ class TileChunkStore:
         if manifest is None or isinstance(manifest.get("digest"), str):
             return manifest
         tile_digests: Dict[TileCoord, str] = {}
-        for index, sealed in enumerate(manifest["segments"]):
-            loaded = self._read_segment(index)
-            if loaded is None:
+        for segment in self._sealed_segments(manifest):
+            if segment is None:
                 return None
-            content, tiles, entries = loaded
-            if content != sealed:
-                raise TraceIntegrityError(
-                    f"segment {index} under {self.directory} does not "
-                    "match its sealed manifest"
-                )
-            for tile, entry in zip(tiles, entries):
+            for tile, entry in zip(*segment):
                 tile_digests[tile] = tile_digest(tile, entry)
         manifest["digest"] = frame_digest(
             manifest["config"], manifest["vertex_lines"], tile_digests,
@@ -808,11 +823,6 @@ class TileChunkStore:
         self._write_manifest(manifest)
         return manifest
 
-    def digest(self) -> Optional[str]:
-        """The frame's trace digest, or ``None`` while unsealed."""
-        meta = self.frame_meta()
-        return None if meta is None else meta["digest"]
-
     def seal(
         self,
         config: GPUConfig,
@@ -820,16 +830,19 @@ class TileChunkStore:
         segment_hashes: Sequence[str],
         num_quads: int,
         pixels_shaded: int,
+        stats: Optional[RenderStats],
     ) -> None:
         """Seal one full traversal's segments into the manifest.
 
-        Writes ``frame.json`` or, when another traversal sealed it
-        meanwhile, cross-checks the segment hashes against it and
-        raises :class:`TraceIntegrityError` on divergence.
+        ``stats`` are the frame's when the traversal rendered every
+        tile, else ``None``.  Writes ``frame.json`` or, when another
+        traversal sealed it meanwhile, cross-checks the segment hashes
+        against it, raising :class:`TraceIntegrityError` on divergence;
+        a matching manifest sealed without stats gains ``stats``.
         """
-        existing = self.manifest()
-        if existing is None:
-            self._write_manifest({
+        manifest = self.manifest()
+        if manifest is None:
+            manifest = {
                 "version": CHECKPOINT_VERSION,
                 "key": self.key,
                 "config": config_fingerprint(config),
@@ -837,12 +850,17 @@ class TileChunkStore:
                 "num_quads": num_quads,
                 "pixels_shaded": pixels_shaded,
                 "segments": list(segment_hashes),
-            })
-        elif existing["segments"] != list(segment_hashes):
+            }
+        elif manifest["segments"] != list(segment_hashes):
             raise TraceIntegrityError(
                 f"segments under {self.directory} disagree with the "
                 "manifest another traversal sealed"
             )
+        elif stats is None or _sealed_stats(manifest) is not None:
+            return
+        if stats is not None:
+            manifest["stats"] = dataclasses.asdict(stats)
+        self._write_manifest(manifest)
 
 
 class SweepProgress:
@@ -883,21 +901,15 @@ class SweepProgress:
             try:
                 record = json.loads(stripped)
             except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    warnings.warn(
-                        f"dropping partial trailing line in sweep journal "
-                        f"{self.path} (crash mid-append?); its row will "
-                        f"be recomputed",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                else:
-                    warnings.warn(
-                        f"skipping malformed line {index + 1} in sweep "
-                        f"journal {self.path}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
+                warnings.warn(
+                    f"dropping partial trailing line in sweep journal "
+                    f"{self.path} (crash mid-append?); its row will be "
+                    f"recomputed" if index == len(lines) - 1 else
+                    f"skipping malformed line {index + 1} in sweep "
+                    f"journal {self.path}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
                 continue
             if (
                 isinstance(record, dict)

@@ -3,9 +3,10 @@
 The expensive functional render (pass 1) is cached per game, so sweeping
 a dozen design points costs one render plus a dozen cheap replays per
 game — the same economy the paper gets from trace-driven simulation.
-Attaching a :class:`~repro.sim.checkpoint.TraceCheckpointStore` makes
-that cache durable: a re-run (or a crashed campaign's resume) loads
-verified traces from disk instead of rendering again.
+A ``store_dir`` makes that cache durable: each game's frame is a
+:class:`~repro.sim.checkpoint.TileChunkStore` of typed segments that
+either stream driver loads, so a re-run (or a crashed campaign's
+resume) loads verified frames from disk instead of rendering again.
 
 :meth:`ExperimentRunner.run` is the only place a replay runs.  Every
 task of a sweep (on the parent's runner, or on a pool worker's runner
@@ -18,15 +19,18 @@ stream, whichever stream driver the runner was built with.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Union
+from pathlib import Path
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.stats import geometric_mean
 from repro.config import GPUConfig, TEST_CONFIG
 from repro.core.dtexl import BASELINE, DTexLConfig
-from repro.errors import CheckpointError, ReplayError
-from repro.sim.checkpoint import TileChunkStore, TraceCheckpointStore, trace_key
+from repro.errors import ReplayError
+from repro.sim.checkpoint import TileChunkStore, trace_key
 from repro.sim.driver import FrameRenderer, FrameTrace
 from repro.sim.faults import SITE_REPLAY, fault_point
 from repro.sim.replay import RunResult, TraceReplayer
@@ -39,7 +43,7 @@ from repro.sim.resilience import FailureRecord, ReplayBudget
 from repro.texture.sampler import Sampler
 from repro.workloads.games import GAMES, build_game
 
-#: Subdirectory of a trace checkpoint store holding segmented frames.
+#: Subdirectory of a runner's ``store_dir`` holding its segmented frames.
 CHUNK_SUBDIR = "chunks"
 
 
@@ -120,10 +124,11 @@ class ExperimentRunner:
     ``stream`` picks the render→replay dataflow: ``"batch"`` (default)
     materializes each game's :class:`FrameTrace` once and replays it
     per design point; ``"streaming"`` renders tiles on the fly and
-    drops them after replay, caching 16-tile segments in the checkpoint
-    store (when attached) so later design points still pay one render.
-    Both produce bit-identical :class:`RunResult`\\ s — the drivers
-    change *when* memory and time are spent, never what is computed.
+    drops them after replay.  With a ``store_dir`` both keep each
+    game's frame there as 16-tile segments, so later design points,
+    later runners and the other driver still pay one render.  Both
+    produce bit-identical :class:`RunResult`\\ s — the drivers change
+    *when* memory and time are spent, never what is computed.
     """
 
     def __init__(
@@ -131,7 +136,7 @@ class ExperimentRunner:
         config: GPUConfig = TEST_CONFIG,
         sampler: Optional[Sampler] = None,
         games: Optional[Iterable[str]] = None,
-        checkpoint_store: Optional[TraceCheckpointStore] = None,
+        store_dir: Optional[os.PathLike] = None,
         budget: Optional[ReplayBudget] = None,
         stream: str = "batch",
     ):
@@ -139,7 +144,8 @@ class ExperimentRunner:
         self.renderer = FrameRenderer(config, sampler)
         self.replayer = TraceReplayer(config, budget=budget)
         self.games: List[str] = list(games) if games is not None else list(GAMES)
-        self.checkpoint_store = checkpoint_store
+        #: Root of the game frame stores, or ``None`` for no checkpoints.
+        self.store_dir = None if store_dir is None else Path(store_dir)
         self.stream = check_driver(stream)
         self._traces: Dict[str, FrameTrace] = {}
         #: Functional renders actually performed (checkpoint hits skip it);
@@ -153,59 +159,50 @@ class ExperimentRunner:
     def trace_for(self, alias: str) -> FrameTrace:
         """Return one game's frame trace, rendering only when needed.
 
-        Lookup order: in-memory cache, then the checkpoint store (any
-        :class:`CheckpointError` — truncated, corrupt, unreadable — is
-        a cache miss: the checkpoint is discarded and re-rendered),
-        then a fresh render whose result is checkpointed for the next
-        reader.  A save that fails with :class:`OSError` is tolerated:
-        the trace in memory is still good, and the next reader of the
-        store heals the file by rendering again.
+        Lookup order: in-memory cache, then the game's frame store
+        (:meth:`TileChunkStore.load_frame`), then a fresh render, saved
+        and sealed with its stats for the next reader of either driver.
+        A write that fails with :class:`OSError` costs the file, never
+        the trace in memory; the next reader heals it by rendering.
         """
-        if alias in self._traces:
-            return self._traces[alias]
-        key = None
-        if self.checkpoint_store is not None and alias in GAMES:
-            key = trace_key(
-                self.config, GAMES[alias].recipe, sampler=self.renderer.sampler
-            )
-            if self.checkpoint_store.contains(key):
-                try:
-                    trace = self.checkpoint_store.load(key)
-                except CheckpointError:
-                    pass  # fall through and re-render the real thing
-                else:
-                    self._traces[alias] = trace
-                    return trace
-        workload = build_game(alias, self.config)
-        trace, _ = self.renderer.render(workload)
-        self.renders_performed += 1
+        trace = self._traces.get(alias)
+        if trace is not None:
+            return trace
+        store = self.chunk_store_for(alias)
+        if store is not None:
+            trace = store.load_frame(self.config)
+        if trace is None:
+            trace, _ = self.renderer.render(build_game(alias, self.config))
+            self.renders_performed += 1
+            if store is not None:
+                store.save_frame(trace)
         self._traces[alias] = trace
-        if key is not None:
-            try:
-                self.checkpoint_store.save(key, trace)
-            except OSError:
-                pass  # the trace in memory is still good; readers heal
         return trace
+
+    @contextmanager
+    def storing_frames(self, store_dir: os.PathLike) -> Iterator[None]:
+        """Inside the block, keep frames under ``store_dir`` behind an
+        empty trace cache; the runner's own store and cache come back
+        on the way out, returning or raising."""
+        saved = self.store_dir, self._traces
+        self.store_dir, self._traces = Path(store_dir), {}
+        try:
+            yield
+        finally:
+            self.store_dir, self._traces = saved
 
     # -- tile streams -----------------------------------------------------------
 
     def chunk_store_for(self, alias: str) -> Optional[TileChunkStore]:
-        """The game's segment store, when checkpointing is on.
-
-        A streamed frame's 16-tile segments and its ``frame.json``
-        manifest live under ``<trace store>/chunks/<trace key>/``, so a
-        campaign directory carries whole traces and segmented frames
-        side by side and ``trace_key`` keeps frames from colliding
-        across configs or recipes.
-        """
-        if self.checkpoint_store is None or alias not in GAMES:
+        """The game's frame store for both drivers, when checkpointing
+        is on: ``<store_dir>/chunks/<trace key>/``, so frames of other
+        configs, recipes or samplers never collide."""
+        if self.store_dir is None or alias not in GAMES:
             return None
         key = trace_key(
             self.config, GAMES[alias].recipe, sampler=self.renderer.sampler
         )
-        return TileChunkStore(
-            self.checkpoint_store.directory / CHUNK_SUBDIR / key, key
-        )
+        return TileChunkStore(self.store_dir / CHUNK_SUBDIR / key, key)
 
     def stream_for(
         self, alias: str

@@ -12,16 +12,15 @@ through the hot paths:
 site                    instrumented in
 ======================  ======================================================
 ``checkpoint.save``     the record writer of :mod:`repro.sim.checkpoint`,
-                        behind ``TraceCheckpointStore.save`` (keyed by
-                        trace key) and ``TileChunkStore.save_tile``
-                        (keyed ``<trace key>:s<segment index>``) — torn
-                        write (the file is truncated after the atomic
-                        rename, as if the disk died mid-flush)
+                        behind ``TileChunkStore.save_tile`` (keyed
+                        ``<trace key>:s<segment index>``), which both
+                        stream drivers call — torn write (the file is
+                        truncated after the atomic rename, as if the
+                        disk died mid-flush)
 ``checkpoint.load``     the record reader of :mod:`repro.sim.checkpoint`,
-                        behind ``TraceCheckpointStore.load`` and
-                        ``TileChunkStore.load_tile``, keyed alike — the
-                        file is truncated or a payload byte is flipped
-                        before reading (hash-mismatch corruption)
+                        behind ``TileChunkStore.load_tile``, keyed alike
+                        — the file is truncated or a payload byte is
+                        flipped before reading (hash-mismatch corruption)
 ``journal.record``      :meth:`~repro.sim.checkpoint.SweepProgress.record`
                         — the process dies before the append (``kill``) or
                         mid-append, leaving a partial trailing line

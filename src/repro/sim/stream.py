@@ -1,38 +1,30 @@
 """The streaming tile dataflow: per-tile producer/consumer protocol.
 
-The two-pass harness used to be coupled at frame granularity: pass 2
-(:class:`~repro.sim.replay.TraceReplayer`) could not start until pass 1
-(:class:`~repro.sim.driver.FrameRenderer`) had materialized the entire
-:class:`~repro.sim.driver.FrameTrace`, so peak memory scaled with the
-whole frame and render/replay never overlapped.  Because tiles are
-disjoint and the trace is schedule-independent (see ``driver``'s module
-docstring), a tile-granular split is *exact*: this module defines the
-seam.
+Tiles are disjoint and the trace is schedule-independent (see
+``driver``'s module docstring), so pass 2 can consume pass 1 a tile at
+a time instead of after a whole :class:`~repro.sim.driver.FrameTrace`
+exists.  This module defines that seam.
 
 A **tile stream** delivers :class:`TileWorkUnit` records — one per tile,
 in the replay's traversal order, the frame's vertex/Parameter-Buffer
 prologue riding the first unit — through two interchangeable drivers:
 
-* :class:`BatchTileStream` — walks a fully materialized trace.  Current
-  behaviour, kept as the executable specification; ``TraceReplayer.run``
-  is a thin wrapper over it.
-* :class:`StreamingTileStream` — a generator over groups of
-  ``DEFAULT_GROUP_TILES`` consecutive tiles: each group is rendered,
-  handed to the consumer, and dropped, bounding peak memory to one
-  group.  With a :class:`~repro.sim.checkpoint.TileChunkStore`
-  attached, the stream works in the store's 16-tile segments instead:
-  it loads each segment a group touches, or renders and saves it
-  whole, and keeps a segment's tiles until the traversal has taken
-  them, so every tile order reads each segment once per replay and
-  the render-once economy of the batch path holds without the frame.
-  A segment loads as typed columns (one hash, no unpickling), and a
-  replay of a sealed frame never builds the scene: the stream builds
-  its workload only when it has to render.
+* :class:`BatchTileStream` — walks a fully materialized trace: the
+  executable specification, which ``TraceReplayer.run`` wraps.
+* :class:`StreamingTileStream` — renders ``DEFAULT_GROUP_TILES`` tiles
+  at a time, hands them to the consumer and drops them, bounding peak
+  memory to one group.  With a
+  :class:`~repro.sim.checkpoint.TileChunkStore` it works in the store's
+  16-tile segments instead, loading each segment a group touches or
+  rendering and saving it whole, so every tile order reads each segment
+  once per replay.  A replay of a sealed frame never builds the scene.
+  The store is the batch runner's too: a traversal that rendered every
+  tile seals the frame's stats, so either driver loads what the other
+  saved.
 
 Both drivers yield bit-identical unit sequences for the same frame and
 order, which is what makes ``RunResult`` equality across
-``--stream batch|streaming`` a testable invariant rather than an
-aspiration.
+``--stream batch|streaming`` a testable invariant.
 
 Usage::
 
@@ -167,8 +159,8 @@ class StreamingTileStream:
         self.chunk_store = chunk_store
         self._order: Sequence[TileCoord] = ()
         self._pass = None
-        #: Frame-level stats, available after full iteration (store-less
-        #: streaming only; with a chunk store attached stats stay ``None``).
+        #: Frame-level stats, set after a traversal that rendered every
+        #: tile: always without a store, on a cold frame with one.
         self.stats: Optional[RenderStats] = None
         #: Tiles actually rendered (vs loaded from the chunk store).
         self.tiles_rendered = 0
@@ -205,13 +197,14 @@ class StreamingTileStream:
         """Yield the traversal, one group of ``DEFAULT_GROUP_TILES`` at a time.
 
         Without a chunk store every group is rendered as the traversal
-        reaches it, and the frame's :class:`RenderStats` land in
-        :attr:`stats` after the traversal.  With one, each group opens
-        the segments it touches (:class:`_Segments`), and the traversal
-        ends by sealing the store's manifest if no earlier one did.
+        reaches it.  With one, each group opens the segments it touches
+        (:class:`_Segments`), and the traversal ends by sealing the
+        store's manifest.  A traversal that rendered every tile sets
+        :attr:`stats`.
         """
         store = self.chunk_store
         order = self._order
+        rendered = self.tiles_rendered
         try:
             manifest = None if store is None else store.manifest()
             if manifest is None:
@@ -235,10 +228,11 @@ class StreamingTileStream:
                 yield TileWorkUnit(
                     tile, step, entry, _NO_LINES if step else vertex_lines
                 )
-            if segments is None:
-                self.stats = self._pass.finish()
-            else:
-                segments.seal_manifest(vertex_lines)
+            stats = None
+            if self.tiles_rendered - rendered == self.renderer.config.num_tiles:
+                stats = self.stats = self._pass.finish()
+            if segments is not None:
+                segments.seal_manifest(vertex_lines, stats)
         finally:
             # The frame's render state dies with the traversal, not
             # with the stream object.
@@ -266,11 +260,6 @@ class _Segments:
         #: Payload hash of every segment opened so far (``None``: not yet).
         self.hashes: List[Optional[str]] = [None] * len(self.tiles)
         self.sealed = None if manifest is None else manifest["segments"]
-        if self.sealed is not None and len(self.sealed) != len(self.tiles):
-            raise TraceIntegrityError(
-                f"manifest under {store.directory} seals "
-                f"{len(self.sealed)} segments, the grid has {len(self.tiles)}"
-            )
         self.num_quads = self.pixels_shaded = 0
 
     def open_group(
@@ -326,10 +315,18 @@ class _Segments:
         self.hashes[index] = content
         held.update(zip(tiles, entries))
 
-    def seal_manifest(self, vertex_lines: Sequence[int]) -> None:
-        """Seal the manifest after a traversal that opened every segment."""
-        if self.sealed is None and None not in self.hashes:
-            self.store.seal(
-                self.stream.renderer.config, vertex_lines, self.hashes,
-                self.num_quads, self.pixels_shaded,
-            )
+    def seal_manifest(
+        self, vertex_lines: Sequence[int], stats: Optional[RenderStats]
+    ) -> None:
+        """Seal the manifest after a traversal that opened every segment,
+        with ``stats`` when it rendered every tile (they upgrade a
+        manifest sealed without them)."""
+        if None in self.hashes or (self.sealed is not None and stats is None):
+            return
+        totals = (self.num_quads, self.pixels_shaded) if stats is None else (
+            stats.num_quads, stats.pixels_shaded
+        )
+        self.store.seal(
+            self.stream.renderer.config, vertex_lines, self.hashes, *totals,
+            stats,
+        )

@@ -10,9 +10,10 @@ Execution is fault-isolated: a design point that crashes becomes a
 structured :class:`~repro.sim.resilience.FailureRecord` in the
 campaign's :class:`~repro.sim.resilience.RunManifest` while the rest of
 the grid keeps running.  With a checkpoint directory, completed rows
-are journaled as they finish and pass-1 traces are persisted, so a
-killed campaign resumes from where it died without re-rendering
-anything; the manifest is written alongside as JSON.
+are journaled as they finish and pass-1 frames are kept in it, in the
+segment store both stream drivers share, so a killed campaign resumes
+from where it died without re-rendering anything; the manifest is
+written alongside as JSON.
 
 Every campaign is one grid walk over one task table: the baseline's
 games plus every pending (design point, game) pair, each replayed by
@@ -20,13 +21,13 @@ one task body through :meth:`ExperimentRunner.run`.  ``jobs`` only
 picks who runs the tasks.  With ``jobs == 1`` each task runs on the
 parent's runner when the walk asks for its result.  With ``jobs > 1``
 a process pool runs them and the parent renders nothing: each worker
-replays through its own runner over the campaign's
-:class:`~repro.sim.checkpoint.TraceCheckpointStore` (a temporary one
-when no checkpoint directory is given), so the first worker that needs
-a game renders and saves it and later tasks load it.  The walk consumes
-results in grid-and-games order either way, so a parallel campaign
-produces bit-identical rows, failures and manifest contents to a serial
-one — only ``wall_time_s`` and ``phase_seconds`` differ.
+replays through its own runner over the campaign's frame stores (in a
+temporary directory when no checkpoint directory is given), so the
+first worker that needs a game renders and saves it and later tasks
+load it.  The walk consumes results in grid-and-games order either
+way, so a parallel campaign produces bit-identical rows, failures and
+manifest contents to a serial one — only ``wall_time_s`` and
+``phase_seconds`` differ.
 
 The pool is self-healing (:class:`_TaskPool`): a worker that dies
 (``BrokenProcessPool``) or hangs past the per-task deadline is
@@ -39,6 +40,7 @@ site of :mod:`repro.sim.faults` is threaded through this path, so the
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -57,12 +59,7 @@ from repro.core.dtexl import DTexLConfig
 from repro.errors import ConfigError, TaskTimeoutError, WorkerCrashError
 from repro.sim import faults
 from repro.sim.export import write_run_manifest
-from repro.sim.checkpoint import (
-    SweepProgress,
-    TraceCheckpointStore,
-    campaign_key,
-    config_hash,
-)
+from repro.sim.checkpoint import SweepProgress, campaign_key, config_hash
 from repro.sim.experiment import ExperimentRunner, SuiteResult
 from repro.sim.replay import TraceReplayer
 from repro.sim.resilience import (
@@ -80,7 +77,7 @@ ROW_FIELDS = [
     "quad_imbalance", "energy_mj", "energy_decrease_pct",
 ]
 
-#: Subdirectory of the checkpoint dir holding pass-1 trace checkpoints.
+#: Subdirectory of the checkpoint dir holding pass-1 frames.
 TRACE_SUBDIR = "traces"
 #: Manifest filename inside the checkpoint dir.
 MANIFEST_FILENAME = "manifest.json"
@@ -135,11 +132,11 @@ def _replay_task(
 ):
     """:func:`_replay` inside a pool worker (module level: it pickles).
 
-    The replay runs on this worker's runner over the campaign's store,
-    built on first use with the parent's ``sampler`` and ``replayer``
-    (energy parameters, budget, engine).  The first worker that needs a
-    game renders it and saves it to the store; later tasks on other
-    workers load it.
+    The replay runs on this worker's runner over the campaign's
+    ``store_dir``, built on first use with the parent's ``sampler`` and
+    ``replayer`` (energy parameters, budget, engine).  The first worker
+    that needs a game renders it and saves it there; later tasks on
+    other workers load it.
 
     ``plan`` re-arms the parent's fault plan inside the worker (fork
     inheritance is not guaranteed under spawn, and a respawned pool
@@ -155,10 +152,7 @@ def _replay_task(
         runner = _WORKER_RUNNERS.get(key)
         if runner is None:
             runner = ExperimentRunner(
-                config,
-                sampler,
-                checkpoint_store=TraceCheckpointStore(store_dir),
-                stream=stream_driver,
+                config, sampler, store_dir=store_dir, stream=stream_driver
             )
             runner.replayer = replayer
             _WORKER_RUNNERS[key] = runner
@@ -491,12 +485,13 @@ class DesignSweep:
         Per-design-point failures are isolated into
         ``report.failures``; only a baseline that cannot run at all is
         fatal (it propagates, since nothing can be normalized without
-        it).  With ``checkpoint_dir``, traces and completed rows are
-        persisted there and a manifest is written; with ``resume``,
-        rows journaled by a previous run of the same campaign are
-        reused instead of recomputed.  ``jobs > 1`` fans the replays
-        over worker processes; the report is bit-identical to a serial
-        run except for ``wall_time_s`` and ``phase_seconds``.
+        it).  With ``checkpoint_dir``, frames and completed rows are
+        persisted there (the runner keeps its frames there only while
+        ``run`` runs) and a manifest is written; with ``resume``, rows
+        journaled by a previous run of the same campaign are reused
+        instead of recomputed.  ``jobs > 1`` fans the replays over
+        worker processes; the report is bit-identical to a serial run
+        except for ``wall_time_s`` and ``phase_seconds``.
 
         The pool is self-healing: a crashed worker
         (``BrokenProcessPool``) respawns the pool and reschedules every
@@ -517,12 +512,10 @@ class DesignSweep:
             )
         start = time.monotonic()  # replint: disable=wall-clock -- campaign wall time for the manifest, never a simulated quantity
         progress: Optional[SweepProgress] = None
+        frames = contextlib.nullcontext()
         if checkpoint_dir is not None:
             checkpoint_dir = Path(checkpoint_dir)
-            if runner.checkpoint_store is None:
-                runner.checkpoint_store = TraceCheckpointStore(
-                    checkpoint_dir / TRACE_SUBDIR
-                )
+            frames = runner.storing_frames(checkpoint_dir / TRACE_SUBDIR)
             progress = SweepProgress(
                 checkpoint_dir,
                 campaign_key(runner.config, runner.games, self.baseline.name),
@@ -534,10 +527,11 @@ class DesignSweep:
             games=list(runner.games),
         )
         report = SweepReport(manifest)
-        self._walk(
-            runner, retry_policy, completed, progress, report, manifest,
-            jobs, task_timeout_s, max_task_attempts,
-        )
+        with frames:
+            self._walk(
+                runner, retry_policy, completed, progress, report, manifest,
+                jobs, task_timeout_s, max_task_attempts,
+            )
         manifest.wall_time_s = time.monotonic() - start  # replint: disable=wall-clock -- campaign wall time for the manifest, never a simulated quantity
         if checkpoint_dir is not None:
             write_run_manifest(checkpoint_dir / MANIFEST_FILENAME, manifest)
@@ -553,7 +547,7 @@ class DesignSweep:
         pending (design point, game) pair (guarded).  ``jobs == 1`` runs
         a task on ``runner`` when the walk asks for its result;
         ``jobs > 1`` submits the table to a :class:`_TaskPool` over the
-        runner's store (or a temporary one, so workers share frames).
+        runner's ``store_dir`` (or a temporary one: workers share frames).
         Results are consumed in grid-and-games order: journaled rows
         resume, the baseline's results are consumed at the first pending
         point (any baseline failure is fatal, a pool crash that outlived
@@ -583,8 +577,8 @@ class DesignSweep:
                 if jobs == 1:
                     executor = _InlineTasks(runner)
                 else:
-                    if runner.checkpoint_store is not None:
-                        store_dir = str(runner.checkpoint_store.directory)
+                    if runner.store_dir is not None:
+                        store_dir = str(runner.store_dir)
                     else:
                         temp_dir = tempfile.mkdtemp(
                             prefix="repro-sweep-traces-"

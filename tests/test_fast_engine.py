@@ -552,23 +552,22 @@ class TestParallelSweep:
         self, tmp_path, tiny_config, serial_and_parallel
     ):
         """The parent renders nothing; the workers store each game's
-        frame exactly once, in the driver's format."""
+        frame exactly once, as a segment frame sealed with its stats
+        whichever driver they run, and never as a ``.trace`` file."""
         serial, _ = serial_and_parallel
         games = ["SWa", "Mze"]
         runner = ExperimentRunner(tiny_config, games=games, stream=self.stream)
         report = PAR_SWEEP.run(runner, checkpoint_dir=tmp_path, jobs=2)
         assert report.rows == serial.rows
         assert runner.renders_performed == 0
+        assert not list(tmp_path.rglob("*.trace"))
         keys = sorted(trace_key(tiny_config, GAMES[g].recipe) for g in games)
-        traces = tmp_path / TRACE_SUBDIR
-        stored = sorted(path.stem for path in traces.glob("*.trace"))
-        if self.stream == "batch":
-            assert stored == keys
-        else:
-            assert stored == []
-            for key in keys:
-                chunks = TileChunkStore(traces / CHUNK_SUBDIR / key, key)
-                assert chunks.frame_meta() is not None
+        frames = tmp_path / TRACE_SUBDIR / CHUNK_SUBDIR
+        assert sorted(path.name for path in frames.iterdir()) == keys
+        for key in keys:
+            chunks = TileChunkStore(frames / key, key)
+            assert chunks.frame_meta() is not None
+            assert chunks.load_frame(tiny_config) is not None
 
     def test_parallel_resume_skips_completed_rows(
         self, tmp_path, tiny_config

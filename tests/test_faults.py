@@ -30,7 +30,6 @@ from repro.sim import checkpoint, faults, sweep
 from repro.sim.checkpoint import (
     SweepProgress,
     TileChunkStore,
-    TraceCheckpointStore,
     segment_layout,
     trace_digest,
 )
@@ -42,6 +41,7 @@ from repro.sim.faults import (
     deterministic_fraction,
 )
 from repro.sim.resilience import RetryPolicy
+from repro.sim.experiment import CHUNK_SUBDIR
 from repro.sim.sweep import TRACE_SUBDIR, DesignSweep
 
 GAME = "SWa"
@@ -242,58 +242,68 @@ def save_segment(chunks, trace):
     return tiles
 
 
+def read_segment(chunks):
+    """The record reader's verdict on segment 0: raises on damage."""
+    return checkpoint._read_record(
+        chunks.segment_path(0), f"{chunks.key}:s0", key=chunks.key, segment=0,
+    )
+
+
 class TestCheckpointFaults:
-    """Both stores save and load through the same checkpoint sites: a
-    damaged trace raises, a damaged segment loads as a miss."""
+    """Both drivers save and load frames through the same segment
+    records and checkpoint sites: the record reader raises on a damaged
+    segment, and the store loads it as a miss."""
 
     def test_torn_write_detected_on_load(self, tmp_path, tiny_trace):
-        store = TraceCheckpointStore(tmp_path)
-        chunks = TileChunkStore(tmp_path / "chunks", "k")
+        frame = TileChunkStore(tmp_path / "frame", "k")
+        chunks = TileChunkStore(tmp_path / "chunks", "c")
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_SAVE, kind=faults.KIND_TORN_WRITE,
         ),))
         with faults.armed(plan):
-            store.save("k", tiny_trace)
+            frame.save_frame(tiny_trace)
             tiles = save_segment(chunks, tiny_trace)
-        assert [event.key for event in plan.fired] == ["k", "k:s0"]
+        assert [event.key for event in plan.fired] == ["k:s0", "c:s0"]
         with pytest.raises(TraceIntegrityError):
-            store.load("k")
+            read_segment(frame)
+        assert frame.load_frame(tiny_trace.config) is None
         assert chunks.load_tile(0, tiles) is None
 
     def test_truncated_load_raises_checkpoint_error(
         self, tmp_path, tiny_trace
     ):
-        store = TraceCheckpointStore(tmp_path)
-        store.save("k", tiny_trace)
-        chunks = TileChunkStore(tmp_path / "chunks", "k")
+        frame = TileChunkStore(tmp_path / "frame", "k")
+        frame.save_frame(tiny_trace)
+        chunks = TileChunkStore(tmp_path / "chunks", "c")
         tiles = save_segment(chunks, tiny_trace)
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_TRUNCATE,
         ),))
         with faults.armed(plan):
             with pytest.raises(CheckpointError):
-                store.load("k")
+                read_segment(frame)
+            assert frame.load_frame(tiny_trace.config) is None
             assert chunks.load_tile(0, tiles) is None
-        assert len(plan.fired) == 2
+        assert [event.key for event in plan.fired] == ["k:s0", "c:s0"]
 
     def test_corrupt_byte_fails_payload_hash(self, tmp_path, tiny_trace):
-        store = TraceCheckpointStore(tmp_path)
-        store.save("k", tiny_trace)
-        chunks = TileChunkStore(tmp_path / "chunks", "k")
+        frame = TileChunkStore(tmp_path / "frame", "k")
+        frame.save_frame(tiny_trace)
+        chunks = TileChunkStore(tmp_path / "chunks", "c")
         tiles = save_segment(chunks, tiny_trace)
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_CORRUPT,
         ),))
         with faults.armed(plan):
             with pytest.raises(TraceIntegrityError, match="hash mismatch"):
-                store.load("k")
+                read_segment(frame)
+            assert frame.load_frame(tiny_trace.config) is None
             assert chunks.load_tile(0, tiles) is None
-        assert len(plan.fired) == 2
+        assert [event.key for event in plan.fired] == ["k:s0", "c:s0"]
 
     def test_corrupt_checkpoint_heals_by_rerender(self, tmp_path, tiny_config):
-        store = TraceCheckpointStore(tmp_path)
         seeder = ExperimentRunner(
-            tiny_config, games=[GAME], checkpoint_store=store
+            tiny_config, games=[GAME], store_dir=tmp_path
         )
         seeder.trace_for(GAME)
         assert seeder.renders_performed == 1
@@ -302,7 +312,7 @@ class TestCheckpointFaults:
             site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_TRUNCATE,
         ),))
         healer = ExperimentRunner(
-            tiny_config, games=[GAME], checkpoint_store=store
+            tiny_config, games=[GAME], store_dir=tmp_path
         )
         with faults.armed(plan):
             healer.trace_for(GAME)
@@ -310,17 +320,15 @@ class TestCheckpointFaults:
 
         # The heal re-checkpointed, so the next run loads cleanly again.
         reader = ExperimentRunner(
-            tiny_config, games=[GAME], checkpoint_store=store
+            tiny_config, games=[GAME], store_dir=tmp_path
         )
         reader.trace_for(GAME)
         assert reader.renders_performed == 0
 
     def test_corrupt_chunks_heal_by_rerender(self, tmp_path, tiny_config):
-        store = TraceCheckpointStore(tmp_path)
-
         def streaming_runner():
             return ExperimentRunner(
-                tiny_config, games=[GAME], checkpoint_store=store,
+                tiny_config, games=[GAME], store_dir=tmp_path,
                 stream="streaming",
             )
 
@@ -346,19 +354,18 @@ class TestCheckpointFaults:
     def test_trace_for_survives_failing_save(
         self, tmp_path, tiny_config, monkeypatch
     ):
-        """A checkpoint save that raises OSError (disk full, read-only
+        """A checkpoint write that raises OSError (disk full, read-only
         store) costs the checkpoint, never the trace in memory."""
-        def refuse(self, key, trace):
-            raise OSError("no space left on device")
+        def refuse(path, *parts):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(TraceCheckpointStore, "save", refuse)
-        store = TraceCheckpointStore(tmp_path)
+        monkeypatch.setattr(checkpoint, "_atomic_write", refuse)
         runner = ExperimentRunner(
-            tiny_config, games=[GAME], checkpoint_store=store
+            tiny_config, games=[GAME], store_dir=tmp_path
         )
         trace = runner.trace_for(GAME)
         assert runner.renders_performed == 1
-        assert not any(tmp_path.iterdir())
+        assert not any(tmp_path.rglob("*.*"))  # nothing reached the disk
         assert runner.trace_for(GAME) is trace  # cached, not re-rendered
         fresh = ExperimentRunner(tiny_config, games=[GAME]).trace_for(GAME)
         assert trace_digest(trace) == trace_digest(fresh)
@@ -376,11 +383,10 @@ class TestCheckpointFaults:
         want = ExperimentRunner(small_config, games=[GAME]).run(
             GAME, BASELINE
         )
-        store = TraceCheckpointStore(tmp_path)
 
         def runner(stream):
             return ExperimentRunner(
-                small_config, games=[GAME], checkpoint_store=store,
+                small_config, games=[GAME], store_dir=tmp_path,
                 stream=stream,
             )
 
@@ -409,21 +415,25 @@ class TestCheckpointFaults:
     def test_pool_heals_truncated_trace(
         self, tmp_path, tiny_config, reference
     ):
-        """Pool workers load traces from the campaign store: one torn on
+        """Pool workers load frames from the campaign store: one torn on
         disk between two sweeps is re-rendered and re-saved."""
         make_sweep().run(
             make_runner(tiny_config), checkpoint_dir=tmp_path, jobs=2
         )
-        (path,) = (tmp_path / TRACE_SUBDIR).glob("*.trace")
+        (frame,) = (tmp_path / TRACE_SUBDIR / CHUNK_SUBDIR).iterdir()
+        store = TileChunkStore(frame, frame.name)
+        want = store.load_frame(tiny_config)
+        assert want is not None
+        path = store.segment_path(0)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        store = TraceCheckpointStore(tmp_path / TRACE_SUBDIR)
         with pytest.raises(CheckpointError):
-            store.load(path.stem)
+            read_segment(store)
+        assert store.load_frame(tiny_config) is None
         report = make_sweep().run(
             make_runner(tiny_config), checkpoint_dir=tmp_path, jobs=2
         )
         assert_rows_match(report, reference)
-        store.load(path.stem)  # healed: loads cleanly again
+        assert store.load_frame(tiny_config) == want  # healed
 
 
 class TestJournalFaults:

@@ -19,7 +19,7 @@ from repro.core.dtexl import (
 )
 from repro.errors import BudgetExceededError
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim.checkpoint import TraceCheckpointStore, trace_digest
+from repro.sim.checkpoint import TileChunkStore, trace_digest
 from repro.sim.driver import FrameRenderer
 from repro.sim.replay import TraceReplayer, memory_key
 from repro.sim.resilience import ReplayBudget
@@ -421,12 +421,12 @@ class TestScheduleMemo:
         digest = trace_digest(trace)
         TraceReplayer(tiny_config).run(trace, BASELINE)
         assert len(trace.schedule_memo) == 1
-        store = TraceCheckpointStore(tmp_path)
-        store.save("k", trace)
+        store = TileChunkStore(tmp_path, "k")
+        store.save_frame(trace)
         others = [
             copy.copy(trace), copy.deepcopy(trace),
             dataclasses.replace(trace), pickle.loads(pickle.dumps(trace)),
-            store.load("k"),
+            store.load_frame(tiny_config),
         ]
         for other in others:
             assert other.schedule_memo == {}

@@ -277,6 +277,49 @@ class TestResume:
         assert rerun.renders_performed == 0
 
 
+    @pytest.mark.parametrize("stream", ["batch", "streaming"])
+    def test_each_campaign_keeps_its_own_frames(
+        self, tmp_path, tiny_config, stream
+    ):
+        """One runner swept into two campaign directories leaves each
+        whole: a fresh runner (another host's resume) replays either
+        one without rendering."""
+        games = ["SWa", "GTr"]
+        sweep = make_sweep(["CG-square"])
+        runner = ExperimentRunner(tiny_config, games=games, stream=stream)
+        first, second = (
+            sweep.run(runner, checkpoint_dir=tmp_path / name)
+            for name in ("a", "b")
+        )
+        assert first.rows == second.rows
+        for name in ("a", "b"):
+            fresh = ExperimentRunner(tiny_config, games=games, stream=stream)
+            rerun = sweep.run(fresh, checkpoint_dir=tmp_path / name)
+            assert rerun.rows == first.rows
+            assert fresh.renders_performed == 0
+
+    def test_sweep_hands_the_runner_back(self, tmp_path, tiny_config):
+        """The campaign's store binds the runner only during ``run``,
+        whether it returns or raises."""
+        own = tmp_path / "own"
+        runner = FlakyRunner(
+            tiny_config, games=["SWa"], store_dir=own,
+            flaky_design="baseline", failures_left=1, transient=False,
+        )
+        trace = runner.trace_for("SWa")
+        with pytest.raises(ReproError, match="injected flake"):
+            make_sweep(["CG-square"]).run(
+                runner, checkpoint_dir=tmp_path / "raised"
+            )
+        assert runner.store_dir == own
+        make_sweep(["CG-square"]).run(
+            runner, checkpoint_dir=tmp_path / "returned"
+        )
+        assert runner.store_dir == own
+        assert runner.trace_for("SWa") is trace
+        assert runner.renders_performed == 2  # own store, then "returned"
+
+
 class TestManifest:
     def test_manifest_written_and_readable(self, tmp_path, tiny_config):
         ckpt = tmp_path / "ckpt"

@@ -36,7 +36,6 @@ from repro.raster.fragment import TileQuads
 from repro.sim import checkpoint, experiment
 from repro.sim.checkpoint import (
     TileChunkStore,
-    TraceCheckpointStore,
     config_fingerprint,
     segment_layout,
     trace_digest,
@@ -188,7 +187,7 @@ class TestMultiChunkStreams:
         result, stream = self.streamed(store)
         assert result == want
         assert stream.tiles_rendered == len(segments[1])
-        assert store.digest() == trace_digest(trace)
+        assert store.frame_meta()["digest"] == trace_digest(trace)
 
 
 class TestSegmentStore:
@@ -277,7 +276,7 @@ class TestSegmentStore:
         self.streamed(store, self.design())
         assert "digest" not in store.manifest()
         digests = self.count_calls(monkeypatch, checkpoint, "tile_digest")
-        assert store.digest() == want
+        assert store.frame_meta()["digest"] == want
         assert len(digests) == SEGMENTED.num_tiles
         reopened = TileChunkStore(tmp_path, "k")
         assert reopened.manifest()["digest"] == want
@@ -298,7 +297,7 @@ class TestSegmentStore:
         assert healed == want
         assert stream.tiles_rendered == len(segments[3])
         assert store.load_tile(3, segments[3]) is not None
-        assert store.digest() == trace_digest(trace)
+        assert store.frame_meta()["digest"] == trace_digest(trace)
 
     def test_segment_unlike_its_manifest_fails_closed(self, tmp_path):
         store = TileChunkStore(tmp_path, "k")
@@ -349,7 +348,7 @@ class TestSegmentStore:
         assert result == want
         assert stream.tiles_rendered == SEGMENTED.num_tiles
         assert store.manifest()["version"] == checkpoint.CHECKPOINT_VERSION
-        assert store.digest() == trace_digest(trace)
+        assert store.frame_meta()["digest"] == trace_digest(trace)
 
     def test_no_segment_load_unpickles(self, trace, tmp_path, monkeypatch):
         want = TraceReplayer(SEGMENTED).run(trace, self.design())
@@ -378,8 +377,7 @@ class TestSegmentStore:
 
         monkeypatch.setattr(experiment, "build_game", build)
         runner = ExperimentRunner(
-            SEGMENTED, games=["SWa"], stream="streaming",
-            checkpoint_store=TraceCheckpointStore(tmp_path),
+            SEGMENTED, games=["SWa"], stream="streaming", store_dir=tmp_path,
         )
         replayer = TraceReplayer(SEGMENTED)
         assert runner.run("SWa", self.design()) == replayer.run(
@@ -720,8 +718,8 @@ class TestChunkStore:
             "SWa", BASELINE, replayer, chunk_store=store
         )
         assert streamed == batch
-        assert store.digest() == trace_digest(trace)
-        assert store.vertex_lines() == list(trace.vertex_lines)
+        assert store.frame_meta()["digest"] == trace_digest(trace)
+        assert store.load_frame(TINY).vertex_lines == list(trace.vertex_lines)
 
     def test_second_replay_loads_every_chunk(self, tmp_path, replayer):
         store = TileChunkStore(tmp_path / "chunks", "k1")
@@ -772,7 +770,7 @@ class TestChunkStore:
         (tiles,), _ = segment_layout(TINY.tiles_x, TINY.tiles_y)
         assert store.load_tile(0, tiles) is not None
         assert other.load_tile(0, tiles) is None
-        assert other.digest() is None
+        assert other.frame_meta() is None
 
 
 # -- experiment-runner integration -------------------------------------------
@@ -808,17 +806,15 @@ class TestRunnerStreams:
         assert 0.0 < phases["replay"] <= report.wall_time_s
 
     def test_chunked_runner_renders_once_across_design_points(self, tmp_path):
-        from repro.sim.checkpoint import TraceCheckpointStore
-
-        store = TraceCheckpointStore(tmp_path / "traces")
+        store_dir = tmp_path / "traces"
         runner = ExperimentRunner(
-            TINY, games=["SWa"], checkpoint_store=store, stream="streaming"
+            TINY, games=["SWa"], store_dir=store_dir, stream="streaming"
         )
         runner.run("SWa", BASELINE)
         runner.run("SWa", DTEXL_BEST)
         assert runner.renders_performed == 1
         fresh = ExperimentRunner(
-            TINY, games=["SWa"], checkpoint_store=store, stream="streaming"
+            TINY, games=["SWa"], store_dir=store_dir, stream="streaming"
         )
         fresh.run("SWa", BASELINE)
         assert fresh.renders_performed == 0

@@ -315,8 +315,9 @@ def run_chaos(
             # Resume what survived on disk.  Only checkpoint-load
             # corruption stays armed: it is the fault a restarted
             # campaign can still encounter, and it must self-heal by
-            # re-rendering (the whole frame, or the torn segment's
-            # 16 tiles).
+            # re-rendering (the torn segment's 16 tiles under a sealed
+            # manifest, or the whole frame if the kill came before the
+            # seal).
             resume_plan = plan.for_sites({faults.SITE_CHECKPOINT_LOAD})
             with faults.armed(resume_plan if resume_plan.specs else None):
                 resumed = sweep.run(

@@ -9,9 +9,9 @@ This module makes pass-1 results durable:
   and configuration that produced it.
 * :class:`TileChunkStore` — the one on-disk form of a frame, for both
   stream drivers: ``DEFAULT_GROUP_TILES``-tile segments plus a
-  ``frame.json`` manifest sealing their hashes and, once a traversal
-  rendered the whole frame, its :class:`RenderStats`.  A frame either
-  driver sealed serves the other.
+  ``frame.json`` manifest, the frame's commit record, sealing their
+  hashes and its :class:`RenderStats`.  A frame either driver sealed
+  serves the other.
 * :func:`verify_trace` — the structural invariants a loaded trace must
   hold; any violation raises :class:`~repro.errors.TraceIntegrityError`.
 * :class:`SweepProgress` — an append-only journal of completed sweep
@@ -45,7 +45,7 @@ from functools import lru_cache
 from itertools import accumulate, chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -584,18 +584,15 @@ def _segments_of(fingerprint: Dict[str, Any]) -> Optional[tuple]:
     return segment_layout(-(-width // size), -(-height // size))[0]
 
 
-def _sealed_stats(manifest: Dict[str, Any]) -> Optional[RenderStats]:
-    """The manifest's :class:`RenderStats`, or ``None`` when it has none.
+def _sealed_stats(stats: Any) -> bool:
+    """Whether a manifest's ``stats`` entry is a :class:`RenderStats`.
 
-    The manifest comes from disk: an entry other than exactly the
-    dataclass's fields, each of its field's type, counts as none.
+    The manifest comes from disk: only exactly the dataclass's fields,
+    each of its field's type, count.
     """
-    stats = manifest.get("stats")
-    if not isinstance(stats, dict) or _STATS_TYPES != {
+    return isinstance(stats, dict) and _STATS_TYPES == {
         name: type(value) for name, value in stats.items()
-    }:
-        return None
-    return RenderStats(**stats)
+    }
 
 
 class TileChunkStore:
@@ -608,19 +605,20 @@ class TileChunkStore:
     is the segment's only hash: the header carries it, :meth:`save_tile`
     returns it and the manifest seals it.
 
-    A streamed replay loads and saves segment by segment, a batch runner
-    whole frames (:meth:`save_frame`, :meth:`load_frame`).  The first
-    traversal that opens every segment seals the manifest; one that
-    rendered every tile also seals the frame's :class:`RenderStats`,
-    which a batch load needs, into a new manifest or one sealed without.
-    Every reader holds each segment to the manifest's hash and fails
-    closed with :class:`TraceIntegrityError` on a mismatch.
-    :meth:`frame_meta` computes the trace digest on first request.
+    The manifest is the commit record.  A traversal of an unsealed frame
+    renders every tile, saves every segment and then seals their hashes
+    with the frame's :class:`RenderStats` (:meth:`seal`), so every
+    sealed manifest carries them; a segment is read only under a seal.
+    Both drivers read and write the store through one
+    :class:`~repro.sim.stream.StreamingTileStream`, a batch runner
+    keeping the whole traversal.  Every reader holds each segment to the
+    manifest's hash and fails closed with :class:`TraceIntegrityError`
+    on a mismatch.  :meth:`frame_meta` computes the trace digest on
+    first request.
 
-    A missing, torn or corrupt segment is a *cache miss* — a streamed
-    replay re-renders its tiles, a batch load the frame — never an
-    error.  A write that fails with :class:`OSError` costs the file,
-    never the replay.
+    Under a seal, a missing, torn or corrupt segment is a *cache miss*
+    that re-renders its 16 tiles, never an error.  A write that fails
+    with :class:`OSError` costs the file, never the replay.
     """
 
     MANIFEST_FILENAME = "frame.json"
@@ -680,69 +678,6 @@ class TileChunkStore:
             return None
         return entries, header["sha256"]
 
-    # -- whole frames ----------------------------------------------------------
-
-    def save_frame(self, trace: FrameTrace) -> None:
-        """Save a rendered frame through :meth:`save_tile`; seal it."""
-        config = trace.config
-        segments, _ = segment_layout(config.tiles_x, config.tiles_y)
-        hashes = [
-            self.save_tile(index, tiles, [trace.tiles[tile] for tile in tiles])
-            for index, tiles in enumerate(segments)
-        ]
-        stats = trace.stats
-        self.seal(
-            config, trace.vertex_lines, hashes, stats.num_quads,
-            stats.pixels_shaded, stats,
-        )
-
-    def load_frame(self, config: GPUConfig) -> Optional[FrameTrace]:
-        """The sealed frame as a verified :class:`FrameTrace`, or ``None``.
-
-        ``None`` unless the manifest is sealed with the frame's stats
-        and every segment loads; a segment that loads but is not the one
-        the manifest sealed raises :class:`TraceIntegrityError`, as in a
-        streamed replay.  Tiles go in scanline order, the order
-        :meth:`~repro.sim.driver.FrameRenderer.render` fills them.
-        """
-        manifest = self.manifest()
-        stats = None if manifest is None else _sealed_stats(manifest)
-        if stats is None:
-            return None
-        entries: Dict[TileCoord, TileTraceEntry] = {}
-        for segment in self._sealed_segments(manifest):
-            if segment is None:
-                return None
-            entries.update(zip(*segment))
-        tiles = dict(sorted(entries.items(), key=lambda item: item[0][::-1]))
-        trace = FrameTrace(config, list(manifest["vertex_lines"]), tiles, stats)
-        verify_trace(trace)  # also catches a grid other than config's
-        return trace
-
-    def _sealed_segments(
-        self, manifest: Dict[str, Any]
-    ) -> Iterator[Optional[Tuple[Sequence[TileCoord], List[TileTraceEntry]]]]:
-        """Every sealed segment's ``(tiles, entries)``, in index order.
-
-        Yields ``None`` at the first segment that does not load; raises
-        :class:`TraceIntegrityError` at one the manifest did not seal.
-        """
-        segments = _segments_of(manifest["config"])
-        for index, (tiles, sealed) in enumerate(
-            zip(segments, manifest["segments"])
-        ):
-            loaded = self.load_tile(index, tiles)
-            if loaded is None:
-                yield None
-                return
-            entries, content = loaded
-            if content != sealed:
-                raise TraceIntegrityError(
-                    f"segment {index} under {self.directory} does not "
-                    "match its sealed manifest"
-                )
-            yield tiles, entries
-
     # -- the manifest ----------------------------------------------------------
 
     def manifest_path(self) -> Path:
@@ -752,9 +687,10 @@ class TileChunkStore:
         """The sealed manifest as written, or ``None`` while unsealed.
 
         Reads one small file and hashes nothing: this is what a replay
-        consults.  An unreadable manifest, or one of another key or
-        version, counts as unsealed; one that seals more or fewer
-        segments than its grid has raises :class:`TraceIntegrityError`.
+        consults.  An unreadable manifest, one of another key or
+        version, or one without the frame's :class:`RenderStats` counts
+        as unsealed; one that seals more or fewer segments than its grid
+        has raises :class:`TraceIntegrityError`.
         """
         path = self.manifest_path()
         if not path.is_file():
@@ -773,6 +709,7 @@ class TileChunkStore:
             or not isinstance(manifest.get("vertex_lines"), list)
             or not isinstance(manifest.get("num_quads"), int)
             or not isinstance(manifest.get("pixels_shaded"), int)
+            or not _sealed_stats(manifest.get("stats"))
             or _segments_of(manifest["config"]) is None
         ):
             return None
@@ -811,10 +748,20 @@ class TileChunkStore:
         if manifest is None or isinstance(manifest.get("digest"), str):
             return manifest
         tile_digests: Dict[TileCoord, str] = {}
-        for segment in self._sealed_segments(manifest):
-            if segment is None:
+        segments = _segments_of(manifest["config"])
+        for index, (tiles, sealed) in enumerate(
+            zip(segments, manifest["segments"])
+        ):
+            loaded = self.load_tile(index, tiles)
+            if loaded is None:
                 return None
-            for tile, entry in zip(*segment):
+            entries, content = loaded
+            if content != sealed:
+                raise TraceIntegrityError(
+                    f"segment {index} under {self.directory} does not "
+                    "match its sealed manifest"
+                )
+            for tile, entry in zip(tiles, entries):
                 tile_digests[tile] = tile_digest(tile, entry)
         manifest["digest"] = frame_digest(
             manifest["config"], manifest["vertex_lines"], tile_digests,
@@ -828,39 +775,31 @@ class TileChunkStore:
         config: GPUConfig,
         vertex_lines: Sequence[int],
         segment_hashes: Sequence[str],
-        num_quads: int,
-        pixels_shaded: int,
-        stats: Optional[RenderStats],
+        stats: RenderStats,
     ) -> None:
-        """Seal one full traversal's segments into the manifest.
+        """Commit a frame: seal every segment's hash and its ``stats``.
 
-        ``stats`` are the frame's when the traversal rendered every
-        tile, else ``None``.  Writes ``frame.json`` or, when another
-        traversal sealed it meanwhile, cross-checks the segment hashes
-        against it, raising :class:`TraceIntegrityError` on divergence;
-        a matching manifest sealed without stats gains ``stats``.
+        Writes ``frame.json`` or, when another traversal sealed it
+        meanwhile, cross-checks the segment hashes against it, raising
+        :class:`TraceIntegrityError` on divergence.
         """
         manifest = self.manifest()
         if manifest is None:
-            manifest = {
+            self._write_manifest({
                 "version": CHECKPOINT_VERSION,
                 "key": self.key,
                 "config": config_fingerprint(config),
                 "vertex_lines": list(vertex_lines),
-                "num_quads": num_quads,
-                "pixels_shaded": pixels_shaded,
+                "num_quads": stats.num_quads,
+                "pixels_shaded": stats.pixels_shaded,
                 "segments": list(segment_hashes),
-            }
+                "stats": dataclasses.asdict(stats),
+            })
         elif manifest["segments"] != list(segment_hashes):
             raise TraceIntegrityError(
                 f"segments under {self.directory} disagree with the "
                 "manifest another traversal sealed"
             )
-        elif stats is None or _sealed_stats(manifest) is not None:
-            return
-        if stats is not None:
-            manifest["stats"] = dataclasses.asdict(stats)
-        self._write_manifest(manifest)
 
 
 class SweepProgress:

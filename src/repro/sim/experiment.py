@@ -5,8 +5,10 @@ a dozen design points costs one render plus a dozen cheap replays per
 game — the same economy the paper gets from trace-driven simulation.
 A ``store_dir`` makes that cache durable: each game's frame is a
 :class:`~repro.sim.checkpoint.TileChunkStore` of typed segments that
-either stream driver loads, so a re-run (or a crashed campaign's
-resume) loads verified frames from disk instead of rendering again.
+either stream driver reads through one
+:class:`~repro.sim.stream.StreamingTileStream`, so a re-run (or a
+crashed campaign's resume) loads verified frames from disk instead of
+rendering again.
 
 :meth:`ExperimentRunner.run` is the only place a replay runs.  Every
 task of a sweep (on the parent's runner, or on a pool worker's runner
@@ -29,9 +31,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Union
 from repro.stats import geometric_mean
 from repro.config import GPUConfig, TEST_CONFIG
 from repro.core.dtexl import BASELINE, DTexLConfig
+from repro.core.tile_order import scanline_order
 from repro.errors import ReplayError
-from repro.sim.checkpoint import TileChunkStore, trace_key
-from repro.sim.driver import FrameRenderer, FrameTrace
+from repro.sim.checkpoint import TileChunkStore, trace_key, verify_trace
+from repro.sim.driver import FrameRenderer, FrameTrace, RenderStats
 from repro.sim.faults import SITE_REPLAY, fault_point
 from repro.sim.replay import RunResult, TraceReplayer
 from repro.sim.stream import (
@@ -150,32 +153,41 @@ class ExperimentRunner:
         self._traces: Dict[str, FrameTrace] = {}
         #: Functional renders actually performed (checkpoint hits skip it);
         #: the probe the resume tests use to prove no trace was re-rendered.
-        #: On the streaming path a run that rendered *any* tile (instead
-        #: of loading every segment) counts as one render.
+        #: A traversal that rendered *any* tile (instead of loading every
+        #: segment) counts as one render, under either driver.
         self.renders_performed = 0
 
     # -- pass 1 cache -----------------------------------------------------------
 
     def trace_for(self, alias: str) -> FrameTrace:
-        """Return one game's frame trace, rendering only when needed.
+        """Return one game's frame trace, rendering only what is needed.
 
-        Lookup order: in-memory cache, then the game's frame store
-        (:meth:`TileChunkStore.load_frame`), then a fresh render, saved
-        and sealed with its stats for the next reader of either driver.
-        A write that fails with :class:`OSError` costs the file, never
-        the trace in memory; the next reader heals it by rendering.
+        The in-memory cache first; on a miss, one scanline traversal of
+        the game's :class:`StreamingTileStream` (:meth:`_traversal`),
+        every unit kept.  So under a sealed manifest the frame loads
+        from its store and a lost segment re-renders alone, while an
+        unsealed frame, or one with no store, renders whole (and is
+        saved and sealed for the next reader of either driver).  The
+        stats are the traversal's when it rendered every tile, else the
+        seal's, and :func:`verify_trace` holds them to the tiles.
         """
         trace = self._traces.get(alias)
         if trace is not None:
             return trace
-        store = self.chunk_store_for(alias)
-        if store is not None:
-            trace = store.load_frame(self.config)
-        if trace is None:
-            trace, _ = self.renderer.render(build_game(alias, self.config))
+        config = self.config
+        stream = self._traversal(alias)
+        order = scanline_order(config.tiles_x, config.tiles_y)
+        units = list(stream.open(order))
+        stats = stream.stats
+        if stats is None:  # it loaded a sealed segment
+            stats = RenderStats(**stream.chunk_store.manifest()["stats"])
+        trace = FrameTrace(
+            config, units[0].vertex_lines,
+            {unit.tile: unit.entry for unit in units}, stats,
+        )
+        verify_trace(trace)
+        if stream.tiles_rendered:
             self.renders_performed += 1
-            if store is not None:
-                store.save_frame(trace)
         self._traces[alias] = trace
         return trace
 
@@ -209,15 +221,18 @@ class ExperimentRunner:
     ) -> Union[BatchTileStream, StreamingTileStream]:
         """One game's tile stream under this runner's driver.
 
-        Batch walks the cached (or loaded, or freshly rendered) trace;
-        streaming renders tiles as the replay consumes them, through
-        the game's chunk store when checkpointing is on.  A streamed
-        replay gets a function that builds the game's scene, not the
-        scene: a replay of a sealed frame never renders, so it never
-        builds the game.
+        Batch walks the trace :meth:`trace_for` keeps; streaming
+        renders tiles as the replay consumes them (:meth:`_traversal`).
         """
         if self.stream == "batch":
             return BatchTileStream(self.trace_for(alias))
+        return self._traversal(alias)
+
+    def _traversal(self, alias: str) -> StreamingTileStream:
+        """A streamed traversal of the game's frame, through the game's
+        chunk store when checkpointing is on.  It gets a function that
+        builds the game's scene, not the scene: a traversal of a sealed
+        frame never renders, so it never builds the game."""
         return StreamingTileStream(
             self.renderer, partial(build_game, alias, self.config),
             chunk_store=self.chunk_store_for(alias),
@@ -237,7 +252,7 @@ class ExperimentRunner:
         fault_point(SITE_REPLAY, key=f"{design.name}/{alias}")
         stream = self.stream_for(alias)
         result = self.replayer.run_stream(stream, design)
-        if self.stream == "streaming" and stream.tiles_rendered:
+        if stream.tiles_rendered:
             self.renders_performed += 1
         return result
 

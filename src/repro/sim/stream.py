@@ -15,12 +15,13 @@ prologue riding the first unit — through two interchangeable drivers:
   at a time, hands them to the consumer and drops them, bounding peak
   memory to one group.  With a
   :class:`~repro.sim.checkpoint.TileChunkStore` it works in the store's
-  16-tile segments instead, loading each segment a group touches or
-  rendering and saving it whole, so every tile order reads each segment
-  once per replay.  A replay of a sealed frame never builds the scene.
-  The store is the batch runner's too: a traversal that rendered every
-  tile seals the frame's stats, so either driver loads what the other
-  saved.
+  16-tile segments instead, so every tile order reads each segment once
+  per replay.  Under a sealed manifest it loads each segment a group
+  touches, re-rendering and saving only one that is lost; an unsealed
+  frame renders whole, then is sealed with its stats.  A replay of a
+  sealed frame never builds the scene.  The batch runner keeps one
+  scanline traversal of this stream as its trace, so either driver
+  loads what the other saved.
 
 Both drivers yield bit-identical unit sequences for the same frame and
 order, which is what makes ``RunResult`` equality across
@@ -103,6 +104,8 @@ class BatchTileStream:
     """
 
     driver = "batch"
+    #: A materialized trace renders nothing when it is walked.
+    tiles_rendered = 0
 
     def __init__(self, trace: FrameTrace):
         self.trace = trace
@@ -132,13 +135,16 @@ class StreamingTileStream:
     ``DEFAULT_GROUP_TILES`` tiles) instead of O(frame), and every
     replay re-renders the frame.  With a
     :class:`~repro.sim.checkpoint.TileChunkStore` attached, tiles come
-    in the store's segments: a segment the traversal touches is loaded
-    whole, or re-rendered whole and saved when it is missing, torn or
-    corrupt, and its tiles are held until the traversal yields them.
-    The stream then holds the tiles of the segments it has opened and
-    not yet yielded: one group under ``zorder`` and ``hilbert``, a band
-    of segments under ``sorder`` and ``scanline`` (at 1960x768, 16,
-    32, 128 and 208 tiles).
+    in the store's segments, and its manifest is the commit record.
+    Under a seal, a segment the traversal touches is loaded whole, or
+    re-rendered whole and saved when it is missing, torn or corrupt.
+    An unsealed frame reads nothing from the store: every segment is
+    rendered and saved, and the traversal seals them with the frame's
+    stats.  A segment's tiles are held until the traversal yields them,
+    so the stream holds the tiles of the segments it has opened and not
+    yet yielded: one group under ``zorder`` and ``hilbert``, a band of
+    segments under ``sorder`` and ``scanline`` (at 1960x768, 16, 32,
+    128 and 208 tiles).
 
     ``workload`` is the built scene, or a zero-argument callable that
     builds it.  A callable runs the first time the stream needs the
@@ -198,9 +204,9 @@ class StreamingTileStream:
 
         Without a chunk store every group is rendered as the traversal
         reaches it.  With one, each group opens the segments it touches
-        (:class:`_Segments`), and the traversal ends by sealing the
-        store's manifest.  A traversal that rendered every tile sets
-        :attr:`stats`.
+        (:class:`_Segments`), and a traversal of an unsealed frame ends
+        by sealing the store's manifest.  A traversal that rendered every
+        tile sets :attr:`stats`.
         """
         store = self.chunk_store
         order = self._order
@@ -228,11 +234,11 @@ class StreamingTileStream:
                 yield TileWorkUnit(
                     tile, step, entry, _NO_LINES if step else vertex_lines
                 )
-            stats = None
-            if self.tiles_rendered - rendered == self.renderer.config.num_tiles:
+            config = self.renderer.config
+            if self.tiles_rendered - rendered == config.num_tiles:
                 stats = self.stats = self._pass.finish()
-            if segments is not None:
-                segments.seal_manifest(vertex_lines, stats)
+                if segments is not None and manifest is None:
+                    store.seal(config, vertex_lines, segments.hashes, stats)
         finally:
             # The frame's render state dies with the traversal, not
             # with the stream object.
@@ -242,12 +248,12 @@ class StreamingTileStream:
 class _Segments:
     """One checkpointed traversal's segment book-keeping.
 
-    Opens each segment the first time the traversal touches it: loads
-    it from the store or, on a miss, renders every missing segment of
-    the group with one ``iter_tiles`` call and saves each one whole, so
-    segments on disk are always complete.  Each segment's payload hash
-    is held to the sealed manifest's, or collected (with the frame's
-    quad and pixel totals) to seal a new manifest.
+    Opens each segment the first time the traversal touches it.  Under a
+    sealed manifest it loads the segment and holds its payload hash to
+    the sealed one; an unsealed frame's segments are never read, since
+    only the seal vouches for them.  Every segment not loaded is
+    rendered, all of a group's with one ``iter_tiles`` call, and saved
+    whole, so segments on disk are always complete.
     """
 
     def __init__(self, stream: StreamingTileStream, store, manifest):
@@ -260,7 +266,6 @@ class _Segments:
         #: Payload hash of every segment opened so far (``None``: not yet).
         self.hashes: List[Optional[str]] = [None] * len(self.tiles)
         self.sealed = None if manifest is None else manifest["segments"]
-        self.num_quads = self.pixels_shaded = 0
 
     def open_group(
         self, group: Sequence[TileCoord], held: Dict[TileCoord, TileTraceEntry]
@@ -269,12 +274,13 @@ class _Segments:
         store = self.store
         segment_tiles = self.tiles
         hashes = self.hashes
+        sealed = self.sealed
         missing: List[int] = []
         for index in dict.fromkeys(map(self.segment_of.__getitem__, group)):
             if hashes[index] is not None:
                 continue
             tiles = segment_tiles[index]
-            loaded = store.load_tile(index, tiles)
+            loaded = None if sealed is None else store.load_tile(index, tiles)
             if loaded is None:
                 missing.append(index)
             else:
@@ -300,33 +306,12 @@ class _Segments:
         content: str,
         held: Dict[TileCoord, TileTraceEntry],
     ) -> None:
-        """Check one opened segment against the manifest; hold its tiles."""
+        """Check one opened segment against the seal; hold its tiles."""
         sealed = self.sealed
-        if sealed is None:
-            for entry in entries:
-                columns = entry.columns
-                self.num_quads += len(columns)
-                self.pixels_shaded += columns.covered_pixels
-        elif sealed[index] != content:
+        if sealed is not None and sealed[index] != content:
             raise TraceIntegrityError(
                 f"segment {index} under {self.store.directory} does not "
                 "match its sealed manifest"
             )
         self.hashes[index] = content
         held.update(zip(tiles, entries))
-
-    def seal_manifest(
-        self, vertex_lines: Sequence[int], stats: Optional[RenderStats]
-    ) -> None:
-        """Seal the manifest after a traversal that opened every segment,
-        with ``stats`` when it rendered every tile (they upgrade a
-        manifest sealed without them)."""
-        if None in self.hashes or (self.sealed is not None and stats is None):
-            return
-        totals = (self.num_quads, self.pixels_shaded) if stats is None else (
-            stats.num_quads, stats.pixels_shaded
-        )
-        self.store.seal(
-            self.stream.renderer.config, vertex_lines, self.hashes, *totals,
-            stats,
-        )

@@ -12,7 +12,7 @@ campaign's :class:`~repro.sim.resilience.RunManifest` while the rest of
 the grid keeps running.  With a checkpoint directory, completed rows
 are journaled as they finish and pass-1 frames are kept in it, in the
 segment store both stream drivers share, so a killed campaign resumes
-from where it died without re-rendering anything; the manifest is
+from where it died without re-rendering a sealed frame; the manifest is
 written alongside as JSON.
 
 Every campaign is one grid walk over one task table: the baseline's

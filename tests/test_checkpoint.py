@@ -1,12 +1,14 @@
 """Tests for frame checkpointing: round trips, tampering, resume.
 
 A frame is stored one way for both stream drivers: the typed segments
-and sealed ``frame.json`` manifest of a :class:`TileChunkStore`.  A
-batch runner saves and loads whole frames through it
-(``save_frame`` / ``load_frame``), so these tests hold the batch half
-to the same round-trip, tamper and resume guarantees the streamed half
-has in ``test_stream``, and check that a frame either driver sealed
-serves the other.
+and sealed ``frame.json`` manifest of a :class:`TileChunkStore`, read
+and written through one :class:`StreamingTileStream`.  A batch runner
+keeps one scanline traversal of it as its trace
+(``ExperimentRunner.trace_for``), so these tests hold the batch half to
+the same round-trip, tamper and resume guarantees the streamed half has
+in ``test_stream``, check that a frame either driver sealed serves the
+other, and that the manifest is the commit record: only a seal, which
+always carries the frame's stats, vouches for a segment.
 """
 
 import dataclasses
@@ -33,9 +35,10 @@ from repro.sim.checkpoint import (
     trace_key,
     verify_trace,
 )
-from repro.sim.driver import FrameRenderer, TileTraceEntry
+from repro.sim.driver import DEFAULT_GROUP_TILES, FrameRenderer, TileTraceEntry
 from repro.sim.experiment import CHUNK_SUBDIR, ExperimentRunner
 from repro.sim.replay import TraceReplayer
+from repro.sim.stream import StreamingTileStream
 from repro.sim.sweep import DesignSweep
 from repro.texture.sampler import FilterMode, Sampler
 from repro.workloads.games import GAMES, build_game
@@ -49,6 +52,15 @@ def frame_store(store_dir, config, alias="SWa"):
     return ExperimentRunner(config, store_dir=store_dir).chunk_store_for(alias)
 
 
+def kept(store_dir, config, alias="SWa", stream="batch"):
+    """A fresh runner over ``store_dir`` after it kept ``alias``'s trace:
+    ``(trace, runner)``."""
+    runner = ExperimentRunner(
+        config, games=[alias], store_dir=store_dir, stream=stream
+    )
+    return runner.trace_for(alias), runner
+
+
 def read_segment(store, index=0):
     """The record reader's verdict on one segment: raises on damage."""
     return checkpoint._read_record(
@@ -57,10 +69,35 @@ def read_segment(store, index=0):
     )
 
 
+def first_segment(config):
+    """The tiles of a grid's segment 0."""
+    (tiles, *_), _ = segment_layout(config.tiles_x, config.tiles_y)
+    return tiles
+
+
 @pytest.fixture()
-def store(tmp_path, tiny_config):
+def store_dir(tmp_path):
+    return tmp_path / "traces"
+
+
+@pytest.fixture()
+def store(store_dir, tiny_config):
     """SWa's frame store, empty."""
-    return frame_store(tmp_path / "traces", tiny_config)
+    return frame_store(store_dir, tiny_config)
+
+
+@pytest.fixture()
+def rendered(monkeypatch):
+    """The tile count of every render a stream traversal makes."""
+    counts = []
+    render = StreamingTileStream._render
+
+    def spy(stream, tiles, held):
+        counts.append(len(tiles))
+        return render(stream, tiles, held)
+
+    monkeypatch.setattr(StreamingTileStream, "_render", spy)
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -137,73 +174,103 @@ class TestKeys:
 
 
 class TestRoundTrip:
-    def test_replay_results_identical(self, store, tiny_config, game_trace):
-        store.save_frame(game_trace)
-        loaded = store.load_frame(tiny_config)
-        assert loaded == game_trace
+    def test_replay_results_identical(self, store_dir, tiny_config, game_trace):
+        cold, _ = kept(store_dir, tiny_config)
+        loaded, runner = kept(store_dir, tiny_config)
+        assert cold == loaded == game_trace
+        assert runner.renders_performed == 0
         replayer = TraceReplayer(tiny_config)
         for design in (BASELINE, DTEXL_BEST):
             original = replayer.run(game_trace, design)
             reloaded = replayer.run(loaded, design)
             assert reloaded == original
 
-    def test_contains(self, store, tiny_config, game_trace):
+    def test_contains(self, store_dir, store, tiny_config, game_trace):
         """A frame loads once it is saved and sealed with its stats."""
-        assert store.load_frame(tiny_config) is None
-        store.save_frame(game_trace)
+        assert store.manifest() is None
+        _, cold = kept(store_dir, tiny_config)
+        assert cold.renders_performed == 1
         assert store.manifest()["stats"] == dataclasses.asdict(
             game_trace.stats
         )
-        assert store.load_frame(tiny_config) == game_trace
+        loaded, warm = kept(store_dir, tiny_config)
+        assert loaded == game_trace
+        assert warm.renders_performed == 0
 
-    def test_missing_checkpoint_is_a_miss(self, store, tiny_config, game_trace):
-        store.save_frame(game_trace)
+    def test_missing_checkpoint_is_a_miss(
+        self, store_dir, store, tiny_config, game_trace, rendered
+    ):
+        kept(store_dir, tiny_config)
         store.segment_path(0).unlink()
-        assert store.load_frame(tiny_config) is None
+        rendered.clear()
+        loaded, runner = kept(store_dir, tiny_config)
+        assert loaded == game_trace
+        assert runner.renders_performed == 1
+        assert sum(rendered) == len(first_segment(tiny_config))
+        assert store.segment_path(0).is_file()  # healed
 
 
 class TestTamperDetection:
-    """A damaged segment fails the record reader and loads as a miss."""
+    """A damaged segment fails the record reader and loads as a miss:
+    the batch runner re-renders its tiles and heals it."""
 
-    def _saved(self, store, trace):
-        store.save_frame(trace)
+    @staticmethod
+    def _saved(store_dir, store, config):
+        kept(store_dir, config)
         return store.segment_path(0)
 
-    def test_flipped_payload_byte(self, store, tiny_config, game_trace):
-        path = self._saved(store, game_trace)
+    @staticmethod
+    def _heals(store_dir, config, trace, rendered):
+        rendered.clear()
+        loaded, runner = kept(store_dir, config)
+        assert loaded == trace
+        assert runner.renders_performed == 1
+        assert sum(rendered) == len(first_segment(config))
+        loaded, runner = kept(store_dir, config)
+        assert loaded == trace
+        assert runner.renders_performed == 0
+
+    def test_flipped_payload_byte(
+        self, store_dir, store, tiny_config, game_trace, rendered
+    ):
+        path = self._saved(store_dir, store, tiny_config)
         blob = bytearray(path.read_bytes())
         blob[-10] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(TraceIntegrityError, match="hash mismatch"):
             read_segment(store)
-        assert store.load_frame(tiny_config) is None
+        self._heals(store_dir, tiny_config, game_trace, rendered)
 
-    def test_truncated_payload(self, store, tiny_config, game_trace):
-        path = self._saved(store, game_trace)
+    def test_truncated_payload(
+        self, store_dir, store, tiny_config, game_trace, rendered
+    ):
+        path = self._saved(store_dir, store, tiny_config)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(TraceIntegrityError):
             read_segment(store)
-        assert store.load_frame(tiny_config) is None
+        self._heals(store_dir, tiny_config, game_trace, rendered)
 
-    def test_corrupt_header(self, store, tiny_config, game_trace):
-        path = self._saved(store, game_trace)
+    def test_corrupt_header(
+        self, store_dir, store, tiny_config, game_trace, rendered
+    ):
+        path = self._saved(store_dir, store, tiny_config)
         blob = path.read_bytes()
         path.write_bytes(b"not json at all\n" + blob.split(b"\n", 1)[1])
         with pytest.raises(TraceIntegrityError):
             read_segment(store)
-        assert store.load_frame(tiny_config) is None
+        self._heals(store_dir, tiny_config, game_trace, rendered)
 
     @pytest.mark.parametrize("header", [b"[]", b"7"])
     def test_non_object_header(
-        self, store, tiny_config, game_trace, header
+        self, store_dir, store, tiny_config, game_trace, rendered, header
     ):
-        path = self._saved(store, game_trace)
+        path = self._saved(store_dir, store, tiny_config)
         payload = path.read_bytes().split(b"\n", 1)[1]
         path.write_bytes(header + b"\n" + payload)
         with pytest.raises(TraceIntegrityError, match="corrupt header"):
             read_segment(store)
-        assert store.load_frame(tiny_config) is None
+        self._heals(store_dir, tiny_config, game_trace, rendered)
 
     @pytest.mark.parametrize("header", [b"[]", b"7"])
     def test_non_object_chunk_header_is_a_miss(
@@ -218,19 +285,18 @@ class TestTamperDetection:
         path.write_bytes(header + b"\n" + payload)
         assert chunks.load_tile(0, tiles) is None
 
-    def test_key_mismatch(self, store, tmp_path, game_trace):
-        path = self._saved(store, game_trace)
+    def test_key_mismatch(self, store_dir, store, tmp_path, tiny_config):
+        path = self._saved(store_dir, store, tiny_config)
         other = TileChunkStore(tmp_path / "other", "0" * 64)
         shutil.copy(path, other.segment_path(0))
         with pytest.raises(TraceIntegrityError, match="written for key"):
             read_segment(other)
-        (tiles,), _ = segment_layout(
-            game_trace.config.tiles_x, game_trace.config.tiles_y
-        )
-        assert other.load_tile(0, tiles) is None
+        assert other.load_tile(0, first_segment(tiny_config)) is None
 
-    def test_wrong_version(self, store, tiny_config, game_trace):
-        path = self._saved(store, game_trace)
+    def test_wrong_version(
+        self, store_dir, store, tiny_config, game_trace, rendered
+    ):
+        path = self._saved(store_dir, store, tiny_config)
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
         header["version"] = 99
@@ -239,7 +305,7 @@ class TestTamperDetection:
         )
         with pytest.raises(TraceIntegrityError, match="version"):
             read_segment(store)
-        assert store.load_frame(tiny_config) is None
+        self._heals(store_dir, tiny_config, game_trace, rendered)
 
 
 class TestStructuralInvariants:
@@ -285,9 +351,9 @@ class TestCountersReadColumns:
         assert TraceSanitizer(tiny_config).check(
             game_trace, result, BASELINE
         ) == []
-        # A chunked streaming replay counts while tiles flow past and
-        # seals the totals into the frame meta, and a batch load of the
-        # frame verifies them off the columns too.
+        # A chunked streaming replay seals the render's totals into the
+        # frame meta, and a batch load of the frame verifies them off
+        # the columns too.
         runner = ExperimentRunner(
             tiny_config, games=["SWa"], stream="streaming",
             store_dir=tmp_path / "traces",
@@ -297,7 +363,9 @@ class TestCountersReadColumns:
         meta = store.frame_meta()
         assert meta["num_quads"] == game_trace.stats.num_quads
         assert meta["pixels_shaded"] == game_trace.stats.pixels_shaded
-        assert store.load_frame(tiny_config) == game_trace
+        loaded, reader = kept(tmp_path / "traces", tiny_config)
+        assert loaded == game_trace
+        assert reader.renders_performed == 0
 
 
 class TestRunnerIntegration:
@@ -369,7 +437,7 @@ class TestVersionOneCheckpoints:
         place: the batch runner re-renders and heals the segment."""
         store_dir = tmp_path / "traces"
         store = frame_store(store_dir, tiny_config)
-        store.save_frame(game_trace)
+        kept(store_dir, tiny_config)
         key = store.key
         legacy = dataclasses.replace(game_trace, tiles={
             tile: version1_entry(entry)
@@ -384,14 +452,16 @@ class TestVersionOneCheckpoints:
         write_version1(store.segment_path(0), header, legacy)
         with pytest.raises(TraceIntegrityError, match="version 1"):
             read_segment(store)
-        assert store.load_frame(tiny_config) is None
+        assert store.load_tile(0, first_segment(tiny_config)) is None
         runner = ExperimentRunner(
             tiny_config, games=["SWa"], store_dir=store_dir
         )
         assert runner.trace_for("SWa") == game_trace
         assert runner.renders_performed == 1
         # The re-render replaced the stale segment with a loadable one.
-        assert store.load_frame(tiny_config) == game_trace
+        loaded, reader = kept(store_dir, tiny_config)
+        assert loaded == game_trace
+        assert reader.renders_performed == 0
 
     def test_version1_tile_chunk_is_rerendered(
         self, tmp_path, tiny_config, game_trace
@@ -497,10 +567,20 @@ class TestCrossDriver:
         assert not list(tmp_path.rglob("*.trace"))
 
 
+def segment_files(store):
+    """Every segment file of a store's frame: ``{name: bytes}``."""
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(store.directory.glob("*.seg"))
+    }
+
+
 class TestLoadedTraceEqualsTheRender:
-    """For every game at 512x256, a frame sealed by either driver loads
-    as the batch render: equal, in its tile order, with its dtypes, its
-    digest and its replays."""
+    """For every game at 512x256, the batch runner's kept traversal is
+    the batch render with no store, a cold store or a warm one, and
+    over a frame a streamed replay sealed: equal, in its tile order,
+    with its dtypes, its digest and its replays.  Both drivers write the
+    same files."""
 
     @pytest.fixture(scope="class")
     def renders(self):
@@ -518,8 +598,10 @@ class TestLoadedTraceEqualsTheRender:
             design: replayer.run(trace, design)
             for design in (BASELINE, DTEXL_BEST)
         }
-        batch = frame_store(tmp_path / "batch", SEGMENTED, alias)
-        batch.save_frame(trace)
+        loads = [
+            kept(store_dir, SEGMENTED, alias)
+            for store_dir in (None, tmp_path / "batch", tmp_path / "batch")
+        ]
         streaming = ExperimentRunner(
             SEGMENTED, games=[alias], store_dir=tmp_path / "streaming",
             stream="streaming",
@@ -527,58 +609,177 @@ class TestLoadedTraceEqualsTheRender:
         stream = streaming.stream_for(alias)
         assert replayer.run_stream(stream, DTEXL_BEST) == want[DTEXL_BEST]
         assert stream.stats == trace.stats  # z_cull_rate included
+        loads.append(kept(tmp_path / "streaming", SEGMENTED, alias))
+        assert [runner.renders_performed for _, runner in loads] == [
+            1, 1, 0, 0,
+        ]
+        batch = frame_store(tmp_path / "batch", SEGMENTED, alias)
         streamed = streaming.chunk_store_for(alias)
         assert streamed.manifest()["stats"] == dataclasses.asdict(trace.stats)
+        assert batch.manifest() == streamed.manifest()
+        assert segment_files(batch) == segment_files(streamed)
+        assert len(segment_files(batch)) == 8
         want_digest = trace_digest(trace)
-        for store in (batch, streamed):
-            loaded = store.load_frame(SEGMENTED)
+        for loaded, _ in loads:
             assert loaded == trace
             assert list(loaded.tiles) == list(trace.tiles)  # scanline
             assert column_dtypes(loaded) == column_dtypes(trace)
             assert trace_digest(loaded) == want_digest
-            assert store.frame_meta()["digest"] == want_digest
             for design, result in want.items():
                 assert replayer.run(loaded, design) == result
+        for store in (batch, streamed):
+            assert store.frame_meta()["digest"] == want_digest
+
+
+@pytest.fixture(scope="module")
+def segmented_trace():
+    """SWa at 512x256, eight segments, rendered once."""
+    trace, _ = FrameRenderer(SEGMENTED).render(build_game("SWa", SEGMENTED))
+    return trace
+
+
+class TestCommitRecord:
+    """The manifest is the commit record: segments are read only under a
+    seal, and every seal carries the frame's stats."""
+
+    @pytest.fixture()
+    def loads(self, monkeypatch):
+        """The segment index of every ``load_tile`` call."""
+        calls = []
+        load = TileChunkStore.load_tile
+
+        def spy(store, index, tiles):
+            calls.append(index)
+            return load(store, index, tiles)
+
+        monkeypatch.setattr(TileChunkStore, "load_tile", spy)
+        return calls
+
+    def test_unsealed_segments_never_load(
+        self, tmp_path, segmented_trace, loads
+    ):
+        """Segments a killed first traversal saved before it sealed are
+        never read: under either driver the next traversal renders every
+        tile and seals the render's stats."""
+        trace = segmented_trace
+        cold = ExperimentRunner(
+            SEGMENTED, games=["SWa"], store_dir=tmp_path, stream="streaming",
+        )
+        want = cold.run("SWa", DTEXL_BEST)
+        store = cold.chunk_store_for("SWa")
+        sealed = store.manifest()
+        assert sealed["stats"] == dataclasses.asdict(trace.stats)
+        # A first traversal killed before its seal: segments, no manifest.
+        store.manifest_path().unlink()
+        resumed = ExperimentRunner(
+            SEGMENTED, games=["SWa"], store_dir=tmp_path, stream="streaming",
+        )
+        stream = resumed.stream_for("SWa")
+        loads.clear()
+        assert resumed.replayer.run_stream(stream, DTEXL_BEST) == want
+        assert loads == []
+        assert stream.tiles_rendered == SEGMENTED.num_tiles
+        assert stream.stats == trace.stats
+        assert store.manifest() == sealed
+        store.manifest_path().unlink()
+        loaded, batch = kept(tmp_path, SEGMENTED)
+        assert loads == []
+        assert loaded == trace
+        assert batch.renders_performed == 1
+        assert store.manifest() == sealed
+        for driver in ("batch", "streaming"):
+            reader = ExperimentRunner(
+                SEGMENTED, games=["SWa"], store_dir=tmp_path, stream=driver,
+            )
+            assert reader.run("SWa", DTEXL_BEST) == want
+            assert reader.renders_performed == 0
+        assert sorted(loads) == sorted(2 * list(range(8)))  # one each
+
+    @pytest.mark.parametrize("driver", ["batch", "streaming"])
+    def test_stats_less_manifest_reseals(
+        self, tmp_path, segmented_trace, rendered, driver
+    ):
+        """A manifest without stats (as written before seals carried
+        them) reads as unsealed: one full render and a fresh seal with
+        stats, then nothing renders."""
+        trace = segmented_trace
+        kept(tmp_path, SEGMENTED)
+        store = frame_store(tmp_path, SEGMENTED)
+        sealed = store.manifest()
+        rewrite_manifest(store, stats=None)
+        assert store.manifest() is None
+        rendered.clear()
+        runner = ExperimentRunner(
+            SEGMENTED, games=["SWa"], store_dir=tmp_path, stream=driver,
+        )
+        want = TraceReplayer(SEGMENTED).run(trace, DTEXL_BEST)
+        assert runner.run("SWa", DTEXL_BEST) == want
+        assert runner.renders_performed == 1
+        assert sum(rendered) == SEGMENTED.num_tiles
+        assert store.manifest() == sealed
+        rendered.clear()
+        for reader_driver in ("batch", "streaming"):
+            reader = ExperimentRunner(
+                SEGMENTED, games=["SWa"], store_dir=tmp_path,
+                stream=reader_driver,
+            )
+            assert reader.run("SWa", DTEXL_BEST) == want
+            assert reader.renders_performed == 0
+        assert rendered == []
+
+    @pytest.mark.parametrize("damage", ["delete", "truncate", "flip"])
+    def test_batch_miss_heals_one_segment(
+        self, tmp_path, segmented_trace, rendered, damage
+    ):
+        """A lost segment of a sealed frame costs the batch runner its 16
+        tiles: only that file is rewritten, and the trace is the
+        render."""
+        kept(tmp_path, SEGMENTED)
+        store = frame_store(tmp_path, SEGMENTED)
+        paths = sorted(store.directory.glob("*.seg")) + [store.manifest_path()]
+        before = {path: path.read_bytes() for path in paths}
+        stamps = {path: path.stat() for path in paths}
+        victim = store.segment_path(5)
+        if damage == "delete":
+            victim.unlink()
+        elif damage == "truncate":
+            victim.write_bytes(before[victim][: len(before[victim]) // 2])
+        else:
+            victim.write_bytes(
+                before[victim][:-1] + bytes([before[victim][-1] ^ 0xFF])
+            )
+        rendered.clear()
+        loaded, runner = kept(tmp_path, SEGMENTED)
+        assert loaded == segmented_trace
+        assert runner.renders_performed == 1
+        assert sum(rendered) == DEFAULT_GROUP_TILES
+        assert {path: path.read_bytes() for path in paths} == before
+        rewritten = [
+            path.name for path in paths
+            if (path.stat().st_ino, path.stat().st_mtime_ns)
+            != (stamps[path].st_ino, stamps[path].st_mtime_ns)
+        ]
+        assert rewritten == [victim.name]
+
+    def test_stats_that_disagree_with_the_segments_fail_closed(
+        self, tmp_path, segmented_trace
+    ):
+        """A sealed manifest's stats must agree with its intact segments:
+        the batch runner verifies what it loads."""
+        kept(tmp_path, SEGMENTED)
+        store = frame_store(tmp_path, SEGMENTED)
+        stats = store.manifest()["stats"]
+        rewrite_manifest(store, stats=dict(
+            stats, num_quads=stats["num_quads"] + 1
+        ))
+        assert store.manifest() is not None
+        with pytest.raises(TraceIntegrityError, match="RenderStats"):
+            kept(tmp_path, SEGMENTED)
 
 
 class TestSealedStats:
-    """Only a traversal that rendered every tile seals stats; a batch
-    load of a frame sealed without them renders once and upgrades it."""
-
-    def test_partial_traversal_seals_none_and_batch_upgrades(
-        self, tmp_path
-    ):
-        def runner(stream):
-            return ExperimentRunner(
-                SEGMENTED, games=["SWa"], store_dir=tmp_path, stream=stream
-            )
-
-        trace, _ = FrameRenderer(SEGMENTED).render(
-            build_game("SWa", SEGMENTED)
-        )
-        cold = runner("streaming")
-        want = cold.run("SWa", DTEXL_BEST)
-        store = cold.chunk_store_for("SWa")
-        assert store.manifest()["stats"] == dataclasses.asdict(trace.stats)
-        # Lose the manifest and one segment: the next traversal loads
-        # seven segments, renders one and seals without stats.
-        store.manifest_path().unlink()
-        store.segment_path(3).unlink()
-        partial = runner("streaming")
-        stream = partial.stream_for("SWa")
-        assert partial.replayer.run_stream(stream, DTEXL_BEST) == want
-        assert 0 < stream.tiles_rendered < SEGMENTED.num_tiles
-        assert stream.stats is None
-        assert "stats" not in store.manifest()
-        assert store.load_frame(SEGMENTED) is None
-        upgrader = runner("batch")
-        assert upgrader.trace_for("SWa") == trace
-        assert upgrader.renders_performed == 1
-        assert store.manifest()["stats"] == dataclasses.asdict(trace.stats)
-        for stream_driver in ("batch", "streaming"):
-            reader = runner(stream_driver)
-            assert reader.run("SWa", DTEXL_BEST) == want
-            assert reader.renders_performed == 0
+    """A manifest whose stats are not exactly a :class:`RenderStats` is
+    no seal: its frame renders once and is sealed with them."""
 
     @pytest.mark.parametrize("damage", [
         "missing", "extra", "string", "bool", "int-for-float", "list",
@@ -587,7 +788,7 @@ class TestSealedStats:
         self, tmp_path, tiny_config, game_trace, damage
     ):
         store = frame_store(tmp_path, tiny_config)
-        store.save_frame(game_trace)
+        kept(tmp_path, tiny_config)
         good = store.manifest()["stats"]
         stats = dict(good)
         if damage == "missing":
@@ -603,12 +804,12 @@ class TestSealedStats:
         else:
             stats = list(stats.values())
         rewrite_manifest(store, stats=stats)
-        assert store.load_frame(tiny_config) is None
+        assert store.manifest() is None
         runner = ExperimentRunner(tiny_config, games=["SWa"], store_dir=tmp_path)
         assert runner.trace_for("SWa") == game_trace
         assert runner.trace_for("SWa").stats == game_trace.stats
         assert runner.renders_performed == 1
-        assert store.manifest()["stats"] == good  # upgraded
+        assert store.manifest()["stats"] == good  # sealed again
         reader = ExperimentRunner(tiny_config, games=["SWa"], store_dir=tmp_path)
         assert reader.trace_for("SWa") == game_trace
         assert reader.renders_performed == 0
@@ -619,18 +820,13 @@ class TestSegmentCount:
     closed for every reader, not only for the streamed replay."""
 
     def test_too_few_sealed_segments_fail_closed(self, tmp_path):
-        trace, _ = FrameRenderer(SEGMENTED).render(
-            build_game("SWa", SEGMENTED)
-        )
         store = frame_store(tmp_path, SEGMENTED)
-        store.save_frame(trace)
+        kept(tmp_path, SEGMENTED)
         sealed = json.loads(store.manifest_path().read_text())["segments"]
         assert len(sealed) == 8
         rewrite_manifest(store, segments=sealed[:7], digest=None)
         with pytest.raises(TraceIntegrityError, match="seals 7 segments"):
             store.frame_meta()
-        with pytest.raises(TraceIntegrityError, match="seals 7 segments"):
-            store.load_frame(SEGMENTED)
         with pytest.raises(TraceIntegrityError, match="seals 7 segments"):
             ExperimentRunner(
                 SEGMENTED, games=["SWa"], store_dir=tmp_path

@@ -567,7 +567,12 @@ class TestParallelSweep:
         for key in keys:
             chunks = TileChunkStore(frames / key, key)
             assert chunks.frame_meta() is not None
-            assert chunks.load_frame(tiny_config) is not None
+        reader = ExperimentRunner(
+            tiny_config, games=games, store_dir=tmp_path / TRACE_SUBDIR
+        )
+        for alias in games:
+            assert reader.trace_for(alias).stats.num_quads > 0
+        assert reader.renders_performed == 0
 
     def test_parallel_resume_skips_completed_rows(
         self, tmp_path, tiny_config

@@ -252,54 +252,74 @@ def read_segment(chunks):
 class TestCheckpointFaults:
     """Both drivers save and load frames through the same segment
     records and checkpoint sites: the record reader raises on a damaged
-    segment, and the store loads it as a miss."""
+    segment, and the store loads it as a miss that re-renders."""
 
-    def test_torn_write_detected_on_load(self, tmp_path, tiny_trace):
-        frame = TileChunkStore(tmp_path / "frame", "k")
+    @staticmethod
+    def _runner(tmp_path, tiny_config):
+        return ExperimentRunner(
+            tiny_config, games=[GAME], store_dir=tmp_path / "frame"
+        )
+
+    def _heals(self, tmp_path, tiny_config, want):
+        healer = self._runner(tmp_path, tiny_config)
+        assert healer.trace_for(GAME) == want
+        assert healer.renders_performed == 1  # damaged segment = miss
+
+    def test_torn_write_detected_on_load(self, tmp_path, tiny_config):
+        runner = self._runner(tmp_path, tiny_config)
+        frame = runner.chunk_store_for(GAME)
         chunks = TileChunkStore(tmp_path / "chunks", "c")
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_SAVE, kind=faults.KIND_TORN_WRITE,
         ),))
         with faults.armed(plan):
-            frame.save_frame(tiny_trace)
-            tiles = save_segment(chunks, tiny_trace)
-        assert [event.key for event in plan.fired] == ["k:s0", "c:s0"]
+            want = runner.trace_for(GAME)
+            tiles = save_segment(chunks, want)
+        assert [event.key for event in plan.fired] == [
+            f"{frame.key}:s0", "c:s0",
+        ]
         with pytest.raises(TraceIntegrityError):
             read_segment(frame)
-        assert frame.load_frame(tiny_trace.config) is None
+        self._heals(tmp_path, tiny_config, want)
         assert chunks.load_tile(0, tiles) is None
 
     def test_truncated_load_raises_checkpoint_error(
-        self, tmp_path, tiny_trace
+        self, tmp_path, tiny_config
     ):
-        frame = TileChunkStore(tmp_path / "frame", "k")
-        frame.save_frame(tiny_trace)
+        runner = self._runner(tmp_path, tiny_config)
+        want = runner.trace_for(GAME)
+        frame = runner.chunk_store_for(GAME)
         chunks = TileChunkStore(tmp_path / "chunks", "c")
-        tiles = save_segment(chunks, tiny_trace)
+        tiles = save_segment(chunks, want)
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_TRUNCATE,
         ),))
         with faults.armed(plan):
             with pytest.raises(CheckpointError):
                 read_segment(frame)
-            assert frame.load_frame(tiny_trace.config) is None
+            self._heals(tmp_path, tiny_config, want)
             assert chunks.load_tile(0, tiles) is None
-        assert [event.key for event in plan.fired] == ["k:s0", "c:s0"]
+        assert [event.key for event in plan.fired] == [
+            f"{frame.key}:s0", "c:s0",
+        ]
 
-    def test_corrupt_byte_fails_payload_hash(self, tmp_path, tiny_trace):
-        frame = TileChunkStore(tmp_path / "frame", "k")
-        frame.save_frame(tiny_trace)
+    def test_corrupt_byte_fails_payload_hash(self, tmp_path, tiny_config):
+        runner = self._runner(tmp_path, tiny_config)
+        want = runner.trace_for(GAME)
+        frame = runner.chunk_store_for(GAME)
         chunks = TileChunkStore(tmp_path / "chunks", "c")
-        tiles = save_segment(chunks, tiny_trace)
+        tiles = save_segment(chunks, want)
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_CORRUPT,
         ),))
         with faults.armed(plan):
             with pytest.raises(TraceIntegrityError, match="hash mismatch"):
                 read_segment(frame)
-            assert frame.load_frame(tiny_trace.config) is None
+            self._heals(tmp_path, tiny_config, want)
             assert chunks.load_tile(0, tiles) is None
-        assert [event.key for event in plan.fired] == ["k:s0", "c:s0"]
+        assert [event.key for event in plan.fired] == [
+            f"{frame.key}:s0", "c:s0",
+        ]
 
     def test_corrupt_checkpoint_heals_by_rerender(self, tmp_path, tiny_config):
         seeder = ExperimentRunner(
@@ -422,18 +442,29 @@ class TestCheckpointFaults:
         )
         (frame,) = (tmp_path / TRACE_SUBDIR / CHUNK_SUBDIR).iterdir()
         store = TileChunkStore(frame, frame.name)
-        want = store.load_frame(tiny_config)
-        assert want is not None
+
+        def load():
+            """A fresh batch runner's trace of the campaign's frame."""
+            runner = ExperimentRunner(
+                tiny_config, games=[GAME], store_dir=tmp_path / TRACE_SUBDIR
+            )
+            return runner.trace_for(GAME), runner.renders_performed
+
+        want, renders = load()
+        assert renders == 0
         path = store.segment_path(0)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(CheckpointError):
             read_segment(store)
-        assert store.load_frame(tiny_config) is None
+        (tiles, *_), _ = segment_layout(
+            tiny_config.tiles_x, tiny_config.tiles_y
+        )
+        assert store.load_tile(0, tiles) is None
         report = make_sweep().run(
             make_runner(tiny_config), checkpoint_dir=tmp_path, jobs=2
         )
         assert_rows_match(report, reference)
-        assert store.load_frame(tiny_config) == want  # healed
+        assert load() == (want, 0)  # healed
 
 
 class TestJournalFaults:

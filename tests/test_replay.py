@@ -19,8 +19,9 @@ from repro.core.dtexl import (
 )
 from repro.errors import BudgetExceededError
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim.checkpoint import TileChunkStore, trace_digest
+from repro.sim.checkpoint import trace_digest
 from repro.sim.driver import FrameRenderer
+from repro.sim.experiment import ExperimentRunner
 from repro.sim.replay import TraceReplayer, memory_key
 from repro.sim.resilience import ReplayBudget
 from repro.sim.stream import BatchTileStream
@@ -414,19 +415,21 @@ class TestScheduleMemo:
         gc.collect()
         assert alive() is None
 
-    def test_copies_and_loads_start_empty(
-        self, tmp_path, tiny_config, tiny_trace
-    ):
-        trace = fresh(tiny_trace)
+    def test_copies_and_loads_start_empty(self, tmp_path, tiny_config):
+        def kept():
+            """SWa's trace, kept by a fresh batch runner over the store."""
+            return ExperimentRunner(
+                tiny_config, games=["SWa"], store_dir=tmp_path
+            ).trace_for("SWa")
+
+        trace = kept()
         digest = trace_digest(trace)
         TraceReplayer(tiny_config).run(trace, BASELINE)
         assert len(trace.schedule_memo) == 1
-        store = TileChunkStore(tmp_path, "k")
-        store.save_frame(trace)
         others = [
             copy.copy(trace), copy.deepcopy(trace),
             dataclasses.replace(trace), pickle.loads(pickle.dumps(trace)),
-            store.load_frame(tiny_config),
+            kept(),
         ]
         for other in others:
             assert other.schedule_memo == {}

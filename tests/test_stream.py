@@ -171,10 +171,13 @@ class TestMultiChunkStreams:
         assert warm == want
         assert stream.tiles_rendered == 0
 
-    def test_misses_in_both_groups_rerender_and_reseal(self, batch, tmp_path):
+    def test_misses_in_both_groups_rerender_under_the_seal(
+        self, batch, tmp_path
+    ):
         """A deleted segment whose tiles both traversal groups consume
-        re-renders whole, and the mixed frame seals to the batch
-        trace's digest again."""
+        re-renders whole, once, under the seal it must match: the
+        manifest is not rewritten, and the healed frame's digest is the
+        batch trace's."""
         want, trace = batch
         self.streamed(TileChunkStore(tmp_path, "k"))
         store = TileChunkStore(tmp_path, "k")
@@ -182,11 +185,13 @@ class TestMultiChunkStreams:
         segments, segment_of = segment_layout(MULTI.tiles_x, MULTI.tiles_y)
         groups = [order[:DEFAULT_GROUP_TILES], order[DEFAULT_GROUP_TILES:]]
         assert all(1 in {segment_of[tile] for tile in g} for g in groups)
+        sealed = store.manifest_path().read_bytes()
         store.segment_path(1).unlink()
-        store.manifest_path().unlink()
         result, stream = self.streamed(store)
         assert result == want
         assert stream.tiles_rendered == len(segments[1])
+        assert store.segment_path(1).is_file()
+        assert store.manifest_path().read_bytes() == sealed
         assert store.frame_meta()["digest"] == trace_digest(trace)
 
 
@@ -711,7 +716,8 @@ class TestProtocol:
 
 class TestChunkStore:
     def test_chunk_chain_terminates_in_trace_digest(self, tmp_path, replayer):
-        """The store's sealed digest IS the batch trace digest."""
+        """The store's sealed digest IS the batch trace digest, and a
+        kept scanline traversal of the sealed frame is the trace."""
         batch, trace = batch_result("SWa", BASELINE, replayer)
         store = TileChunkStore(tmp_path / "chunks", "k1")
         streamed, stream = streaming_result(
@@ -719,7 +725,13 @@ class TestChunkStore:
         )
         assert streamed == batch
         assert store.frame_meta()["digest"] == trace_digest(trace)
-        assert store.load_frame(TINY).vertex_lines == list(trace.vertex_lines)
+        warm = StreamingTileStream(
+            FrameRenderer(TINY), build_game("SWa", TINY), chunk_store=store
+        )
+        units = list(warm.open(scanline_order(TINY.tiles_x, TINY.tiles_y)))
+        assert warm.tiles_rendered == 0
+        assert units[0].vertex_lines == list(trace.vertex_lines)
+        assert {unit.tile: unit.entry for unit in units} == trace.tiles
 
     def test_second_replay_loads_every_chunk(self, tmp_path, replayer):
         store = TileChunkStore(tmp_path / "chunks", "k1")

@@ -198,7 +198,8 @@ def time_sweep(config, games, jobs: int, store_dir) -> float:
 
     Both the serial and the parallel leg load pass-1 from the same
     frame stores under ``store_dir``, so the comparison isolates the
-    replay fan-out.
+    replay fan-out.  Each leg starts with no schedule record in them,
+    so neither reuses a memory half the other computed.
     """
     sweep = DesignSweep(
         groupings=("FG-xshift2", "CG-square"),
@@ -206,6 +207,8 @@ def time_sweep(config, games, jobs: int, store_dir) -> float:
         orders=("zorder",),
         decoupled=(True,),
     )
+    for record in Path(store_dir).rglob("*.work"):
+        record.unlink()
     runner = ExperimentRunner(config, games=list(games), store_dir=store_dir)
     t0 = time.perf_counter()
     sweep.run(runner, jobs=jobs)

@@ -168,8 +168,9 @@ def cmd_replay(args) -> int:
     if stream == "batch":
         # Render before the profiled phase.  Streamed dataflows render
         # inside the replay loop instead, so there pass 1 is part of
-        # the profiled phase and each design point pays its own
-        # (bounded-memory) render.
+        # the profiled phase, paid by each design point whose memory
+        # key the runner does not hold yet (a bounded-memory render
+        # each); the others replay only the timing half.
         runner.trace_for(args.game)
     if profiling:
         import cProfile

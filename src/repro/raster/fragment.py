@@ -123,6 +123,19 @@ class TileQuads:
         self._stream = None
 
     @classmethod
+    def frozen(cls, tile, *columns) -> "TileQuads":
+        """Columns that are read-only arrays already, in :attr:`FIELDS`
+        order, taken as they are (a checkpoint load's slices of its
+        frozen segment columns): no conversion and no flag writes."""
+        quads = cls.__new__(cls)
+        quads.tile = tile
+        (quads.qx, quads.qy, quads.primitive_id, quads.texture_id,
+         quads.coverage_code, quads.alu_cycles, quads.lod, quads.blend,
+         quads.lines, quads.line_offsets) = columns
+        quads._stream = None
+        return quads
+
+    @classmethod
     def empty(cls) -> "TileQuads":
         """No quads (the state of every tile nothing was shaded in)."""
         ints = np.zeros(0, dtype=np.int64)

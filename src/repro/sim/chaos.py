@@ -51,8 +51,9 @@ DEFAULT_CHAOS_GAMES: Tuple[str, ...] = ("SWa",)
 #: Faults every trial may sample.  They fire wherever the replay path
 #: runs: in the parent on a serial trial, in the pool workers when the
 #: trial runs jobs > 1.  The checkpoint sites fire on 16-tile segments
-#: whichever dataflow the trial draws: a batch runner saves and loads
-#: its frames through the same segment store as a streamed replay.
+#: and on schedule records whichever dataflow the trial draws: a batch
+#: runner saves and loads its frames and memory halves through the same
+#: store as a streamed replay.
 _PARENT_FAULTS: Tuple[Tuple[str, str], ...] = (
     (faults.SITE_CHECKPOINT_SAVE, faults.KIND_TORN_WRITE),
     (faults.SITE_CHECKPOINT_LOAD, faults.KIND_TRUNCATE),

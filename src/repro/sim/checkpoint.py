@@ -11,7 +11,9 @@ This module makes pass-1 results durable:
   stream drivers: ``DEFAULT_GROUP_TILES``-tile segments plus a
   ``frame.json`` manifest, the frame's commit record, sealing their
   hashes and its :class:`RenderStats`.  A frame either driver sealed
-  serves the other.
+  serves the other.  Beside the segments, one ``<memory key>.work``
+  schedule record per memory half computed from the frame, bound to
+  the seal it was computed under.
 * :func:`verify_trace` — the structural invariants a loaded trace must
   hold; any violation raises :class:`~repro.errors.TraceIntegrityError`.
 * :class:`SweepProgress` — an append-only journal of completed sweep
@@ -26,7 +28,10 @@ This module makes pass-1 results durable:
 Segment file layout (version 4): one ASCII JSON header line holding the
 key, segment index and payload SHA-256, a newline, then a typed payload
 (:func:`_pack_segment`) decoded with ``np.frombuffer``, so no
-checkpoint read rebuilds a Python object from stored bytes.  One atomic
+checkpoint read rebuilds a Python object from stored bytes.  A schedule
+record has the same form: its header holds the key, the memory key and
+the seal, its payload is
+:meth:`~repro.sim.replay.ScheduleWork.to_bytes`.  One atomic
 writer (temp file + ``os.replace``, so a crash mid-save never leaves a
 half-written checkpoint that a later ``--resume`` would trust) and one
 verifying reader hold the ``checkpoint.save`` and ``checkpoint.load``
@@ -486,13 +491,14 @@ def _unpack_segment(
 ) -> Tuple[List[TileCoord], List[TileTraceEntry]]:
     """The tiles and entries of a :func:`_pack_segment` payload.
 
-    Every column is decoded with ``np.frombuffer`` and widened back to
-    the dtype the render produces (int64, float64, bool), and the fetch
-    lines to a list of ints, so the entries equal rendered ones, dtypes
-    included.  Raises :class:`TraceIntegrityError` when the layout does
-    not add up: an unknown dtype code, a count that disagrees with the
-    byte lengths or the line offsets, offsets that fall inside a tile,
-    or trailing bytes.
+    Every column is decoded with ``np.frombuffer``, widened back to the
+    dtype the render produces (int64, float64, bool) and frozen once, so
+    each tile's :class:`TileQuads` takes read-only slices of it as they
+    are; the fetch lines become a list of ints.  So the entries equal
+    rendered ones, dtypes included.  Raises :class:`TraceIntegrityError`
+    when the layout does not add up: an unknown dtype code, a count that
+    disagrees with the byte lengths or the line offsets, offsets that
+    fall inside a tile, or trailing bytes.
     """
     if len(data) < _HEAD_WORDS * 8:
         raise TraceIntegrityError("segment payload has no index block")
@@ -525,9 +531,10 @@ def _unpack_segment(
     decoded = []
     offset = start
     for dtype, length, size, widened in zip(dtypes, lengths, sizes, _WIDENED):
-        decoded.append(
-            np.frombuffer(data, dtype, length, offset).astype(widened)
-        )
+        column = np.frombuffer(data, dtype, length, offset).astype(widened)
+        # Frozen once per segment: every tile's slices are read-only.
+        column.flags.writeable = False
+        decoded.append(column)
         offset += size
     (qx, qy, primitive_id, texture_id, code, alu, flat, offsets, fetch,
      lod, blend) = decoded
@@ -555,7 +562,7 @@ def _unpack_segment(
         if first == last:
             columns = TileQuads.empty()
         else:
-            columns = TileQuads(
+            columns = TileQuads.frozen(
                 tile, qx[first:last], qy[first:last],
                 primitive_id[first:last], texture_id[first:last],
                 code[first:last], alu[first:last], lod[first:last],
@@ -595,6 +602,15 @@ def _sealed_stats(stats: Any) -> bool:
     }
 
 
+def _seal_of(manifest: Dict[str, Any]) -> str:
+    """What a schedule record is bound to: the SHA-256 of everything a
+    replay reads from a sealed manifest, the segment hashes and the
+    vertex prologue.  The cached ``digest`` stays out: it is added after
+    the seal."""
+    text = _canonical_json([manifest["segments"], manifest["vertex_lines"]])
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 class TileChunkStore:
     """A frame's segment store: the one on-disk form of a frame.
 
@@ -619,6 +635,15 @@ class TileChunkStore:
     Under a seal, a missing, torn or corrupt segment is a *cache miss*
     that re-renders its 16 tiles, never an error.  A write that fails
     with :class:`OSError` costs the file, never the replay.
+
+    The store also keeps one schedule record per
+    :func:`~repro.sim.replay.memory_key`, ``<memory key>.work``: the
+    memory half of a replay of this frame, written by the replay that
+    computed it (:meth:`save_work`) and read by any later replay of an
+    equal key (:meth:`load_work`), in any process.  A record is read
+    only under a sealed manifest and only if its header names this
+    frame, its key and the current seal (:func:`_seal_of`); anything
+    else is a miss that recomputes and rewrites it.
     """
 
     MANIFEST_FILENAME = "frame.json"
@@ -688,9 +713,10 @@ class TileChunkStore:
 
         Reads one small file and hashes nothing: this is what a replay
         consults.  An unreadable manifest, one of another key or
-        version, or one without the frame's :class:`RenderStats` counts
-        as unsealed; one that seals more or fewer segments than its grid
-        has raises :class:`TraceIntegrityError`.
+        version, one without the frame's :class:`RenderStats`, or one
+        whose top-level ``num_quads``/``pixels_shaded`` disagree with
+        them counts as unsealed; one that seals more or fewer segments
+        than its grid has raises :class:`TraceIntegrityError`.
         """
         path = self.manifest_path()
         if not path.is_file():
@@ -710,6 +736,8 @@ class TileChunkStore:
             or not isinstance(manifest.get("num_quads"), int)
             or not isinstance(manifest.get("pixels_shaded"), int)
             or not _sealed_stats(manifest.get("stats"))
+            or manifest["num_quads"] != manifest["stats"]["num_quads"]
+            or manifest["pixels_shaded"] != manifest["stats"]["pixels_shaded"]
             or _segments_of(manifest["config"]) is None
         ):
             return None
@@ -769,6 +797,52 @@ class TileChunkStore:
         )
         self._write_manifest(manifest)
         return manifest
+
+    # -- schedule records ------------------------------------------------------
+
+    def work_path(self, key: str) -> Path:
+        return self.directory / f"{key}.work"
+
+    def save_work(self, key: str, data: bytes) -> None:
+        """Persist one memory half's record, bound to the current seal.
+
+        ``key`` is the :func:`~repro.sim.replay.memory_key` it was
+        computed under and ``data`` its
+        :meth:`~repro.sim.replay.ScheduleWork.to_bytes` payload.  An
+        unsealed frame keeps no record, and a write that fails with
+        :class:`OSError` costs the file, never the replay.
+        """
+        try:
+            manifest = self.manifest()
+            if manifest is not None:
+                _write_record(
+                    self.work_path(key), f"{self.key}:w{key}", data,
+                    key=self.key, work=key, seal=_seal_of(manifest),
+                )
+        except (OSError, TraceIntegrityError):
+            pass
+
+    def load_work(self, key: str) -> Optional[bytes]:
+        """The payload of ``key``'s verified record, or ``None`` to mean
+        "compute the memory half".
+
+        Read only under a seal, and only a record of this frame and
+        ``key`` that was written under the current seal: a missing,
+        torn, corrupt, foreign-key or foreign-seal record is a miss.
+        """
+        path = self.work_path(key)
+        if not path.is_file():
+            return None
+        try:
+            manifest = self.manifest()
+            if manifest is None:
+                return None
+            return _read_record(
+                path, f"{self.key}:w{key}",
+                key=self.key, work=key, seal=_seal_of(manifest),
+            )[1]
+        except TraceIntegrityError:
+            return None
 
     def seal(
         self,

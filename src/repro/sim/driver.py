@@ -111,10 +111,10 @@ class FrameTrace:
 
     :attr:`schedule_memo` holds the memory halves of this trace's
     replays, keyed by :func:`repro.sim.replay.memory_key`, so design
-    points that differ only in timing share one memory pass.  It is not
-    a field: it never enters ``==``, ``repr`` or ``asdict``, and a
-    pickle, copy, checkpoint load or ``dataclasses.replace`` of the
-    trace starts with an empty one.
+    points whose schedules compute the same memory half share one
+    memory pass.  It is not a field: it never enters ``==``, ``repr``
+    or ``asdict``, and a pickle, copy, checkpoint load or
+    ``dataclasses.replace`` of the trace starts with an empty one.
     """
 
     config: GPUConfig
@@ -123,7 +123,7 @@ class FrameTrace:
     stats: RenderStats
 
     def __post_init__(self) -> None:
-        self.schedule_memo: Dict[tuple, object] = {}
+        self.schedule_memo: Dict[str, object] = {}
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)

@@ -8,7 +8,10 @@ A ``store_dir`` makes that cache durable: each game's frame is a
 either stream driver reads through one
 :class:`~repro.sim.stream.StreamingTileStream`, so a re-run (or a
 crashed campaign's resume) loads verified frames from disk instead of
-rendering again.
+rendering again.  Replays share memory halves the same way: one per
+game and :func:`~repro.sim.replay.memory_key`, kept in the runner and
+as a schedule record in the game's frame store, so pool workers, both
+drivers and resumes pay one memory pass per key.
 
 :meth:`ExperimentRunner.run` is the only place a replay runs.  Every
 task of a sweep (on the parent's runner, or on a pool worker's runner
@@ -32,11 +35,11 @@ from repro.stats import geometric_mean
 from repro.config import GPUConfig, TEST_CONFIG
 from repro.core.dtexl import BASELINE, DTexLConfig
 from repro.core.tile_order import scanline_order
-from repro.errors import ReplayError
+from repro.errors import ReplayError, TraceIntegrityError
 from repro.sim.checkpoint import TileChunkStore, trace_key, verify_trace
 from repro.sim.driver import FrameRenderer, FrameTrace, RenderStats
 from repro.sim.faults import SITE_REPLAY, fault_point
-from repro.sim.replay import RunResult, TraceReplayer
+from repro.sim.replay import RunResult, ScheduleWork, TraceReplayer
 from repro.sim.stream import (
     BatchTileStream,
     StreamingTileStream,
@@ -121,6 +124,33 @@ class SuiteResult:
         return sum(decreases) / len(decreases) if decreases else 0.0
 
 
+class _ScheduleWorks:
+    """One game's memory halves, as :meth:`TraceReplayer.run_stream`
+    looks them up: the runner's in-memory layer first, then the frame
+    store's schedule records.  A store hit joins the in-memory layer; a
+    computed half joins both."""
+
+    def __init__(self, store: Optional[TileChunkStore]):
+        self.cached: Dict[str, ScheduleWork] = {}
+        self.store = store
+
+    def get(self, key: str) -> Optional[ScheduleWork]:
+        work = self.cached.get(key)
+        if work is None and self.store is not None:
+            data = self.store.load_work(key)
+            if data is not None:
+                try:
+                    work = self.cached[key] = ScheduleWork.from_bytes(data)
+                except TraceIntegrityError:
+                    return None
+        return work
+
+    def __setitem__(self, key: str, work: ScheduleWork) -> None:
+        self.cached[key] = work
+        if self.store is not None:
+            self.store.save_work(key, work.to_bytes())
+
+
 class ExperimentRunner:
     """Caches traces and replays design points over the suite.
 
@@ -151,6 +181,11 @@ class ExperimentRunner:
         self.store_dir = None if store_dir is None else Path(store_dir)
         self.stream = check_driver(stream)
         self._traces: Dict[str, FrameTrace] = {}
+        #: Per game, the memory halves this runner computed or loaded,
+        #: by :func:`~repro.sim.replay.memory_key`.
+        self._works: Dict[str, _ScheduleWorks] = {}
+        #: Per game, its frame store (:meth:`chunk_store_for`).
+        self._stores: Dict[str, Optional[TileChunkStore]] = {}
         #: Functional renders actually performed (checkpoint hits skip it);
         #: the probe the resume tests use to prove no trace was re-rendered.
         #: A traversal that rendered *any* tile (instead of loading every
@@ -193,28 +228,37 @@ class ExperimentRunner:
 
     @contextmanager
     def storing_frames(self, store_dir: os.PathLike) -> Iterator[None]:
-        """Inside the block, keep frames under ``store_dir`` behind an
-        empty trace cache; the runner's own store and cache come back
-        on the way out, returning or raising."""
-        saved = self.store_dir, self._traces
-        self.store_dir, self._traces = Path(store_dir), {}
+        """Inside the block, keep frames and schedule records under
+        ``store_dir`` behind an empty trace cache and memory-half layer;
+        the runner's own store and caches come back on the way out,
+        returning or raising."""
+        saved = self.store_dir, self._traces, self._works, self._stores
+        self.store_dir = Path(store_dir)
+        self._traces, self._works, self._stores = {}, {}, {}
         try:
             yield
         finally:
-            self.store_dir, self._traces = saved
+            self.store_dir, self._traces, self._works, self._stores = saved
 
     # -- tile streams -----------------------------------------------------------
 
     def chunk_store_for(self, alias: str) -> Optional[TileChunkStore]:
         """The game's frame store for both drivers, when checkpointing
         is on: ``<store_dir>/chunks/<trace key>/``, so frames of other
-        configs, recipes or samplers never collide."""
-        if self.store_dir is None or alias not in GAMES:
-            return None
-        key = trace_key(
-            self.config, GAMES[alias].recipe, sampler=self.renderer.sampler
-        )
-        return TileChunkStore(self.store_dir / CHUNK_SUBDIR / key, key)
+        configs, recipes or samplers never collide.  Built once per game
+        and store root, since every replay consults it."""
+        if alias not in self._stores:
+            store = None
+            if self.store_dir is not None and alias in GAMES:
+                key = trace_key(
+                    self.config, GAMES[alias].recipe,
+                    sampler=self.renderer.sampler,
+                )
+                store = TileChunkStore(
+                    self.store_dir / CHUNK_SUBDIR / key, key
+                )
+            self._stores[alias] = store
+        return self._stores[alias]
 
     def stream_for(
         self, alias: str
@@ -248,11 +292,27 @@ class ExperimentRunner:
         :meth:`run_suite` and ``repro replay`` all come through here, so
         the ``design/game``-keyed fault point fires identically whichever
         executor and stream driver runs the replay.
+
+        The memory half is looked up before any stream opens: in this
+        runner's memory, then in the game's frame store
+        (:class:`_ScheduleWorks`).  The game's stream (:meth:`stream_for`)
+        is opened only on a miss, so a hit replays only the timing half:
+        it opens no segment, builds no scene and renders nothing.
         """
         fault_point(SITE_REPLAY, key=f"{design.name}/{alias}")
-        stream = self.stream_for(alias)
-        result = self.replayer.run_stream(stream, design)
-        if stream.tiles_rendered:
+        opened = []
+
+        def open_stream():
+            opened.append(self.stream_for(alias))
+            return opened[0]
+
+        works = self._works.get(alias)
+        if works is None:
+            works = self._works[alias] = _ScheduleWorks(
+                self.chunk_store_for(alias)
+            )
+        result = self.replayer.run_stream(open_stream, design, memo=works)
+        if opened and opened[0].tiles_rendered:
             self.renders_performed += 1
         return result
 

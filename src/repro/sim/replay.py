@@ -14,22 +14,27 @@ A replay is two halves.
   work to the coupled or decoupled pipeline timing model and the
   energy model, and assembles the :class:`RunResult`.
 
-The memory half reads the trace, the schedule (grouping, assignment,
-tile order, upper bound) and the memory-side config: the tile grid,
-the core count, the cache and DRAM configs, and the L2 hit latency and
-``shader.miss_overhead_cycles`` that price a stall.  :func:`memory_key`
-names exactly those.  The barrier architecture and the timing-side
-config (``fifo_depth``, ``flush_bytes_per_cycle``, ``shader.max_warps``,
-``issue_rate``, the clock, ...) reach only the timing half.  So a
-cold-hierarchy, fast-engine replay of a materialized trace (``run``, or
-``run_stream`` on a :class:`BatchTileStream`) reuses the memory half an
-earlier replay of *the same trace object* computed under an equal key,
-from the trace's :attr:`~repro.sim.driver.FrameTrace.schedule_memo`.
-Design points that differ only in their barriers, and replayers that
-differ only in timing knobs, then pay one memory pass per trace.  The
-memo lives exactly as long as its trace.  Warm-hierarchy replays
-(``AnimationSimulator``), streamed replays and the reference engine
-never read or write it.
+The memory half reads the trace, the schedule's tile order and its
+per-step quad -> core tables, and the memory-side config: the tile
+grid, the core count, the cache and DRAM configs, and the L2 hit
+latency and ``shader.miss_overhead_cycles`` that price a stall.
+:func:`memory_key` is a SHA-256 over exactly those, so it names what
+the memory half computes rather than how the design point is spelled:
+§III-D's flips collapse to ``const`` on fine-grained groupings, and
+designs that differ only in their barriers share a key.  The barrier
+architecture and the timing-side config (``fifo_depth``,
+``flush_bytes_per_cycle``, ``shader.max_warps``, ``issue_rate``, the
+clock, ...) reach only the timing half.  A cold-hierarchy, fast-engine
+replay (:meth:`TraceReplayer.run_stream`) looks the memory half up
+under its key before it opens a stream, in the lookup its caller hands
+it or, for a :class:`BatchTileStream`, in the trace's
+:attr:`~repro.sim.driver.FrameTrace.schedule_memo`, and stores it there
+when it had to compute it.  So equal keys pay one memory pass per
+lookup: per trace object for a plain replayer, per game and campaign
+for an :class:`~repro.sim.experiment.ExperimentRunner`, whose lookup
+also reads and writes the frame store's schedule records.
+Warm-hierarchy replays (``AnimationSimulator``) and the reference
+engine never read or write a lookup.
 
 Two engines produce bit-identical :class:`RunResult` records:
 
@@ -49,7 +54,9 @@ Two engines produce bit-identical :class:`RunResult` records:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -57,7 +64,7 @@ import numpy as np
 from repro.config import GPUConfig
 from repro.core.dtexl import DTexLConfig
 from repro.core.tile_order import TileCoord
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TraceIntegrityError
 from repro.memory.cache import access_set_streams
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.power.energy_model import EnergyBreakdown, EnergyModel, EnergyParams
@@ -92,28 +99,36 @@ def _chunks(units, size):
         yield chunk
 
 
-def memory_key(design: DTexLConfig, config: GPUConfig) -> tuple:
-    """Everything the memory half of a replay of ``design`` reads.
+@lru_cache(maxsize=None)
+def memory_key(design: DTexLConfig, config: GPUConfig) -> str:
+    """Everything the memory half of a replay of ``design`` reads, hashed.
 
-    The schedule (grouping, assignment, tile order, upper bound) and
-    the memory-side fields of the config the design point runs on
-    (``design.effective_gpu_config(config)``): the screen and tile size
-    that set the tile grid, the core count, the four cache configs and
-    the DRAM config whole, and ``shader.miss_overhead_cycles``, which
-    prices a stall together with the L2 hit latency.  The barrier
-    architecture and every timing-side field are left out, so replays
-    that differ only there share one memory pass.
-    ``tests/test_replay.py`` sorts every config field into one side or
-    the other and fails on a field it has not been told about.
+    A SHA-256 hex digest over the memory-side fields of the config the
+    design point runs on (``design.effective_gpu_config(config)``): the
+    screen and tile size that set the tile grid, the core count, the
+    four cache configs and the DRAM config whole, and
+    ``shader.miss_overhead_cycles``, which prices a stall together with
+    the L2 hit latency; then the tile order and every step's
+    :meth:`~repro.core.scheduler.QuadScheduler.core_lut` row at the
+    effective core count.  Two designs whose schedules map every quad of
+    every step to the same core get one key, whatever their grouping,
+    assignment or barrier names, so replays that differ only there share
+    one memory pass.  ``tests/test_replay.py`` sorts every config field
+    into the memory or the timing side and fails on a field it has not
+    been told about.  Computed once per ``(design, config)``.
     """
     gpu = design.effective_gpu_config(config)
-    return (
-        design.grouping, design.assignment, design.order, design.upper_bound,
-        gpu.screen_width, gpu.screen_height, gpu.tile_size,
-        gpu.num_shader_cores, gpu.vertex_cache, gpu.texture_cache,
-        gpu.tile_cache, gpu.l2_cache, gpu.dram,
-        gpu.shader.miss_overhead_cycles,
-    )
+    n_cores = gpu.num_shader_cores
+    digest = hashlib.sha256(repr((
+        gpu.screen_width, gpu.screen_height, gpu.tile_size, n_cores,
+        gpu.vertex_cache, gpu.texture_cache, gpu.tile_cache, gpu.l2_cache,
+        gpu.dram, gpu.shader.miss_overhead_cycles,
+    )).encode("utf-8"))
+    scheduler = design.build_scheduler(config)
+    digest.update(np.array(scheduler.tiles, dtype="<i8").tobytes())
+    for step in range(scheduler.num_steps):
+        digest.update(scheduler.core_lut(step, n_cores).astype("<i8").tobytes())
+    return digest.hexdigest()
 
 
 @dataclass
@@ -182,6 +197,11 @@ class MemoryCounters:
         ))
 
 
+#: Index-block words of a :class:`ScheduleWork` record: steps, cores,
+#: the :class:`MemoryCounters` and the quad total.
+_WORK_HEAD = 2 + len(fields(MemoryCounters)) + 1
+
+
 @dataclass(frozen=True, eq=False)
 class ScheduleWork:
     """The memory half of one replay: all the timing half reads.
@@ -189,7 +209,8 @@ class ScheduleWork:
     Per traversal step: the tile (``tiles[step]`` is its ``(x, y)``),
     its step and its Parameter-Buffer fetch cycles.  Per (step, core):
     quads, issue cycles and stall cycles.  Read-only int64 arrays,
-    about 0.2 MiB at 1960x768, so a trace can keep one per memory key.
+    about 0.2 MiB at 1960x768, so a trace can keep one per memory key
+    and a frame store one record per key (:meth:`to_bytes`).
     """
 
     tiles: np.ndarray
@@ -214,6 +235,66 @@ class ScheduleWork:
             elif mine != theirs:
                 return False
         return True
+
+    def to_bytes(self) -> bytes:
+        """The record payload; equal works give equal bytes.
+
+        An index block of little-endian int64 words (steps, cores, the
+        seven counters, the quad total), the replication factor as one
+        ``<f8``, then the six arrays as little-endian int64, row-major.
+        """
+        steps, cores = self.quads.shape
+        counters = self.counters
+        head = [steps, cores]
+        head += [getattr(counters, f.name) for f in fields(counters)]
+        head.append(self.total_quads)
+        parts = [
+            np.array(head, dtype="<i8").tobytes(),
+            np.array([self.l1_replication_factor], dtype="<f8").tobytes(),
+        ]
+        parts += [
+            column.astype("<i8").tobytes() for column in (
+                self.tiles, self.steps, self.fetch_cycles,
+                self.quads, self.compute_cycles, self.stall_cycles,
+            )
+        ]
+        return b"".join(parts)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "ScheduleWork":
+        """The work a :meth:`to_bytes` payload holds, its arrays read-only
+        views of ``data``.  Raises :class:`TraceIntegrityError` when the
+        length disagrees with the index block."""
+        if len(data) < (_WORK_HEAD + 1) * 8:
+            raise TraceIntegrityError("schedule record has no index block")
+        steps, cores, *counts, total_quads = np.frombuffer(
+            data, "<i8", _WORK_HEAD
+        ).tolist()
+        if (
+            steps < 0 or cores < 1
+            or len(data) != (_WORK_HEAD + 1 + steps * (4 + 3 * cores)) * 8
+        ):
+            raise TraceIntegrityError(
+                "schedule record length disagrees with its index block"
+            )
+        (replication,) = np.frombuffer(data, "<f8", 1, _WORK_HEAD * 8).tolist()
+        columns = []
+        offset = (_WORK_HEAD + 1) * 8
+        for shape in (
+            (steps, 2), (steps,), (steps,),
+            (steps, cores), (steps, cores), (steps, cores),
+        ):
+            count = int(np.prod(shape))
+            columns.append(
+                np.frombuffer(data, "<i8", count, offset).reshape(shape)
+            )
+            offset += count * 8
+        return cls(
+            *columns,
+            counters=MemoryCounters(*counts),
+            total_quads=total_quads,
+            l1_replication_factor=replication,
+        )
 
 
 class TraceReplayer:
@@ -264,34 +345,44 @@ class TraceReplayer:
         stream,
         design: DTexLConfig,
         hierarchy: Optional[MemoryHierarchy] = None,
+        memo=None,
     ) -> RunResult:
         """Replay a tile stream under ``design``; returns the full result.
 
         The memory half (:meth:`replay_schedule`), then the timing half
-        (:meth:`time_schedule`).  A cold-hierarchy, fast-engine replay
-        of a :class:`BatchTileStream` first looks the memory half up in
-        its trace's ``schedule_memo`` under :func:`memory_key`, and
-        stores it there when it had to compute it.  A hit re-runs the
-        per-tile quad-budget check over the running totals, so it
-        raises the same :class:`~repro.errors.BudgetExceededError` the
-        replay it replaces would have.
+        (:meth:`time_schedule`).  ``stream`` is a tile stream or a
+        zero-argument callable that opens one; a callable is called only
+        when the memory half must be computed.
+
+        A cold-hierarchy, fast-engine replay first looks the memory half
+        up under :func:`memory_key` in ``memo`` (any object with
+        ``get(key)`` and item assignment) or, when none is given and
+        ``stream`` is a :class:`BatchTileStream`, in its trace's
+        ``schedule_memo``, and stores it there when it had to compute
+        it.  A hit re-runs the per-tile quad-budget check over the
+        running totals, so it raises the same
+        :class:`~repro.errors.BudgetExceededError` the replay it
+        replaces would have.  Warm-hierarchy and reference-engine
+        replays never read or write a memo.
         """
-        if (
-            hierarchy is None
-            and self.engine == "fast"
-            and isinstance(stream, BatchTileStream)
-        ):
+        if hierarchy is not None or self.engine != "fast":
+            memo = None
+        elif memo is None and isinstance(stream, BatchTileStream):
             memo = stream.trace.schedule_memo
+        work = None
+        if memo is not None:
             key = memory_key(design, self.config)
             work = memo.get(key)
-            if work is None:
-                work = memo[key] = self.replay_schedule(stream, design)
-            else:
-                check_quads = self.budget.check_quads
-                for total in np.cumsum(work.quads.sum(axis=1)).tolist():
-                    check_quads(total, design.name)
-        else:
+        if work is None:
+            if callable(stream):
+                stream = stream()
             work = self.replay_schedule(stream, design, hierarchy)
+            if memo is not None:
+                memo[key] = work
+        else:
+            check_quads = self.budget.check_quads
+            for total in np.cumsum(work.quads.sum(axis=1)).tolist():
+                check_quads(total, design.name)
         return self.time_schedule(work, design)
 
     def replay_schedule(

@@ -24,7 +24,11 @@ a process pool runs them and the parent renders nothing: each worker
 replays through its own runner over the campaign's frame stores (in a
 temporary directory when no checkpoint directory is given), so the
 first worker that needs a game renders and saves it and later tasks
-load it.  The walk consumes results in grid-and-games order either
+load it.  Memory halves are shared the same way: the first task of a
+:func:`~repro.sim.replay.memory_key` writes its schedule record beside
+the frame, and every later task of that key, on any worker or a
+resume, replays only the timing half.  The walk consumes results in
+grid-and-games order either
 way, so a parallel campaign produces bit-identical rows, failures and
 manifest contents to a serial one — only ``wall_time_s`` and
 ``phase_seconds`` differ.

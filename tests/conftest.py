@@ -39,31 +39,56 @@ def sanitize_every_replay(monkeypatch):
     so each trace/result pair the tests produce is walked by the
     :class:`TraceSanitizer`; a replay that silently breaks a pipeline
     invariant fails its test even when the test itself only asserted
-    something narrower.  A streamed replay holds no whole trace to
-    check; test_stream pins its results equal to batch.
+    something narrower.  A batch runner's replay whose memory half was
+    looked up opens no stream, so :meth:`ExperimentRunner.run` is
+    wrapped too and checks it against the trace the runner keeps.  A
+    streamed replay holds no whole trace to check, and neither does a
+    store hit of a runner that never loaded its trace; test_stream and
+    test_schedule_records pin their results equal to batch ones.
     """
     from repro.analysis.lint.sanitizer import TraceSanitizer
+    from repro.sim.experiment import ExperimentRunner
     from repro.sim.replay import TraceReplayer
     from repro.sim.stream import BatchTileStream
 
-    original = TraceReplayer.run_stream
+    original_stream = TraceReplayer.run_stream
+    original_run = ExperimentRunner.run
+    checked = []
 
-    def run_stream(self, stream, design, hierarchy=None):
-        result = original(self, stream, design, hierarchy)
-        if not isinstance(stream, BatchTileStream):
-            return result
-        violations = TraceSanitizer(self.config).check(
-            stream.trace, result, design
-        )
+    def sanitize(config, trace, result, design):
+        checked.append(design)
+        violations = TraceSanitizer(config).check(trace, result, design)
         if violations:
             detail = "; ".join(str(v) for v in violations)
             pytest.fail(
                 f"replay of {design.name!r} violated pipeline "
                 f"invariant(s): {detail}"
             )
+
+    def run_stream(self, stream, design, hierarchy=None, memo=None):
+        opened = [stream]
+        if callable(stream):
+            factory = stream
+
+            def stream():
+                opened[0] = factory()
+                return opened[0]
+
+        result = original_stream(self, stream, design, hierarchy, memo)
+        if isinstance(opened[0], BatchTileStream):
+            sanitize(self.config, opened[0].trace, result, design)
+        return result
+
+    def run(self, alias, design):
+        checked.clear()
+        result = original_run(self, alias, design)
+        trace = self._traces.get(alias)
+        if not checked and self.stream == "batch" and trace is not None:
+            sanitize(self.replayer.config, trace, result, design)
         return result
 
     monkeypatch.setattr(TraceReplayer, "run_stream", run_stream)
+    monkeypatch.setattr(ExperimentRunner, "run", run)
 
 
 @pytest.fixture(scope="session")

@@ -61,6 +61,13 @@ def kept(store_dir, config, alias="SWa", stream="batch"):
     return runner.trace_for(alias), runner
 
 
+def drop_records(store):
+    """Delete a frame's schedule records, so that its next replay has to
+    read (or heal) its segments again."""
+    for path in store.directory.glob("*.work"):
+        path.unlink()
+
+
 def read_segment(store, index=0):
     """The record reader's verdict on one segment: raises on damage."""
     return checkpoint._read_record(
@@ -556,6 +563,8 @@ class TestCrossDriver:
         writer = runner(first)
         want = [writer.run(alias, DTEXL_BEST) for alias in writer.games]
         assert writer.renders_performed == 2
+        for alias in writer.games:
+            drop_records(writer.chunk_store_for(alias))
         reader = runner(second)
         assert [reader.run(alias, DTEXL_BEST) for alias in reader.games] == (
             want
@@ -624,6 +633,11 @@ class TestLoadedTraceEqualsTheRender:
             assert loaded == trace
             assert list(loaded.tiles) == list(trace.tiles)  # scanline
             assert column_dtypes(loaded) == column_dtypes(trace)
+            assert not any(
+                getattr(entry.columns, name).flags.writeable
+                for entry in loaded.tiles.values()
+                for name in TileQuads.FIELDS
+            )
             assert trace_digest(loaded) == want_digest
             for design, result in want.items():
                 assert replayer.run(loaded, design) == result
@@ -688,6 +702,7 @@ class TestCommitRecord:
         assert batch.renders_performed == 1
         assert store.manifest() == sealed
         for driver in ("batch", "streaming"):
+            drop_records(store)
             reader = ExperimentRunner(
                 SEGMENTED, games=["SWa"], store_dir=tmp_path, stream=driver,
             )
@@ -761,6 +776,31 @@ class TestCommitRecord:
         ]
         assert rewritten == [victim.name]
 
+    @pytest.mark.parametrize("driver", ["batch", "streaming"])
+    def test_top_level_counts_that_disagree_with_the_stats_reseal(
+        self, tmp_path, segmented_trace, driver
+    ):
+        """A manifest whose top-level ``num_quads`` disagrees with its
+        stats is no seal: the next traversal renders the frame and seals
+        it again, and the digest is the render's."""
+        kept(tmp_path, SEGMENTED)
+        store = frame_store(tmp_path, SEGMENTED)
+        sealed = store.manifest()
+        rewrite_manifest(store, num_quads=sealed["num_quads"] + 1)
+        assert store.manifest() is None
+        assert store.frame_meta() is None
+        if driver == "batch":
+            _, runner = kept(tmp_path, SEGMENTED)
+        else:
+            runner = ExperimentRunner(
+                SEGMENTED, games=["SWa"], store_dir=tmp_path,
+                stream="streaming",
+            )
+            runner.run("SWa", DTEXL_BEST)
+        assert runner.renders_performed == 1
+        assert store.manifest() == sealed
+        assert store.frame_meta()["digest"] == trace_digest(segmented_trace)
+
     def test_stats_that_disagree_with_the_segments_fail_closed(
         self, tmp_path, segmented_trace
     ):
@@ -769,9 +809,10 @@ class TestCommitRecord:
         kept(tmp_path, SEGMENTED)
         store = frame_store(tmp_path, SEGMENTED)
         stats = store.manifest()["stats"]
-        rewrite_manifest(store, stats=dict(
-            stats, num_quads=stats["num_quads"] + 1
-        ))
+        rewrite_manifest(
+            store, num_quads=stats["num_quads"] + 1,
+            stats=dict(stats, num_quads=stats["num_quads"] + 1),
+        )
         assert store.manifest() is not None
         with pytest.raises(TraceIntegrityError, match="RenderStats"):
             kept(tmp_path, SEGMENTED)

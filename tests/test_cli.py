@@ -216,10 +216,12 @@ class TestResilientSweepCli:
 
         real_run_stream = TraceReplayer.run_stream
 
-        def sabotaged(self, stream, design, hierarchy=None):
+        def sabotaged(self, stream, design, hierarchy=None, memo=None):
             if design.grouping == "CG-square":
                 raise ReplayError("injected")
-            return real_run_stream(self, stream, design, hierarchy=hierarchy)
+            return real_run_stream(
+                self, stream, design, hierarchy=hierarchy, memo=memo
+            )
 
         monkeypatch.setattr(TraceReplayer, "run_stream", sabotaged)
         assert main(

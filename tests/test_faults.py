@@ -43,6 +43,7 @@ from repro.sim.faults import (
 from repro.sim.resilience import RetryPolicy
 from repro.sim.experiment import CHUNK_SUBDIR
 from repro.sim.sweep import TRACE_SUBDIR, DesignSweep
+from tests.test_checkpoint import drop_records
 
 GAME = "SWa"
 
@@ -359,6 +360,8 @@ class TestCheckpointFaults:
         plan = FaultPlan(specs=(FaultSpec(
             site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_TRUNCATE,
         ),))
+        store = seeder.chunk_store_for(GAME)
+        drop_records(store)
         healer = streaming_runner()
         with faults.armed(plan):
             assert healer.run(GAME, BASELINE) == want
@@ -367,6 +370,7 @@ class TestCheckpointFaults:
         assert healer.renders_performed == 1  # corrupt segments = misses
 
         # The heal re-saved every segment, so the next run loads them all.
+        drop_records(store)
         reader = streaming_runner()
         assert reader.run(GAME, BASELINE) == want
         assert reader.renders_performed == 0
@@ -460,6 +464,7 @@ class TestCheckpointFaults:
             tiny_config.tiles_x, tiny_config.tiles_y
         )
         assert store.load_tile(0, tiles) is None
+        drop_records(store)
         report = make_sweep().run(
             make_runner(tiny_config), checkpoint_dir=tmp_path, jobs=2
         )

@@ -282,12 +282,80 @@ class TestMemoryKeyFields:
     def test_schedule_fields_change_the_key(self, tiny_config):
         key = memory_key(BASELINE, tiny_config)
         for change in (
-            {"grouping": "CG-square"}, {"assignment": "flp1"},
-            {"order": "hilbert"}, {"upper_bound": True},
+            {"grouping": "CG-square"}, {"order": "hilbert"},
+            {"upper_bound": True},
         ):
             design = dataclasses.replace(BASELINE, **change)
             assert memory_key(design, tiny_config) != key, change
         assert memory_key(barrier_twin(BASELINE), tiny_config) == key
+
+
+#: The tiny grid, suite-sweep's and the paper's (Table II).
+KEY_SCREENS = [(128, 64), (512, 256), (1960, 768)]
+ORDERS = ("zorder", "hilbert", "sorder", "scanline")
+ASSIGNMENTS = ("const", "flp1", "flp2", "flp3")
+
+
+def campaign_grid():
+    """perfbench's resumed campaign grid: every point decoupled."""
+    return [
+        DTexLConfig(
+            name=f"{grouping}/{assignment}/{order}/dec", grouping=grouping,
+            assignment=assignment, order=order, decoupled=True,
+        )
+        for grouping in ("FG-xshift2", "CG-square", "CG-yrect")
+        for assignment in ("const", "flp2")
+        for order in ("zorder", "hilbert")
+    ]
+
+
+@pytest.mark.parametrize(
+    "screen", KEY_SCREENS, ids=lambda screen: "%dx%d" % screen
+)
+class TestContentKeys:
+    """The key names the schedule's content, not its spelling."""
+
+    @staticmethod
+    def keys(config, grouping, order):
+        return {
+            assignment: memory_key(
+                DTexLConfig("probe", grouping, assignment, order), config
+            )
+            for assignment in ASSIGNMENTS
+        }
+
+    def test_measured_schedule_facts(self, screen):
+        config = GPUConfig(screen_width=screen[0], screen_height=screen[1])
+        for order in ORDERS:
+            # §III-D's flips never reorder a fine-grained grouping.
+            fine = self.keys(config, "FG-xshift2", order)
+            assert len(set(fine.values())) == 1, order
+            yrect = self.keys(config, "CG-yrect", order)
+            assert yrect["flp1"] == yrect["flp2"], order
+            if order in ("zorder", "scanline"):
+                # y-strips ignore these orders' horizontal steps.
+                assert yrect["const"] == yrect["flp1"], order
+        square = self.keys(config, "CG-square", "zorder")
+        # Z-order's edge-adjacent steps are all odd: flp2 never swaps.
+        assert square["flp1"] == square["flp2"]
+        square = self.keys(config, "CG-square", "hilbert")
+        assert square["const"] != square["flp1"]
+
+    def test_key_counts(self, screen):
+        """The 13 paper designs keep 11 keys (10 on the 4x2 grid, where
+        HLB-flp3's extra flip never fires), and the campaign's 12 points
+        plus the baseline give 9."""
+        config = GPUConfig(screen_width=screen[0], screen_height=screen[1])
+        paper = {
+            memory_key(design, config)
+            for design in PAPER_CONFIGURATIONS.values()
+        }
+        assert len(paper) == (10 if screen == (128, 64) else 11)
+        campaign = {
+            memory_key(design, config)
+            for design in [BASELINE, *campaign_grid()]
+        }
+        assert len(campaign) == 9
 
 
 @pytest.fixture(scope="module")
@@ -303,13 +371,15 @@ class TestEqualKeysEqualWork:
     def test_every_game_shares_within_a_key(self, tiny_config, game_traces):
         """Designs with one key give one ScheduleWork on every game.
 
-        The 13 paper designs and each one's barrier twin: the paper's
-        own pairs (baseline and FG-xshift2-decoupled, CG-square-coupled
-        and Zorder-const) and every twin share; keys that differ in the
-        tile order alone (Zorder-const, HLB-const) must not.
+        The 13 paper designs, each one's barrier twin and the campaign
+        grid: the paper's own pairs (baseline and FG-xshift2-decoupled,
+        CG-square-coupled and Zorder-const), every twin and every
+        assignment of FG-xshift2 share; keys that differ in the tile
+        order alone (Zorder-const, HLB-const) must not.
         """
         designs = list(PAPER_CONFIGURATIONS.values())
         designs += [barrier_twin(d) for d in designs]
+        designs += campaign_grid()
         groups = {}
         for design in designs:
             groups.setdefault(memory_key(design, tiny_config), []).append(
@@ -342,13 +412,14 @@ class TestScheduleMemo:
     def test_hits_equal_fresh_replays_for_all_paper_designs(
         self, monkeypatch, tiny_config, game_traces
     ):
-        """13 designs, 11 memory passes; a second pass, in reverse order,
-        is all hits, and every hit equals a replay of a fresh copy."""
+        """13 designs, 10 memory passes on the 4x2 grid (11 at larger
+        grids, see TestContentKeys); a second pass, in reverse order, is
+        all hits, and every hit equals a replay of a fresh copy."""
         trace = fresh(game_traces["CCS"])
         replayer = TraceReplayer(tiny_config)
         designs = list(PAPER_CONFIGURATIONS.values())
         first = [replayer.run(trace, d) for d in designs]
-        assert len(trace.schedule_memo) == 11
+        assert len(trace.schedule_memo) == 10
         passes = []
         original = TraceReplayer.replay_schedule
 

@@ -87,6 +87,24 @@ class TestAutouseFixture:
         ExperimentRunner(tiny_config, games=["SWa"]).run("SWa", BASELINE)
         assert checked == [BASELINE.name]
 
+    def test_a_batch_runners_memory_hit_is_sanitized(
+        self, tiny_config, monkeypatch
+    ):
+        """A replay whose memory half the runner already holds opens no
+        stream; the fixture checks it against the runner's kept trace,
+        once per replay."""
+        checked = []
+        original = TraceSanitizer.check
+
+        def check(self, trace, result, design, **kwargs):
+            checked.append(design.name)
+            return original(self, trace, result, design, **kwargs)
+
+        monkeypatch.setattr(TraceSanitizer, "check", check)
+        runner = ExperimentRunner(tiny_config, games=["SWa"])
+        assert runner.run("SWa", BASELINE) == runner.run("SWa", BASELINE)
+        assert checked == [BASELINE.name] * 2
+
 
 # -- the five mutation classes ------------------------------------------------
 

@@ -53,6 +53,7 @@ from repro.sim.stream import (
 )
 from repro.workloads.games import build_game, game_aliases
 from repro.workloads.recipe import SceneRecipe
+from tests.test_checkpoint import drop_records
 
 TINY = GPUConfig(screen_width=128, screen_height=64)
 
@@ -393,8 +394,13 @@ class TestSegmentStore:
             design = self.design(order)
             assert runner.run("SWa", design) == replayer.run(trace, design)
         assert builds == ["SWa"]
-        victim = runner.chunk_store_for("SWa").segment_path(5)
+        store = runner.chunk_store_for("SWa")
+        victim = store.segment_path(5)
         victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+        drop_records(store)
+        runner = ExperimentRunner(
+            SEGMENTED, games=["SWa"], stream="streaming", store_dir=tmp_path,
+        )
         design = self.design("scanline")
         assert runner.run("SWa", design) == replayer.run(trace, design)
         assert builds == ["SWa", "SWa"]

@@ -336,7 +336,7 @@ def cmd_chaos(args) -> int:
         if trial.killed:
             extras.append("killed+resumed")
         if trial.fires:
-            extras.append(f"{trial.fires} parent fire(s)")
+            extras.append(f"{trial.fires} fire(s)")
         note = f" [{', '.join(extras)}]" if extras else ""
         print(f"trial {trial.index:3d} seed={trial.seed:<10d} "
               f"jobs={trial.jobs} {status:8s} {trial.plan}{note}")

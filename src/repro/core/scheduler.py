@@ -9,7 +9,7 @@ coordinates only, never of runtime load.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class QuadScheduler:
         self.tiles: List[TileCoord] = tile_order(
             order_name, config.tiles_x, config.tiles_y
         )
-        self._step_of_tile = {tile: i for i, tile in enumerate(self.tiles)}
         self._perms: List[Permutation] = assignment.permutation_sequence(
             self.tiles, grouping.layout
         )
@@ -69,10 +68,6 @@ class QuadScheduler:
     @property
     def num_steps(self) -> int:
         return len(self.tiles)
-
-    def step_of(self, tile: TileCoord) -> int:
-        """Position of ``tile`` in the traversal."""
-        return self._step_of_tile[tile]
 
     def slot_of(self, qx: int, qy: int) -> int:
         """Subtile slot of in-tile quad ``(qx, qy)``."""
@@ -100,25 +95,7 @@ class QuadScheduler:
             self._lut_cache[key] = lut
         return lut
 
-    def core_of(self, step: int, qx: int, qy: int) -> int:
-        """Shader core executing quad ``(qx, qy)`` of the step-th tile."""
-        return self._perms[step][self._slot_map[qy][qx]]
-
     def core_map(self, step: int) -> List[List[int]]:
         """Full quad -> SC matrix for the step-th tile (for plots/tests)."""
         perm = self._perms[step]
         return [[perm[slot] for slot in row] for row in self._slot_map]
-
-    def quad_counts_per_core(
-        self, step: int, occupied: Sequence[Tuple[int, int]]
-    ) -> List[int]:
-        """Histogram of shaded quads per SC for one tile.
-
-        ``occupied`` lists the (qx, qy) of quads that actually produced
-        work (after rasterization and Early-Z).
-        """
-        counts = [0] * self.config.num_shader_cores
-        perm = self._perms[step]
-        for qx, qy in occupied:
-            counts[perm[self._slot_map[qy][qx]]] += 1
-        return counts

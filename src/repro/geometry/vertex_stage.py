@@ -3,9 +3,11 @@
 "A Draw Command triggers the Geometry Pipeline and the Vertex Stage starts
 fetching vertices from memory using an L1 Vertex Cache.  It then transforms
 them according to a vertex program."  Here the vertex program is the
-standard model-view-projection transform; vertex fetches go through the
-memory hierarchy's vertex cache so that geometry traffic shows up in the
-L2 statistics exactly as in the baseline architecture.
+standard model-view-projection transform.  Pass 1 only records the
+fetches: the renderer keeps each index's vertex cache line, in index
+order, as the frame's ``vertex_lines``, and pass 2 drives them through
+the L1 Vertex Cache and the shared L2
+(``MemoryHierarchy.vertex_access_lines``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from repro.geometry.mesh import DrawCommand, Vertex
 from repro.geometry.vec import Mat4, Vec2, Vec3, Vec4
-from repro.memory.hierarchy import MemoryHierarchy
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,9 @@ class VertexBatch:
 
 
 class VertexStage:
-    """Fetches and transforms the vertices of a draw command."""
+    """Transforms the vertices of a draw command into clip space."""
 
-    def __init__(self, hierarchy: Optional[MemoryHierarchy] = None):
-        self.hierarchy = hierarchy
+    def __init__(self):
         self.vertices_processed = 0
 
     def run(
@@ -78,9 +78,9 @@ class VertexStage:
     ) -> List[TransformedVertex]:
         """Transform every vertex of ``draw`` into clip space.
 
-        Vertex fetches are issued to the vertex cache in index order —
-        the same order the Primitive Assembler will consume them — so
-        index-buffer locality is captured.
+        The stream follows index order — the order the Primitive
+        Assembler consumes it; each vertex is transformed once however
+        many indices share it.
         """
         mvp = projection @ view @ draw.model_matrix
         transformed: List[Optional[TransformedVertex]] = (
@@ -88,9 +88,6 @@ class VertexStage:
         )
         out: List[TransformedVertex] = []
         for index in draw.mesh.indices:
-            if self.hierarchy is not None:
-                line = draw.mesh.vertex_address(index) // 64
-                self.hierarchy.vertex_access(line)
             cached = transformed[index]
             if cached is None:
                 cached = self._transform_one(draw.mesh.vertices[index], mvp)

@@ -1,15 +1,17 @@
-"""The tile-sized, multi-banked Color Buffer and the frame buffer.
+"""The tile-sized Color Buffer and the frame buffer.
 
 The Color Buffer holds one tile's colors on chip and is flushed to the
-Frame Buffer in main memory once the tile completes.  It is partitioned
-into four banks; the Decoupled-Barrier architecture's first hardware
-change is per-bank flushing with a per-bank Tile ID (§III-E), which this
-class supports explicitly.
+Frame Buffer in main memory once the tile completes.  It exists for the
+reference renderer's image output (pass 1): the functional colors do
+not depend on when a bank flushes.  The Decoupled-Barrier
+architecture's per-bank flush with a per-bank Tile ID (§III-E) is a
+timing matter: pass 2 models it in
+``RasterPipelineModel._flush_cycles`` (:mod:`repro.raster.pipeline`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -18,20 +20,14 @@ from repro.errors import ConfigError
 
 
 class ColorBuffer:
-    """On-chip color storage for one tile, with per-bank flush."""
+    """On-chip color storage for one tile."""
 
-    def __init__(self, tile_size: int, num_banks: int = 4):
+    def __init__(self, tile_size: int):
         if tile_size <= 0 or tile_size % 2:
             raise ConfigError("tile_size must be a positive even number")
         self.tile_size = tile_size
-        self.num_banks = num_banks
         self.colors = np.zeros((tile_size, tile_size, 3), dtype=np.float64)
-        #: Decoupling hook: the tile each bank currently belongs to.
-        self.bank_tile_ids: Dict[int, Optional[TileCoord]] = {
-            b: None for b in range(num_banks)
-        }
         self.flushes = 0
-        self.bank_flushes = 0
 
     def clear(self, background: Tuple[float, float, float] = (0, 0, 0)) -> None:
         self.colors[:] = background
@@ -46,26 +42,9 @@ class ColorBuffer:
     def flush_tile(
         self, framebuffer: "FrameBuffer", tile: TileCoord
     ) -> None:
-        """Baseline behaviour: flush the whole tile (all banks) at once."""
+        """Flush the whole tile to the frame buffer."""
         framebuffer.store_tile(tile, self.colors)
         self.flushes += 1
-
-    def flush_bank(
-        self,
-        framebuffer: "FrameBuffer",
-        tile: TileCoord,
-        bank: int,
-        bank_mask: np.ndarray,
-    ) -> None:
-        """Decoupled behaviour: flush one bank's pixels of one tile.
-
-        ``bank_mask`` is a (tile_size, tile_size) boolean array marking
-        the pixels owned by ``bank`` — the subtile shape decided by the
-        quad grouping.
-        """
-        framebuffer.store_partial(tile, self.colors, bank_mask)
-        self.bank_tile_ids[bank] = tile
-        self.bank_flushes += 1
 
 
 class FrameBuffer:
@@ -90,16 +69,6 @@ class FrameBuffer:
         h = ys.stop - ys.start
         w = xs.stop - xs.start
         self.image[ys, xs] = colors[:h, :w]
-
-    def store_partial(
-        self, tile: TileCoord, colors: np.ndarray, mask: np.ndarray
-    ) -> None:
-        ys, xs = self._tile_region(tile)
-        h = ys.stop - ys.start
-        w = xs.stop - xs.start
-        region = self.image[ys, xs]
-        clipped = mask[:h, :w]
-        region[clipped] = colors[:h, :w][clipped]
 
     def to_ppm(self) -> bytes:
         """Encode as a binary PPM image (for the examples)."""

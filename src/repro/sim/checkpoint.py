@@ -18,7 +18,8 @@ This module makes pass-1 results durable:
   hold; any violation raises :class:`~repro.errors.TraceIntegrityError`.
 * :class:`SweepProgress` — an append-only journal of completed sweep
   rows, keyed by a campaign hash, so a re-run with ``--resume`` skips
-  every design point that already finished.
+  every design point that already finished; beside it, the campaign's
+  ``manifest.json`` (:func:`write_run_manifest`).
 * :func:`trace_digest` / :func:`frame_digest` — the canonical
   *semantic* content hash of a frame trace, built as a hash chain over
   per-tile digests (sorted tile order) so it can be computed from tile
@@ -75,7 +76,7 @@ from repro.sim.faults import (
     SITE_JOURNAL_RECORD,
     fault_point,
 )
-from repro.texture.sampler import Sampler
+from repro.sim.resilience import RunManifest
 from repro.workloads.recipe import SceneRecipe
 
 #: Version 4: a segment is a typed payload hashed once.  The serialized
@@ -217,30 +218,17 @@ def workload_fingerprint(recipe: SceneRecipe, frame: int = 0) -> Dict[str, Any]:
     return {"recipe": dataclasses.asdict(recipe), "frame": frame}
 
 
-def trace_key(
-    config: GPUConfig,
-    recipe: SceneRecipe,
-    frame: int = 0,
-    sampler: Optional[Sampler] = None,
-) -> str:
+def trace_key(config: GPUConfig, recipe: SceneRecipe, frame: int = 0) -> str:
     """Content hash keying one checkpointed trace.
 
-    Any change to the GPU configuration, the scene recipe or the
-    texture sampler produces a different key, so stale checkpoints are
-    never silently reused.  The default sampler adds nothing to the
-    hashed payload, so its keys are the ones written before samplers
-    were keyed.
+    Any change to the GPU configuration or the scene recipe produces a
+    different key, so stale checkpoints are never silently reused.
     """
     payload = {
         "version": CHECKPOINT_VERSION,
         "config": config_fingerprint(config),
         "workload": workload_fingerprint(recipe, frame),
     }
-    if sampler is not None and sampler != Sampler():
-        payload["sampler"] = {
-            "filter_mode": sampler.filter_mode.value,
-            "max_anisotropy": sampler.max_anisotropy,
-        }
     text = _canonical_json(payload)
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
@@ -956,6 +944,14 @@ class SweepProgress:
             os.fsync(handle.fileno())
 
 
+def write_run_manifest(path: Path, manifest: RunManifest) -> None:
+    """Archive a campaign manifest as JSON beside its journal, through
+    the atomic writer, so a crash while archiving never leaves a
+    truncated manifest for the next resume to read."""
+    text = json.dumps(manifest.as_dict(), indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, text.encode("utf-8"))
+
+
 def campaign_key(config: GPUConfig, games, baseline_name: str) -> str:
     """Hash identifying one sweep campaign for resume matching.
 
@@ -969,12 +965,3 @@ def campaign_key(config: GPUConfig, games, baseline_name: str) -> str:
         "baseline": baseline_name,
     })
     return hashlib.sha256(text.encode("ascii")).hexdigest()
-
-
-def read_manifest(path: os.PathLike) -> Optional[Dict[str, Any]]:
-    """Load a previously written run manifest, or ``None`` if absent."""
-    path = Path(path)
-    if not path.is_file():
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)

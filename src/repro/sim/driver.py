@@ -165,7 +165,7 @@ class _FastTilePass:
         stats = RenderStats(num_draws=len(scene.draws))
 
         # Geometry Pipeline, one batch per draw.
-        vertex_stage = VertexStage(hierarchy=None)
+        vertex_stage = VertexStage()
         assembler = PrimitiveAssembler()
         vertex_lines: List[int] = []
         parts: List[ScreenBatch] = []
@@ -268,7 +268,7 @@ class _ReferenceTilePass:
         stats = RenderStats(num_draws=len(scene.draws))
 
         # Geometry Pipeline.
-        vertex_stage = VertexStage(hierarchy=None)
+        vertex_stage = VertexStage()
         assembler = PrimitiveAssembler()
         vertex_lines: List[int] = []
         screen_primitives = []
@@ -293,7 +293,7 @@ class _ReferenceTilePass:
         self._parameter_buffer = builder.build(screen_primitives)
         self._rasterizer = Rasterizer(config, workload.textures, renderer.sampler)
         self._zbuffer = ZBuffer(config.tile_size)
-        self._fetcher = TileFetcher(config, hierarchy=None)
+        self._fetcher = TileFetcher(config)
         self.framebuffer = (
             FrameBuffer(config.screen_width, config.screen_height, config.tile_size)
             if with_image else None

@@ -46,7 +46,6 @@ from repro.sim.stream import (
     check_driver,
 )
 from repro.sim.resilience import FailureRecord, ReplayBudget
-from repro.texture.sampler import Sampler
 from repro.workloads.games import GAMES, build_game
 
 #: Subdirectory of a runner's ``store_dir`` holding its segmented frames.
@@ -167,14 +166,13 @@ class ExperimentRunner:
     def __init__(
         self,
         config: GPUConfig = TEST_CONFIG,
-        sampler: Optional[Sampler] = None,
         games: Optional[Iterable[str]] = None,
         store_dir: Optional[os.PathLike] = None,
         budget: Optional[ReplayBudget] = None,
         stream: str = "batch",
     ):
         self.config = config
-        self.renderer = FrameRenderer(config, sampler)
+        self.renderer = FrameRenderer(config)
         self.replayer = TraceReplayer(config, budget=budget)
         self.games: List[str] = list(games) if games is not None else list(GAMES)
         #: Root of the game frame stores, or ``None`` for no checkpoints.
@@ -245,15 +243,12 @@ class ExperimentRunner:
     def chunk_store_for(self, alias: str) -> Optional[TileChunkStore]:
         """The game's frame store for both drivers, when checkpointing
         is on: ``<store_dir>/chunks/<trace key>/``, so frames of other
-        configs, recipes or samplers never collide.  Built once per game
-        and store root, since every replay consults it."""
+        configs or recipes never collide.  Built once per game and store
+        root, since every replay consults it."""
         if alias not in self._stores:
             store = None
             if self.store_dir is not None and alias in GAMES:
-                key = trace_key(
-                    self.config, GAMES[alias].recipe,
-                    sampler=self.renderer.sampler,
-                )
+                key = trace_key(self.config, GAMES[alias].recipe)
                 store = TileChunkStore(
                     self.store_dir / CHUNK_SUBDIR / key, key
                 )

@@ -1,25 +1,18 @@
-"""Structured export of simulation results (dicts / JSON).
+"""Structured export of simulation results as plain dictionaries.
 
 Turns :class:`~repro.sim.replay.RunResult` and
 :class:`~repro.sim.experiment.SuiteResult` into plain dictionaries so
-results can be archived, diffed between runs, or consumed by plotting
-tools, without those classes having to know about serialization.
-
-This lives in ``sim`` — not ``analysis`` — because the sweep writes
-run manifests as part of campaign execution, and ``sim`` importing the
-analysis layer is a forbidden edge under ``archcontract.toml``.
+results can be archived as JSON (``repro replay --json``, ``repro suite
+--json``), diffed between runs, or consumed by plotting tools, without
+those classes having to know about serialization.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Any, Dict
 
 from repro.sim.experiment import SuiteResult
 from repro.sim.replay import RunResult
-from repro.sim.resilience import RunManifest
 
 
 def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
@@ -59,37 +52,3 @@ def suite_result_to_dict(suite: SuiteResult) -> Dict[str, Any]:
             for game, result in suite.per_game.items()
         },
     }
-
-
-def manifest_to_dict(manifest: RunManifest) -> Dict[str, Any]:
-    """Flatten a campaign manifest (config hash, outcomes, failures)."""
-    return manifest.as_dict()
-
-
-def write_run_manifest(path: os.PathLike, manifest: RunManifest) -> Path:
-    """Archive a campaign manifest as JSON; returns the written path.
-
-    The write is atomic (temp file + rename) so a crash while archiving
-    never leaves a truncated manifest for the next resume to read.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(manifest_to_dict(manifest), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
-    return path
-
-
-def to_json(result, indent: int = 2) -> str:
-    """JSON for either result type."""
-    if isinstance(result, SuiteResult):
-        payload = suite_result_to_dict(result)
-    elif isinstance(result, RunResult):
-        payload = run_result_to_dict(result)
-    else:
-        raise TypeError(f"cannot export {type(result).__name__}")
-    return json.dumps(payload, indent=indent, sort_keys=True)

@@ -232,7 +232,11 @@ class FaultPlan:
     attempt counters are process-local observation state — the
     *decisions* never depend on them when an explicit ``attempt`` is
     supplied, and depend only on the per-(site, key) call count
-    otherwise.
+    otherwise.  A pool task returns the events its copy fired, and
+    the sweep appends them to the parent's ``fired``.  An attempt
+    that never returns loses its events: one killed by ``os._exit``
+    or by the deadline after a hang, and one whose exception ends the
+    campaign (an unguarded baseline failure).
     """
 
     seed: int = 0

@@ -16,14 +16,13 @@ next frame renders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.config import GPUConfig
 from repro.core.dtexl import DTexLConfig
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.driver import FrameRenderer
 from repro.sim.replay import RunResult, TraceReplayer
-from repro.texture.sampler import Sampler
 from repro.workloads.animation import Animation
 
 
@@ -65,9 +64,9 @@ class AnimationResult:
 class AnimationSimulator:
     """Runs an animation under one design point with persistent caches."""
 
-    def __init__(self, config: GPUConfig, sampler: Optional[Sampler] = None):
+    def __init__(self, config: GPUConfig):
         self.config = config
-        self.renderer = FrameRenderer(config, sampler)
+        self.renderer = FrameRenderer(config)
         self.replayer = TraceReplayer(config)
 
     def run(

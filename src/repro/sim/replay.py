@@ -67,7 +67,7 @@ from repro.core.tile_order import TileCoord
 from repro.errors import ConfigError, TraceIntegrityError
 from repro.memory.cache import access_set_streams
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.power.energy_model import EnergyBreakdown, EnergyModel, EnergyParams
+from repro.power.energy_model import EnergyBreakdown, EnergyModel
 from repro.raster.pipeline import (
     FrameTiming,
     RasterPipelineModel,
@@ -303,7 +303,6 @@ class TraceReplayer:
     def __init__(
         self,
         config: GPUConfig,
-        energy_params: Optional[EnergyParams] = None,
         budget: Optional[ReplayBudget] = None,
         engine: str = "fast",
     ):
@@ -313,7 +312,7 @@ class TraceReplayer:
                 f"choose from {', '.join(ENGINES)}"
             )
         self.config = config
-        self.energy_model = EnergyModel(energy_params or EnergyParams())
+        self.energy_model = EnergyModel()
         #: Optional work ceiling; a replay that exceeds it raises
         #: :class:`~repro.errors.BudgetExceededError` instead of running on.
         self.budget = budget or ReplayBudget()

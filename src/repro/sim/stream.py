@@ -103,7 +103,6 @@ class BatchTileStream:
     the replayer's original ``for tile in scheduler.tiles`` walk.
     """
 
-    driver = "batch"
     #: A materialized trace renders nothing when it is walked.
     tiles_rendered = 0
 
@@ -151,8 +150,6 @@ class StreamingTileStream:
     tile pass — no store, an unsealed manifest or a segment miss — so a
     replay of a sealed frame never builds its scene.
     """
-
-    driver = "streaming"
 
     def __init__(
         self,

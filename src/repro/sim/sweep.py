@@ -62,8 +62,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.dtexl import DTexLConfig
 from repro.errors import ConfigError, TaskTimeoutError, WorkerCrashError
 from repro.sim import faults
-from repro.sim.export import write_run_manifest
-from repro.sim.checkpoint import SweepProgress, campaign_key, config_hash
+from repro.sim.checkpoint import (
+    SweepProgress,
+    campaign_key,
+    config_hash,
+    write_run_manifest,
+)
 from repro.sim.experiment import ExperimentRunner, SuiteResult
 from repro.sim.replay import TraceReplayer
 from repro.sim.resilience import (
@@ -114,17 +118,15 @@ def _replay(
     )
 
 
-#: This process's runners, keyed by ``(store_dir, config, sampler,
-#: driver, engine)``.  A pool worker builds one on its first task and
-#: keeps it, so a batch trace it rendered or loaded serves all its later
-#: tasks.
+#: This process's runners, keyed by ``(store_dir, config, driver,
+#: engine)``.  A pool worker builds one on its first task and keeps it,
+#: so a batch trace it rendered or loaded serves all its later tasks.
 _WORKER_RUNNERS: Dict[tuple, ExperimentRunner] = {}
 
 
 def _replay_task(
     store_dir: str,
     config,
-    sampler,
     stream_driver: str,
     replayer: TraceReplayer,
     design: DTexLConfig,
@@ -137,30 +139,36 @@ def _replay_task(
     """:func:`_replay` inside a pool worker (module level: it pickles).
 
     The replay runs on this worker's runner over the campaign's
-    ``store_dir``, built on first use with the parent's ``sampler`` and
-    ``replayer`` (energy parameters, budget, engine).  The first worker
-    that needs a game renders it and saves it there; later tasks on
-    other workers load it.
+    ``store_dir``, built on first use with the parent's ``replayer``
+    (budget, engine).  The first worker that needs a game renders it
+    and saves it there; later tasks on other workers load it.
 
     ``plan`` re-arms the parent's fault plan inside the worker (fork
     inheritance is not guaranteed under spawn, and a respawned pool
     must re-arm anyway); ``attempt`` is the task's scheduling attempt,
     so a respawned task draws a fresh — by default clean — injection
-    decision.
+    decision.  Returns ``(outcome, fired)``: :func:`_replay`'s outcome
+    and the fault events this task fired, which
+    :meth:`_TaskPool.result` hands back to the parent's plan.
+    The plan arrives carrying the events the parent had recorded when
+    it was pickled, so only the ones after them are this task's.
     """
+    fired_before = len(plan.fired) if plan is not None else 0
     with faults.armed(plan):
         faults.fault_point(
             faults.SITE_WORKER, key=f"{design.name}/{game}", attempt=attempt
         )
-        key = (store_dir, config, sampler, stream_driver, replayer.engine)
+        key = (store_dir, config, stream_driver, replayer.engine)
         runner = _WORKER_RUNNERS.get(key)
         if runner is None:
             runner = ExperimentRunner(
-                config, sampler, store_dir=store_dir, stream=stream_driver
+                config, store_dir=store_dir, stream=stream_driver
             )
             runner.replayer = replayer
             _WORKER_RUNNERS[key] = runner
-        return _replay(runner, design, game, policy, guarded)
+        outcome = _replay(runner, design, game, policy, guarded)
+    fired = plan.fired[fired_before:] if plan is not None else []
+    return outcome, fired
 
 
 #: Sentinel design name keying the baseline's tasks in the task table
@@ -246,8 +254,7 @@ class _TaskPool:
         self._max_attempts = max(1, max_attempts)
         self._plan = plan
         #: Leading arguments of every task: how a worker finds its
-        #: runner (store directory, config, sampler, stream driver,
-        #: replayer).
+        #: runner (store directory, config, stream driver, replayer).
         self._shared = shared
         self._executor = ProcessPoolExecutor(max_workers=jobs)
         self._args: Dict[TaskId, tuple] = {}
@@ -287,6 +294,10 @@ class _TaskPool:
     def result(self, task_id: TaskId):
         """Blocking consume with crash/hang recovery.
 
+        Returns the task's outcome; the faults it fired in its worker
+        join the parent's armed plan, so ``plan.fired`` counts every
+        fire a pool campaign's completed attempts made.
+
         Raises :class:`WorkerCrashError` / :class:`TaskTimeoutError`
         only once the waited task has exhausted its attempts *in
         isolation*; any other exception is the task's own and
@@ -296,7 +307,7 @@ class _TaskPool:
             while True:
                 future = self._futures[task_id]
                 try:
-                    result = future.result(timeout=self._timeout_s)
+                    outcome, fired = future.result(timeout=self._timeout_s)
                 except BrokenProcessPool:
                     self._recover(
                         task_id,
@@ -319,7 +330,9 @@ class _TaskPool:
                     # Consumed: the walk never asks for it again, so the
                     # parent keeps no result it has already read.
                     del self._futures[task_id], self._args[task_id]
-                    return result
+                    if self._plan is not None:
+                        self._plan.fired.extend(fired)
+                    return outcome
         finally:
             self._unpark()
 
@@ -591,8 +604,8 @@ class DesignSweep:
                     executor = _TaskPool(
                         jobs, task_timeout_s, max_task_attempts,
                         faults.active_plan(),
-                        (store_dir, runner.config, runner.renderer.sampler,
-                         runner.stream, runner.replayer),
+                        (store_dir, runner.config, runner.stream,
+                         runner.replayer),
                     )
                 for alias in runner.games:
                     executor.submit(
@@ -711,17 +724,6 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     writer.writeheader()
     for row in rows:
         writer.writerow(row.as_dict())
-    return buffer.getvalue()
-
-
-def failures_to_csv(failures: Sequence[FailureRecord]) -> str:
-    """Serialize failure records as CSV, mirroring :func:`rows_to_csv`."""
-    fields = ["design_point", "game", "error_type", "message", "attempts"]
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fields)
-    writer.writeheader()
-    for failure in failures:
-        writer.writerow(failure.as_dict())
     return buffer.getvalue()
 
 

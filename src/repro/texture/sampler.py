@@ -59,9 +59,12 @@ def compute_lod(
 class Sampler:
     """Computes sample footprints (and procedural colors) for a texture.
 
-    A value: samplers with equal settings compare and hash equal, so a
-    pool worker's runner and a checkpoint key can be told apart by the
-    sampler they render with.
+    Pass 1 records each quad's footprint lines in the trace; pass 2
+    drives them through the texture L1s and the shared L2.  Only
+    :class:`~repro.sim.driver.FrameRenderer` takes a sampler: the
+    runner, the sweep and the animation simulator render with the
+    default bilinear one, and the filtering ablation builds one
+    renderer per mode.
     """
 
     filter_mode: FilterMode = FilterMode.BILINEAR

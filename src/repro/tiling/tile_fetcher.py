@@ -4,21 +4,21 @@
 the primitives corresponding to each tile in the frame, one tile at a
 time.  Tiles are processed in an order specified by the Tiling Engine."
 
-Fetching a tile reads its primitive-ID list and each referenced attribute
-record through the Tile Cache, so Parameter Buffer traffic contributes to
-the shared L2 like every other traffic class.  The fetcher also reports a
-fetch-cycle estimate used by the pipeline timing model as the front-end
-throughput bound of the decoupled architecture.
+Pass 1 records what a tile's fetch costs: the cache lines of its
+primitive-ID list and of each referenced attribute record
+(:meth:`TileFetcher.fetch_lines`), and a fetch-cycle estimate
+(:meth:`TileFetcher.fetch_cycles`).  Pass 2 drives those lines through
+the Tile Cache into the shared L2 like every other traffic class, and
+the pipeline timing model uses the cycles as the front-end throughput
+bound of the decoupled architecture.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List
 
 from repro.config import GPUConfig
 from repro.core.tile_order import TileCoord
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.raster.setup import ScreenPrimitive
 from repro.tiling.parameter_buffer import (
     ATTRIBUTE_RECORD_BYTES,
@@ -29,58 +29,11 @@ from repro.tiling.parameter_buffer import (
 LINE_BYTES = 64
 
 
-@dataclass
-class FetchedTile:
-    """One tile's worth of work, in program order."""
-
-    tile: TileCoord
-    step: int
-    primitives: List[ScreenPrimitive]
-    fetch_cycles: int
-
-
 class TileFetcher:
-    """Streams tiles of the Parameter Buffer in a given traversal order."""
+    """What fetching one tile of the Parameter Buffer reads and costs."""
 
-    def __init__(
-        self,
-        config: GPUConfig,
-        hierarchy: Optional[MemoryHierarchy] = None,
-    ):
+    def __init__(self, config: GPUConfig):
         self.config = config
-        self.hierarchy = hierarchy
-        self.tiles_fetched = 0
-
-    def fetch(
-        self, buffer: ParameterBuffer, order: Sequence[TileCoord]
-    ) -> Iterator[FetchedTile]:
-        """Yield every tile of ``order`` with its primitives.
-
-        Empty tiles are still yielded (with an empty primitive list) so
-        the timing model can account for their buffer flushes.
-        """
-        for step, tile in enumerate(order):
-            primitives = buffer.primitives_for_tile(tile)
-            fetch_cycles = self._fetch_tile_memory(buffer, tile, primitives)
-            self.tiles_fetched += 1
-            yield FetchedTile(
-                tile=tile,
-                step=step,
-                primitives=primitives,
-                fetch_cycles=fetch_cycles,
-            )
-
-    def _fetch_tile_memory(
-        self,
-        buffer: ParameterBuffer,
-        tile: TileCoord,
-        primitives: List[ScreenPrimitive],
-    ) -> int:
-        """Issue the tile's Parameter Buffer reads; return fetch cycles."""
-        if self.hierarchy is not None:
-            for line in self.fetch_lines(buffer, tile, primitives):
-                self.hierarchy.tile_access(line)
-        return self.fetch_cycles(buffer, tile)
 
     @staticmethod
     def fetch_lines(

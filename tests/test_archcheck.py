@@ -359,11 +359,10 @@ class TestRepositoryGate:
         ), baseline)
         assert report.findings == [], [f.message for f in report.findings]
         assert report.stale == []
-        # every waiver carries a real justification
-        assert all(
-            j.strip() and j != TODO_JUSTIFICATION
-            for j in baseline.gates["archcheck"].values()
-        )
+        # the contract holds with no waivers: pass 1 imports no memory
+        # model, so nothing is waived
+        assert report.baselined == []
+        assert not baseline.gates.get("archcheck")
 
     def test_repo_callgraph_reaches_the_memory_model(self):
         """The replay entry point must actually traverse into memory/."""
@@ -472,4 +471,4 @@ class TestCli:
         assert main(["check", "--only", "archcheck"]) == 0
         out = capsys.readouterr().out
         assert "archcheck: no findings" in out
-        assert "baselined: 1" in out
+        assert "baselined:" not in out

@@ -36,11 +36,10 @@ from repro.sim.checkpoint import (
     verify_trace,
 )
 from repro.sim.driver import DEFAULT_GROUP_TILES, FrameRenderer, TileTraceEntry
-from repro.sim.experiment import CHUNK_SUBDIR, ExperimentRunner
+from repro.sim.experiment import ExperimentRunner
 from repro.sim.replay import TraceReplayer
 from repro.sim.stream import StreamingTileStream
 from repro.sim.sweep import DesignSweep
-from repro.texture.sampler import FilterMode, Sampler
 from repro.workloads.games import GAMES, build_game
 
 #: 16x8 tiles: eight segments per frame.
@@ -131,47 +130,6 @@ class TestKeys:
             trace_key(tiny_config, GAMES["SWa"].recipe, frame=0)
             != trace_key(tiny_config, GAMES["SWa"].recipe, frame=1)
         )
-
-    def test_key_depends_on_a_non_default_sampler(
-        self, tmp_path, tiny_config
-    ):
-        """The default sampler keeps the sampler-less key, which the
-        benchmark uses to find a campaign's frames; any other sampler
-        gets its own key, in the runner's stores too."""
-        recipe = GAMES["SWa"].recipe
-        plain = trace_key(tiny_config, recipe)
-        assert trace_key(tiny_config, recipe, sampler=Sampler()) == plain
-        trilinear = Sampler(filter_mode=FilterMode.TRILINEAR)
-        assert trace_key(tiny_config, recipe, sampler=trilinear) != plain
-        wide = Sampler(FilterMode.ANISOTROPIC, max_anisotropy=8)
-        assert trace_key(tiny_config, recipe, sampler=wide) != trace_key(
-            tiny_config, recipe, sampler=Sampler(FilterMode.ANISOTROPIC)
-        )
-        keys = [
-            ExperimentRunner(
-                tiny_config, sampler, store_dir=tmp_path
-            ).chunk_store_for("SWa").key
-            for sampler in (None, trilinear)
-        ]
-        assert keys == [
-            plain, trace_key(tiny_config, recipe, sampler=trilinear)
-        ]
-
-    def test_shared_store_keeps_filter_modes_apart(
-        self, tmp_path, tiny_config
-    ):
-        bilinear = ExperimentRunner(tiny_config, store_dir=tmp_path)
-        trilinear = ExperimentRunner(
-            tiny_config, Sampler(filter_mode=FilterMode.TRILINEAR),
-            store_dir=tmp_path,
-        )
-        first = bilinear.trace_for("CCS")
-        second = trilinear.trace_for("CCS")
-        assert trilinear.renders_performed == 1
-        assert second.total_texture_lines != first.total_texture_lines
-        frames = sorted((tmp_path / CHUNK_SUBDIR).iterdir())
-        assert len(frames) == 2
-        assert all((frame / "frame.json").is_file() for frame in frames)
 
     def test_config_hash_sensitivity(self, tiny_config, small_config):
         assert config_hash(tiny_config) != config_hash(small_config)

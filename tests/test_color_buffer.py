@@ -1,6 +1,5 @@
-"""Tests for the Color Buffer, per-bank flush, and the Frame Buffer."""
+"""Tests for the Color Buffer, the Frame Buffer and the Blending unit."""
 
-import numpy as np
 import pytest
 
 from repro.raster.blending import BlendingUnit
@@ -30,22 +29,6 @@ class TestColorBuffer:
         cb.flush_tile(fb, (1, 1))
         assert fb.image[32, 32] == pytest.approx([1.0, 0.5, 0.25])
         assert cb.flushes == 1
-
-    def test_flush_bank_only_touches_masked_pixels(self):
-        cb = ColorBuffer(32)
-        fb = FrameBuffer(32, 32, 32)
-        cb.colors[:] = 0.7
-        mask = np.zeros((32, 32), dtype=bool)
-        mask[:16, :16] = True
-        cb.flush_bank(fb, (0, 0), bank=0, bank_mask=mask)
-        assert fb.image[0, 0, 0] == pytest.approx(0.7)
-        assert fb.image[20, 20, 0] == 0.0
-        assert cb.bank_tile_ids[0] == (0, 0)
-        assert cb.bank_flushes == 1
-
-    def test_bank_tile_ids_start_unset(self):
-        cb = ColorBuffer(32)
-        assert all(tile is None for tile in cb.bank_tile_ids.values())
 
 
 class TestFrameBuffer:

@@ -61,7 +61,6 @@ from repro.sim.replay import ENGINES, TraceReplayer
 from repro.sim.stream import BatchTileStream, StreamingTileStream
 from repro.sim.sweep import TRACE_SUBDIR, DesignSweep
 from repro.shader.shader_core import ShaderCore
-from repro.texture.sampler import FilterMode, Sampler
 from repro.workloads.games import GAMES
 
 
@@ -597,28 +596,6 @@ class TestParallelSweep:
             p.name for p in sweep.design_points()
         )
         assert second.renders_performed == 0
-
-    def test_pool_workers_render_with_the_runners_sampler(self, tiny_config):
-        """A trilinear campaign gives its serial rows on the pool too."""
-        sweep = DesignSweep(
-            groupings=["FG-xshift2", "CG-square"], assignments=["const"],
-            orders=["zorder"], decoupled=[True],
-        )
-
-        def rows(jobs, sampler):
-            runner = ExperimentRunner(
-                tiny_config, sampler, games=["CCS"], stream=self.stream
-            )
-            return sweep.run(runner, jobs=jobs).rows
-
-        trilinear = Sampler(filter_mode=FilterMode.TRILINEAR)
-        serial = rows(1, trilinear)
-        assert rows(2, trilinear) == serial
-        # The filter mode shows in the rows, so the pool could not have
-        # matched them with the default sampler.
-        assert [r.l2_accesses for r in serial] != [
-            r.l2_accesses for r in rows(1, None)
-        ]
 
     def test_invalid_jobs_rejected(self, tiny_config):
         runner = ExperimentRunner(

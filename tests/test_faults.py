@@ -515,9 +515,8 @@ class TestSerialInjection:
 
     :class:`TestPoolInjection` reruns every test on two pool workers:
     both executors replay through ``ExperimentRunner.run``, so rows,
-    failure records and attempts must come out identical.  Worker
-    fires stay in the worker, so only the serial run can assert
-    ``plan.fired``.
+    failure records, attempts and the fires ``plan.fired`` records must
+    come out identical.
     """
 
     jobs = 1
@@ -533,8 +532,7 @@ class TestSerialInjection:
                 retry_policy=RetryPolicy(max_retries=1),
                 jobs=self.jobs,
             )
-        if self.jobs == 1:
-            assert [e.kind for e in plan.fired] == [faults.KIND_TRANSIENT]
+        assert [e.kind for e in plan.fired] == [faults.KIND_TRANSIENT]
         assert_rows_match(report, reference)
 
     def test_transient_without_retry_becomes_failure_row(
@@ -583,6 +581,55 @@ class TestSerialInjection:
 
 class TestPoolInjection(TestSerialInjection):
     jobs = 2
+
+
+class TestWorkerFires:
+    def test_pool_checkpoint_fires_reach_the_parents_plan(
+        self, tmp_path, tiny_config, reference
+    ):
+        """On a pool only the workers open the store, so every
+        ``checkpoint.load`` fire of a warm campaign happens in a worker;
+        each task hands its fires back to the parent's armed plan."""
+        work = tmp_path / "warm"
+        make_sweep().run(make_runner(tiny_config), checkpoint_dir=work)
+        plan = FaultPlan(specs=(FaultSpec(
+            site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_CORRUPT,
+        ),))
+        with faults.armed(plan):
+            report = make_sweep().run(
+                make_runner(tiny_config), checkpoint_dir=work, jobs=2
+            )
+        assert_rows_match(report, reference)
+        assert len(plan.fired) > 0
+        assert {(e.site, e.kind) for e in plan.fired} == {
+            (faults.SITE_CHECKPOINT_LOAD, faults.KIND_CORRUPT)
+        }
+
+    def test_a_task_returns_only_its_own_fires(
+        self, tmp_path, tiny_config, monkeypatch
+    ):
+        """The pickled plan carries the parent's earlier fires; the task
+        returns only the ones it fired."""
+        monkeypatch.setattr(sweep, "_WORKER_RUNNERS", {})
+        earlier = faults.FireEvent(
+            faults.SITE_JOURNAL_RECORD, faults.KIND_KILL, "", 1
+        )
+        plan = FaultPlan(
+            specs=(FaultSpec(
+                site=faults.SITE_REPLAY, kind=faults.KIND_TRANSIENT,
+            ),),
+            fired=[earlier],
+        )
+        runner = make_runner(tiny_config)
+        (run, failure), fired = sweep._replay_task(
+            str(tmp_path), runner.config, runner.stream, runner.replayer,
+            BASELINE, GAME, RetryPolicy(max_retries=1), True, plan=plan,
+        )
+        assert failure is None and run.total_quads > 0
+        assert [(e.site, e.key, e.attempt) for e in fired] == [
+            (faults.SITE_REPLAY, f"{BASELINE.name}/{GAME}", 1)
+        ]
+        assert plan.fired == [earlier, *fired]
 
 
 class TestKillAndResume:
@@ -711,8 +758,7 @@ class TestPoolBookkeeping:
         """The pool drops a result once the walk has read it."""
         runner = make_runner(tiny_config)
         pool = sweep._TaskPool(1, None, 1, None, (
-            str(tmp_path), runner.config, runner.renderer.sampler,
-            runner.stream, runner.replayer,
+            str(tmp_path), runner.config, runner.stream, runner.replayer,
         ))
         try:
             pool.submit(("baseline", GAME), (BASELINE, GAME, None, False))

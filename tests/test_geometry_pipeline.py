@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.config import GPUConfig
 from repro.geometry.clipping import clip_primitive, cull_backface
 from repro.geometry.mesh import DrawCommand, Mesh, Vertex
 from repro.geometry.primitive_assembly import Primitive, PrimitiveAssembler
 from repro.geometry.transform import orthographic
 from repro.geometry.vec import Mat4, Vec2, Vec3, Vec4
 from repro.geometry.vertex_stage import TransformedVertex, VertexStage
-from repro.memory.hierarchy import MemoryHierarchy
 
 
 def tri_mesh():
@@ -59,14 +57,6 @@ class TestVertexStage:
         draw = DrawCommand(mesh=mesh, texture_id=0)
         stage.run(draw, Mat4.identity(), Mat4.identity())
         assert stage.vertices_processed == 3
-
-    def test_vertex_fetches_go_through_cache(self):
-        config = GPUConfig(screen_width=128, screen_height=64)
-        hierarchy = MemoryHierarchy(config)
-        stage = VertexStage(hierarchy)
-        draw = DrawCommand(mesh=tri_mesh(), texture_id=0)
-        stage.run(draw, Mat4.identity(), Mat4.identity())
-        assert hierarchy.vertex_cache.stats.accesses == 3
 
     def test_attributes_passed_through(self):
         stage = VertexStage()

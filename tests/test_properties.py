@@ -1,5 +1,8 @@
 """Cross-cutting property-based tests on system invariants."""
 
+from itertools import product
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,34 +104,41 @@ class TestPipelineInvariants:
 
 
 class TestSchedulerInvariants:
-    @given(
-        st.sampled_from(
-            ["FG-xshift2", "FG-check", "CG-square", "CG-yrect", "CG-tri"]
-        ),
-        st.sampled_from(["const", "flp1", "flp2", "flp3"]),
-        st.sampled_from(["scanline", "zorder", "hilbert", "sorder"]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_every_tile_splits_quads_equally(self, grouping, assignment, order):
-        """Any (grouping x assignment x order): a full tile gives each
+    def test_every_tile_splits_quads_equally(self):
+        """Every (grouping x assignment x order): a full tile gives each
         SC exactly a quarter of the quads — the Z-Buffer banks are equal
-        sized, so this is a hardware requirement, not a preference."""
-        from repro.core.quad_grouping import get_grouping
+        sized, so this is a hardware requirement, not a preference.  The
+        fast engine's ``core_lut`` row is, quad for quad, the reference
+        engine's ``perm[slot_of(qx, qy)]``, folded modulo the SC count."""
+        from repro.core.quad_grouping import GROUPINGS, get_grouping
         from repro.core.scheduler import QuadScheduler
-        from repro.core.subtile_assignment import get_assignment
+        from repro.core.subtile_assignment import ASSIGNMENTS, get_assignment
+        from repro.core.tile_order import TILE_ORDERS
 
         config = GPUConfig(screen_width=128, screen_height=64)
-        scheduler = QuadScheduler(
-            config=config,
-            grouping=get_grouping(grouping),
-            assignment=get_assignment(assignment),
-            order_name=order,
-        )
         side = config.quads_per_tile_side
-        full_tile = [(qx, qy) for qx in range(side) for qy in range(side)]
-        for step in (0, scheduler.num_steps // 2, scheduler.num_steps - 1):
-            counts = scheduler.quad_counts_per_core(step, full_tile)
-            assert counts == [side * side // 4] * 4
+        cores = config.num_shader_cores
+        for grouping, assignment, order in product(
+            GROUPINGS, ASSIGNMENTS, TILE_ORDERS
+        ):
+            scheduler = QuadScheduler(
+                config=config,
+                grouping=get_grouping(grouping),
+                assignment=get_assignment(assignment),
+                order_name=order,
+            )
+            case = (grouping, assignment, order)
+            for step in range(scheduler.num_steps):
+                perm = scheduler.permutation_at(step)
+                want = [
+                    perm[scheduler.slot_of(qx, qy)]
+                    for qy in range(side) for qx in range(side)
+                ]
+                lut = scheduler.core_lut(step, cores)
+                assert lut.tolist() == want, (case, step)
+                assert scheduler.core_lut(step, 1).tolist() == [0] * len(want)
+                counts = np.bincount(lut, minlength=cores).tolist()
+                assert counts == [side * side // 4] * cores, (case, step)
 
 
 class TestSamplerInvariants:

@@ -24,7 +24,7 @@ from repro.sim.driver import FrameRenderer
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.replay import TraceReplayer, memory_key
 from repro.sim.resilience import ReplayBudget
-from repro.sim.stream import BatchTileStream
+from repro.sim.stream import BatchTileStream, StreamingTileStream
 from repro.workloads.games import build_game, game_aliases
 
 
@@ -71,6 +71,44 @@ class TestAccounting:
         assert a.l2_accesses == b.l2_accesses
         assert a.frame_cycles == b.frame_cycles
         assert a.energy.total_mj == pytest.approx(b.energy.total_mj)
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("driver", ["batch", "streaming"])
+class TestPassOneTraffic:
+    """Pass 1 only records the Geometry Pipeline's vertex lines and each
+    tile's Parameter-Buffer lines; a cold pass-2 replay drives every one
+    of them through its cache, whichever engine and stream driver."""
+
+    DESIGNS = (BASELINE, DTEXL_BEST)
+
+    @staticmethod
+    def replay(config, workload, trace, engine, driver, design):
+        if driver == "batch":
+            stream = BatchTileStream(trace)
+        else:
+            stream = StreamingTileStream(FrameRenderer(config), workload)
+        return TraceReplayer(config, engine=engine).run_stream(stream, design)
+
+    def test_vertex_fetches_go_through_the_vertex_cache(
+        self, tiny_config, tiny_workload, tiny_trace, engine, driver
+    ):
+        for design in self.DESIGNS:
+            result = self.replay(
+                tiny_config, tiny_workload, tiny_trace, engine, driver, design
+            )
+            assert result.vertex_accesses == len(tiny_trace.vertex_lines)
+
+    def test_fetch_traffic_goes_through_the_tile_cache(
+        self, tiny_config, tiny_workload, tiny_trace, engine, driver
+    ):
+        fetched = sum(len(e.fetch_lines) for e in tiny_trace.tiles.values())
+        assert fetched > 0
+        for design in self.DESIGNS:
+            result = self.replay(
+                tiny_config, tiny_workload, tiny_trace, engine, driver, design
+            )
+            assert result.tile_accesses == fetched
 
 
 class TestDesignPointOrdering:

@@ -1,5 +1,6 @@
 """Tests for the quad scheduler (grouping + assignment + tile order)."""
 
+import numpy as np
 import pytest
 
 from repro.config import GPUConfig
@@ -29,40 +30,49 @@ class TestStructure:
         assert scheduler.num_steps == config.num_tiles
         assert len(set(scheduler.tiles)) == config.num_tiles
 
-    def test_step_of_inverts_tiles(self, config):
-        scheduler = make_scheduler(config)
-        for step, tile in enumerate(scheduler.tiles):
-            assert scheduler.step_of(tile) == step
-
     def test_core_of_composes_slot_and_permutation(self, config):
+        """``core_lut`` holds each quad's core: its slot's binding."""
         scheduler = make_scheduler(config)
         side = config.quads_per_tile_side
         for step in (0, 3, 5):
             perm = scheduler.permutation_at(step)
+            lut = scheduler.core_lut(step, config.num_shader_cores)
             for qx, qy in [(0, 0), (side - 1, 0), (3, 7)]:
                 slot = scheduler.slot_of(qx, qy)
-                assert scheduler.core_of(step, qx, qy) == perm[slot]
+                assert lut[qy * side + qx] == perm[slot]
 
     def test_core_map_matches_core_of(self, config):
         scheduler = make_scheduler(config)
         grid = scheduler.core_map(2)
-        assert grid[5][3] == scheduler.core_of(2, 3, 5)
+        lut = scheduler.core_lut(2, config.num_shader_cores)
+        assert [core for row in grid for core in row] == lut.tolist()
 
     def test_const_assignment_keeps_slots_as_cores(self, config):
         scheduler = make_scheduler(config, assignment="const")
         side = config.quads_per_tile_side
+        slots = [
+            scheduler.slot_of(qx, qy)
+            for qy in range(side) for qx in range(side)
+        ]
         for step in range(scheduler.num_steps):
-            assert scheduler.core_of(step, 0, 0) == scheduler.slot_of(0, 0)
-            assert scheduler.core_of(step, side - 1, side - 1) == (
-                scheduler.slot_of(side - 1, side - 1)
-            )
+            lut = scheduler.core_lut(step, config.num_shader_cores)
+            assert lut.tolist() == slots
+
+
+def quad_counts(scheduler, step, occupied):
+    """Shaded quads per SC for one tile, through the step's core_lut."""
+    config = scheduler.config
+    side = config.quads_per_tile_side
+    lut = scheduler.core_lut(step, config.num_shader_cores)
+    cores = [lut[qy * side + qx] for qx, qy in occupied]
+    return np.bincount(cores, minlength=config.num_shader_cores).tolist()
 
 
 class TestQuadCounts:
     def test_counts_sum_to_occupied(self, config):
         scheduler = make_scheduler(config)
         occupied = [(0, 0), (1, 0), (15, 15), (8, 8), (3, 12)]
-        counts = scheduler.quad_counts_per_core(0, occupied)
+        counts = quad_counts(scheduler, 0, occupied)
         assert sum(counts) == len(occupied)
         assert len(counts) == config.num_shader_cores
 
@@ -70,19 +80,19 @@ class TestQuadCounts:
         scheduler = make_scheduler(config)
         side = config.quads_per_tile_side
         occupied = [(qx, qy) for qx in range(side) for qy in range(side)]
-        counts = scheduler.quad_counts_per_core(0, occupied)
+        counts = quad_counts(scheduler, 0, occupied)
         assert counts == [side * side // 4] * 4
 
     def test_clustered_quads_imbalance_cg(self, config):
         """A corner cluster lands on one SC under CG-square."""
         scheduler = make_scheduler(config, grouping="CG-square")
         occupied = [(qx, qy) for qx in range(4) for qy in range(4)]
-        counts = scheduler.quad_counts_per_core(0, occupied)
+        counts = quad_counts(scheduler, 0, occupied)
         assert max(counts) == len(occupied)
 
     def test_clustered_quads_balanced_fg(self, config):
         """The same cluster spreads under FG-xshift2."""
         scheduler = make_scheduler(config, grouping="FG-xshift2")
         occupied = [(qx, qy) for qx in range(4) for qy in range(4)]
-        counts = scheduler.quad_counts_per_core(0, occupied)
+        counts = quad_counts(scheduler, 0, occupied)
         assert max(counts) - min(counts) <= len(occupied) // 4

@@ -7,7 +7,6 @@ from repro.geometry.mesh import ShaderProgram
 from repro.geometry.primitive_assembly import Primitive
 from repro.geometry.vec import Vec2, Vec3, Vec4
 from repro.geometry.vertex_stage import TransformedVertex
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.raster.setup import setup_primitive
 from repro.tiling.parameter_buffer import (
     ATTRIBUTE_RECORD_BYTES,
@@ -15,7 +14,6 @@ from repro.tiling.parameter_buffer import (
 )
 from repro.tiling.polygon_list_builder import PolygonListBuilder
 from repro.tiling.tile_fetcher import TileFetcher
-from repro.core.tile_order import scanline_order
 
 
 @pytest.fixture
@@ -121,25 +119,6 @@ class TestParameterBuffer:
 
 
 class TestTileFetcher:
-    def test_fetch_yields_every_tile_in_order(self, config):
-        prim = screen_prim(config, [(5, 5), (20, 5), (5, 20)])
-        buffer = PolygonListBuilder(config).build([prim])
-        fetcher = TileFetcher(config)
-        order = scanline_order(config.tiles_x, config.tiles_y)
-        fetched = list(fetcher.fetch(buffer, order))
-        assert [f.tile for f in fetched] == order
-        assert fetched[0].primitives  # tile (0,0) has the triangle
-        assert not fetched[1].primitives
-
-    def test_fetch_traffic_goes_through_tile_cache(self, config):
-        prim = screen_prim(config, [(5, 5), (20, 5), (5, 20)])
-        buffer = PolygonListBuilder(config).build([prim])
-        hierarchy = MemoryHierarchy(config)
-        fetcher = TileFetcher(config, hierarchy)
-        order = scanline_order(config.tiles_x, config.tiles_y)
-        list(fetcher.fetch(buffer, order))
-        assert hierarchy.tile_cache.stats.accesses > 0
-
     def test_fetch_lines_cover_list_and_attributes(self, config):
         prim = screen_prim(config, [(5, 5), (20, 5), (5, 20)])
         buffer = PolygonListBuilder(config).build([prim])

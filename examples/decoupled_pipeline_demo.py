@@ -28,13 +28,13 @@ def subtile(num_quads, compute=12, stall=6):
     return work
 
 
-def scenario(name, quads_per_tile):
+def scenario(name, subtile_quads):
     tiles = [
         TileWork(
             tile=(step, 0), step=step, fetch_cycles=4,
             subtiles=[subtile(n) for n in quads],
         )
-        for step, quads in enumerate(quads_per_tile)
+        for step, quads in enumerate(subtile_quads)
     ]
     return name, tiles
 

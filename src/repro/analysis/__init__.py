@@ -6,7 +6,6 @@ from repro.stats import (
     per_tile_imbalance,
     per_tile_imbalance_distribution,
     percent_decrease,
-    speedup,
     violin_summary,
 )
 from repro.analysis.tables import format_table
@@ -15,21 +14,18 @@ from repro.analysis.conflicts import MissDecomposition, decompose_misses
 from repro.analysis.overdraw import (
     OverdrawStats,
     overdraw_stats,
-    per_tile_overdraw,
     shaded_pixel_map,
 )
 
 __all__ = [
     "ReuseProfile", "reuse_profile", "per_core_reuse_profiles",
     "MissDecomposition", "decompose_misses",
-    "OverdrawStats", "overdraw_stats", "per_tile_overdraw",
-    "shaded_pixel_map",
+    "OverdrawStats", "overdraw_stats", "shaded_pixel_map",
     "mean_deviation",
     "per_tile_imbalance",
     "per_tile_imbalance_distribution",
     "violin_summary",
     "geometric_mean",
     "percent_decrease",
-    "speedup",
     "format_table",
 ]

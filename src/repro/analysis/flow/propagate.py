@@ -20,7 +20,7 @@ handler type is known — an unknown handler type never hides one.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Set, Tuple
+from typing import Dict, Mapping, Set, Tuple
 
 from repro.analysis.flow.model import FunctionFlow, Mask
 from repro.analysis.flow.taxonomy import ExceptionTaxonomy
@@ -92,9 +92,3 @@ class EscapeAnalysis:
     def escaping(self, qualname: str) -> Set[str]:
         """Project exception types that can escape ``qualname``."""
         return set(self.escapes.get(qualname, set()))
-
-    def summary(self, qualnames: Iterable[str]) -> Dict[str, int]:
-        """Escape-set sizes for reporting."""
-        return {
-            qual: len(self.escapes.get(qual, ())) for qual in qualnames
-        }

@@ -12,7 +12,7 @@ new workload a user adds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -79,17 +79,6 @@ def overdraw_stats(depth_map: np.ndarray) -> OverdrawStats:
         concentration=concentration,
         horizontal_clustering=clustering,
     )
-
-
-def per_tile_overdraw(
-    trace: FrameTrace, config: GPUConfig
-) -> Dict[Tuple[int, int], float]:
-    """Mean shaded fragments per pixel for each tile."""
-    area = config.tile_size * config.tile_size
-    return {
-        tile: entry.columns.covered_pixels / area
-        for tile, entry in trace.tiles.items()
-    }
 
 
 def overdraw_ascii(depth_map: np.ndarray, block: int = 8) -> str:

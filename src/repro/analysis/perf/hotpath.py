@@ -36,9 +36,6 @@ class HotRegion:
     #: qualnames pruned by a [hotregion] exclude pattern.
     excluded: List[str] = field(default_factory=list)
 
-    def __contains__(self, qualname: str) -> bool:
-        return qualname in self.chains
-
     def members(self) -> List[str]:
         return sorted(self.chains)
 

@@ -64,9 +64,6 @@ class ReuseProfile:
         )
         return hits / self.total_accesses
 
-    def miss_rate(self, capacity_lines: int) -> float:
-        return 1.0 - self.hit_rate(capacity_lines)
-
     def working_set(self, coverage: float = 0.9) -> int:
         """Smallest capacity whose predicted hit rate covers ``coverage``
         of all *reused* accesses."""

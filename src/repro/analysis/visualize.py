@@ -95,30 +95,3 @@ def render_schedule_ascii(
     ]
     return "\n".join(sections)
 
-
-def render_imbalance_heatmap(
-    per_tile_values: Sequence[Sequence[float]],
-    tiles: Sequence[TileCoord],
-    tiles_x: int,
-    tiles_y: int,
-) -> str:
-    """Per-tile imbalance as an ASCII heatmap (darker = more imbalanced).
-
-    ``per_tile_values[i]`` are the per-SC values of ``tiles[i]``.
-    """
-    from repro.stats import mean_deviation
-
-    ramp = " .:-=+*#%@"
-    deviations = {
-        tile: mean_deviation(values)
-        for tile, values in zip(tiles, per_tile_values)
-    }
-    peak = max(deviations.values(), default=0.0) or 1.0
-    lines = []
-    for ty in range(tiles_y):
-        row = []
-        for tx in range(tiles_x):
-            level = deviations.get((tx, ty), 0.0) / peak
-            row.append(ramp[min(int(level * (len(ramp) - 1)), len(ramp) - 1)])
-        lines.append("".join(row))
-    return "\n".join(lines)

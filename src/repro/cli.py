@@ -15,8 +15,9 @@ Subcommands::
     python -m repro chaos [--trials N]        # fault-injection campaign
 
 Common options: ``--screen WxH`` picks the simulated resolution
-(default 512x256; ``--screen paper`` = the Table II 1960x768), and
-``--json`` switches tabular output to JSON for scripting.
+(default 512x256; ``--screen paper`` = the Table II 1960x768), and on
+``replay``, ``suite``, ``sanitize`` and ``chaos`` ``--json`` switches
+tabular output to JSON for scripting.
 
 Exit codes: 0 for clean success, 1 for gate findings or invariant
 violations, 3 for a partial sweep (some design points failed but the
@@ -78,11 +79,14 @@ def _games(value: Optional[str]) -> Optional[List[str]]:
     return aliases
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_screen(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--screen", type=_parse_screen, default=_parse_screen("512x256"),
         metavar="WxH|paper", help="simulated screen size (default 512x256)",
     )
+
+
+def _add_json(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json", action="store_true", help="emit JSON instead of a table"
     )
@@ -520,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render = sub.add_parser("render", help="render a game frame to PPM")
     p_render.add_argument("game", choices=sorted(GAMES))
     p_render.add_argument("-o", "--output")
-    _add_common(p_render)
+    _add_screen(p_render)
 
     p_replay = sub.add_parser("replay", help="replay design points on one game")
     p_replay.add_argument("game", choices=sorted(GAMES))
@@ -539,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
              "streaming renders/replays/drops one tile group at a time "
              "(bounded memory); results are bit-identical across both",
     )
-    _add_common(p_replay)
+    _add_screen(p_replay)
+    _add_json(p_replay)
 
     p_suite = sub.add_parser("suite", help="whole-suite comparison")
     p_suite.add_argument(
@@ -549,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument(
         "--games", metavar="A,B,...", help="subset of game aliases"
     )
-    _add_common(p_suite)
+    _add_screen(p_suite)
+    _add_json(p_suite)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a design-space grid")
     p_sweep.add_argument(
@@ -605,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the other driver skip the render; rows are bit-identical "
              "across drivers",
     )
-    _add_common(p_sweep)
+    _add_screen(p_sweep)
 
     p_anim = sub.add_parser("animate", help="multi-frame warm-cache run")
     p_anim.add_argument("game", choices=sorted(GAMES))
@@ -614,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-d", "--design", action="append", metavar="NAME",
         help="design point (repeatable; default: baseline + HLB-flp2)",
     )
-    _add_common(p_anim)
+    _add_screen(p_anim)
 
     p_check = sub.add_parser(
         "check",
@@ -681,7 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-d", "--design", action="append", metavar="NAME",
         help="design point (repeatable; default: baseline + HLB-flp2)",
     )
-    _add_common(p_sanitize)
+    _add_screen(p_sanitize)
+    _add_json(p_sanitize)
 
     p_chaos = sub.add_parser(
         "chaos",
@@ -722,9 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated screen size for trials (default 128x64: chaos "
              "exercises infrastructure, not the timing model)",
     )
-    p_chaos.add_argument(
-        "--json", action="store_true", help="emit JSON instead of a table"
-    )
+    _add_json(p_chaos)
 
     p_sched = sub.add_parser("schedule", help="visualize a quad schedule")
     p_sched.add_argument("--grouping", default="CG-square",
@@ -735,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=sorted(TILE_ORDERS))
     p_sched.add_argument("--tiles", type=int, default=8,
                          help="how many tiles of the traversal to show")
-    _add_common(p_sched)
+    _add_screen(p_sched)
 
     return parser
 

@@ -13,8 +13,9 @@ The defaults reproduce Table II of the paper::
     L2 Cache              64-B lines,  1 MiB, 8-way, 12 cycles
 
 ``GPUConfig`` is the single source of truth threaded through the whole
-simulator.  Scaled-down variants (for tests and fast benches) are produced
-with :meth:`GPUConfig.scaled`.
+simulator.  Scaled-down variants (for tests and fast benches) set a smaller
+``screen_width``/``screen_height`` at construction, as :data:`TEST_CONFIG`
+does.
 """
 
 from __future__ import annotations
@@ -168,21 +169,7 @@ class GPUConfig:
         """Quads along one side of a tile (a quad covers 2x2 pixels)."""
         return self.tile_size // 2
 
-    @property
-    def quads_per_tile(self) -> int:
-        return self.quads_per_tile_side ** 2
-
-    @property
-    def cycle_time_ns(self) -> float:
-        return 1000.0 / self.frequency_mhz
-
     # -- variants ------------------------------------------------------------
-
-    def scaled(self, width: int, height: int, **overrides) -> "GPUConfig":
-        """Return a copy with a different screen size (for fast tests)."""
-        return dataclasses.replace(
-            self, screen_width=width, screen_height=height, **overrides
-        )
 
     def with_upper_bound_cache(self) -> "GPUConfig":
         """Single-SC configuration with one 4x-sized L1 texture cache.

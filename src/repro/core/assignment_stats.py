@@ -10,7 +10,7 @@ load-balance requirement the flip variants exist for)?
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.quad_grouping import NUM_SLOTS
 from repro.core.scheduler import QuadScheduler
@@ -100,10 +100,3 @@ def schedule_stats(scheduler: QuadScheduler) -> ScheduleStats:
         total_edges=total,
         per_core_captures=tuple(per_core),
     )
-
-
-def compare_schedules(
-    schedulers: Dict[str, QuadScheduler],
-) -> Dict[str, ScheduleStats]:
-    """Stats for several named schedules (e.g. the Figure 8 mappings)."""
-    return {name: schedule_stats(s) for name, s in schedulers.items()}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List
 
-from repro.errors import ConfigError, UnknownNameError
+from repro.errors import UnknownNameError
 
 NUM_SLOTS = 4
 
@@ -59,17 +59,6 @@ class QuadGrouping:
     fine_grained: bool
     layout: SubtileLayout
     _fn: Callable[[int, int, int], int]
-
-    def slot(self, qx: int, qy: int, quads_per_side: int) -> int:
-        """Subtile slot (0..3) of quad ``(qx, qy)`` in a tile.
-
-        ``quads_per_side`` is tile_size/2 (16 for 32x32-pixel tiles).
-        """
-        if not (0 <= qx < quads_per_side and 0 <= qy < quads_per_side):
-            raise ConfigError(
-                f"quad ({qx}, {qy}) outside tile of side {quads_per_side}"
-            )
-        return self._fn(qx, qy, quads_per_side)
 
     def slot_map(self, quads_per_side: int) -> List[List[int]]:
         """Full slot matrix (rows indexed by qy) for inspection/plots."""

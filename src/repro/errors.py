@@ -72,7 +72,7 @@ class UnknownNameError(ConfigError, KeyError):
 
 
 class WorkloadError(ReproError, ValueError):
-    """A workload (scene recipe, texture atlas, animation) cannot be built."""
+    """A workload (scene recipe, animation) cannot be built."""
 
 
 class UnknownWorkloadError(WorkloadError, KeyError):

@@ -11,8 +11,6 @@ from repro.geometry.transform import (
     look_at,
     orthographic,
     perspective,
-    rotate_y,
-    scale,
     translate,
     viewport_transform,
 )
@@ -23,7 +21,7 @@ from repro.geometry.clipping import clip_primitive, cull_backface
 __all__ = [
     "Vec2", "Vec3", "Vec4", "Mat4",
     "Vertex", "Mesh", "Scene", "DrawCommand",
-    "translate", "scale", "rotate_y", "look_at", "perspective",
+    "translate", "look_at", "perspective",
     "orthographic", "viewport_transform",
     "VertexStage", "Primitive", "PrimitiveAssembler",
     "clip_primitive", "cull_backface",

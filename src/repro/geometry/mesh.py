@@ -10,7 +10,7 @@ textures", with draw commands triggering the Geometry Pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List
 
 from repro.geometry.vec import Mat4, Vec2, Vec3
 from repro.errors import WorkloadError
@@ -71,13 +71,6 @@ class Mesh:
     def num_triangles(self) -> int:
         return len(self.indices) // 3
 
-    def triangles(self) -> Sequence[Tuple[int, int, int]]:
-        """Iterate index triples in program order."""
-        idx = self.indices
-        return [
-            (idx[i], idx[i + 1], idx[i + 2]) for i in range(0, len(idx), 3)
-        ]
-
     def vertex_address(self, index: int) -> int:
         """Byte address of vertex ``index`` in the vertex buffer."""
         return self.base_address + index * VERTEX_STRIDE_BYTES
@@ -117,11 +110,3 @@ class Scene:
     @property
     def num_triangles(self) -> int:
         return sum(d.mesh.num_triangles for d in self.draws)
-
-    def texture_ids(self) -> List[int]:
-        """Distinct texture ids referenced by the scene, in first-use order."""
-        seen: List[int] = []
-        for draw in self.draws:
-            if draw.texture_id not in seen:
-                seen.append(draw.texture_id)
-        return seen

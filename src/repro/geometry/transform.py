@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from repro.geometry.vec import Mat4, Vec2, Vec3
+from repro.geometry.vec import Mat4, Vec3
 from repro.errors import WorkloadError
 
 
@@ -15,31 +15,6 @@ def translate(t: Vec3) -> Mat4:
             [1, 0, 0, t.x],
             [0, 1, 0, t.y],
             [0, 0, 1, t.z],
-            [0, 0, 0, 1],
-        ]
-    )
-
-
-def scale(s: Vec3) -> Mat4:
-    """Non-uniform scale matrix."""
-    return Mat4(
-        [
-            [s.x, 0, 0, 0],
-            [0, s.y, 0, 0],
-            [0, 0, s.z, 0],
-            [0, 0, 0, 1],
-        ]
-    )
-
-
-def rotate_y(angle_rad: float) -> Mat4:
-    """Rotation about the +Y axis."""
-    c, s = math.cos(angle_rad), math.sin(angle_rad)
-    return Mat4(
-        [
-            [c, 0, s, 0],
-            [0, 1, 0, 0],
-            [-s, 0, c, 0],
             [0, 0, 0, 1],
         ]
     )
@@ -102,9 +77,3 @@ def viewport_transform(ndc: Vec3, width: int, height: int) -> Vec3:
     sy = (1.0 - ndc.y) * 0.5 * height
     sz = (ndc.z + 1.0) * 0.5
     return Vec3(sx, sy, sz)
-
-
-def ndc_to_screen_xy(ndc: Vec3, width: int, height: int) -> Vec2:
-    """Convenience: just the screen-space x, y of :func:`viewport_transform`."""
-    screen = viewport_transform(ndc, width, height)
-    return Vec2(screen.x, screen.y)

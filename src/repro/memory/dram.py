@@ -24,10 +24,6 @@ class DRAMStats:
     accesses: int = 0
     total_latency: int = 0
 
-    @property
-    def mean_latency(self) -> float:
-        return self.total_latency / self.accesses if self.accesses else 0.0
-
     def reset(self) -> None:
         self.accesses = 0
         self.total_latency = 0

@@ -61,14 +61,6 @@ class EnergyBreakdown:
     def total_mj(self) -> float:
         return sum(self.components_mj.values())
 
-    @property
-    def dynamic_mj(self) -> float:
-        return self.total_mj - self.components_mj.get("static", 0.0)
-
-    def fraction(self, component: str) -> float:
-        total = self.total_mj
-        return self.components_mj.get(component, 0.0) / total if total else 0.0
-
 
 class EnergyModel:
     """Accumulates event counts into a frame-energy breakdown."""

@@ -6,19 +6,20 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.raster.setup import ScreenPrimitive
-
 
 def barycentric_grid(
     ax, ay, bx, by, cx, cy, area2, px: np.ndarray, py: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`barycentric` over pixel grids.
+    """Normalized barycentric weights of pixel-centre grids.
 
     Vertex coordinates and ``area2`` are broadcastable against the
     pixel-centre grids ``px``/``py`` (the fast rasterizer passes
     ``(P, 1, 1)`` per-primitive columns against ``(1, h, w)`` grids).
-    The expressions mirror the scalar weights term for term, so every
-    weight is bit-identical.
+    Weights sum to 1; points outside the triangle get a negative weight
+    (extrapolation), which is what helper lanes need.  The expressions
+    mirror the reference rasterizer's inline weights
+    (:meth:`~repro.raster.rasterizer.Rasterizer._rasterize_primitive`)
+    term for term, so every weight is bit-identical.
     """
     w0 = ((bx - px) * (cy - py) - (cx - px) * (by - py)) / area2
     w1 = ((cx - px) * (ay - py) - (ax - px) * (cy - py)) / area2
@@ -33,7 +34,7 @@ def interpolate_uv_grid(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized perspective-correct UVs, helper lanes included.
 
-    Matches the scalar rasterizer's guarded divide: a zero interpolated
+    Matches the reference rasterizer's guarded divide: a zero interpolated
     ``1/w`` divides by 1.0 instead (the lane is outside any valid
     projection and only ever feeds LOD derivatives).
     """
@@ -43,59 +44,3 @@ def interpolate_uv_grid(
     v = (w0 * a_vw + w1 * b_vw + w2 * c_vw) / safe
     return u, v
 
-
-def barycentric(
-    primitive: ScreenPrimitive, px: float, py: float
-) -> Tuple[float, float, float]:
-    """Normalized barycentric weights of point (px, py).
-
-    Weights sum to 1; points outside the triangle get weights outside
-    [0, 1] (extrapolation), which is exactly what helper lanes need.
-    """
-    a, b, c = primitive.vertices
-    area2 = primitive.area2
-    if area2 == 0.0:
-        raise ZeroDivisionError("degenerate primitive")
-    w0 = ((b.x - px) * (c.y - py) - (c.x - px) * (b.y - py)) / area2
-    w1 = ((c.x - px) * (a.y - py) - (a.x - px) * (c.y - py)) / area2
-    w2 = 1.0 - w0 - w1
-    return w0, w1, w2
-
-
-def interpolate_depth(
-    primitive: ScreenPrimitive, weights: Tuple[float, float, float]
-) -> float:
-    """Screen-space (linear) depth interpolation."""
-    a, b, c = primitive.vertices
-    w0, w1, w2 = weights
-    return w0 * a.z + w1 * b.z + w2 * c.z
-
-
-def interpolate_uv(
-    primitive: ScreenPrimitive, weights: Tuple[float, float, float]
-) -> Tuple[float, float]:
-    """Perspective-correct texture coordinates at the weighted point."""
-    a, b, c = primitive.vertices
-    w0, w1, w2 = weights
-    inv_w = w0 * a.inv_w + w1 * b.inv_w + w2 * c.inv_w
-    if inv_w == 0.0:
-        return (0.0, 0.0)
-    u = (w0 * a.u_over_w + w1 * b.u_over_w + w2 * c.u_over_w) / inv_w
-    v = (w0 * a.v_over_w + w1 * b.v_over_w + w2 * c.v_over_w) / inv_w
-    return (u, v)
-
-
-def interpolate_color(
-    primitive: ScreenPrimitive, weights: Tuple[float, float, float]
-) -> Tuple[float, float, float]:
-    """Perspective-correct vertex-color interpolation."""
-    a, b, c = primitive.vertices
-    w0, w1, w2 = weights
-    inv_w = w0 * a.inv_w + w1 * b.inv_w + w2 * c.inv_w
-    if inv_w == 0.0:
-        return (0.0, 0.0, 0.0)
-    return tuple(
-        (w0 * a.color_over_w[i] + w1 * b.color_over_w[i]
-         + w2 * c.color_over_w[i]) / inv_w
-        for i in range(3)
-    )

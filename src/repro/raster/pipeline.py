@@ -81,10 +81,6 @@ class TileWork:
     fetch_cycles: int
     subtiles: List[SubtileWork]
 
-    @property
-    def total_quads(self) -> int:
-        return sum(s.num_quads for s in self.subtiles)
-
 
 @dataclass
 class FrameTiming:

@@ -38,17 +38,6 @@ class _Warp:
     def __post_init__(self) -> None:
         self.compute_left = self.segments[0][0] if self.segments else 0
 
-    @property
-    def done(self) -> bool:
-        return (
-            self.segment_index >= len(self.segments)
-            or (
-                self.segment_index == len(self.segments) - 1
-                and self.compute_left == 0
-                and self.segments[self.segment_index][1] == 0
-            )
-        )
-
 
 def _expand(cost: WarpCost, pieces: int = 2) -> List[Tuple[int, int]]:
     """Split one warp's (compute, stall) into alternating segments."""

@@ -60,12 +60,6 @@ class SubtileExecution:
     stall_cycles: int
     total_cycles: int
 
-    @property
-    def hidden_stall_cycles(self) -> int:
-        """Stall cycles that multithreading managed to hide."""
-        exposed = max(0, self.total_cycles - self.compute_cycles)
-        return max(0, self.stall_cycles - exposed)
-
 
 class ShaderCore:
     """Analytic multithreaded-execution model for one SC."""

@@ -5,8 +5,8 @@ writes, corrupted traces and processes killed mid-journal — this module
 makes every one of those failures *injectable on demand* so the claims
 are tested instead of assumed.  A :class:`FaultPlan` is a seeded,
 declarative list of :class:`FaultSpec` entries; arming it (via
-:func:`arm` / :func:`armed`) activates named injection sites threaded
-through the hot paths:
+:func:`armed`) activates named injection sites threaded through the hot
+paths:
 
 ======================  ======================================================
 site                    instrumented in
@@ -64,8 +64,7 @@ __all__ = [
     "KIND_BUDGET", "KIND_CORRUPT", "KIND_EXIT", "KIND_HANG", "KIND_KILL",
     "KIND_PARTIAL_LINE", "KIND_TORN_WRITE", "KIND_TRANSIENT",
     "KIND_TRUNCATE", "KINDS_BY_SITE",
-    "active_plan", "arm", "armed", "deterministic_fraction", "disarm",
-    "fault_point",
+    "active_plan", "armed", "deterministic_fraction", "fault_point",
 ]
 
 # -- injection sites ----------------------------------------------------------
@@ -232,11 +231,10 @@ class FaultPlan:
     attempt counters are process-local observation state — the
     *decisions* never depend on them when an explicit ``attempt`` is
     supplied, and depend only on the per-(site, key) call count
-    otherwise.  A pool task returns the events its copy fired, and
-    the sweep appends them to the parent's ``fired``.  An attempt
-    that never returns loses its events: one killed by ``os._exit``
-    or by the deadline after a hang, and one whose exception ends the
-    campaign (an unguarded baseline failure).
+    otherwise.  A pool task returns the events its copy fired, with
+    its outcome or its exception, and the sweep appends them to the
+    parent's ``fired``.  An attempt that never returns loses its
+    events: one killed by ``os._exit`` or by the deadline after a hang.
     """
 
     seed: int = 0
@@ -318,19 +316,6 @@ _ACTIVE_PLAN: Optional[FaultPlan] = None
 def active_plan() -> Optional[FaultPlan]:
     """The currently armed plan, or ``None``."""
     return _ACTIVE_PLAN
-
-
-def arm(plan: FaultPlan) -> FaultPlan:
-    """Arm ``plan``: every instrumented site starts consulting it."""
-    global _ACTIVE_PLAN
-    _ACTIVE_PLAN = plan
-    return plan
-
-
-def disarm() -> None:
-    """Disarm injection; all sites return to zero-cost no-ops."""
-    global _ACTIVE_PLAN
-    _ACTIVE_PLAN = None
 
 
 @contextmanager

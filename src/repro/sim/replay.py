@@ -482,7 +482,6 @@ class TraceReplayer:
         ))
         pipeline = RasterPipelineModel(gpu, design.decoupled)
         timing = pipeline.simulate(tile_works)
-        self.budget.check_cycles(timing.total_cycles, design.name)
 
         # Every tile's Color Buffer streams to the Frame Buffer once per
         # frame (64 B lines, schedule-independent write traffic).

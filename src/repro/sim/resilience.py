@@ -10,7 +10,7 @@ module provides the pieces the sweep and suite runners share:
 * :class:`RetryPolicy` — bounded retry of failures whose error is
   flagged ``transient`` (see :mod:`repro.errors`); deterministic
   failures are never retried.
-* :class:`ReplayBudget` — a quad/cycle ceiling that converts a runaway
+* :class:`ReplayBudget` — a quad ceiling that converts a runaway
   replay into a :class:`~repro.errors.BudgetExceededError` instead of an
   unbounded hang.
 * :class:`RunManifest` — the per-campaign summary (config hash, points
@@ -118,26 +118,17 @@ def run_guarded(
 class ReplayBudget:
     """Hard ceiling on one replay's work.
 
-    ``None`` disables a dimension.  The quad ceiling is checked while
-    the replay walks the trace (so a pathological trace dies early);
-    the cycle ceiling is checked against the timing model's result.
+    ``None`` disables the ceiling.  It is checked while the replay walks
+    the trace, so a pathological trace dies early.
     """
 
     max_quads: Optional[int] = None
-    max_cycles: Optional[int] = None
 
     def check_quads(self, quads: int, design_point: str) -> None:
         if self.max_quads is not None and quads > self.max_quads:
             raise BudgetExceededError(
                 f"replay of {design_point!r} exceeded the quad budget: "
                 f"{quads} > {self.max_quads}"
-            )
-
-    def check_cycles(self, cycles: int, design_point: str) -> None:
-        if self.max_cycles is not None and cycles > self.max_cycles:
-            raise BudgetExceededError(
-                f"replay of {design_point!r} exceeded the cycle budget: "
-                f"{cycles} > {self.max_cycles}"
             )
 
 

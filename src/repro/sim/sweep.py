@@ -147,28 +147,34 @@ def _replay_task(
     inheritance is not guaranteed under spawn, and a respawned pool
     must re-arm anyway); ``attempt`` is the task's scheduling attempt,
     so a respawned task draws a fresh — by default clean — injection
-    decision.  Returns ``(outcome, fired)``: :func:`_replay`'s outcome
-    and the fault events this task fired, which
-    :meth:`_TaskPool.result` hands back to the parent's plan.
-    The plan arrives carrying the events the parent had recorded when
-    it was pickled, so only the ones after them are this task's.
+    decision.  Returns ``(outcome, error, fired)``: :func:`_replay`'s
+    outcome, or ``None`` and the exception it raised, and the fault
+    events this task fired, which :meth:`_TaskPool.result` hands back
+    to the parent's plan before it raises ``error``.  The plan arrives
+    carrying the events the parent had recorded when it was pickled, so
+    only the ones after them are this task's.
     """
     fired_before = len(plan.fired) if plan is not None else 0
-    with faults.armed(plan):
-        faults.fault_point(
-            faults.SITE_WORKER, key=f"{design.name}/{game}", attempt=attempt
-        )
-        key = (store_dir, config, stream_driver, replayer.engine)
-        runner = _WORKER_RUNNERS.get(key)
-        if runner is None:
-            runner = ExperimentRunner(
-                config, store_dir=store_dir, stream=stream_driver
+    outcome = error = None
+    try:
+        with faults.armed(plan):
+            faults.fault_point(
+                faults.SITE_WORKER, key=f"{design.name}/{game}",
+                attempt=attempt,
             )
-            runner.replayer = replayer
-            _WORKER_RUNNERS[key] = runner
-        outcome = _replay(runner, design, game, policy, guarded)
+            key = (store_dir, config, stream_driver, replayer.engine)
+            runner = _WORKER_RUNNERS.get(key)
+            if runner is None:
+                runner = ExperimentRunner(
+                    config, store_dir=store_dir, stream=stream_driver
+                )
+                runner.replayer = replayer
+                _WORKER_RUNNERS[key] = runner
+            outcome = _replay(runner, design, game, policy, guarded)
+    except Exception as raised:  # the parent raises it after the fires
+        error = raised
     fired = plan.fired[fired_before:] if plan is not None else []
-    return outcome, fired
+    return outcome, error, fired
 
 
 #: Sentinel design name keying the baseline's tasks in the task table
@@ -296,18 +302,21 @@ class _TaskPool:
 
         Returns the task's outcome; the faults it fired in its worker
         join the parent's armed plan, so ``plan.fired`` counts every
-        fire a pool campaign's completed attempts made.
+        fire a pool campaign's completed attempts made, including an
+        attempt that raised.
 
         Raises :class:`WorkerCrashError` / :class:`TaskTimeoutError`
         only once the waited task has exhausted its attempts *in
-        isolation*; any other exception is the task's own and
-        propagates untouched.
+        isolation*; any other exception is the task's own and is
+        raised once its fires have joined the plan.
         """
         try:
             while True:
                 future = self._futures[task_id]
                 try:
-                    outcome, fired = future.result(timeout=self._timeout_s)
+                    outcome, error, fired = future.result(
+                        timeout=self._timeout_s
+                    )
                 except BrokenProcessPool:
                     self._recover(
                         task_id,
@@ -332,6 +341,8 @@ class _TaskPool:
                     del self._futures[task_id], self._args[task_id]
                     if self._plan is not None:
                         self._plan.fired.extend(fired)
+                    if error is not None:
+                        raise error
                     return outcome
         finally:
             self._unpark()
@@ -449,10 +460,6 @@ class SweepReport:
     def resumed(self) -> List[str]:
         """Design-point names whose rows were loaded from a previous run."""
         return self.manifest.design_points_resumed
-
-    @property
-    def wall_time_s(self) -> float:
-        return self.manifest.wall_time_s
 
     @property
     def outcome(self) -> str:

@@ -78,13 +78,6 @@ def percent_decrease(baseline: float, value: float) -> float:
     return (baseline - value) / baseline * 100.0
 
 
-def speedup(baseline_cycles: float, cycles: float) -> float:
-    """Execution-time speedup of ``cycles`` over ``baseline_cycles``."""
-    if cycles == 0:
-        return float("inf")
-    return baseline_cycles / cycles
-
-
 def violin_summary(samples: Sequence[float]) -> dict:
     """Min / max / mean / median summary of a distribution (violin plots)."""
     if not samples:

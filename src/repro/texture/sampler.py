@@ -36,10 +36,6 @@ class SampleFootprint:
     lines: Tuple[int, ...]
     texel_count: int
 
-    @property
-    def line_count(self) -> int:
-        return len(self.lines)
-
 
 def compute_lod(
     du_dx: float, dv_dx: float, du_dy: float, dv_dy: float,

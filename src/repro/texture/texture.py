@@ -273,9 +273,6 @@ class TextureAllocator:
         self.textures[texture_id] = texture
         return texture
 
-    def get(self, texture_id: int) -> Texture:
-        return self.textures[texture_id]
-
     @property
     def total_footprint_bytes(self) -> int:
         """Aggregate texture footprint (Table I's "Texture Footprint")."""

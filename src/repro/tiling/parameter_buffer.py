@@ -50,14 +50,6 @@ class ParameterBuffer:
     def tile_primitive_count(self, tile: TileCoord) -> int:
         return len(self.tile_lists.get(tile, ()))
 
-    @property
-    def num_unique_primitives(self) -> int:
-        return len({key[0] for key in self.primitives})
-
-    @property
-    def total_list_entries(self) -> int:
-        return sum(len(lst) for lst in self.tile_lists.values())
-
     # -- memory layout ---------------------------------------------------------
 
     def attribute_address(self, primitive_id: int) -> int:
@@ -87,10 +79,3 @@ class ParameterBuffer:
             offsets[tile] = cursor
             cursor += len(self.tile_lists[tile]) * ID_ENTRY_BYTES
         self._list_offsets = offsets
-
-    def footprint_bytes(self) -> int:
-        """Total Parameter Buffer size for the frame."""
-        return (
-            self.num_unique_primitives * ATTRIBUTE_RECORD_BYTES
-            + self.total_list_entries * ID_ENTRY_BYTES
-        )

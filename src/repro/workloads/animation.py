@@ -11,12 +11,9 @@ DTexL targets within a frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
-
-from repro.config import GPUConfig
 from repro.errors import UnknownWorkloadError, WorkloadError
 from repro.workloads.games import GAMES
-from repro.workloads.recipe import BuiltWorkload, SceneRecipe
+from repro.workloads.recipe import SceneRecipe
 
 
 @dataclass(frozen=True)
@@ -38,11 +35,3 @@ class Animation:
         except KeyError:
             raise UnknownWorkloadError(f"unknown game {alias!r}") from None
         return Animation(recipe=spec.recipe, num_frames=num_frames)
-
-    def frames(self, config: GPUConfig) -> Iterator[BuiltWorkload]:
-        """Yield each frame's workload in display order."""
-        for frame in range(self.num_frames):
-            yield self.recipe.build(config, frame=frame)
-
-    def build_all(self, config: GPUConfig) -> List[BuiltWorkload]:
-        return list(self.frames(config))

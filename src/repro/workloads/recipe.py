@@ -111,11 +111,6 @@ class SceneRecipe:
     #: Per-frame sprite scroll in screen fractions (animation support):
     #: frame ``k`` shifts every sprite by ``k * scroll`` (wrapping).
     scroll: Tuple[float, float] = (0.03, 0.0)
-    #: When > 0, sprites sample sub-regions of a sprite-sheet atlas
-    #: (an ``atlas_grid`` x ``atlas_grid`` packing of the largest
-    #: texture) instead of arbitrary UV windows — the common mobile
-    #: asset layout.
-    atlas_grid: int = 0
 
     # -- public API -------------------------------------------------------------
 
@@ -138,12 +133,6 @@ class SceneRecipe:
         ]
         scene = Scene(name=self.name)
         builder = _SceneBuilder(config, rng, textures, scene)
-        if self.atlas_grid:
-            from repro.workloads.atlas import TextureAtlas
-
-            builder.atlas = TextureAtlas(
-                builder.largest_texture(), grid=self.atlas_grid
-            )
         if self.is_3d:
             self._build_3d(builder, frame)
         else:
@@ -256,10 +245,7 @@ class SceneRecipe:
     def _sprite_source(
         self, builder: "_SceneBuilder"
     ) -> Tuple[Texture, Tuple[float, float, float, float]]:
-        """Texture and UV window for one sprite (atlas-aware)."""
-        if builder.atlas is not None:
-            region = builder.rng.randrange(builder.atlas.num_regions)
-            return builder.atlas.texture, builder.atlas.uv_rect(region)
+        """Texture and UV window for one sprite."""
         return builder.pick_texture(), self._uv_rect(builder.rng)
 
     def _shader(self, rng: random.Random) -> ShaderProgram:
@@ -284,7 +270,6 @@ class _SceneBuilder:
         self.rng = rng
         self.textures = textures
         self.scene = scene
-        self.atlas = None  # set by SceneRecipe.build when atlas_grid > 0
         self._vertex_cursor = 0
 
     def largest_texture(self) -> Texture:

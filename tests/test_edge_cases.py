@@ -144,4 +144,4 @@ class TestTextureEdgeCases:
         sampler = Sampler()
         for uv in [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-0.25, 2.5)]:
             footprint = sampler.footprint(texture, *uv)
-            assert footprint.line_count >= 1
+            assert len(footprint.lines) >= 1

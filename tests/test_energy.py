@@ -45,21 +45,27 @@ class TestBreakdown:
 
     def test_dynamic_excludes_static(self):
         breakdown = frame(EnergyModel())
-        assert breakdown.dynamic_mj == pytest.approx(
+        dynamic = sum(
+            mj for name, mj in breakdown.components_mj.items()
+            if name != "static"
+        )
+        assert breakdown.components_mj["static"] > 0.0
+        assert dynamic == pytest.approx(
             breakdown.total_mj - breakdown.components_mj["static"]
         )
 
     def test_fractions_sum_to_one(self):
         breakdown = frame(EnergyModel())
         total = sum(
-            breakdown.fraction(name) for name in breakdown.components_mj
+            mj / breakdown.total_mj
+            for mj in breakdown.components_mj.values()
         )
         assert total == pytest.approx(1.0)
 
     def test_empty_breakdown(self):
         empty = EnergyBreakdown()
         assert empty.total_mj == 0.0
-        assert empty.fraction("l2") == 0.0
+        assert empty.components_mj == {}
 
 
 class TestScaling:
@@ -98,7 +104,8 @@ class TestScaling:
     def test_static_fraction_reasonable(self):
         """Calibration guard: 20-55% of a typical frame is static."""
         breakdown = frame(EnergyModel())
-        assert 0.1 < breakdown.fraction("static") < 0.7
+        static = breakdown.components_mj["static"] / breakdown.total_mj
+        assert 0.1 < static < 0.7
 
 
 class TestFramebufferWrites:

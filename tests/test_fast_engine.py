@@ -545,7 +545,7 @@ class TestParallelSweep:
         phases = parallel.manifest.phase_seconds
         assert set(phases) == {"pool_startup", "replay"}
         assert all(seconds >= 0.0 for seconds in phases.values())
-        assert sum(phases.values()) <= parallel.wall_time_s + 1e-6
+        assert sum(phases.values()) <= parallel.manifest.wall_time_s + 1e-6
 
     def test_cold_checkpointed_pool_renders_in_workers(
         self, tmp_path, tiny_config, serial_and_parallel

@@ -118,7 +118,7 @@ class TestGameSuiteDifferential:
 
     @pytest.mark.parametrize("alias", ["CCS", "RoK", "GTr"])
     def test_fast_matches_reference(self, alias):
-        """2D, 3D and atlas-heavy games, full trace equality."""
+        """2D and 3D games, full trace equality."""
         fast, ref = render_both(build_game(alias, TINY))
         assert_traces_identical(fast, ref)
 
@@ -145,7 +145,6 @@ recipe_params = st.fixed_dictionaries(
         "blend_fraction": st.floats(min_value=0.0, max_value=1.0),
         "horizontal_clustering": st.floats(min_value=0.0, max_value=1.0),
         "texture_samples": st.integers(min_value=0, max_value=3),
-        "atlas_grid": st.sampled_from([0, 0, 4]),
     }
 )
 

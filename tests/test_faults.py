@@ -605,6 +605,22 @@ class TestWorkerFires:
             (faults.SITE_CHECKPOINT_LOAD, faults.KIND_CORRUPT)
         }
 
+    def test_fires_of_a_task_that_ends_the_campaign_reach_the_plan(
+        self, tiny_config
+    ):
+        """A transient on the unguarded baseline ends a pool campaign;
+        the task that raised it still hands its fires back."""
+        plan = FaultPlan(specs=(FaultSpec(
+            site=faults.SITE_REPLAY, kind=faults.KIND_TRANSIENT,
+            match="baseline/",
+        ),))
+        with faults.armed(plan), pytest.raises(InjectedFaultError):
+            make_sweep().run(make_runner(tiny_config), jobs=2)
+        assert plan.fired
+        assert {(e.site, e.kind, e.key) for e in plan.fired} == {
+            (faults.SITE_REPLAY, faults.KIND_TRANSIENT, f"baseline/{GAME}")
+        }
+
     def test_a_task_returns_only_its_own_fires(
         self, tmp_path, tiny_config, monkeypatch
     ):
@@ -621,11 +637,11 @@ class TestWorkerFires:
             fired=[earlier],
         )
         runner = make_runner(tiny_config)
-        (run, failure), fired = sweep._replay_task(
+        (run, failure), error, fired = sweep._replay_task(
             str(tmp_path), runner.config, runner.stream, runner.replayer,
             BASELINE, GAME, RetryPolicy(max_retries=1), True, plan=plan,
         )
-        assert failure is None and run.total_quads > 0
+        assert failure is None and error is None and run.total_quads > 0
         assert [(e.site, e.key, e.attempt) for e in fired] == [
             (faults.SITE_REPLAY, f"{BASELINE.name}/{GAME}", 1)
         ]

@@ -27,9 +27,6 @@ class TestMesh:
     def test_triangle_count(self):
         assert quad_mesh().num_triangles == 2
 
-    def test_triangles_in_program_order(self):
-        assert quad_mesh().triangles() == [(0, 1, 2), (0, 2, 3)]
-
     def test_vertex_addresses_use_stride(self):
         mesh = quad_mesh(base=1000)
         assert mesh.vertex_address(0) == 1000
@@ -79,12 +76,6 @@ class TestScene:
         scene.add(DrawCommand(mesh=quad_mesh(), texture_id=0))
         scene.add(DrawCommand(mesh=quad_mesh(), texture_id=1))
         assert scene.num_triangles == 4
-
-    def test_texture_ids_unique_in_first_use_order(self):
-        scene = Scene()
-        for tid in [2, 0, 2, 1, 0]:
-            scene.add(DrawCommand(mesh=quad_mesh(), texture_id=tid))
-        assert scene.texture_ids() == [2, 0, 1]
 
     def test_draw_defaults(self):
         draw = DrawCommand(mesh=quad_mesh(), texture_id=0)

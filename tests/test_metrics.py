@@ -10,7 +10,6 @@ from repro.stats import (
     per_tile_imbalance,
     per_tile_imbalance_distribution,
     percent_decrease,
-    speedup,
     violin_summary,
 )
 
@@ -91,12 +90,6 @@ class TestRatios:
 
     def test_percent_decrease_zero_baseline(self):
         assert percent_decrease(0, 10) == 0.0
-
-    def test_speedup(self):
-        assert speedup(200, 100) == pytest.approx(2.0)
-
-    def test_speedup_infinite_for_zero(self):
-        assert speedup(100, 0) == float("inf")
 
 
 class TestViolinSummary:

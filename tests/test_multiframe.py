@@ -9,6 +9,7 @@ from repro.config import GPUConfig
 from repro.core.dtexl import BASELINE, DTEXL_BEST
 from repro.sim.multiframe import AnimationResult, AnimationSimulator
 from repro.workloads.animation import Animation
+from repro.workloads.games import GAMES
 from repro.workloads.recipe import SceneRecipe
 
 
@@ -32,11 +33,14 @@ def warm_result(config, animation):
 
 
 class TestAnimation:
-    def test_frame_count(self, animation, config):
-        assert len(animation.build_all(config)) == 3
+    def test_frame_count(self, warm_result):
+        assert len(warm_result.frames) == 3
 
     def test_frames_share_textures(self, animation, config):
-        frames = animation.build_all(config)
+        frames = [
+            animation.recipe.build(config, frame=k)
+            for k in range(animation.num_frames)
+        ]
         first = frames[0].allocator.textures
         last = frames[-1].allocator.textures
         assert {t.base_address for t in first.values()} == {
@@ -44,14 +48,15 @@ class TestAnimation:
         }
 
     def test_frames_differ_in_geometry(self, animation, config):
-        frames = animation.build_all(config)
+        frames = [animation.recipe.build(config, frame=k) for k in (0, 1)]
         v0 = frames[0].scene.draws[-1].mesh.vertices[0].position
         v1 = frames[1].scene.draws[-1].mesh.vertices[0].position
         assert v0 != v1
 
-    def test_of_game(self, config):
+    def test_of_game(self):
         animation = Animation.of_game("SWa", num_frames=2)
-        assert len(animation.build_all(config)) == 2
+        assert animation.recipe == GAMES["SWa"].recipe
+        assert animation.num_frames == 2
 
     def test_of_unknown_game(self):
         with pytest.raises(KeyError):

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.overdraw import (
     overdraw_ascii,
     overdraw_stats,
-    per_tile_overdraw,
     shaded_pixel_map,
 )
 
@@ -62,14 +61,14 @@ class TestOverdrawStats:
 
 class TestPerTileOverdraw:
     def test_every_tile_reported(self, tiny_config, tiny_trace):
-        per_tile = per_tile_overdraw(tiny_trace, tiny_config)
-        assert len(per_tile) == tiny_config.num_tiles
+        assert len(tiny_trace.tiles) == tiny_config.num_tiles
 
     def test_values_consistent_with_totals(self, tiny_config, tiny_trace):
-        per_tile = per_tile_overdraw(tiny_trace, tiny_config)
-        area = tiny_config.tile_size ** 2
-        total = sum(v * area for v in per_tile.values())
-        assert total == pytest.approx(tiny_trace.stats.pixels_shaded)
+        total = sum(
+            entry.columns.covered_pixels
+            for entry in tiny_trace.tiles.values()
+        )
+        assert total == tiny_trace.stats.pixels_shaded
 
 
 class TestAsciiHeatmap:

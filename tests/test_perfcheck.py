@@ -223,7 +223,7 @@ class TestHotRegion:
     def test_region_follows_resolved_constructor_edges(self, tmp_path):
         callgraph = self.build(tmp_path, mutate(self.IMPURE_FAST))
         region = compute_hot_region(callgraph, ["pkg.fast.replay"])
-        assert "pkg.ref.ReferenceCache.__init__" in region
+        assert "pkg.ref.ReferenceCache.__init__" in region.chains
         assert region.chain_of("pkg.ref.ReferenceCache.__init__") == [
             "pkg.fast.replay", "pkg.ref.ReferenceCache.__init__",
         ]
@@ -234,7 +234,7 @@ class TestHotRegion:
             callgraph, ["pkg.fast.replay"],
             exclude=["pkg.ref.ReferenceCache.__init__"],
         )
-        assert "pkg.ref.ReferenceCache.__init__" not in region
+        assert "pkg.ref.ReferenceCache.__init__" not in region.chains
         assert region.excluded == ["pkg.ref.ReferenceCache.__init__"]
 
     def test_missing_entry_point_is_recorded(self, tmp_path):

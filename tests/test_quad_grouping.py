@@ -17,11 +17,10 @@ SIDE = 16  # quads per tile side for 32x32-pixel tiles
 
 
 def slot_counts(name, side=SIDE):
-    grouping = get_grouping(name)
     counts = [0] * NUM_SLOTS
-    for qy in range(side):
-        for qx in range(side):
-            counts[grouping.slot(qx, qy, side)] += 1
+    for row in get_grouping(name).slot_map(side):
+        for slot in row:
+            counts[slot] += 1
     return counts
 
 
@@ -42,10 +41,6 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_grouping("FG-nope")
 
-    def test_out_of_tile_quad_rejected(self):
-        with pytest.raises(ValueError):
-            get_grouping("CG-square").slot(SIDE, 0, SIDE)
-
 
 class TestBalancedPartition:
     @pytest.mark.parametrize("name", sorted(GROUPINGS))
@@ -57,51 +52,52 @@ class TestBalancedPartition:
     @pytest.mark.parametrize("name", sorted(GROUPINGS))
     @pytest.mark.parametrize("side", [4, 8, 16])
     def test_slots_in_range_for_all_sides(self, name, side):
-        grouping = get_grouping(name)
-        for qy in range(side):
-            for qx in range(side):
-                assert 0 <= grouping.slot(qx, qy, side) < NUM_SLOTS
+        grid = get_grouping(name).slot_map(side)
+        assert len(grid) == side
+        for row in grid:
+            assert len(row) == side
+            assert all(0 <= slot < NUM_SLOTS for slot in row)
 
 
 class TestFineGrainedAdjacency:
     @pytest.mark.parametrize("name", ["FG-check", "FG-check2"])
     def test_checkerboards_never_share_4neighbours(self, name):
-        grouping = get_grouping(name)
+        grid = get_grouping(name).slot_map(SIDE)
         for qy in range(SIDE):
             for qx in range(SIDE):
-                slot = grouping.slot(qx, qy, SIDE)
+                slot = grid[qy][qx]
                 for dx, dy in [(1, 0), (0, 1)]:
                     nx, ny = qx + dx, qy + dy
                     if nx < SIDE and ny < SIDE:
-                        assert grouping.slot(nx, ny, SIDE) != slot
+                        assert grid[ny][nx] != slot
 
     def test_xshift2_horizontal_pairs(self):
         """FG-xshift2: at most one same-slot horizontal neighbour, none vertical."""
-        grouping = get_grouping("FG-xshift2")
+        grid = get_grouping("FG-xshift2").slot_map(SIDE)
         for qy in range(SIDE):
             for qx in range(SIDE):
-                slot = grouping.slot(qx, qy, SIDE)
+                slot = grid[qy][qx]
                 same_horizontal = sum(
                     1
                     for nx in (qx - 1, qx + 1)
-                    if 0 <= nx < SIDE and grouping.slot(nx, qy, SIDE) == slot
+                    if 0 <= nx < SIDE and grid[qy][nx] == slot
                 )
                 assert same_horizontal <= 1
                 if qy + 1 < SIDE:
-                    assert grouping.slot(qx, qy + 1, SIDE) != slot
+                    assert grid[qy + 1][qx] != slot
 
     def test_yshift2_is_transpose_of_xshift2(self):
-        xs = get_grouping("FG-xshift2")
-        ys = get_grouping("FG-yshift2")
+        xs = get_grouping("FG-xshift2").slot_map(SIDE)
+        ys = get_grouping("FG-yshift2").slot_map(SIDE)
         for qy in range(SIDE):
             for qx in range(SIDE):
-                assert xs.slot(qx, qy, SIDE) == ys.slot(qy, qx, SIDE)
+                assert xs[qy][qx] == ys[qx][qy]
 
     def test_diag_stripes(self):
-        grouping = get_grouping("FG-diag")
+        grid = get_grouping("FG-diag").slot_map(SIDE)
         # Along an anti-diagonal, the slot is constant.
-        assert grouping.slot(0, 3, SIDE) == grouping.slot(3, 0, SIDE)
-        assert grouping.slot(1, 2, SIDE) == grouping.slot(2, 1, SIDE)
+        assert grid[3][0] == grid[0][3]
+        assert grid[2][1] == grid[1][2]
 
     def test_fine_grained_layout_interleaved(self):
         for grouping in FINE_GRAINED.values():
@@ -111,32 +107,33 @@ class TestFineGrainedAdjacency:
 class TestCoarseGrainedShapes:
     def test_square_quadrants(self):
         grouping = get_grouping("CG-square")
-        assert grouping.slot(0, 0, SIDE) == 0
-        assert grouping.slot(SIDE - 1, 0, SIDE) == 1
-        assert grouping.slot(0, SIDE - 1, SIDE) == 2
-        assert grouping.slot(SIDE - 1, SIDE - 1, SIDE) == 3
+        grid = grouping.slot_map(SIDE)
+        assert grid[0][0] == 0
+        assert grid[0][SIDE - 1] == 1
+        assert grid[SIDE - 1][0] == 2
+        assert grid[SIDE - 1][SIDE - 1] == 3
         assert grouping.layout is SubtileLayout.SQUARE
 
     def test_xrect_vertical_strips(self):
         grouping = get_grouping("CG-xrect")
-        for qy in range(SIDE):
-            assert grouping.slot(0, qy, SIDE) == 0
-            assert grouping.slot(SIDE - 1, qy, SIDE) == 3
+        for row in grouping.slot_map(SIDE):
+            assert row[0] == 0
+            assert row[SIDE - 1] == 3
         assert grouping.layout is SubtileLayout.XSTRIPS
 
     def test_yrect_horizontal_strips(self):
         grouping = get_grouping("CG-yrect")
-        for qx in range(SIDE):
-            assert grouping.slot(qx, 0, SIDE) == 0
-            assert grouping.slot(qx, SIDE - 1, SIDE) == 3
+        grid = grouping.slot_map(SIDE)
+        assert grid[0] == [0] * SIDE
+        assert grid[SIDE - 1] == [3] * SIDE
         assert grouping.layout is SubtileLayout.YSTRIPS
 
     def test_triangles_meet_at_center(self):
-        grouping = get_grouping("CG-tri")
-        assert grouping.slot(SIDE // 2, 0, SIDE) == 0       # north
-        assert grouping.slot(SIDE - 1, SIDE // 2, SIDE) == 1  # east
-        assert grouping.slot(0, SIDE // 2, SIDE) == 2       # west
-        assert grouping.slot(SIDE // 2, SIDE - 1, SIDE) == 3  # south
+        grid = get_grouping("CG-tri").slot_map(SIDE)
+        assert grid[0][SIDE // 2] == 0         # north
+        assert grid[SIDE // 2][SIDE - 1] == 1  # east
+        assert grid[SIDE // 2][0] == 2         # west
+        assert grid[SIDE - 1][SIDE // 2] == 3  # south
 
     @pytest.mark.parametrize("name", sorted(COARSE_GRAINED))
     def test_coarse_groupings_are_connected_blobs(self, name):
@@ -181,6 +178,7 @@ class TestAdjacencyScore:
         assert worst_cg > best_fg
 
     def test_slot_map_matches_slot(self):
-        grouping = get_grouping("CG-square")
-        grid = grouping.slot_map(8)
-        assert grid[7][0] == grouping.slot(0, 7, 8)
+        """Rows are indexed by qy: quad (0, 7) is CG-square's bottom-left."""
+        grid = get_grouping("CG-square").slot_map(8)
+        assert grid[7][0] == 2
+        assert grid[0][7] == 1

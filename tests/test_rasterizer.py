@@ -87,7 +87,7 @@ class TestCoverage:
 
     def test_second_tile_region(self, config, texture):
         quads, _ = rasterize(config, texture, full_screen(), tile=(1, 1))
-        assert len(quads) == config.quads_per_tile
+        assert len(quads) == config.quads_per_tile_side ** 2
         assert all(q.tile == (1, 1) for q in quads)
 
 

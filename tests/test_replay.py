@@ -608,9 +608,8 @@ class TestScheduleMemo:
         [
             lambda quads: ReplayBudget(max_quads=1),
             lambda quads: ReplayBudget(max_quads=quads // 2),
-            lambda quads: ReplayBudget(max_cycles=1),
         ],
-        ids=["first-tile", "mid-frame", "cycles"],
+        ids=["first-tile", "mid-frame"],
     )
     def test_hit_raises_the_budget_error_of_a_fresh_replay(
         self, make_budget, tiny_config, tiny_trace

@@ -131,16 +131,9 @@ class TestBudget:
         with pytest.raises(BudgetExceededError, match="quad budget"):
             replayer.run(tiny_trace, BASELINE)
 
-    def test_cycle_budget_kills_replay(self, tiny_config, tiny_trace):
-        replayer = TraceReplayer(
-            tiny_config, budget=ReplayBudget(max_cycles=1)
-        )
-        with pytest.raises(BudgetExceededError, match="cycle budget"):
-            replayer.run(tiny_trace, BASELINE)
-
     def test_generous_budget_is_silent(self, tiny_config, tiny_trace):
         replayer = TraceReplayer(
-            tiny_config, budget=ReplayBudget(max_quads=10**9, max_cycles=10**12)
+            tiny_config, budget=ReplayBudget(max_quads=10**9)
         )
         unbounded = TraceReplayer(tiny_config).run(tiny_trace, BASELINE)
         assert replayer.run(tiny_trace, BASELINE) == unbounded

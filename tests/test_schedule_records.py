@@ -336,9 +336,8 @@ def test_a_record_is_bound_to_the_vertex_prologue(
     [
         lambda quads: ReplayBudget(max_quads=1),
         lambda quads: ReplayBudget(max_quads=quads // 2),
-        lambda quads: ReplayBudget(max_cycles=1),
     ],
-    ids=["first-tile", "mid-frame", "cycles"],
+    ids=["first-tile", "mid-frame"],
 )
 def test_a_hit_raises_the_budget_error_of_the_replay(
     tmp_path, tiny_config, passes, make_budget

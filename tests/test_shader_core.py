@@ -53,7 +53,8 @@ class TestModel:
     def test_hidden_stall_accounting(self):
         warps = [WarpCost(10, 40)] * 4
         result = core(max_warps=4).execute_subtile(warps)
-        assert result.hidden_stall_cycles == 160 - 40
+        exposed = result.total_cycles - result.compute_cycles
+        assert result.stall_cycles - exposed == 160 - 40
 
     def test_rejects_negative_costs(self):
         with pytest.raises(ValueError):

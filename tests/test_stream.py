@@ -821,7 +821,7 @@ class TestRunnerStreams:
         )
         phases = report.manifest.phase_seconds
         assert set(phases) == {"replay"}
-        assert 0.0 < phases["replay"] <= report.wall_time_s
+        assert 0.0 < phases["replay"] <= report.manifest.wall_time_s
 
     def test_chunked_runner_renders_once_across_design_points(self, tmp_path):
         store_dir = tmp_path / "traces"

@@ -141,7 +141,7 @@ class TestTextureAllocator:
     def test_get(self):
         allocator = TextureAllocator()
         texture = allocator.create(32, 32)
-        assert allocator.get(0) is texture
+        assert allocator.textures[0] is texture
 
     def test_total_footprint(self):
         allocator = TextureAllocator()

@@ -40,6 +40,11 @@ def screen_prim(config, pts, pid=0):
     return setup_primitive(prim, config.screen_width, config.screen_height)
 
 
+def list_entries(buffer):
+    """Tile-list entries over every tile of a Parameter Buffer."""
+    return sum(len(entries) for entries in buffer.tile_lists.values())
+
+
 class TestPolygonListBuilder:
     def test_small_triangle_bins_to_one_tile(self, config):
         prim = screen_prim(config, [(5, 5), (20, 5), (5, 20)])
@@ -81,15 +86,15 @@ class TestPolygonListBuilder:
         builder = PolygonListBuilder(config)
         buffer = builder.build([prim])
         assert builder.primitives_binned == 1
-        assert builder.bin_entries == buffer.total_list_entries
+        assert builder.bin_entries == list_entries(buffer)
 
 
 class TestParameterBuffer:
     def test_attributes_stored_once_per_primitive(self, config):
         prim = screen_prim(config, [(5, 5), (120, 5), (5, 60)])
         buffer = PolygonListBuilder(config).build([prim])
-        assert buffer.num_unique_primitives == 1
-        assert buffer.total_list_entries >= 4
+        assert {key[0] for key in buffer.primitives} == {prim.primitive_id}
+        assert list_entries(buffer) >= 4
 
     def test_footprint_grows_with_list_entries(self, config):
         small = PolygonListBuilder(config).build(
@@ -98,7 +103,7 @@ class TestParameterBuffer:
         large = PolygonListBuilder(config).build(
             [screen_prim(config, [(5, 5), (120, 5), (5, 60)])]
         )
-        assert large.footprint_bytes() > small.footprint_bytes()
+        assert list_entries(large) > list_entries(small)
 
     def test_attribute_addresses_disjoint(self):
         buffer = ParameterBuffer()

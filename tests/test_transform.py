@@ -6,11 +6,8 @@ import pytest
 
 from repro.geometry.transform import (
     look_at,
-    ndc_to_screen_xy,
     orthographic,
     perspective,
-    rotate_y,
-    scale,
     translate,
     viewport_transform,
 )
@@ -21,20 +18,6 @@ class TestBasicTransforms:
     def test_translate(self):
         m = translate(Vec3(1, 2, 3))
         assert m.transform_point(Vec3(0, 0, 0)).xyz() == Vec3(1, 2, 3)
-
-    def test_scale(self):
-        m = scale(Vec3(2, 3, 4))
-        assert m.transform_point(Vec3(1, 1, 1)).xyz() == Vec3(2, 3, 4)
-
-    def test_rotate_y_quarter_turn(self):
-        m = rotate_y(math.pi / 2)
-        rotated = m.transform_point(Vec3(1, 0, 0)).xyz()
-        assert rotated.x == pytest.approx(0.0, abs=1e-12)
-        assert rotated.z == pytest.approx(-1.0)
-
-    def test_rotate_y_preserves_y(self):
-        m = rotate_y(1.234)
-        assert m.transform_point(Vec3(0, 5, 0)).xyz().y == pytest.approx(5.0)
 
 
 class TestLookAt:
@@ -105,5 +88,5 @@ class TestViewport:
         assert far.z == 1.0
 
     def test_ndc_to_screen_xy(self):
-        xy = ndc_to_screen_xy(Vec3(-1, 1, 0), 64, 32)
-        assert (xy.x, xy.y) == (0.0, 0.0)
+        screen = viewport_transform(Vec3(-1, 1, 0), 64, 32)
+        assert (screen.x, screen.y) == (0.0, 0.0)

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.visualize import (
     render_assignment_ascii,
     render_grouping_ascii,
-    render_imbalance_heatmap,
     render_schedule_ascii,
     render_tile_order_ascii,
 )
@@ -82,19 +81,3 @@ class TestScheduleOverview:
         assert "step 1" in art
         assert "step 2" not in art
 
-
-class TestHeatmap:
-    def test_dimensions_and_ramp(self):
-        tiles = [(0, 0), (1, 0), (0, 1), (1, 1)]
-        values = [[1, 1], [9, 1], [0, 0], [5, 5]]
-        art = render_imbalance_heatmap(values, tiles, 2, 2)
-        lines = art.splitlines()
-        assert len(lines) == 2
-        assert len(lines[0]) == 2
-        # Balanced tiles render as spaces; the most imbalanced is darkest.
-        assert lines[0][0] == " "
-        assert lines[0][1] == "@"
-
-    def test_empty(self):
-        art = render_imbalance_heatmap([], [], 2, 1)
-        assert art == "  "

@@ -91,6 +91,14 @@ class TestEveryGameBuilds:
 
 
 class TestRecipeKnobs:
+    def test_sprites_sample_several_textures(self, config):
+        recipe = SceneRecipe(
+            name="plain", seed=9, is_3d=False, texture_budget_mib=0.5,
+            background=False, depth_complexity=1.5, max_textures=4,
+        )
+        workload = recipe.build(config)
+        assert len({d.texture_id for d in workload.scene.draws}) > 1
+
     def test_sprite_count_scales_with_depth_complexity(self, config):
         base = SceneRecipe(
             name="a", seed=1, is_3d=False, texture_budget_mib=0.3,
@@ -157,34 +165,3 @@ class TestRecipeKnobs:
         )
         assert near_band > len(heights) * 0.8
 
-
-class TestAtlasRecipes:
-    def test_atlas_sprites_use_one_texture(self, config):
-        recipe = SceneRecipe(
-            name="atlased", seed=9, is_3d=False, texture_budget_mib=0.5,
-            atlas_grid=4, background=False, depth_complexity=1.5,
-        )
-        workload = recipe.build(config)
-        texture_ids = {d.texture_id for d in workload.scene.draws}
-        assert len(texture_ids) == 1
-
-    def test_atlas_uv_windows_within_cells(self, config):
-        recipe = SceneRecipe(
-            name="atlased2", seed=9, is_3d=False, texture_budget_mib=0.5,
-            atlas_grid=4, background=False, depth_complexity=1.5,
-        )
-        workload = recipe.build(config)
-        for draw in workload.scene.draws:
-            us = [v.uv.x for v in draw.mesh.vertices]
-            vs = [v.uv.y for v in draw.mesh.vertices]
-            assert max(us) - min(us) <= 0.25
-            assert max(vs) - min(vs) <= 0.25
-            assert 0.0 <= min(us) and max(us) <= 1.0
-
-    def test_atlas_off_by_default(self, config):
-        recipe = SceneRecipe(
-            name="plain", seed=9, is_3d=False, texture_budget_mib=0.5,
-            background=False, depth_complexity=1.5, max_textures=4,
-        )
-        workload = recipe.build(config)
-        assert len({d.texture_id for d in workload.scene.draws}) > 1
